@@ -25,6 +25,8 @@ from .core import (
     SparseProblem,
     SupportEstimate,
     WeightVector,
+    _idct,
+    _idct_rows,
     best_k_term,
     snr_db,
 )
@@ -56,11 +58,7 @@ def dct_matrix(N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    k = np.arange(N, dtype=np.float64)[:, None]
-    m = np.arange(N, dtype=np.float64)[None, :]
-    D = np.cos(np.pi * k * (2.0 * m + 1.0) / (2.0 * N)) * np.sqrt(2.0 / N)
-    D[0, :] = np.sqrt(1.0 / N)
-    return D
+    return _idct_rows(N, np.arange(N)).T
 
 
 @dataclass(frozen=True)
@@ -126,14 +124,13 @@ def build_block_problem(
     """Assemble one block's recovery problem.
 
     The operator keeps ``keep_rows`` (1-based time positions) of the
-    inverse DCT; the weight support is the low-frequency band united
-    with ``prev_estimate`` (pass None for the first block).
+    inverse DCT, applied by FFT; the weight support is the low-frequency
+    band united with ``prev_estimate`` (pass None for the first block).
     """
     block = np.asarray(block, dtype=np.float64)
     if block.shape != (cfg.block_len,):
         raise ValueError(f"block must have length {cfg.block_len}")
-    D = dct_matrix(cfg.block_len)
-    op = RestrictedTransform(rows=tuple(keep_rows), inverse=D.T)
+    op = RestrictedTransform(rows=tuple(keep_rows), tag="dct", size=cfg.block_len)
     idx = np.asarray(keep_rows, dtype=np.intp) - 1
     y = Measurements(block[idx])
     joined = set(lowfreq_support(cfg).indices)
@@ -189,8 +186,6 @@ def recover_clip(
     N = cfg.block_len
     n_keep = cfg.samples_per_block
     prev_count = int(round(cfg.prev_block_keep * n_keep))
-    D = dct_matrix(N)
-    Dt = D.T
     combos = [(p, w) for p in cfg.p_list for w in cfg.omega_list]
     prev_coeffs: dict[tuple[float, float], np.ndarray | None] = {c: None for c in combos}
     recons = {c: np.zeros(total, dtype=np.float64) for c in combos}
@@ -212,7 +207,7 @@ def recover_clip(
             projector=projector,
         )
         prev_coeffs[combo] = coeffs.entries
-        recons[combo][j * N : (j + 1) * N] = Dt @ coeffs.entries
+        recons[combo][j * N : (j + 1) * N] = _idct(coeffs.entries)
 
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     try:
@@ -220,8 +215,7 @@ def recover_clip(
             block = samples[j * N : (j + 1) * N]
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _SEED_MASK, j]))
             keep = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=n_keep, replace=False)))
-            A_dense = Dt[np.asarray(keep, dtype=np.intp) - 1, :]
-            projector = _projector_parts(A_dense)
+            projector = _projector_parts(RestrictedTransform(rows=keep, tag="dct", size=N))
             if pool is None:
                 for combo in combos:
                     _one_combo(j, block, keep, projector, combo)

@@ -345,7 +345,15 @@ def _cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
     if manifest.subcommand not in _RUNNERS:
         raise ValueError(f"manifest subcommand {manifest.subcommand!r} is not replayable")
-    _kernels.set_backend(manifest.backend)
+    if manifest.backend in _kernels.available_backends():
+        _kernels.set_backend(manifest.backend)
+    else:
+        # the backends agree on every output, so another one replays the run
+        print(
+            f"note: backend {manifest.backend!r} is not available here; "
+            f"replaying with {_kernels.get_backend()!r}",
+            file=sys.stderr,
+        )
     for name, entry in manifest.inputs.items():
         path = Path(entry["path"])
         if not path.exists():

@@ -12,7 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -122,14 +122,79 @@ class DenseMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        return self.matrix.T @ r
+
+
+@lru_cache(maxsize=8)
+def _dct_twiddles(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """exp(-i pi k / 2N) for k = 0..N//2, and the orthonormal DCT-II
+    row scales sqrt(1/N), sqrt(2/N), ..., sqrt(2/N)."""
+    k = np.arange(N // 2 + 1, dtype=np.float64)
+    scale = np.full(N, np.sqrt(2.0 / N))
+    scale[0] = np.sqrt(1.0 / N)
+    return np.exp(-0.5j * np.pi * k / N), scale
+
+
+def _dct(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II of x by one real FFT (Makhoul, "A fast cosine
+    transform in one and two dimensions", IEEE TASSP 1980).
+
+    Reordering x to its even entries followed by its odd entries reversed
+    gives a v whose FFT V satisfies sum_m x_m cos(pi k (2m + 1) / 2N)
+    = Re(exp(-i pi k / 2N) V_k); the same product's imaginary part at k
+    is minus the sum at N - k, so V_0..V_{N//2} give every coefficient.
+    """
+    N = x.shape[0]
+    twiddle, scale = _dct_twiddles(N)
+    z = twiddle * np.fft.rfft(np.concatenate((x[::2], x[1::2][::-1])))
+    c = np.empty(N)
+    c[: N // 2 + 1] = z.real
+    c[N // 2 + 1 :] = -z.imag[1 : (N + 1) // 2][::-1]
+    return scale * c
+
+
+def _idct(c: np.ndarray) -> np.ndarray:
+    """Inverse of ``_dct``, which is its transpose: samples from
+    orthonormal DCT-II coefficients, by one inverse real FFT."""
+    N = c.shape[0]
+    twiddle, scale = _dct_twiddles(N)
+    y = c / scale
+    # V_k = exp(i pi k / 2N) (y_k - i y_{N-k}), with y_N = 0
+    flipped = np.zeros(N // 2 + 1)
+    flipped[1:] = y[(N + 1) // 2 :][::-1]
+    v = np.fft.irfft(np.conj(twiddle) * (y[: N // 2 + 1] - 1j * flipped), n=N)
+    x = np.empty(N)
+    half = (N + 1) // 2
+    x[::2] = v[:half]
+    x[1::2] = v[half:][::-1]
+    return x
+
+
+def _idct_rows(N: int, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` (0-based) of the orthonormal inverse DCT-II matrix,
+    entry [j, k] = s_k cos(pi k (2 idx_j + 1) / 2N)."""
+    k = np.arange(N, dtype=np.float64)[None, :]
+    m = np.asarray(idx, dtype=np.float64)[:, None]
+    rows = np.cos(np.pi * k * (2.0 * m + 1.0) / (2.0 * N)) * np.sqrt(2.0 / N)
+    rows[:, 0] = np.sqrt(1.0 / N)
+    return rows
+
+
+# Largest entry of |A A^T - I| a RestrictedTransform's kept rows may have.
+_ORTHONORMAL_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class RestrictedTransform:
-    """Sensing operator that keeps selected rows of an inverse transform.
+    """Sensing operator that keeps selected rows of an orthonormal inverse
+    transform, so its rows are orthonormal: A A^T = I and pinv(A) = A^T.
 
     ``inverse`` is the N x N matrix mapping coefficients to samples; the
-    operator is its restriction to ``rows`` (1-based, distinct).  Pass
-    ``tag="identity"`` with ``size`` instead of a matrix for plain
+    operator is its restriction to ``rows`` (1-based, distinct), whose
+    kept rows must be orthonormal.  Instead of a matrix, pass ``size``
+    with ``tag="dct"`` for the orthonormal inverse DCT-II, applied by FFT
+    without forming any N x N array, or with ``tag="identity"`` for plain
     subsampling of the coefficients themselves.
     """
 
@@ -146,36 +211,62 @@ class RestrictedTransform:
                 raise ValueError("inverse transform must be square")
             object.__setattr__(self, "inverse", inv)
             N = inv.shape[0]
-        elif self.tag == "identity":
+        elif self.tag in ("dct", "identity"):
             if self.size is None:
-                raise ValueError("identity tag requires size")
+                raise ValueError(f"{self.tag} tag requires size")
             N = int(self.size)
         else:
-            raise ValueError("need an inverse matrix or tag='identity'")
+            raise ValueError("need an inverse matrix or tag='dct' or tag='identity'")
         object.__setattr__(self, "size", N)
         if len(rows) == 0 or len(set(rows)) != len(rows):
             raise ValueError("rows must be non-empty and distinct")
         if min(rows) < 1 or max(rows) > N:
             raise ValueError(f"rows must lie in 1..{N}")
         object.__setattr__(self, "rows", rows)
+        if self.inverse is not None:
+            kept = self._kept
+            gap = float(np.max(np.abs(kept @ kept.T - np.eye(len(rows)))))
+            if not gap <= _ORTHONORMAL_TOL:
+                raise ValueError(
+                    f"kept rows of the inverse transform must be orthonormal: max |A A^T - I| = {gap:.3e}"
+                )
+
+    @cached_property
+    def _idx(self) -> np.ndarray:
+        return np.asarray(self.rows, dtype=np.intp) - 1
+
+    @cached_property
+    def _kept(self) -> np.ndarray:
+        """The kept rows of ``inverse``."""
+        return self.inverse[self._idx, :]
 
     @property
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), int(self.size))
 
     def as_dense(self) -> np.ndarray:
-        idx = np.asarray(self.rows, dtype=np.intp) - 1
         if self.inverse is not None:
-            return self.inverse[idx, :]
+            return self._kept
+        if self.tag == "dct":
+            return _idct_rows(self.size, self._idx)
         eye = np.zeros(self.shape, dtype=np.float64)
-        eye[np.arange(len(idx)), idx] = 1.0
+        eye[np.arange(len(self._idx)), self._idx] = 1.0
         return eye
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        idx = np.asarray(self.rows, dtype=np.intp) - 1
         if self.inverse is not None:
-            return (self.inverse @ x)[idx]
-        return np.asarray(x, dtype=np.float64)[idx]
+            return self._kept @ x
+        x = np.asarray(x, dtype=np.float64)
+        if self.tag == "dct":
+            return _idct(x)[self._idx]
+        return x[self._idx]
+
+    def adjoint(self, r: np.ndarray) -> np.ndarray:
+        if self.inverse is not None:
+            return self._kept.T @ r
+        z = np.zeros(self.size)
+        z[self._idx] = r
+        return _dct(z) if self.tag == "dct" else z
 
 
 # Either operator kind works anywhere a sensing operator is expected.

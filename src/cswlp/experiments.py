@@ -279,7 +279,7 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
 
     rows: list[SweepRow] = []
     try:
-        projector = _projector_parts(A.matrix)
+        projector = _projector_parts(A)
     except RankDeficientError:
         projector = None
 

@@ -2,8 +2,8 @@
 
 Minimizes sum_i w_i^p (x_i^2 + sigma^2)^(p/2) over the affine set
 {x : A x = b} while the smoothing level sigma is lowered toward zero.
-Each iteration projects the negative gradient onto the null space of A
-with Q = pinv(A) A and backtracks from a unit step until the objective
+Each iteration projects the negative gradient onto the null space of A,
+d -> d - pinv(A) A d, and backtracks from a unit step until the objective
 drops.  Sigma is held until the iterate has settled at the current
 level: an iteration's relative change falls below sqrt(sigma) / 100,
 every backtracked step is rejected, or the level has run _LEVEL_ITERS
@@ -29,6 +29,7 @@ objective sum_i w_i^p |x_i|^p.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from . import _kernels
 from .core import (
     Measurements,
     RankDeficientError,
+    RestrictedTransform,
     SensingOperator,
     SignalVector,
     SolverDivergenceError,
@@ -53,6 +55,9 @@ __all__ = [
     "smoothed_gradient",
     "solve",
 ]
+
+# d -> d - pinv(A) A d and r -> pinv(A) r, from _projector_parts.
+Projector = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 # Singular values below this fraction of the largest count as zero rank.
 _RANK_TOL = 1e-10
@@ -173,8 +178,8 @@ def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
     return _kernels.smoothed_gradient_raw(xa, wa**p, float(p), float(sigma))
 
 
-def _projector_parts(A_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Null-space projector ingredients: Q = pinv(A) A and pinv(A)."""
+def _svd_parts(A_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q = pinv(A) A and pinv(A) from an SVD of a dense A."""
     U, s, Vt = np.linalg.svd(A_dense, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
         ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
@@ -184,6 +189,19 @@ def _projector_parts(A_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pinv = (Vt.T / s) @ U.T
     Q = Vt.T @ Vt
     return Q, pinv
+
+
+def _projector_parts(A: SensingOperator) -> Projector:
+    """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r.
+
+    A RestrictedTransform has orthonormal rows, so pinv(A) = A^T and both
+    maps go through the operator itself, with no SVD and no N x N array.
+    A DenseMatrix pays one SVD for Q = pinv(A) A and pinv(A).
+    """
+    if isinstance(A, RestrictedTransform):
+        return (lambda d: d - A.adjoint(A.apply(d))), A.adjoint
+    Q, pinv = _svd_parts(A.matrix)
+    return (lambda d: d - Q @ d), (lambda r: pinv @ r)
 
 
 def build_projector(A: SensingOperator, b) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +214,7 @@ def build_projector(A: SensingOperator, b) -> tuple[np.ndarray, np.ndarray]:
     y = b.y if isinstance(b, Measurements) else _signal_array(b)
     if y.shape[0] != A_dense.shape[0]:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {A_dense.shape[0]}")
-    Q, pinv = _projector_parts(A_dense)
+    Q, pinv = _svd_parts(A_dense)
     return Q, pinv @ y
 
 
@@ -207,7 +225,7 @@ def solve(
     cfg: SolverConfig,
     *,
     keep_iterates: bool = False,
-    projector: tuple[np.ndarray, np.ndarray] | None = None,
+    projector: Projector | None = None,
 ) -> tuple[SignalVector, SolverTrace]:
     """Run the smoothed projected-gradient iteration.
 
@@ -218,7 +236,7 @@ def solve(
     w : WeightVector or array_like weights in [0, 1]
     cfg : SolverConfig
     keep_iterates : also record x_0 and every iterate in the trace
-    projector : optional precomputed (Q, pinv(A)) pair, for callers
+    projector : optional ``_projector_parts(A)`` result, for callers
         solving many right-hand sides against one operator
 
     Returns
@@ -231,8 +249,7 @@ def solve(
     to max(1, ||b||).  A non-finite objective raises
     SolverDivergenceError; a rank-deficient A raises RankDeficientError.
     """
-    A_dense = A.as_dense()
-    n, N = A_dense.shape
+    n, N = A.shape
     y = b.y if isinstance(b, Measurements) else _signal_array(b)
     if y.shape[0] != n:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {n}")
@@ -240,11 +257,8 @@ def solve(
     p = float(cfg.p)
     wp = w_arr**p
 
-    if projector is None:
-        Q, pinv = _projector_parts(A_dense)
-    else:
-        Q, pinv = projector
-    x0 = pinv @ y
+    project, pull_back = _projector_parts(A) if projector is None else projector
+    x0 = pull_back(y)
 
     b_norm = float(np.linalg.norm(y))
     feas_limit = cfg.feasibility_tol * max(1.0, b_norm)
@@ -265,23 +279,23 @@ def solve(
                 # stationary at every smoothing level: only zero entries carry
                 # nonzero weight, so the iterate never moves again
                 if record:
-                    rows.append((t, sigma, f0, 0.0, float(np.linalg.norm(A_dense @ x - y))))
+                    rows.append((t, sigma, f0, 0.0, float(np.linalg.norm(A.apply(x) - y))))
                     if iterates is not None:
                         iterates.append(x.copy())
                 return x, t
 
             d = -g
-            pd = d - Q @ d
+            pd = project(d)
             step, f_new = _kernels.backtrack_raw(
                 x, pd, wp, p, sigma, f0, cfg.step_shrink, cfg.max_backtracks
             )
             x_new = x + step * pd if step > 0.0 else x
 
-            res = float(np.linalg.norm(A_dense @ x_new - y))
+            res = float(np.linalg.norm(A.apply(x_new) - y))
             if res > 0.5 * feas_limit:
                 # numerical drift off the affine set; pull back before it matters
-                x_new = x_new - pinv @ (A_dense @ x_new - y)
-                res = float(np.linalg.norm(A_dense @ x_new - y))
+                x_new = x_new - pull_back(A.apply(x_new) - y)
+                res = float(np.linalg.norm(A.apply(x_new) - y))
 
             if record:
                 rows.append((t, sigma, f_new if step > 0.0 else f0, step, res))
@@ -309,9 +323,9 @@ def solve(
         cols = support(x)
         if 0 < cols.size <= n:
             z = np.zeros(N)
-            z[cols] = np.linalg.lstsq(A_dense[:, cols], y, rcond=None)[0]
+            z[cols] = np.linalg.lstsq(A.as_dense()[:, cols], y, rcond=None)[0]
             z_value = float(np.sum(wp * np.abs(z) ** p))
-            if float(np.linalg.norm(A_dense @ z - y)) <= feas_limit and z_value <= value:
+            if float(np.linalg.norm(A.apply(z) - y)) <= feas_limit and z_value <= value:
                 return z, z_value
         return x, value
 
@@ -325,8 +339,7 @@ def solve(
         scale = _RESTART_SCALE * float(np.linalg.norm(x0))
         sigma = min(_RESTART_SIGMA, float(cfg.sigma_init))
         while len(restart_iters) < _RESTARTS and used < cfg.max_iters and 2 * support(best).size > n:
-            z = rng.standard_normal(N)
-            z -= Q @ z
+            z = project(rng.standard_normal(N))
             start = x0 + (scale / float(np.linalg.norm(z))) * z
             x, spent = descend(start, sigma, cfg.max_iters - used, False)
             used += spent
@@ -336,9 +349,9 @@ def solve(
                 best, best_value = x, value
 
     x = best
-    res = float(np.linalg.norm(A_dense @ x - y))
+    res = float(np.linalg.norm(A.apply(x) - y))
     if res > feas_limit:
-        x = x - pinv @ (A_dense @ x - y)
+        x = x - pull_back(A.apply(x) - y)
 
     # every run records at least one row
     t, sigma, objective, step, residual = zip(*rows)

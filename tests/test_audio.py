@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cswlp import SolverConfig, SupportEstimate, solve
 from cswlp.audio import (
     AudioPipelineConfig,
     build_block_problem,
@@ -158,3 +159,27 @@ def test_pipeline_writes_csv_and_wavs(tmp_path):
     recon, rate = read_wav_mono(out / "recon_p0.5_w0.wav")
     assert rate == 44100.0
     assert recon.shape == (cfg.block_len * cfg.num_blocks,)
+
+
+def test_recover_clip_needs_no_svd(monkeypatch):
+    # the kept rows of the orthonormal inverse DCT give pinv(A) = A^T
+    def no_svd(*args, **kwargs):
+        raise AssertionError("recover_clip took an SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    cfg = _tiny_cfg()
+    samples = synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=2)
+    rows, _ = recover_clip(samples, cfg)
+    assert all(row.snr_db > 0.0 for row in rows)
+
+
+def test_dct_block_iterates_stay_feasible():
+    cfg = _tiny_cfg()
+    block = synthesize_speech_like(cfg.block_len, seed=4)
+    rng = np.random.default_rng(5)
+    keep = tuple(int(i) + 1 for i in np.sort(rng.choice(cfg.block_len, size=cfg.samples_per_block, replace=False)))
+    prob = build_block_problem(block, keep, SupportEstimate((40, 41)), cfg, omega=0.5)
+    b = prob.measurements.y
+    _, trace = solve(prob.operator, prob.measurements, prob.weights, SolverConfig(p=0.5), keep_iterates=True)
+    worst = max(float(np.linalg.norm(prob.operator.apply(it) - b)) for it in trace.iterates)
+    assert worst <= 1e-8 * float(np.linalg.norm(b))

@@ -287,3 +287,26 @@ def test_replay_rejects_changed_input(tmp_path, capsys):
 def test_help_and_missing_subcommand():
     assert main(["--help"]) == 0
     assert main([]) == 1
+
+
+def test_replay_falls_back_from_unavailable_backend(tmp_path, capsys):
+    rng = np.random.default_rng(12)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", y)
+    out = tmp_path / "orig"
+    assert main([
+        "--out-dir", str(out),
+        "solve",
+        "--matrix", str(tmp_path / "A.bin"),
+        "--measurements", str(tmp_path / "y.bin"),
+    ]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["backend"] = "no-such-backend"
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+    assert "'no-such-backend' is not available" in capsys.readouterr().err
+    for name in ("recovered.csv", "trace.csv"):
+        assert (redo / name).read_bytes() == (out / name).read_bytes()

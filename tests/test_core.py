@@ -13,6 +13,7 @@ from cswlp import (
     snr_db,
     weighted_lp_norm,
 )
+from cswlp.audio import dct_matrix
 
 
 def test_signal_vector_rejects_non_finite():
@@ -43,6 +44,49 @@ def test_restricted_transform_dense_inverse():
     x = rng.standard_normal(6)
     assert np.allclose(rt.apply(x), (q @ x)[[1, 4, 5]])
     assert np.allclose(rt.as_dense(), q[[1, 4, 5], :])
+
+
+def test_restricted_transform_rejects_non_orthonormal_inverse():
+    rng = np.random.default_rng(13)
+    with pytest.raises(ValueError, match="orthonormal"):
+        RestrictedTransform(rows=(1, 2), inverse=rng.standard_normal((4, 4)))
+    # only the kept rows need be orthonormal
+    inv = np.eye(4)
+    inv[3] = rng.standard_normal(4)
+    RestrictedTransform(rows=(1, 2, 3), inverse=inv)
+    with pytest.raises(ValueError, match="orthonormal"):
+        RestrictedTransform(rows=(1, 4), inverse=inv)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 127, 128])
+def test_restricted_transform_dct_matches_dense(N):
+    rng = np.random.default_rng(N)
+    rows = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=max(1, N // 3), replace=False)))
+    rt = RestrictedTransform(rows=rows, tag="dct", size=N)
+    dense = dct_matrix(N).T[np.asarray(rows) - 1]
+    x = rng.standard_normal(N)
+    r = rng.standard_normal(len(rows))
+    assert np.max(np.abs(rt.apply(x) - dense @ x)) < 1e-12
+    assert np.max(np.abs(rt.adjoint(r) - dense.T @ r)) < 1e-12
+    assert np.max(np.abs(rt.as_dense() - dense)) < 1e-12
+
+
+def test_operators_adjoint_identity():
+    rng = np.random.default_rng(17)
+    q, _ = np.linalg.qr(rng.standard_normal((9, 9)))
+    ops = [
+        DenseMatrix(rng.standard_normal((4, 9))),
+        RestrictedTransform(rows=(2, 5, 6, 9), inverse=q),
+        RestrictedTransform(rows=(2, 5, 6, 9), tag="identity", size=9),
+        RestrictedTransform(rows=(2, 5, 6, 9), tag="dct", size=9),
+    ]
+    for op in ops:
+        x = rng.standard_normal(9)
+        r = rng.standard_normal(4)
+        assert abs(float(op.apply(x) @ r) - float(x @ op.adjoint(r))) < 1e-12
+    for op in ops[1:]:
+        # restricted transforms have orthonormal rows: A A^T = I
+        assert np.max(np.abs(op.apply(op.adjoint(r)) - r)) < 1e-12
 
 
 def test_restricted_transform_rejects_bad_rows():

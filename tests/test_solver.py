@@ -159,7 +159,7 @@ def test_precomputed_projector_reproduces_solve():
     w = np.ones(30)
     cfg = SolverConfig(p=0.5)
     direct, _ = solve(DenseMatrix(A), y, w, cfg)
-    shared, _ = solve(DenseMatrix(A), y, w, cfg, projector=_projector_parts(A))
+    shared, _ = solve(DenseMatrix(A), y, w, cfg, projector=_projector_parts(DenseMatrix(A)))
     assert np.array_equal(direct.entries, shared.entries)
 
 
