@@ -16,13 +16,12 @@ from .core import (
     SparseProblem,
     SupportEstimate,
     WeightVector,
-    apply,
     best_k_term,
     snr_db,
     weighted_lp_norm,
 )
 from .oracle import OracleResult, oracle_l0, oracle_weighted_lp
-from .solver import SolverConfig, SolverTrace, build_projector, smoothed_gradient, smoothed_objective, solve
+from .solver import SolverConfig, SolverTrace, smoothed_gradient, smoothed_objective, solve
 from .theory import (
     TheoryParams,
     delta_hat_lp,
@@ -53,9 +52,7 @@ __all__ = [
     "SupportEstimate",
     "TheoryParams",
     "WeightVector",
-    "apply",
     "best_k_term",
-    "build_projector",
     "delta_hat_lp",
     "delta_hat_wl1",
     "delta_hat_wlp",

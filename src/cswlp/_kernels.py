@@ -1,34 +1,18 @@
-"""Hot numeric kernels with numba acceleration and a pure-numpy fallback.
-
-The active backend is chosen at import from the ``CSWLP_BACKEND``
-environment variable ("numba" or "numpy"); without it, numba is used
-whenever it imports.  ``set_backend`` switches at runtime, which the
-benchmark script and replay rely on.
+"""Hot numeric kernels of the solver, in plain numpy.
 
 All kernels take plain float64 arrays.  ``wp`` is the elementwise
-weight raised to the p-th power, precomputed by the caller.
+weight raised to the p-th power, precomputed by the caller.  The solver
+calls them as ``_kernels.<name>`` so that a profiler can rebind them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
 __all__ = [
-    "HAVE_NUMBA",
-    "available_backends",
     "get_backend",
-    "set_backend",
     "smoothed_objective_raw",
     "smoothed_gradient_raw",
     "backtrack_raw",
@@ -36,136 +20,40 @@ __all__ = [
 ]
 
 
-def _objective_np(x, wp, p, sigma):
+def get_backend() -> str:
+    """Name of the kernel implementation, recorded by benchmark runs."""
+    return "numpy"
+
+
+def smoothed_objective_raw(x, wp, p, sigma) -> float:
     return float(np.sum(wp * (x * x + sigma * sigma) ** (0.5 * p)))
 
 
-def _gradient_np(x, wp, p, sigma):
+# backtrack_raw evaluates through this private name, so rebinding the
+# public one (as a profiler does) leaves its inner evaluations untimed.
+_objective = smoothed_objective_raw
+
+
+def smoothed_gradient_raw(x, wp, p, sigma) -> np.ndarray:
     return p * wp * (x * x + sigma * sigma) ** (0.5 * p - 1.0) * x
 
 
-def _backtrack_np(x, pd, wp, p, sigma, f0, shrink, max_backtracks):
+def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[float, float]:
+    """First step shrink**j, j < max_backtracks, whose objective is finite
+    and below f0, with that objective; (0.0, f0) when none is."""
     step = 1.0
     for _ in range(max_backtracks):
-        f_try = _objective_np(x + step * pd, wp, p, sigma)
+        f_try = _objective(x + step * pd, wp, p, sigma)
         if math.isfinite(f_try) and f_try < f0:
             return step, f_try
         step *= shrink
     return 0.0, f0
 
 
-def _indicator_max_np(x, w, sigma, coef):
+# No caller in the package; the benchmark tracer binds it.
+def indicator_max_raw(x, w, sigma, coef) -> float:
     ind = coef * np.abs(x)
     below = ind < w * sigma
     if not below.any():
         return -1.0
     return float(ind[below].max())
-
-
-_NUMPY_IMPL = {
-    "objective": _objective_np,
-    "gradient": _gradient_np,
-    "backtrack": _backtrack_np,
-    "indicator_max": _indicator_max_np,
-}
-
-_BACKENDS: dict[str, dict] = {"numpy": _NUMPY_IMPL}
-
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _objective_nb(x, wp, p, sigma):
-        s2 = sigma * sigma
-        e = 0.5 * p
-        total = 0.0
-        for i in range(x.shape[0]):
-            total += wp[i] * (x[i] * x[i] + s2) ** e
-        return total
-
-    @numba.njit(cache=True, nogil=True)
-    def _gradient_nb(x, wp, p, sigma):
-        s2 = sigma * sigma
-        e = 0.5 * p - 1.0
-        out = np.empty_like(x)
-        for i in range(x.shape[0]):
-            out[i] = p * wp[i] * (x[i] * x[i] + s2) ** e * x[i]
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def _backtrack_nb(x, pd, wp, p, sigma, f0, shrink, max_backtracks):
-        s2 = sigma * sigma
-        e = 0.5 * p
-        step = 1.0
-        for _ in range(max_backtracks):
-            total = 0.0
-            for i in range(x.shape[0]):
-                xi = x[i] + step * pd[i]
-                total += wp[i] * (xi * xi + s2) ** e
-            if np.isfinite(total) and total < f0:
-                return step, total
-            step *= shrink
-        return 0.0, f0
-
-    @numba.njit(cache=True, nogil=True)
-    def _indicator_max_nb(x, w, sigma, coef):
-        best = -1.0
-        for i in range(x.shape[0]):
-            ind = coef * abs(x[i])
-            if ind < w[i] * sigma and ind > best:
-                best = ind
-        return best
-
-    _BACKENDS["numba"] = {
-        "objective": _objective_nb,
-        "gradient": _gradient_nb,
-        "backtrack": _backtrack_nb,
-        "indicator_max": _indicator_max_nb,
-    }
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
-
-
-def _initial_backend() -> str:
-    requested = os.environ.get("CSWLP_BACKEND", "").strip().lower()
-    if requested:
-        if requested not in ("numba", "numpy"):
-            raise ValueError(f"CSWLP_BACKEND must be 'numba' or 'numpy', got {requested!r}")
-        if requested not in _BACKENDS:
-            raise RuntimeError("CSWLP_BACKEND=numba but numba is not importable")
-        return requested
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_active_name = _initial_backend()
-_active = _BACKENDS[_active_name]
-
-
-def get_backend() -> str:
-    return _active_name
-
-
-def set_backend(name: str) -> None:
-    global _active_name, _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}, available: {available_backends()}")
-    _active_name = name
-    _active = _BACKENDS[name]
-
-
-def smoothed_objective_raw(x, wp, p, sigma) -> float:
-    return _active["objective"](x, wp, p, sigma)
-
-
-def smoothed_gradient_raw(x, wp, p, sigma) -> np.ndarray:
-    return _active["gradient"](x, wp, p, sigma)
-
-
-def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[float, float]:
-    return _active["backtrack"](x, pd, wp, p, sigma, f0, shrink, max_backtracks)
-
-
-def indicator_max_raw(x, w, sigma, coef) -> float:
-    return _active["indicator_max"](x, w, sigma, coef)

@@ -1,10 +1,10 @@
 """Command-line interface: solve, theory, sweep, audio, replay.
 
 Every run writes its outputs plus a ``manifest.json`` capturing the
-resolved configuration, seed, kernel backend, package version, and
-SHA-256 of any input files.  ``replay`` re-executes a manifest into a
-fresh directory and reproduces the data outputs byte for byte (the
-manifest's own timestamp and measured wall times naturally differ).
+resolved configuration, seed, package version, and SHA-256 of any
+input files.  ``replay`` re-executes a manifest into a fresh directory
+and reproduces the data outputs byte for byte (the manifest's own
+timestamp and measured wall times naturally differ).
 
 Exit codes: 0 success, 1 usage/config/input errors, 2 numerical
 failure.
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels
+from . import __version__
 from .audio import AudioPipelineConfig, run_audio_pipeline
 from .core import (
     CswlpError,
@@ -108,7 +108,6 @@ class RunManifest:
     subcommand: str
     seed: int
     version: str
-    backend: str
     config: dict
     inputs: dict
     outputs: list[str]
@@ -120,6 +119,8 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text())
+        # manifests written before the package had one kernel path name it
+        data.pop("backend", None)
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"{path}: unknown manifest fields {sorted(unknown)}")
@@ -131,7 +132,6 @@ def _write_manifest(subcommand: str, seed: int, config: dict, inputs: dict, outp
         subcommand=subcommand,
         seed=int(seed),
         version=__version__,
-        backend=_kernels.get_backend(),
         config=config,
         inputs={name: {"path": str(Path(p).resolve()), "sha256": _sha256(p)} for name, p in inputs.items()},
         outputs=sorted(outputs),
@@ -345,15 +345,6 @@ def _cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
     if manifest.subcommand not in _RUNNERS:
         raise ValueError(f"manifest subcommand {manifest.subcommand!r} is not replayable")
-    if manifest.backend in _kernels.available_backends():
-        _kernels.set_backend(manifest.backend)
-    else:
-        # the backends agree on every output, so another one replays the run
-        print(
-            f"note: backend {manifest.backend!r} is not available here; "
-            f"replaying with {_kernels.get_backend()!r}",
-            file=sys.stderr,
-        )
     for name, entry in manifest.inputs.items():
         path = Path(entry["path"])
         if not path.exists():

@@ -30,7 +30,6 @@ __all__ = [
     "SupportEstimate",
     "WeightVector",
     "SparseProblem",
-    "apply",
     "best_k_term",
     "snr_db",
     "weighted_lp_norm",
@@ -194,8 +193,7 @@ class RestrictedTransform:
     operator is its restriction to ``rows`` (1-based, distinct), whose
     kept rows must be orthonormal.  Instead of a matrix, pass ``size``
     with ``tag="dct"`` for the orthonormal inverse DCT-II, applied by FFT
-    without forming any N x N array, or with ``tag="identity"`` for plain
-    subsampling of the coefficients themselves.
+    without forming any N x N array.
     """
 
     rows: tuple[int, ...]
@@ -211,12 +209,12 @@ class RestrictedTransform:
                 raise ValueError("inverse transform must be square")
             object.__setattr__(self, "inverse", inv)
             N = inv.shape[0]
-        elif self.tag in ("dct", "identity"):
+        elif self.tag == "dct":
             if self.size is None:
-                raise ValueError(f"{self.tag} tag requires size")
+                raise ValueError("dct tag requires size")
             N = int(self.size)
         else:
-            raise ValueError("need an inverse matrix or tag='dct' or tag='identity'")
+            raise ValueError("need an inverse matrix or tag='dct'")
         object.__setattr__(self, "size", N)
         if len(rows) == 0 or len(set(rows)) != len(rows):
             raise ValueError("rows must be non-empty and distinct")
@@ -247,26 +245,19 @@ class RestrictedTransform:
     def as_dense(self) -> np.ndarray:
         if self.inverse is not None:
             return self._kept
-        if self.tag == "dct":
-            return _idct_rows(self.size, self._idx)
-        eye = np.zeros(self.shape, dtype=np.float64)
-        eye[np.arange(len(self._idx)), self._idx] = 1.0
-        return eye
+        return _idct_rows(self.size, self._idx)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         if self.inverse is not None:
             return self._kept @ x
-        x = np.asarray(x, dtype=np.float64)
-        if self.tag == "dct":
-            return _idct(x)[self._idx]
-        return x[self._idx]
+        return _idct(np.asarray(x, dtype=np.float64))[self._idx]
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         if self.inverse is not None:
             return self._kept.T @ r
         z = np.zeros(self.size)
         z[self._idx] = r
-        return _dct(z) if self.tag == "dct" else z
+        return _dct(z)
 
 
 # Either operator kind works anywhere a sensing operator is expected.
@@ -418,15 +409,6 @@ def best_k_term(x, k: int) -> tuple[SignalVector, tuple[int, ...]]:
     out[kept] = xa[kept]
     support = tuple(int(i) + 1 for i in kept)
     return SignalVector(out), support
-
-
-def apply(op: SensingOperator, x) -> np.ndarray:
-    """Apply a sensing operator to a signal, returning the n-vector A x."""
-    xa = _signal_array(x)
-    n, N = op.shape
-    if xa.shape[0] != N:
-        raise ValueError(f"signal length {xa.shape[0]} does not match operator columns {N}")
-    return op.apply(xa)
 
 
 def snr_db(x, x_hat, cap_db: float = 300.0) -> float:

@@ -50,7 +50,6 @@ from .core import (
 __all__ = [
     "SolverConfig",
     "SolverTrace",
-    "build_projector",
     "smoothed_objective",
     "smoothed_gradient",
     "solve",
@@ -178,9 +177,18 @@ def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
     return _kernels.smoothed_gradient_raw(xa, wa**p, float(p), float(sigma))
 
 
-def _svd_parts(A_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q = pinv(A) A and pinv(A) from an SVD of a dense A."""
-    U, s, Vt = np.linalg.svd(A_dense, full_matrices=False)
+def _projector_parts(A: SensingOperator) -> Projector:
+    """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r.
+
+    A RestrictedTransform has orthonormal rows, so pinv(A) = A^T and both
+    maps go through the operator itself, with no SVD and no N x N array.
+    A DenseMatrix pays one SVD for Q = pinv(A) A and pinv(A), and raises
+    RankDeficientError when its smallest singular value falls below
+    _RANK_TOL times the largest.
+    """
+    if isinstance(A, RestrictedTransform):
+        return (lambda d: d - A.adjoint(A.apply(d))), A.adjoint
+    U, s, Vt = np.linalg.svd(A.matrix, full_matrices=False)
     if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
         ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
         raise RankDeficientError(
@@ -188,34 +196,7 @@ def _svd_parts(A_dense: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     pinv = (Vt.T / s) @ U.T
     Q = Vt.T @ Vt
-    return Q, pinv
-
-
-def _projector_parts(A: SensingOperator) -> Projector:
-    """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r.
-
-    A RestrictedTransform has orthonormal rows, so pinv(A) = A^T and both
-    maps go through the operator itself, with no SVD and no N x N array.
-    A DenseMatrix pays one SVD for Q = pinv(A) A and pinv(A).
-    """
-    if isinstance(A, RestrictedTransform):
-        return (lambda d: d - A.adjoint(A.apply(d))), A.adjoint
-    Q, pinv = _svd_parts(A.matrix)
     return (lambda d: d - Q @ d), (lambda r: pinv @ r)
-
-
-def build_projector(A: SensingOperator, b) -> tuple[np.ndarray, np.ndarray]:
-    """Row-space projector Q = pinv(A) A and the feasible point pinv(A) b.
-
-    Raises RankDeficientError when the smallest singular value falls
-    below 1e-10 times the largest.
-    """
-    A_dense = A.as_dense()
-    y = b.y if isinstance(b, Measurements) else _signal_array(b)
-    if y.shape[0] != A_dense.shape[0]:
-        raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {A_dense.shape[0]}")
-    Q, pinv = _svd_parts(A_dense)
-    return Q, pinv @ y
 
 
 def solve(

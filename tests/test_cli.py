@@ -80,7 +80,6 @@ def test_manifest_round_trip(tmp_path):
         subcommand="solve",
         seed=5,
         version="0.0.0",
-        backend="numpy",
         config={"p": 0.5},
         inputs={},
         outputs=["recovered.csv"],
@@ -90,6 +89,11 @@ def test_manifest_round_trip(tmp_path):
     manifest.save(path)
     assert RunManifest.load(path) == manifest
     data = json.loads(path.read_text())
+    assert "backend" not in data
+    # older manifests named a kernel backend; loading drops it
+    for legacy in ("numpy", "no-such-backend"):
+        path.write_text(json.dumps(dict(data, backend=legacy)))
+        assert RunManifest.load(path) == manifest
     data["surprise"] = 1
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="surprise"):
@@ -118,7 +122,7 @@ def test_solve_end_to_end(tmp_path):
     manifest = RunManifest.load(out / "manifest.json")
     assert manifest.subcommand == "solve"
     assert manifest.outputs == ["recovered.csv", "trace.csv"]
-    assert manifest.backend in ("numpy", "numba")
+    assert "backend" not in json.loads((out / "manifest.json").read_text())
     assert set(manifest.inputs) == {"matrix", "measurements"}
 
 
@@ -289,7 +293,7 @@ def test_help_and_missing_subcommand():
     assert main([]) == 1
 
 
-def test_replay_falls_back_from_unavailable_backend(tmp_path, capsys):
+def test_replay_ignores_legacy_backend_field(tmp_path, capsys):
     rng = np.random.default_rng(12)
     A, x, y = _plant_problem(rng)
     write_matrix_binary(tmp_path / "A.bin", A)
@@ -302,11 +306,11 @@ def test_replay_falls_back_from_unavailable_backend(tmp_path, capsys):
         "--measurements", str(tmp_path / "y.bin"),
     ]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    manifest["backend"] = "no-such-backend"
+    manifest["backend"] = "numba"
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
     redo = tmp_path / "redo"
     assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
-    assert "'no-such-backend' is not available" in capsys.readouterr().err
+    assert capsys.readouterr().err == ""
     for name in ("recovered.csv", "trace.csv"):
         assert (redo / name).read_bytes() == (out / name).read_bytes()

@@ -8,7 +8,6 @@ from cswlp import (
     SignalVector,
     SupportEstimate,
     WeightVector,
-    apply,
     best_k_term,
     snr_db,
     weighted_lp_norm,
@@ -30,7 +29,7 @@ def test_dense_matrix_must_be_underdetermined_or_square():
 
 
 def test_restricted_transform_identity_rows():
-    rt = RestrictedTransform(rows=(1, 3), inverse=None, tag="identity", size=4)
+    rt = RestrictedTransform(rows=(1, 3), inverse=np.eye(4))
     expected = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
     assert np.array_equal(rt.as_dense(), expected)
     x = np.array([5.0, 6.0, 7.0, 8.0])
@@ -77,7 +76,7 @@ def test_operators_adjoint_identity():
     ops = [
         DenseMatrix(rng.standard_normal((4, 9))),
         RestrictedTransform(rows=(2, 5, 6, 9), inverse=q),
-        RestrictedTransform(rows=(2, 5, 6, 9), tag="identity", size=9),
+        RestrictedTransform(rows=(2, 5, 6, 9), inverse=np.eye(9)),
         RestrictedTransform(rows=(2, 5, 6, 9), tag="dct", size=9),
     ]
     for op in ops:
@@ -91,11 +90,16 @@ def test_operators_adjoint_identity():
 
 def test_restricted_transform_rejects_bad_rows():
     with pytest.raises(ValueError):
-        RestrictedTransform(rows=(0, 1), inverse=None, tag="identity", size=4)
+        RestrictedTransform(rows=(0, 1), inverse=np.eye(4))
     with pytest.raises(ValueError):
-        RestrictedTransform(rows=(1, 1), inverse=None, tag="identity", size=4)
+        RestrictedTransform(rows=(1, 1), inverse=np.eye(4))
     with pytest.raises(ValueError):
-        RestrictedTransform(rows=(5,), inverse=None, tag="identity", size=4)
+        RestrictedTransform(rows=(5,), inverse=np.eye(4))
+    # an operator needs an inverse matrix or the DCT tag with a size
+    with pytest.raises(ValueError):
+        RestrictedTransform(rows=(1,), tag="identity", size=4)
+    with pytest.raises(ValueError):
+        RestrictedTransform(rows=(1,), tag="dct")
 
 
 def test_measurements_epsilon_must_be_nonnegative():
@@ -182,6 +186,6 @@ def test_apply_matches_dense():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((3, 5))
     x = rng.standard_normal(5)
-    assert np.allclose(apply(DenseMatrix(A), x), A @ x)
-    rt = RestrictedTransform(rows=(1, 4), inverse=None, tag="identity", size=5)
-    assert np.allclose(apply(rt, x), x[[0, 3]])
+    assert np.array_equal(DenseMatrix(A).apply(x), A @ x)
+    rt = RestrictedTransform(rows=(1, 4), inverse=np.eye(5))
+    assert np.array_equal(rt.apply(x), x[[0, 3]])

@@ -5,10 +5,10 @@ from cswlp import (
     DenseMatrix,
     Measurements,
     RankDeficientError,
+    RestrictedTransform,
     SignalVector,
     SolverConfig,
     SolverTrace,
-    build_projector,
     smoothed_gradient,
     smoothed_objective,
     snr_db,
@@ -163,13 +163,28 @@ def test_precomputed_projector_reproduces_solve():
     assert np.array_equal(direct.entries, shared.entries)
 
 
-def test_build_projector_feasible_start():
-    A, _, y = _sparse_instance(N=20, n=10, k=2, seed=19)
-    Q, x0 = build_projector(DenseMatrix(A), y)
-    assert np.allclose(A @ x0, y, atol=1e-10)
-    # Q is idempotent and symmetric
-    assert np.allclose(Q @ Q, Q, atol=1e-10)
-    assert np.allclose(Q, Q.T, atol=1e-12)
+@pytest.mark.parametrize("kind", ["dense", "dct"])
+def test_projector_parts_pull_back_and_project(kind):
+    rng = np.random.default_rng(19)
+    if kind == "dense":
+        A, _, y = _sparse_instance(N=20, n=10, k=2, seed=19)
+        op = DenseMatrix(A)
+    else:
+        rows = tuple(int(i) + 1 for i in np.sort(rng.choice(20, size=10, replace=False)))
+        op = RestrictedTransform(rows=rows, tag="dct", size=20)
+        y = rng.standard_normal(10)
+    project, pull_back = _projector_parts(op)
+    # pinv(A) y is a feasible start
+    assert np.allclose(op.apply(pull_back(y)), y, atol=1e-10)
+    d = rng.standard_normal(20)
+    pd = project(d)
+    # the projected direction lies in null(A), and projecting it again
+    # leaves it where it is
+    assert np.max(np.abs(op.apply(pd))) < 1e-10
+    assert np.allclose(project(pd), pd, atol=1e-10)
+    # and it is the orthogonal projection, d - pinv(A) A d
+    dense = op.as_dense()
+    assert np.allclose(pd, d - np.linalg.pinv(dense) @ (dense @ d), atol=1e-10)
 
 
 def test_weights_steer_recovery_toward_estimate():
