@@ -193,7 +193,8 @@ class RestrictedTransform:
     operator is its restriction to ``rows`` (1-based, distinct), whose
     kept rows must be orthonormal.  Instead of a matrix, pass ``size``
     with ``tag="dct"`` for the orthonormal inverse DCT-II, applied by FFT
-    without forming any N x N array.
+    without forming any N x N array; giving ``inverse`` together with
+    ``tag`` or ``size`` raises.
     """
 
     rows: tuple[int, ...]
@@ -204,6 +205,8 @@ class RestrictedTransform:
     def __post_init__(self):
         rows = tuple(int(i) for i in self.rows)
         if self.inverse is not None:
+            if self.tag is not None or self.size is not None:
+                raise ValueError("pass either an inverse matrix or tag='dct' with size, not both")
             inv = _as_matrix(self.inverse, "inverse")
             if inv.shape[0] != inv.shape[1]:
                 raise ValueError("inverse transform must be square")

@@ -1,15 +1,19 @@
 """Exhaustive-search reference decoders for tiny problems.
 
 Both oracles enumerate candidate supports in ascending size and, within
-a size, in lexicographic order, fitting each by least squares.  They are
-exponential in N and exist to check the iterative solver on instances
-small enough to enumerate, so N is capped at 20 and support size at 4.
+a size, in lexicographic order.  Every support of one size is fitted by
+least squares at once: its columns are gathered into one stack and
+solved with one batched pseudo-inverse.  The oracles are exponential in
+N and exist to check the iterative solver on instances small enough to
+enumerate, so N is capped at 20 and support size at 4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
 
@@ -41,7 +45,7 @@ class OracleResult:
     objective_value: float
 
 
-def _prepare(A, b, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _prepare(A, b, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     A_dense = A.as_dense() if isinstance(A, SensingOperator) else np.asarray(A, dtype=np.float64)
     y = b.y if isinstance(b, Measurements) else _signal_array(b)
     n, N = A_dense.shape
@@ -51,31 +55,39 @@ def _prepare(A, b, k_max: int) -> tuple[np.ndarray, np.ndarray, float]:
         raise ValueError(f"enumeration is capped at N <= {_MAX_N}, got N = {N}")
     if not (0 <= k_max <= _MAX_SUPPORT):
         raise ValueError(f"k_max must lie in 0..{_MAX_SUPPORT}, got {k_max}")
-    return A_dense, y, float(np.linalg.norm(y))
+    return A_dense, y
+
+
+@cache
+def _supports(N: int, size: int) -> np.ndarray:
+    """Every size-element subset of range(N) in lexicographic order, as
+    a read-only (C(N, size), size) index table."""
+    table = np.array(list(combinations(range(N), size)), dtype=np.intp).reshape(comb(N, size), size)
+    table.flags.writeable = False
+    return table
 
 
 def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int, residual_tol: float):
-    """Yield (support, coefficients) for every support whose least-squares
-    fit reproduces y to within residual_tol, sizes ascending."""
+    """For each size 0..k_max in turn, yield (supports, coefficients):
+    the rows of the size's support table whose least-squares fit
+    reproduces y to within residual_tol, in table order, and their fits,
+    both (F, size) arrays with F possibly 0."""
     n, N = A_dense.shape
-    y_norm = float(np.linalg.norm(y))
-    tol = residual_tol * max(1.0, y_norm)
-    for size in range(0, k_max + 1):
-        if size == 0:
-            if y_norm <= tol:
-                yield (), np.zeros(0)
-            continue
-        for support in combinations(range(N), size):
-            cols = A_dense[:, support]
-            z, *_ = np.linalg.lstsq(cols, y, rcond=None)
-            if float(np.linalg.norm(cols @ z - y)) <= tol:
-                yield support, z
+    tol = residual_tol * max(1.0, float(np.linalg.norm(y)))
+    for size in range(k_max + 1):
+        supports = _supports(N, size)
+        cols = np.moveaxis(A_dense[:, supports], 1, 0)  # (S, n, size)
+        # the singular-value cutoff lstsq(rcond=None) uses; pinv's default
+        # is 1e-15, and its rtol keyword needs numpy 2
+        z = np.linalg.pinv(cols, rcond=max(n, size) * np.finfo(np.float64).eps) @ y
+        residuals = np.linalg.norm((cols @ z[:, :, None])[:, :, 0] - y, axis=1)
+        fits = residuals <= tol
+        yield supports[fits], z[fits]
 
 
 def _embed(N: int, support, z) -> SignalVector:
     full = np.zeros(N, dtype=np.float64)
-    if len(support):
-        full[list(support)] = z
+    full[support] = z
     return SignalVector(full)
 
 
@@ -85,14 +97,15 @@ def oracle_l0(A, b, k_max: int, *, residual_tol: float = 1e-8) -> OracleResult:
 
     Raises OracleInfeasibleError when no support of size <= k_max fits.
     """
-    A_dense, y, _ = _prepare(A, b, k_max)
+    A_dense, y = _prepare(A, b, k_max)
     N = A_dense.shape[1]
-    for support, z in _exact_fits(A_dense, y, k_max, residual_tol):
-        return OracleResult(
-            minimizer=_embed(N, support, z),
-            support=tuple(i + 1 for i in support),
-            objective_value=float(len(support)),
-        )
+    for supports, z in _exact_fits(A_dense, y, k_max, residual_tol):
+        if len(supports):
+            return OracleResult(
+                minimizer=_embed(N, supports[0], z[0]),
+                support=tuple(int(i) + 1 for i in supports[0]),
+                objective_value=float(supports.shape[1]),
+            )
     raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")
 
 
@@ -104,20 +117,20 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int, *, residual_tol: float = 1
     """
     if not (0.0 < p <= 1.0):
         raise ValueError(f"p must lie in (0, 1], got {p}")
-    A_dense, y, _ = _prepare(A, b, k_max)
+    A_dense, y = _prepare(A, b, k_max)
     N = A_dense.shape[1]
-    w_arr = _weights_array(w, N)
-    best: tuple[float, tuple, np.ndarray] | None = None
-    for support, z in _exact_fits(A_dense, y, k_max, residual_tol):
-        wp = w_arr[list(support)] ** p if len(support) else np.zeros(0)
-        value = float(np.sum(wp * np.abs(z) ** p))
-        if best is None or value < best[0] - 1e-12:
-            best = (value, support, z)
+    wp = _weights_array(w, N) ** p
+    best: tuple[float, np.ndarray, np.ndarray] | None = None
+    for supports, z in _exact_fits(A_dense, y, k_max, residual_tol):
+        values = np.sum(wp[supports] * np.abs(z) ** p, axis=1)
+        for i, value in enumerate(values.tolist()):
+            if best is None or value < best[0] - 1e-12:
+                best = (value, supports[i], z[i])
     if best is None:
         raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")
     value, support, z = best
     return OracleResult(
         minimizer=_embed(N, support, z),
-        support=tuple(i + 1 for i in support),
+        support=tuple(int(i) + 1 for i in support),
         objective_value=value,
     )

@@ -100,6 +100,11 @@ def test_restricted_transform_rejects_bad_rows():
         RestrictedTransform(rows=(1,), tag="identity", size=4)
     with pytest.raises(ValueError):
         RestrictedTransform(rows=(1,), tag="dct")
+    # an inverse matrix fixes the operator, so a tag or size beside it is an error
+    with pytest.raises(ValueError):
+        RestrictedTransform(rows=(1, 2), inverse=np.eye(4), tag="dct")
+    with pytest.raises(ValueError):
+        RestrictedTransform(rows=(1, 2), inverse=np.eye(4), size=9)
 
 
 def test_measurements_epsilon_must_be_nonnegative():

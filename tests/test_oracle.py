@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -119,3 +121,108 @@ def test_support_estimate_weights_rescue_hard_instances():
         steered_hits += got2 == res2.support
     assert steered_hits >= plain_hits
     assert steered_hits >= int(0.85 * trials)
+
+
+def _reference_fits(A, y, k_max, residual_tol=1e-8):
+    # one lstsq per support, sizes ascending, lexicographic within a size
+    n, N = A.shape
+    tol = residual_tol * max(1.0, float(np.linalg.norm(y)))
+    for size in range(k_max + 1):
+        for support in combinations(range(N), size):
+            cols = A[:, support]
+            z, *_ = np.linalg.lstsq(cols, y, rcond=None)
+            if float(np.linalg.norm(cols @ z - y)) <= tol:
+                yield support, z
+
+
+def _reference_l0(A, y, k_max):
+    for support, z in _reference_fits(A, y, k_max):
+        return support, z, float(len(support))
+    raise OracleInfeasibleError("no fit")
+
+
+def _reference_weighted_lp(A, y, w, p, k_max):
+    best = None
+    for support, z in _reference_fits(A, y, k_max):
+        value = float(np.sum(w[list(support)] ** p * np.abs(z) ** p))
+        if best is None or value < best[2] - 1e-12:
+            best = (support, z, value)
+    if best is None:
+        raise OracleInfeasibleError("no fit")
+    return best
+
+
+def _assert_matches(res, ref, N):
+    support, z, value = ref
+    assert res.support == tuple(i + 1 for i in support)
+    assert abs(res.objective_value - value) <= 1e-12
+    full = np.zeros(N)
+    full[list(support)] = z
+    assert np.max(np.abs(res.minimizer.entries - full), initial=0.0) <= 1e-12
+
+
+def _check_against_reference(A, y, w, p, k_max):
+    N = A.shape[1]
+    _assert_matches(oracle_l0(DenseMatrix(A), y, k_max), _reference_l0(A, y, k_max), N)
+    _assert_matches(
+        oracle_weighted_lp(DenseMatrix(A), y, w, p, k_max), _reference_weighted_lp(A, y, w, p, k_max), N
+    )
+
+
+def test_stacked_oracles_match_per_support_lstsq_on_criterion_3_instances():
+    rng = np.random.default_rng(43)
+    for trial in range(50):
+        k = 1 + trial % 2
+        A = rng.standard_normal((6, 10)) / np.sqrt(6)
+        x = np.zeros(10)
+        sup = rng.choice(10, size=k, replace=False)
+        x[sup] = rng.standard_normal(k)
+        w = np.ones(10)
+        if trial % 4 >= 2:
+            w[sup] = 0.3
+        _check_against_reference(A, A @ x, w, 0.5, 4)
+
+
+def test_stacked_oracles_match_reference_on_rank_deficient_supports():
+    # duplicated and scaled columns make every support holding both of a
+    # pair rank-deficient; lstsq and the pseudo-inverse both return the
+    # minimum-norm fit there
+    rng = np.random.default_rng(47)
+    A = rng.standard_normal((6, 10))
+    A[:, 3] = A[:, 0]
+    A[:, 5] = -2.5 * A[:, 1]
+    A[:, 8] = A[:, 0]
+    for x_support in ((0,), (1,), (0, 1), (1, 3, 6), (0, 2, 5, 7)):
+        x = np.zeros(10)
+        x[list(x_support)] = rng.standard_normal(len(x_support))
+        for p in (0.5, 1.0):
+            for w in (np.ones(10), rng.uniform(0.05, 1.0, 10)):
+                _check_against_reference(A, A @ x, w, p, 4)
+
+
+def test_stacked_oracles_match_reference_at_the_size_caps():
+    # n = 4 rows: every generic support of size 4 out of 20 fits exactly
+    rng = np.random.default_rng(53)
+    A = rng.standard_normal((4, 20))
+    y = rng.standard_normal(4)
+    _check_against_reference(A, y, rng.uniform(0.1, 1.0, 20), 0.5, 4)
+
+
+def test_stacked_oracles_match_reference_on_zero_measurements():
+    rng = np.random.default_rng(59)
+    A = rng.standard_normal((6, 10))
+    _check_against_reference(A, np.zeros(6), np.ones(10), 0.5, 4)
+
+
+def test_oracles_need_no_lstsq(monkeypatch):
+    # every support of one size is fitted by one stacked pseudo-inverse
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("the oracle called lstsq")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    rng = np.random.default_rng(61)
+    A = rng.standard_normal((6, 10))
+    x = np.zeros(10)
+    x[[2, 7]] = (1.3, -0.4)
+    assert oracle_l0(DenseMatrix(A), A @ x, 4).support == (3, 8)
+    assert oracle_weighted_lp(DenseMatrix(A), A @ x, np.ones(10), 0.5, 4).support == (3, 8)
