@@ -240,15 +240,25 @@ def filter_rows(rows, **match):
     return out
 
 
+def _snr_values(rows) -> np.ndarray:
+    """SNRs of the rows; raises ValueError naming the failed rows, whose
+    -inf would otherwise decide the statistic."""
+    rows = list(rows)
+    failed = sum(row.status == "failed" for row in rows)
+    if failed:
+        raise ValueError(f"{failed} of {len(rows)} rows failed; their SNR is undefined")
+    return np.asarray([row.snr_db for row in rows], dtype=np.float64)
+
+
 def mean_snr(rows) -> float:
-    vals = [row.snr_db for row in rows]
-    if not vals:
+    vals = _snr_values(rows)
+    if not vals.size:
         raise ValueError("no rows to average")
     return float(np.mean(vals))
 
 
 def stderr_snr(rows) -> float:
-    vals = np.asarray([row.snr_db for row in rows], dtype=np.float64)
+    vals = _snr_values(rows)
     if vals.size < 2:
         return 0.0
     return float(np.std(vals, ddof=1) / np.sqrt(vals.size))

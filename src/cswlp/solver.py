@@ -177,6 +177,12 @@ def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
     return _kernels.smoothed_gradient_raw(xa, wa**p, float(p), float(sigma))
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-D float array, computed as np.linalg.norm
+    computes it, without that function's call overhead."""
+    return math.sqrt(v.dot(v))
+
+
 def _projector_parts(A: SensingOperator) -> Projector:
     """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r.
 
@@ -260,7 +266,7 @@ def solve(
                 # stationary at every smoothing level: only zero entries carry
                 # nonzero weight, so the iterate never moves again
                 if record:
-                    rows.append((t, sigma, f0, 0.0, float(np.linalg.norm(A.apply(x) - y))))
+                    rows.append((t, sigma, f0, 0.0, _norm(A.apply(x) - y)))
                     if iterates is not None:
                         iterates.append(x.copy())
                 return x, t
@@ -272,18 +278,18 @@ def solve(
             )
             x_new = x + step * pd if step > 0.0 else x
 
-            res = float(np.linalg.norm(A.apply(x_new) - y))
+            res = _norm(A.apply(x_new) - y)
             if res > 0.5 * feas_limit:
                 # numerical drift off the affine set; pull back before it matters
                 x_new = x_new - pull_back(A.apply(x_new) - y)
-                res = float(np.linalg.norm(A.apply(x_new) - y))
+                res = _norm(A.apply(x_new) - y)
 
             if record:
                 rows.append((t, sigma, f_new if step > 0.0 else f0, step, res))
                 if iterates is not None:
                     iterates.append(x_new.copy())
 
-            rel = float(np.linalg.norm(x_new - x)) / max(float(np.linalg.norm(x)), 1e-30)
+            rel = _norm(x_new - x) / max(_norm(x), 1e-30)
             x = x_new
             at_level += 1
             if step == 0.0 or rel <= _SETTLE_REL * math.sqrt(sigma) or at_level >= _LEVEL_ITERS:
@@ -306,7 +312,7 @@ def solve(
             z = np.zeros(N)
             z[cols] = np.linalg.lstsq(A.as_dense()[:, cols], y, rcond=None)[0]
             z_value = float(np.sum(wp * np.abs(z) ** p))
-            if float(np.linalg.norm(A.apply(z) - y)) <= feas_limit and z_value <= value:
+            if _norm(A.apply(z) - y) <= feas_limit and z_value <= value:
                 return z, z_value
         return x, value
 

@@ -179,6 +179,13 @@ def test_row_filters_and_stats():
     assert filter_rows(rows, omega=0.5) == []
     assert abs(mean_snr(rows) - 20.0) < 1e-12
     assert abs(stderr_snr(rows) - 10.0 / np.sqrt(3.0)) < 1e-12
+    # a failed row has no SNR; the statistics name it instead of
+    # averaging its -inf
+    failed = SweepRow(n=10, p=0.5, omega=0.0, alpha_req=0.7, alpha_real=0.7, rho=1.0,
+                      trial=3, snr_db=float("-inf"), iters=0, wall_ms=0.0, status="failed")
+    for stat in (mean_snr, stderr_snr):
+        with pytest.raises(ValueError, match="1 of 4 rows failed"):
+            stat(rows + [failed])
 
 
 def test_config_file_round_trip(tmp_path):

@@ -14,7 +14,9 @@ from cswlp import (
     snr_db,
     solve,
 )
+from cswlp import _kernels
 from cswlp.solver import _projector_parts
+from test_kernels import reference_backtrack
 
 
 def _sparse_instance(N, n, k, seed):
@@ -146,6 +148,40 @@ def test_restarts_are_seeded_inside_solve():
     assert len(trace.restart_iters) >= 1
     assert len(trace) == trace.t.shape[0] + sum(trace.restart_iters) <= cfg.max_iters
     assert np.array_equal(first.entries, again.entries)
+
+
+def _identity_instance(name):
+    if name == "restarts":
+        # criterion-3 shaped at p = 0.5; its first run is not sparse
+        A, y = _criterion_3_instance(1, 49)
+        return DenseMatrix(A), y, np.ones(10), SolverConfig(p=0.5)
+    if name == "dense-p1":
+        A, _, y = _sparse_instance(N=60, n=25, k=5, seed=23)
+        return DenseMatrix(A), y, np.ones(60), SolverConfig(p=1.0)
+    # an audio-shaped block: kept time samples of the inverse DCT
+    rng = np.random.default_rng(29)
+    rows = tuple(int(i) + 1 for i in np.sort(rng.choice(256, size=96, replace=False)))
+    op = RestrictedTransform(rows=rows, tag="dct", size=256)
+    coef = np.zeros(256)
+    coef[rng.choice(40, size=12, replace=False)] = rng.standard_normal(12)
+    w = np.ones(256)
+    w[:40] = 0.3
+    return op, op.apply(coef), w, SolverConfig(p=0.5)
+
+
+@pytest.mark.parametrize("name", ["restarts", "dense-p1", "dct"])
+def test_block_backtracking_reproduces_sequential_solve(monkeypatch, name):
+    A, y, w, cfg = _identity_instance(name)
+    # the sequential search as reference: every solve output, bit for bit
+    x, trace = solve(A, y, w, cfg)
+    monkeypatch.setattr(_kernels, "backtrack_raw", reference_backtrack)
+    x_ref, trace_ref = solve(A, y, w, cfg)
+    if name == "restarts":
+        assert len(trace.restart_iters) >= 1
+    assert np.array_equal(x.entries, x_ref.entries)
+    for col in SolverTrace.COLUMNS:
+        assert np.array_equal(getattr(trace, col), getattr(trace_ref, col)), col
+    assert trace.restart_iters == trace_ref.restart_iters
 
 
 def test_rank_deficient_matrix_is_rejected():
