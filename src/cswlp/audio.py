@@ -130,7 +130,7 @@ def build_block_problem(
     block = np.asarray(block, dtype=np.float64)
     if block.shape != (cfg.block_len,):
         raise ValueError(f"block must have length {cfg.block_len}")
-    op = RestrictedTransform(rows=tuple(keep_rows), tag="dct", size=cfg.block_len)
+    op = RestrictedTransform(rows=tuple(keep_rows), size=cfg.block_len)
     idx = np.asarray(keep_rows, dtype=np.intp) - 1
     y = Measurements(block[idx])
     joined = set(lowfreq_support(cfg).indices)
@@ -215,7 +215,7 @@ def recover_clip(
             block = samples[j * N : (j + 1) * N]
             rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _SEED_MASK, j]))
             keep = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=n_keep, replace=False)))
-            projector = _projector_parts(RestrictedTransform(rows=keep, tag="dct", size=N))
+            projector = _projector_parts(RestrictedTransform(rows=keep, size=N))
             if pool is None:
                 for combo in combos:
                     _one_combo(j, block, keep, projector, combo)

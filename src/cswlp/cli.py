@@ -119,11 +119,17 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: manifest is not a JSON object")
         # manifests written before the package had one kernel path name it
         data.pop("backend", None)
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        fields = set(cls.__dataclass_fields__)
+        unknown = set(data) - fields
         if unknown:
             raise ValueError(f"{path}: unknown manifest fields {sorted(unknown)}")
+        missing = fields - set(data)
+        if missing:
+            raise ValueError(f"{path}: missing manifest fields {sorted(missing)}")
         return cls(**data)
 
 

@@ -69,10 +69,10 @@ def _as_vector(values, name: str = "values") -> np.ndarray:
     return arr
 
 
-def _as_matrix(values, name: str = "matrix") -> np.ndarray:
+def _as_matrix(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
+        raise ValueError(f"matrix must be two-dimensional, got shape {arr.shape}")
     return arr
 
 
@@ -180,84 +180,44 @@ def _idct_rows(N: int, idx: np.ndarray) -> np.ndarray:
     return rows
 
 
-# Largest entry of |A A^T - I| a RestrictedTransform's kept rows may have.
-_ORTHONORMAL_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class RestrictedTransform:
-    """Sensing operator that keeps selected rows of an orthonormal inverse
-    transform, so its rows are orthonormal: A A^T = I and pinv(A) = A^T.
+    """Sensing operator that keeps selected rows of the orthonormal inverse
+    DCT-II of length ``size``, so its rows are orthonormal: A A^T = I and
+    pinv(A) = A^T.
 
-    ``inverse`` is the N x N matrix mapping coefficients to samples; the
-    operator is its restriction to ``rows`` (1-based, distinct), whose
-    kept rows must be orthonormal.  Instead of a matrix, pass ``size``
-    with ``tag="dct"`` for the orthonormal inverse DCT-II, applied by FFT
-    without forming any N x N array; giving ``inverse`` together with
-    ``tag`` or ``size`` raises.
+    ``rows`` are the kept rows (1-based, distinct).  The transform is
+    applied by FFT without forming any N x N array.
     """
 
     rows: tuple[int, ...]
-    inverse: np.ndarray | None = None
-    tag: str | None = None
-    size: int | None = None
+    size: int
 
     def __post_init__(self):
         rows = tuple(int(i) for i in self.rows)
-        if self.inverse is not None:
-            if self.tag is not None or self.size is not None:
-                raise ValueError("pass either an inverse matrix or tag='dct' with size, not both")
-            inv = _as_matrix(self.inverse, "inverse")
-            if inv.shape[0] != inv.shape[1]:
-                raise ValueError("inverse transform must be square")
-            object.__setattr__(self, "inverse", inv)
-            N = inv.shape[0]
-        elif self.tag == "dct":
-            if self.size is None:
-                raise ValueError("dct tag requires size")
-            N = int(self.size)
-        else:
-            raise ValueError("need an inverse matrix or tag='dct'")
+        N = int(self.size)
         object.__setattr__(self, "size", N)
         if len(rows) == 0 or len(set(rows)) != len(rows):
             raise ValueError("rows must be non-empty and distinct")
         if min(rows) < 1 or max(rows) > N:
             raise ValueError(f"rows must lie in 1..{N}")
         object.__setattr__(self, "rows", rows)
-        if self.inverse is not None:
-            kept = self._kept
-            gap = float(np.max(np.abs(kept @ kept.T - np.eye(len(rows)))))
-            if not gap <= _ORTHONORMAL_TOL:
-                raise ValueError(
-                    f"kept rows of the inverse transform must be orthonormal: max |A A^T - I| = {gap:.3e}"
-                )
 
     @cached_property
     def _idx(self) -> np.ndarray:
         return np.asarray(self.rows, dtype=np.intp) - 1
 
-    @cached_property
-    def _kept(self) -> np.ndarray:
-        """The kept rows of ``inverse``."""
-        return self.inverse[self._idx, :]
-
     @property
     def shape(self) -> tuple[int, int]:
-        return (len(self.rows), int(self.size))
+        return (len(self.rows), self.size)
 
     def as_dense(self) -> np.ndarray:
-        if self.inverse is not None:
-            return self._kept
         return _idct_rows(self.size, self._idx)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.inverse is not None:
-            return self._kept @ x
         return _idct(np.asarray(x, dtype=np.float64))[self._idx]
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
-        if self.inverse is not None:
-            return self._kept.T @ r
         z = np.zeros(self.size)
         z[self._idx] = r
         return _dct(z)
@@ -340,12 +300,11 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class SparseProblem:
-    """One recovery instance: operator, measurements, weights, optional truth."""
+    """One recovery instance: operator, measurements and weights."""
 
     operator: SensingOperator
     measurements: Measurements
     weights: WeightVector
-    ground_truth: SignalVector | None = None
 
     def __post_init__(self):
         n, N = self.operator.shape
@@ -355,8 +314,6 @@ class SparseProblem:
             )
         if self.weights.size != N:
             raise ValueError(f"weight size {self.weights.size} does not match signal length {N}")
-        if self.ground_truth is not None and len(self.ground_truth) != N:
-            raise ValueError("ground truth length does not match signal length")
 
 
 def _weights_array(w, N: int) -> np.ndarray:

@@ -8,6 +8,7 @@ same instances and comparisons between them are paired.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -152,6 +153,8 @@ class ExperimentSpec:
     seed: int
 
     def __post_init__(self):
+        if any(not float(v).is_integer() for v in self.n_list):
+            raise ValueError(f"every n must be an integer, got {self.n_list}")
         object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
         object.__setattr__(self, "alpha_list", tuple(float(v) for v in self.alpha_list))
         object.__setattr__(self, "omega_list", tuple(float(v) for v in self.omega_list))
@@ -164,14 +167,14 @@ class ExperimentSpec:
             raise ValueError("k must lie in 1..N")
         if self.signal_kind not in ("sparse", "compressible"):
             raise ValueError(f"unknown signal kind {self.signal_kind!r}")
-        if self.signal_kind == "compressible" and (self.decay is None or self.decay <= 0):
+        if self.signal_kind == "compressible" and (self.decay is None or not (self.decay > 0)):
             raise ValueError("compressible signals need a positive decay exponent")
-        if self.noise_frac < 0:
-            raise ValueError("noise_frac must be >= 0")
+        if not (self.noise_frac >= 0 and math.isfinite(self.noise_frac)):
+            raise ValueError(f"noise_frac must be finite and >= 0, got {self.noise_frac}")
         if not self.alpha_list or any(not (0.0 <= a <= 1.0) for a in self.alpha_list):
             raise ValueError("every alpha must lie in [0, 1]")
-        if self.rho < 0:
-            raise ValueError("rho must be >= 0")
+        if not (self.rho >= 0 and math.isfinite(self.rho)):
+            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
         if not self.omega_list or any(not (0.0 <= w <= 1.0) for w in self.omega_list):
             raise ValueError("every omega must lie in [0, 1]")
         if not self.p_list or any(not (0.0 < p <= 1.0) for p in self.p_list):
@@ -415,7 +418,7 @@ def load_experiment_spec(path) -> ExperimentSpec:
     try:
         return ExperimentSpec(
             N=one_int("N"),
-            n_list=tuple(int(v) for v in floats("n")),
+            n_list=floats("n"),
             k=one_int("k"),
             signal_kind=kind,
             decay=decay,

@@ -186,23 +186,24 @@ def _norm(v: np.ndarray) -> float:
 def _projector_parts(A: SensingOperator) -> Projector:
     """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r.
 
-    A RestrictedTransform has orthonormal rows, so pinv(A) = A^T and both
-    maps go through the operator itself, with no SVD and no N x N array.
-    A DenseMatrix pays one SVD for Q = pinv(A) A and pinv(A), and raises
-    RankDeficientError when its smallest singular value falls below
-    _RANK_TOL times the largest.
+    Both operator kinds project through the operator itself, and differ
+    only in the pull-back.  A RestrictedTransform has orthonormal rows,
+    so pinv(A) = A^T and it takes no SVD.  A DenseMatrix pays one SVD for
+    the n x N pinv(A), and raises RankDeficientError when its smallest
+    singular value falls below _RANK_TOL times the largest.
     """
     if isinstance(A, RestrictedTransform):
-        return (lambda d: d - A.adjoint(A.apply(d))), A.adjoint
-    U, s, Vt = np.linalg.svd(A.matrix, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
-        ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
-        raise RankDeficientError(
-            f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
-        )
-    pinv = (Vt.T / s) @ U.T
-    Q = Vt.T @ Vt
-    return (lambda d: d - Q @ d), (lambda r: pinv @ r)
+        pull_back = A.adjoint
+    else:
+        U, s, Vt = np.linalg.svd(A.matrix, full_matrices=False)
+        if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
+            ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
+            raise RankDeficientError(
+                f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
+            )
+        pinv = (Vt.T / s) @ U.T
+        pull_back = pinv.__matmul__
+    return (lambda d: d - pull_back(A.apply(d))), pull_back
 
 
 def solve(

@@ -314,3 +314,22 @@ def test_replay_ignores_legacy_backend_field(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     for name in ("recovered.csv", "trace.csv"):
         assert (redo / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (
+            {"subcommand": "solve", "seed": 0},
+            "missing manifest fields ['config', 'inputs', 'outputs', 'timestamp', 'version']",
+        ),
+        (["solve", 0], "not a JSON object"),
+    ],
+    ids=["missing-fields", "not-an-object"],
+)
+def test_replay_rejects_malformed_manifest(tmp_path, capsys, content, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(content))
+    code = main(["--out-dir", str(tmp_path / "redo"), "replay", "--manifest", str(path)])
+    assert code == 1
+    assert message in capsys.readouterr().err

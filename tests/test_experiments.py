@@ -102,6 +102,8 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         _tiny_spec(signal_kind="compressible", decay=None)
     with pytest.raises(ValueError):
+        _tiny_spec(signal_kind="compressible", decay=float("nan"))
+    with pytest.raises(ValueError):
         _tiny_spec(n_list=(80,))
     with pytest.raises(ValueError):
         _tiny_spec(p_list=(0.5, 1.1))
@@ -241,3 +243,23 @@ def test_config_file_errors_name_the_key(tmp_path):
     )
     with pytest.raises(ConfigError, match="N"):
         load_experiment_spec(dup)
+
+
+def test_non_integer_n_is_rejected(tmp_path):
+    assert _tiny_spec(n_list=(20.0,)).n_list == (20,)
+    with pytest.raises(ValueError, match="integer"):
+        _tiny_spec(n_list=(15.7, 20))
+    cfg = tmp_path / "frac.cfg"
+    cfg.write_text(
+        "N = 40\nn = 15.7, 20\nk = 4\nsignal_kind = sparse\nnoise_frac = 0\n"
+        "alpha = 0.7\nrho = 1\nomega = 0.5\np = 0.5\ntrials = 1\nseed = 0\n"
+    )
+    with pytest.raises(ConfigError, match="integer"):
+        load_experiment_spec(cfg)
+
+
+@pytest.mark.parametrize("key", ["noise_frac", "rho"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.5])
+def test_spec_rejects_non_finite_noise_and_rho(key, value):
+    with pytest.raises(ValueError, match=key):
+        _tiny_spec(**{key: value})

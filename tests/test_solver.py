@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -161,7 +163,7 @@ def _identity_instance(name):
     # an audio-shaped block: kept time samples of the inverse DCT
     rng = np.random.default_rng(29)
     rows = tuple(int(i) + 1 for i in np.sort(rng.choice(256, size=96, replace=False)))
-    op = RestrictedTransform(rows=rows, tag="dct", size=256)
+    op = RestrictedTransform(rows=rows, size=256)
     coef = np.zeros(256)
     coef[rng.choice(40, size=12, replace=False)] = rng.standard_normal(12)
     w = np.ones(256)
@@ -207,7 +209,7 @@ def test_projector_parts_pull_back_and_project(kind):
         op = DenseMatrix(A)
     else:
         rows = tuple(int(i) + 1 for i in np.sort(rng.choice(20, size=10, replace=False)))
-        op = RestrictedTransform(rows=rows, tag="dct", size=20)
+        op = RestrictedTransform(rows=rows, size=20)
         y = rng.standard_normal(10)
     project, pull_back = _projector_parts(op)
     # pinv(A) y is a feasible start
@@ -221,6 +223,20 @@ def test_projector_parts_pull_back_and_project(kind):
     # and it is the orthogonal projection, d - pinv(A) A d
     dense = op.as_dense()
     assert np.allclose(pd, d - np.linalg.pinv(dense) @ (dense @ d), atol=1e-10)
+
+
+def test_dense_projector_builds_no_n_by_n_array():
+    # a 3000 x 3000 float64 array would take 72 MB; the projector needs
+    # only the 5 x 3000 pseudo-inverse
+    A = DenseMatrix(np.random.default_rng(31).standard_normal((5, 3000)))
+    tracemalloc.start()
+    try:
+        project, _ = _projector_parts(A)
+        project(np.ones(3000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_weights_steer_recovery_toward_estimate():
