@@ -11,7 +11,6 @@ estimate tracks the signal as it moves.
 from __future__ import annotations
 
 import wave
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
@@ -164,6 +163,7 @@ def recover_clip(
     samples: np.ndarray,
     cfg: AudioPipelineConfig,
     base_cfg: SolverConfig | None = None,
+    *,
     threads: int = 1,
 ) -> tuple[list[AudioRow], dict[tuple[float, float], np.ndarray]]:
     """Recover a clip for every (p, omega) combination.
@@ -171,10 +171,11 @@ def recover_clip(
     Returns SNR rows (omega varying fastest) and the reconstructed
     waveforms keyed by (p, omega).  Sample masks depend only on
     (cfg.seed, block index), so all combinations see identical
-    measurements.  ``threads`` parallelizes over combinations within a
-    block (each combination's block chain stays sequential); results do
-    not depend on the thread count.
+    measurements and share each block's projector.
     """
+    # kept only until the benchmark stops passing threads=1
+    if threads != 1:
+        raise ValueError(f"recover_clip is serial; threads must be 1, got {threads}")
     samples = np.asarray(samples, dtype=np.float64)
     total = cfg.num_blocks * cfg.block_len
     if samples.ndim != 1 or samples.shape[0] < total:
@@ -190,42 +191,26 @@ def recover_clip(
     prev_coeffs: dict[tuple[float, float], np.ndarray | None] = {c: None for c in combos}
     recons = {c: np.zeros(total, dtype=np.float64) for c in combos}
 
-    def _one_combo(j, block, keep, projector, combo):
-        # each combo touches only its own prev_coeffs / recons slots
-        p, omega = combo
-        prev = prev_coeffs[combo]
-        prev_est = None
-        if prev is not None and prev_count > 0:
-            prev_est = SupportEstimate(best_k_term(prev, prev_count)[1])
-        problem = build_block_problem(block, keep, prev_est, cfg, omega)
-        cfg_p = replace(base_cfg, p=p)
-        coeffs, _ = solve(
-            problem.operator,
-            problem.measurements,
-            problem.weights,
-            cfg_p,
-            projector=projector,
-        )
-        prev_coeffs[combo] = coeffs.entries
-        recons[combo][j * N : (j + 1) * N] = _idct(coeffs.entries)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for j in range(cfg.num_blocks):
-            block = samples[j * N : (j + 1) * N]
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _SEED_MASK, j]))
-            keep = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=n_keep, replace=False)))
-            projector = _projector_parts(RestrictedTransform(rows=keep, size=N))
-            if pool is None:
-                for combo in combos:
-                    _one_combo(j, block, keep, projector, combo)
-            else:
-                futs = [pool.submit(_one_combo, j, block, keep, projector, c) for c in combos]
-                for fut in futs:
-                    fut.result()
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for j in range(cfg.num_blocks):
+        block = samples[j * N : (j + 1) * N]
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _SEED_MASK, j]))
+        keep = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=n_keep, replace=False)))
+        projector = _projector_parts(RestrictedTransform(rows=keep, size=N))
+        for p, omega in combos:
+            prev = prev_coeffs[(p, omega)]
+            prev_est = None
+            if prev is not None and prev_count > 0:
+                prev_est = SupportEstimate(best_k_term(prev, prev_count)[1])
+            problem = build_block_problem(block, keep, prev_est, cfg, omega)
+            coeffs, _ = solve(
+                problem.operator,
+                problem.measurements,
+                problem.weights,
+                replace(base_cfg, p=p),
+                projector=projector,
+            )
+            prev_coeffs[(p, omega)] = coeffs.entries
+            recons[(p, omega)][j * N : (j + 1) * N] = _idct(coeffs.entries)
 
     cap = base_cfg.snr_cap_db
     rows = [AudioRow(omega=w, p=p, snr_db=_clip_snr(samples, recons[(p, w)], cap)) for p, w in combos]
@@ -295,7 +280,6 @@ def run_audio_pipeline(
     cfg: AudioPipelineConfig,
     out_dir,
     base_cfg: SolverConfig | None = None,
-    threads: int = 1,
 ) -> list[AudioRow]:
     """Read a WAV clip, recover it per (p, omega), write results.
 
@@ -305,7 +289,7 @@ def run_audio_pipeline(
     """
     samples, rate = read_wav_mono(wav_path)
     cfg = replace(cfg, sample_rate_hz=rate)
-    rows, recons = recover_clip(samples, cfg, base_cfg, threads=threads)
+    rows, recons = recover_clip(samples, cfg, base_cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(AUDIO_CSV_COLUMNS)]

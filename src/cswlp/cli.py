@@ -130,6 +130,14 @@ class RunManifest:
         missing = fields - set(data)
         if missing:
             raise ValueError(f"{path}: missing manifest fields {sorted(missing)}")
+        for name, kind, word in (("config", dict, "object"), ("inputs", dict, "object"), ("outputs", list, "list")):
+            if not isinstance(data[name], kind):
+                raise ValueError(f"{path}: manifest field {name!r} is not a JSON {word}")
+        for name, entry in data["inputs"].items():
+            if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("path", "sha256"))):
+                raise ValueError(f"{path}: manifest input {name!r} needs string 'path' and 'sha256'")
+        # manifests written while sweeps and audio had a thread pool name it
+        data["config"].pop("threads", None)
         return cls(**data)
 
 
@@ -241,7 +249,7 @@ def _run_theory(config: dict, out_dir: Path) -> list[str]:
 
 def _run_sweep(config: dict, out_dir: Path) -> list[str]:
     spec = ExperimentSpec(**config["spec"])
-    result = run_sweep(spec, threads=int(config.get("threads", 1)))
+    result = run_sweep(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     result.to_csv(out_dir / "sweep.csv")
     return ["sweep.csv"]
@@ -249,9 +257,7 @@ def _run_sweep(config: dict, out_dir: Path) -> list[str]:
 
 def _run_audio(config: dict, out_dir: Path) -> list[str]:
     cfg = AudioPipelineConfig(**config["pipeline"])
-    rows = run_audio_pipeline(
-        config["input_path"], cfg, out_dir, threads=int(config.get("threads", 1))
-    )
+    run_audio_pipeline(config["input_path"], cfg, out_dir)
     outputs = ["audio_snr.csv"]
     outputs += [f"recon_p{p:g}_w{omega:g}.wav" for p in cfg.p_list for omega in cfg.omega_list]
     return outputs
@@ -320,7 +326,7 @@ def _cmd_sweep(args) -> int:
     if args.seed is not None:
         spec = ExperimentSpec(**{**asdict(spec), "seed": int(args.seed)})
     # the resolved spec is embedded, so replay never re-reads the file
-    config = {"spec": asdict(spec), "threads": int(args.threads), "config_path": str(args.config.resolve())}
+    config = {"spec": asdict(spec), "config_path": str(args.config.resolve())}
     outputs = _run_sweep(config, args.out_dir)
     _write_manifest("sweep", spec.seed, config, {}, outputs, args.out_dir)
     return 0
@@ -337,11 +343,7 @@ def _cmd_audio(args) -> int:
         omega_list=_parse_grid(args.omega),
         seed=args.seed or 0,
     )
-    config = {
-        "pipeline": asdict(cfg),
-        "input_path": str(args.input.resolve()),
-        "threads": int(args.threads),
-    }
+    config = {"pipeline": asdict(cfg), "input_path": str(args.input.resolve())}
     outputs = _run_audio(config, args.out_dir)
     _write_manifest("audio", cfg.seed, config, {"input": args.input}, outputs, args.out_dir)
     return 0
@@ -358,7 +360,14 @@ def _cmd_replay(args) -> int:
         digest = _sha256(path)
         if digest != entry["sha256"]:
             raise ValueError(f"replay input {name!r} changed since the original run: {path}")
-    outputs = _RUNNERS[manifest.subcommand](manifest.config, args.out_dir)
+    try:
+        outputs = _RUNNERS[manifest.subcommand](manifest.config, args.out_dir)
+    except KeyError as exc:
+        raise ValueError(
+            f"{args.manifest}: {manifest.subcommand} config has no {exc.args[0]!r} entry"
+        ) from exc
+    except TypeError as exc:
+        raise ValueError(f"{args.manifest}: malformed {manifest.subcommand} config: {exc}") from exc
     _write_manifest(
         manifest.subcommand,
         manifest.seed,
@@ -378,7 +387,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master random seed")
     parser.add_argument("--config", type=Path, default=None, help="experiment config file (sweep)")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory for outputs")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for sweeps and audio")
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="recover one signal from matrix + measurements files")

@@ -91,10 +91,6 @@ class SignalVector:
     def __len__(self) -> int:
         return int(self.entries.shape[0])
 
-    @property
-    def n(self) -> int:
-        return len(self)
-
 
 @dataclass(frozen=True)
 class DenseMatrix:
@@ -258,10 +254,6 @@ class SupportEstimate:
         if any(i < 1 for i in idx):
             raise ValueError("support indices are 1-based and must be >= 1")
         object.__setattr__(self, "indices", tuple(sorted(idx)))
-
-    @classmethod
-    def empty(cls) -> "SupportEstimate":
-        return cls(indices=())
 
     def __len__(self) -> int:
         return len(self.indices)

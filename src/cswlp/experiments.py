@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -329,27 +328,24 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
     return rows
 
 
-def run_sweep(spec: ExperimentSpec, base_cfg: SolverConfig | None = None, threads: int = 1) -> ExperimentResult:
-    """Solve the full (n, alpha, trial) x (p, omega) grid.
+def run_sweep(spec: ExperimentSpec, base_cfg: SolverConfig | None = None, *, threads: int = 1) -> ExperimentResult:
+    """Solve the full (n, alpha, trial) x (p, omega) grid, in grid order.
 
-    Rows come back in deterministic grid order regardless of ``threads``;
-    worker count only affects wall time.  Solves that diverge or hit a
-    rank-deficient matrix become status="failed" rows with snr_db=-inf.
+    Solves that diverge or hit a rank-deficient matrix become
+    status="failed" rows with snr_db=-inf.
     """
+    # kept only until the benchmark stops passing threads=1
+    if threads != 1:
+        raise ValueError(f"run_sweep is serial; threads must be 1, got {threads}")
     if base_cfg is None:
         base_cfg = SolverConfig(p=spec.p_list[0])
-    tasks = [
-        (n, alpha_idx, trial)
+    rows = [
+        row
         for n in spec.n_list
         for alpha_idx in range(len(spec.alpha_list))
         for trial in range(spec.trials)
+        for row in _task_rows(spec, base_cfg, n, alpha_idx, trial)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: _task_rows(spec, base_cfg, *t), tasks))
-    else:
-        chunks = [_task_rows(spec, base_cfg, *t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
     return ExperimentResult(spec=spec, rows=rows)
 
 

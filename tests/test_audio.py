@@ -133,18 +133,6 @@ def test_recover_clip_shapes_and_order():
         assert row.snr_db > 0.0
 
 
-def test_recover_clip_threading_matches_serial():
-    cfg = _tiny_cfg()
-    samples = synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=2)
-    rows1, recons1 = recover_clip(samples, cfg, threads=1)
-    rows2, recons2 = recover_clip(samples, cfg, threads=2)
-    assert [(r.p, r.omega, r.snr_db) for r in rows1] == [
-        (r.p, r.omega, r.snr_db) for r in rows2
-    ]
-    for combo in recons1:
-        assert np.array_equal(recons1[combo], recons2[combo])
-
-
 def test_pipeline_writes_csv_and_wavs(tmp_path):
     cfg = _tiny_cfg()
     wav = tmp_path / "in.wav"

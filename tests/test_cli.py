@@ -22,6 +22,12 @@ def _plant_problem(rng, n=6, N=12, k=2):
     return A, x, A @ x
 
 
+def _full_manifest(**fields):
+    base = {"subcommand": "solve", "seed": 0, "version": "0", "config": {},
+            "inputs": {}, "outputs": [], "timestamp": "t"}
+    return {**base, **fields}
+
+
 def _write_sweep_config(path, seed=3):
     path.write_text(
         "N = 30\nn = 15\nk = 3\nsignal_kind = sparse\nnoise_frac = 0\n"
@@ -203,6 +209,15 @@ def test_sweep_without_config_fails(tmp_path, capsys):
     assert "config" in capsys.readouterr().err
 
 
+def test_threads_flag_is_gone(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    _write_sweep_config(cfg)
+    code = main(["--threads", "2", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "sweep"])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_audio_end_to_end_and_silence(tmp_path):
     wav = tmp_path / "in.wav"
     write_wav_mono(wav, synthesize_speech_like(512, seed=4), 44100.0)
@@ -316,6 +331,29 @@ def test_replay_ignores_legacy_backend_field(tmp_path, capsys):
         assert (redo / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_replay_drops_legacy_threads_key(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    _write_sweep_config(cfg)
+    out = tmp_path / "orig"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "sweep"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "threads" not in manifest["config"]
+    manifest["config"]["threads"] = 3
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+    assert capsys.readouterr().err == ""
+
+    def without_wall_ms(path):
+        lines = [line.split(",") for line in path.read_text().strip().split("\n")]
+        col = lines[0].index("wall_ms")
+        return [line[:col] + line[col + 1:] for line in lines]
+
+    assert without_wall_ms(redo / "sweep.csv") == without_wall_ms(out / "sweep.csv")
+    assert "threads" not in json.loads((redo / "manifest.json").read_text())["config"]
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -324,8 +362,14 @@ def test_replay_ignores_legacy_backend_field(tmp_path, capsys):
             "missing manifest fields ['config', 'inputs', 'outputs', 'timestamp', 'version']",
         ),
         (["solve", 0], "not a JSON object"),
+        (_full_manifest(), "solve config has no 'matrix_path' entry"),
+        (_full_manifest(config=[]), "manifest field 'config' is not a JSON object"),
+        (_full_manifest(outputs={}), "manifest field 'outputs' is not a JSON list"),
+        (_full_manifest(inputs={"matrix": "A.bin"}), "input 'matrix' needs string 'path' and 'sha256'"),
+        (_full_manifest(subcommand="sweep", config={"spec": []}), "malformed sweep config"),
     ],
-    ids=["missing-fields", "not-an-object"],
+    ids=["missing-fields", "not-an-object", "config-missing-key", "config-not-an-object",
+         "outputs-not-a-list", "input-entry-malformed", "spec-not-an-object"],
 )
 def test_replay_rejects_malformed_manifest(tmp_path, capsys, content, message):
     path = tmp_path / "manifest.json"

@@ -78,7 +78,6 @@ def test_support_estimate_sorted_distinct_one_based():
     est.validate_within(3)
     with pytest.raises(ValueError):
         est.validate_within(2)
-    assert SupportEstimate.empty().indices == ()
 
 
 def test_weight_vector_pattern():

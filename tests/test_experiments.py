@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cswlp.audio import AudioPipelineConfig, recover_clip
 from cswlp.core import ConfigError
 from cswlp.experiments import (
     CSV_COLUMNS,
@@ -123,13 +124,17 @@ def test_sweep_rows_are_deterministic_and_ordered():
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], t[2], t[3]))
 
 
-def test_sweep_threading_does_not_change_results():
-    spec = _tiny_spec(trials=3)
-    solo = run_sweep(spec, threads=1)
-    pooled = run_sweep(spec, threads=3)
-    for r1, r2 in zip(solo.rows, pooled.rows):
-        assert r1.snr_db == r2.snr_db
-        assert r1.iters == r2.iters
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_sweep(_tiny_spec(), threads=2),
+        lambda: recover_clip(np.zeros(64), AudioPipelineConfig(block_len=64, num_blocks=1), threads=2),
+    ],
+    ids=["run_sweep", "recover_clip"],
+)
+def test_drivers_reject_more_than_one_thread(call):
+    with pytest.raises(ValueError, match="threads must be 1"):
+        call()
 
 
 def test_paired_instances_share_data_across_p_and_omega():
