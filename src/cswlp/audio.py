@@ -25,7 +25,7 @@ from .core import (
     SupportEstimate,
     WeightVector,
     _idct,
-    _idct_rows,
+    _idct_entries,
     best_k_term,
     snr_db,
 )
@@ -57,7 +57,7 @@ def dct_matrix(N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    return _idct_rows(N, np.arange(N)).T
+    return _idct_entries(N, np.arange(N), np.arange(N)).T
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,10 @@ class DenseMatrix:
     def as_dense(self) -> np.ndarray:
         return self.matrix
 
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The n x len(cols) submatrix of columns ``cols`` (0-based)."""
+        return self.matrix[:, cols]
+
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
@@ -166,14 +170,15 @@ def _idct(c: np.ndarray) -> np.ndarray:
     return x
 
 
-def _idct_rows(N: int, idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` (0-based) of the orthonormal inverse DCT-II matrix,
-    entry [j, k] = s_k cos(pi k (2 idx_j + 1) / 2N)."""
-    k = np.arange(N, dtype=np.float64)[None, :]
+def _idct_entries(N: int, idx: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` and columns ``cols`` (0-based) of the orthonormal
+    inverse DCT-II matrix, entry [j, i] = s_k cos(pi k (2 idx_j + 1) / 2N)
+    with k = cols_i."""
+    k = np.asarray(cols, dtype=np.float64)[None, :]
     m = np.asarray(idx, dtype=np.float64)[:, None]
-    rows = np.cos(np.pi * k * (2.0 * m + 1.0) / (2.0 * N)) * np.sqrt(2.0 / N)
-    rows[:, 0] = np.sqrt(1.0 / N)
-    return rows
+    out = np.cos(np.pi * k * (2.0 * m + 1.0) / (2.0 * N)) * np.sqrt(2.0 / N)
+    out[:, k[0] == 0.0] = np.sqrt(1.0 / N)
+    return out
 
 
 @dataclass(frozen=True)
@@ -208,7 +213,12 @@ class RestrictedTransform:
         return (len(self.rows), self.size)
 
     def as_dense(self) -> np.ndarray:
-        return _idct_rows(self.size, self._idx)
+        return _idct_entries(self.size, self._idx, np.arange(self.size))
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """The n x len(cols) submatrix of columns ``cols`` (0-based),
+        computed without the other columns."""
+        return _idct_entries(self.size, self._idx, cols)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _idct(np.asarray(x, dtype=np.float64))[self._idx]

@@ -3,14 +3,31 @@
 Minimizes sum_i w_i^p (x_i^2 + sigma^2)^(p/2) over the affine set
 {x : A x = b} while the smoothing level sigma is lowered toward zero.
 Each iteration projects the negative gradient onto the null space of A,
-d -> d - pinv(A) A d, and backtracks from a unit step until the objective
-drops.  Sigma is held until the iterate has settled at the current
-level: an iteration's relative change falls below sqrt(sigma) / 100,
-every backtracked step is rejected, or the level has run _LEVEL_ITERS
-iterations.  Only then is sigma multiplied by cfg.sigma_decay, as in
-the continuation of Chartrand & Yin, "Iteratively reweighted algorithms
-for compressive sensing" (ICASSP 2008).  A run ends when sigma falls to
-cfg.sigma_floor, at a stationary point, or when its iterations run out.
+pd = -(g - pinv(A) A g), and searches along it by spectral projected
+gradient (Birgin, Martinez & Raydan, "Nonmonotone spectral projected
+gradient methods on convex sets", SIAM J. Optim. 2000).  The first
+trial step is the Barzilai-Borwein length (IMA J. Numer. Anal. 1988)
+lambda = s.s / s.y with s = x - x_prev and y = pd_prev - pd, clipped to
+at most 1; it is 1 on a run's first iteration and whenever s.y <= 0.
+The memory (x_prev, pd_prev) carries over from one sigma level to the
+next.  The search then shrinks lambda pd by cfg.step_shrink until the
+objective falls below the largest objective of the last _NONMONOTONE
+iterations at the current sigma level (Grippo, Lampariello & Lucidi,
+SIAM J. Numer. Anal. 1986), so the objective need not fall at every
+iteration.
+
+Sigma is held until the iterate has settled at the current level, and
+is then multiplied by cfg.sigma_decay, as in the continuation of
+Chartrand & Yin, "Iteratively reweighted algorithms for compressive
+sensing" (ICASSP 2008).  The level has settled when every trial step is
+rejected, after _LEVEL_ITERS iterations, or when min(1, t_L) ||pd|| /
+||x|| falls below sqrt(sigma) / 100.  Here t_L = 2 ||pd||^2 / L, with
+L = p sigma^(p-2) sum_i w_i^p pd_i^2 the curvature bound of the
+smoothed objective along pd, is a step that the descent lemma
+guarantees to lower the objective; the test reads it rather than the
+step taken, which a short spectral step would make fire early.  A run
+ends when sigma falls to cfg.sigma_floor, at a stationary point, or
+when its iterations run out.
 
 The first run starts at the minimum-norm point pinv(A) b.  When p < 1
 and its result is not certified sparse (more than n/2 entries above
@@ -22,13 +39,20 @@ the iterations left of cfg.max_iters.  A run result with at most n
 entries above 1e-4 of the largest is replaced by the least-squares fit
 of b on those entries when that fit is feasible and has no larger
 objective; this removes the residue a finite sigma leaves off the
-support.  The solve returns the result with the lowest weighted lp
-objective sum_i w_i^p |x_i|^p.
+support.  A result with more than n such entries is fit on its n/2
+largest instead, when those alone leave a residual below _HEAD_REL
+||b||: a run that ends before the residue off a sparse support has
+fallen below 1e-4 of the largest entry still yields that support.  When
+the fit's own support is smaller, it is fit again on that support, so a
+result does not keep rounding-level entries on columns the first fit
+left near zero.  The solve returns the result
+with the lowest weighted lp objective sum_i w_i^p |x_i|^p.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -61,10 +85,14 @@ Projector = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.
 # Singular values below this fraction of the largest count as zero rank.
 _RANK_TOL = 1e-10
 
-# A sigma level has settled once an iteration's relative change falls
-# below this times sqrt(sigma), or after _LEVEL_ITERS iterations.
+# A sigma level has settled once min(1, t_L) ||pd|| / ||x|| falls below
+# this times sqrt(sigma), or after _LEVEL_ITERS iterations.
 _SETTLE_REL = 1e-2
 _LEVEL_ITERS = 20
+
+# A trial step is accepted below the largest objective of this many
+# latest iterations at the current sigma level.
+_NONMONOTONE = 5
 
 # Restarts from random feasible points, taken while the best result is
 # not certified sparse.  Each starts at pinv(A) b plus a null-space
@@ -77,6 +105,10 @@ _RESTART_SIGMA = 1e-2
 
 # Entries above this fraction of the largest one count as the support.
 _SUPPORT_REL = 1e-4
+
+# A result with more than n support entries is refit on its n/2 largest
+# when those alone leave a residual below this fraction of ||b||.
+_HEAD_REL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -122,9 +154,13 @@ class SolverTrace:
     """Per-iteration record of the first run, plus restart counts.
 
     The columns hold one row per iteration of the run that starts at
-    pinv(A) b, so sigma never increases along them.  ``step == 0``
-    marks an iteration where every backtracked step was rejected and
-    the iterate stayed put (sigma then moved to its next level).
+    pinv(A) b, so sigma never increases along them.  ``step`` is the
+    accepted step lambda * shrink**j along the projected gradient, in
+    (0, 1], and ``objective`` the smoothed objective there; under the
+    nonmonotone acceptance it can rise from one row to the next at the
+    same sigma.  ``step == 0`` marks an iteration where every trial step
+    was rejected and the iterate stayed put (sigma then moved to its
+    next level).
     ``iterates`` holds x_0 followed by each iteration's x of that run
     when the solve was asked to keep them.  Restarts record no rows;
     ``restart_iters`` holds the iterations each one ran, in order.
@@ -257,6 +293,8 @@ def solve(
         """Run at most ``budget`` iterations from x at smoothing level
         sigma; returns the last x and the iterations run."""
         at_level = 0
+        recent = deque(maxlen=_NONMONOTONE)
+        x_prev = pd_prev = None
         for t in range(1, budget + 1):
             f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)
             if not math.isfinite(f0):
@@ -272,12 +310,20 @@ def solve(
                         iterates.append(x.copy())
                 return x, t
 
-            d = -g
-            pd = project(d)
+            pd = project(-g)
+            lam = 1.0
+            if x_prev is not None:
+                s = x - x_prev
+                sy = float(s.dot(pd_prev - pd))
+                if sy > 0.0:
+                    lam = min(1.0, float(s.dot(s)) / sy)
+            x_prev, pd_prev = x, pd
+            recent.append(f0)
+            d = lam * pd
             step, f_new = _kernels.backtrack_raw(
-                x, pd, wp, p, sigma, f0, cfg.step_shrink, cfg.max_backtracks
+                x, d, wp, p, sigma, max(recent), cfg.step_shrink, cfg.max_backtracks
             )
-            x_new = x + step * pd if step > 0.0 else x
+            x_new = x + step * d if step > 0.0 else x
 
             res = _norm(A.apply(x_new) - y)
             if res > 0.5 * feas_limit:
@@ -286,16 +332,23 @@ def solve(
                 res = _norm(A.apply(x_new) - y)
 
             if record:
-                rows.append((t, sigma, f_new if step > 0.0 else f0, step, res))
+                rows.append((t, sigma, f_new if step > 0.0 else f0, lam * step, res))
                 if iterates is not None:
                     iterates.append(x_new.copy())
 
-            rel = _norm(x_new - x) / max(_norm(x), 1e-30)
+            # t_L = 2 ||pd||^2 / L, with sigma^(2-p) in the numerator so
+            # that a small sigma cannot overflow it; with no curvature at
+            # all it is infinite, and min(1, t_L) is 1
+            pd_sq = float(pd.dot(pd))
+            curv = p * float((wp * pd).dot(pd))
+            bound = 2.0 * pd_sq * sigma ** (2.0 - p) / curv if curv > 0.0 else 1.0
+            rel = min(1.0, bound) * math.sqrt(pd_sq) / max(_norm(x), 1e-30)
             x = x_new
             at_level += 1
             if step == 0.0 or rel <= _SETTLE_REL * math.sqrt(sigma) or at_level >= _LEVEL_ITERS:
                 sigma *= cfg.sigma_decay
                 at_level = 0
+                recent.clear()
                 if sigma <= cfg.sigma_floor:
                     return x, t
         return x, budget
@@ -304,14 +357,32 @@ def solve(
         mags = np.abs(x)
         return np.flatnonzero(mags > _SUPPORT_REL * mags.max())
 
+    def fit(cols) -> np.ndarray:
+        """Least-squares fit of b on the columns ``cols``, zero elsewhere."""
+        z = np.zeros(N)
+        z[cols] = np.linalg.lstsq(A.columns(cols), y, rcond=None)[0]
+        return z
+
     def finish(x) -> tuple[np.ndarray, float]:
         """A run result, refit on its support when that helps, and its
         weighted lp objective."""
         value = float(np.sum(wp * np.abs(x) ** p))
         cols = support(x)
+        if cols.size > n:
+            # not sparse: fit its n/2 largest entries instead when they
+            # alone come within _HEAD_REL of b
+            cols = np.sort(np.argsort(-np.abs(x), kind="stable")[: n // 2])
+            head = np.zeros(N)
+            head[cols] = x[cols]
+            if _norm(A.apply(head) - y) > _HEAD_REL * b_norm:
+                return x, value
         if 0 < cols.size <= n:
-            z = np.zeros(N)
-            z[cols] = np.linalg.lstsq(A.as_dense()[:, cols], y, rcond=None)[0]
+            z = fit(cols)
+            inner = support(z)
+            if inner.size < cols.size:
+                # the fit leaves rounding-level values on the columns it
+                # sets to about zero; fitting on its own support drops them
+                z = fit(inner)
             z_value = float(np.sum(wp * np.abs(z) ** p))
             if _norm(A.apply(z) - y) <= feas_limit and z_value <= value:
                 return z, z_value

@@ -53,6 +53,16 @@ def test_operators_adjoint_identity():
     assert np.max(np.abs(dct.apply(dct.adjoint(r)) - r)) < 1e-12
 
 
+@pytest.mark.parametrize("cols", [[0], [3, 0, 7], [8, 1, 2, 5], list(range(9))])
+def test_operator_columns_match_dense_columns(cols):
+    rng = np.random.default_rng(41)
+    dense = DenseMatrix(rng.standard_normal((4, 9)))
+    dct = RestrictedTransform(rows=(2, 5, 6, 9), size=9)
+    idx = np.asarray(cols, dtype=np.intp)
+    for op in (dense, dct):
+        assert np.array_equal(op.columns(idx), op.as_dense()[:, idx])
+
+
 def test_restricted_transform_rejects_bad_rows():
     with pytest.raises(ValueError):
         RestrictedTransform(rows=(0, 1), size=4)

@@ -57,8 +57,7 @@ def test_backtrack_returns_first_decreasing_step():
             f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)
             g = _kernels.smoothed_gradient_raw(x, wp, p, sigma)
             pd = _projected_descent(x, wp, p, sigma, Q)
-            # projected descent, uphill, too long for a unit step, noisy
-            # (the last three break the bound and reach the second block),
+            # projected descent, uphill, too long for a unit step, noisy,
             # and no direction at all
             directions = (pd, g, -100.0 * g, -g + 0.01 * rng.standard_normal(N), np.zeros(N))
             # a direction whose first rows overflow to inf, from a point

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,14 @@ from cswlp import (
     SignalVector,
     SolverConfig,
     SolverTrace,
+    WeightVector,
+    best_k_term,
     smoothed_gradient,
     smoothed_objective,
     snr_db,
     solve,
 )
-from cswlp import _kernels
+from cswlp import _kernels, experiments, solver
 from cswlp.solver import _projector_parts
 from test_kernels import reference_backtrack
 
@@ -172,7 +175,7 @@ def _identity_instance(name):
 
 
 @pytest.mark.parametrize("name", ["restarts", "dense-p1", "dct"])
-def test_block_backtracking_reproduces_sequential_solve(monkeypatch, name):
+def test_solve_matches_sequential_reference_search(monkeypatch, name):
     A, y, w, cfg = _identity_instance(name)
     # the sequential search as reference: every solve output, bit for bit
     x, trace = solve(A, y, w, cfg)
@@ -184,6 +187,145 @@ def test_block_backtracking_reproduces_sequential_solve(monkeypatch, name):
     for col in SolverTrace.COLUMNS:
         assert np.array_equal(getattr(trace, col), getattr(trace_ref, col)), col
     assert trace.restart_iters == trace_ref.restart_iters
+
+
+def _record_searches(monkeypatch) -> list[dict]:
+    """Record each line search the solver runs: its point, direction,
+    sigma, objective at the point, reference value and returned step."""
+    calls = []
+    search = _kernels.backtrack_raw
+
+    def recorded(x, d, wp, p, sigma, f_ref, shrink, max_backtracks):
+        step, f_new = search(x, d, wp, p, sigma, f_ref, shrink, max_backtracks)
+        f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)
+        calls.append(dict(x=x.copy(), d=d.copy(), sigma=sigma, f0=f0, f_ref=f_ref, step=step))
+        return step, f_new
+
+    monkeypatch.setattr(_kernels, "backtrack_raw", recorded)
+    return calls
+
+
+def _projected_gradient(op, x, w, p, sigma):
+    project, _ = _projector_parts(op)
+    return project(-_kernels.smoothed_gradient_raw(x, w**p, p, sigma))
+
+
+def test_first_iteration_tries_the_unit_step(monkeypatch):
+    A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
+    op, w, cfg = DenseMatrix(A), np.ones(40), SolverConfig(p=0.5)
+    calls = _record_searches(monkeypatch)
+    _, trace = solve(op, y, w, cfg, keep_iterates=True)
+    pd = _projected_gradient(op, trace.iterates[0], w, cfg.p, cfg.sigma_init)
+    assert np.array_equal(calls[0]["d"], pd)
+    assert trace.step[0] == calls[0]["step"] > 0.0
+
+
+@pytest.mark.parametrize("sigma_init, case", [(1e-2, "short"), (1.0, "clipped"), (10.0, "s.y < 0")])
+def test_second_iteration_takes_the_barzilai_borwein_step(monkeypatch, sigma_init, case):
+    A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
+    op, w = DenseMatrix(A), np.ones(40)
+    cfg = SolverConfig(p=0.5, sigma_init=sigma_init, max_iters=2)
+    calls = _record_searches(monkeypatch)
+    _, trace = solve(op, y, w, cfg, keep_iterates=True)
+    assert len(calls) == 2 and trace.step[0] > 0.0
+    x0, x1 = trace.iterates[0], trace.iterates[1]
+    pd0 = calls[0]["d"]
+    pd1 = _projected_gradient(op, x1, w, cfg.p, calls[1]["sigma"])
+    s = x1 - x0
+    sy = float(s.dot(pd0 - pd1))
+    bb = float(s.dot(s)) / sy
+    # a small sigma curves the objective more and gives a short step; a
+    # larger one gives a step above 1, which is clipped; at sigma 10 the
+    # level changes after one iteration and s.y turns negative, so the
+    # unit step is tried again
+    assert {"short": 0.0 < bb < 1.0, "clipped": bb > 1.0, "s.y < 0": sy < 0.0}[case]
+    lam = min(1.0, bb) if sy > 0.0 else 1.0
+    assert np.allclose(calls[1]["d"], lam * pd1, rtol=1e-12, atol=0.0)
+    assert np.isclose(trace.step[1], lam * calls[1]["step"], rtol=1e-12, atol=0.0)
+
+
+def test_nonmonotone_reference_resets_at_each_sigma_level(monkeypatch):
+    # p = 1 takes no restarts, so every search belongs to one run
+    A, _, y = _sparse_instance(N=60, n=25, k=5, seed=23)
+    calls = _record_searches(monkeypatch)
+    solve(DenseMatrix(A), y, np.ones(60), SolverConfig(p=1.0))
+    levels, above = 0, 0
+    for i, call in enumerate(calls):
+        if i == 0 or call["sigma"] != calls[i - 1]["sigma"]:
+            levels += 1
+            start = i
+            # a new level starts with no history but this iteration's
+            assert call["f_ref"] == call["f0"]
+        window = calls[max(start, i - 4) : i + 1]
+        assert call["f_ref"] == max(c["f0"] for c in window)
+        above += call["f_ref"] > call["f0"]
+    # the reference exceeds the current objective somewhere, on many levels
+    assert levels > 10 and above > 0
+
+
+def test_recorded_step_is_the_spectral_step_times_the_search_step(monkeypatch):
+    A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
+    op, w, cfg = DenseMatrix(A), np.ones(40), SolverConfig(p=0.5)
+    calls = _record_searches(monkeypatch)
+    _, trace = solve(op, y, w, cfg, keep_iterates=True)
+    x_prev = pd_prev = None
+    for t in range(trace.t.shape[0]):
+        x = trace.iterates[t]
+        pd = _projected_gradient(op, x, w, cfg.p, trace.sigma[t])
+        # the memory carries over from one sigma level to the next
+        lam = 1.0
+        if x_prev is not None:
+            s = x - x_prev
+            sy = float(s.dot(pd_prev - pd))
+            if sy > 0.0:
+                lam = min(1.0, float(s.dot(s)) / sy)
+        x_prev, pd_prev = x, pd
+        assert 0.0 < lam <= 1.0
+        assert np.allclose(calls[t]["d"], lam * pd, rtol=1e-9, atol=1e-300)
+        step = calls[t]["step"]
+        assert step == 0.0 or round(math.log(step) / math.log(cfg.step_shrink)) >= 0
+        assert np.isclose(trace.step[t], lam * step, rtol=1e-9, atol=0.0)
+        assert 0.0 <= trace.step[t] <= 1.0
+    # both unit and shorter spectral steps occur
+    assert (trace.step == 1.0).any() and ((trace.step > 0.0) & (trace.step < 1.0)).any()
+
+
+def _criterion_6_instance(n, trial):
+    # an instance of the acceptance suite's sparse sweep (seed 2, N = 500,
+    # k = 40, alpha = 0.7): the signal, the operator, b and the estimate
+    rng = experiments._instance_rng(2, n, 0, trial)
+    x = experiments.gen_sparse_signal(500, 40, rng)
+    A = experiments.gen_gaussian_matrix(n, 500, rng)
+    estimate = experiments.gen_support_estimate(best_k_term(x, 40)[1], 0.7, 1.0, 500, rng)
+    return x, A, A.apply(x.entries), estimate
+
+
+def test_exact_recovery_does_not_depend_on_the_weights():
+    # both weight vectors recover this instance: the refit must land on the
+    # same columns, so the two results agree bit for bit, not to rounding
+    x, A, y, estimate = _criterion_6_instance(100, 1)
+    got = [
+        solve(A, y, WeightVector(omega=omega, estimate=estimate, size=500), SolverConfig(p=0.5))[0]
+        for omega in (0.0, 0.5)
+    ]
+    assert snr_db(x, got[0]) >= 200.0
+    assert np.array_equal(got[0].entries, got[1].entries)
+
+
+def test_result_that_is_not_sparse_is_refit_on_its_largest_entries(monkeypatch):
+    # at p = 1 this run ends with more than n entries above 1e-4 of the
+    # largest, but its n/2 largest hold the signal's support
+    x, A, y, estimate = _criterion_6_instance(140, 0)
+    w = WeightVector(omega=0.5, estimate=estimate, size=500)
+    cfg = SolverConfig(p=1.0)
+    x_hat, _ = solve(A, y, w, cfg)
+    assert snr_db(x, x_hat) >= 200.0
+    assert np.count_nonzero(x_hat.entries) == 40
+    monkeypatch.setattr(solver, "_HEAD_REL", 0.0)
+    unfit, _ = solve(A, y, w, cfg)
+    mags = np.abs(unfit.entries)
+    assert np.count_nonzero(mags > 1e-4 * mags.max()) > 140
+    assert snr_db(x, unfit) < 60.0
 
 
 def test_rank_deficient_matrix_is_rejected():
