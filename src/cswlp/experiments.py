@@ -58,6 +58,7 @@ CSV_COLUMNS = (
     "trial",
     "snr_db",
     "iters",
+    "stop_reason",
     "wall_ms",
     "status",
 )
@@ -193,6 +194,7 @@ class SweepRow:
     trial: int
     snr_db: float
     iters: int
+    stop_reason: str
     wall_ms: float
     status: str
 
@@ -207,6 +209,7 @@ class SweepRow:
             str(self.trial),
             repr(float(self.snr_db)),
             str(self.iters),
+            self.stop_reason,
             repr(float(self.wall_ms)),
             self.status,
         )
@@ -300,15 +303,17 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
         for omega in spec.omega_list:
             w = WeightVector(omega=omega, estimate=estimate, size=spec.N)
             start = time.perf_counter()
+            snr, iters, status = float("-inf"), 0, "failed"
             if projector is None:
-                snr, iters, status = float("-inf"), 0, "failed"
+                stop_reason = "rank_deficient"
             else:
                 try:
                     x_hat, trace = solve(A, y, w, cfg, projector=projector)
+                except SolverDivergenceError:
+                    stop_reason = "diverged"
+                else:
                     snr = snr_db(x, x_hat, cfg.snr_cap_db)
-                    iters, status = len(trace), "ok"
-                except (SolverDivergenceError, RankDeficientError):
-                    snr, iters, status = float("-inf"), 0, "failed"
+                    iters, stop_reason, status = len(trace), trace.stop_reason, "ok"
             wall_ms = (time.perf_counter() - start) * 1e3
             rows.append(
                 SweepRow(
@@ -321,6 +326,7 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
                     trial=trial,
                     snr_db=snr,
                     iters=iters,
+                    stop_reason=stop_reason,
                     wall_ms=wall_ms,
                     status=status,
                 )
@@ -331,8 +337,10 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
 def run_sweep(spec: ExperimentSpec, base_cfg: SolverConfig | None = None, *, threads: int = 1) -> ExperimentResult:
     """Solve the full (n, alpha, trial) x (p, omega) grid, in grid order.
 
-    Solves that diverge or hit a rank-deficient matrix become
-    status="failed" rows with snr_db=-inf.
+    Each row's stop_reason says why its solve's first run stopped (see
+    SolverTrace.stop_reason).  Solves that diverge or hit a
+    rank-deficient matrix become status="failed" rows with snr_db=-inf
+    and stop_reason "diverged" or "rank_deficient".
     """
     # kept only until the benchmark stops passing threads=1
     if threads != 1:

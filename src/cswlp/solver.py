@@ -29,24 +29,31 @@ step taken, which a short spectral step would make fire early.  A run
 ends when sigma falls to cfg.sigma_floor, at a stationary point, or
 when its iterations run out.
 
-The first run starts at the minimum-norm point pinv(A) b.  When p < 1
-and its result is not certified sparse (more than n/2 entries above
-1e-4 of the largest one), up to _RESTARTS more runs start from
-pinv(A) b plus a random null-space vector, at a small sigma, until the
-best result is certified sparse.  They draw from a generator seeded
-with the fixed _RESTART_SEED, never from global state, and spend only
-the iterations left of cfg.max_iters.  A run result with at most n
-entries above 1e-4 of the largest is replaced by the least-squares fit
-of b on those entries when that fit is feasible and has no larger
-objective; this removes the residue a finite sigma leaves off the
-support.  A result with more than n such entries is fit on its n/2
-largest instead, when those alone leave a residual below _HEAD_REL
-||b||: a run that ends before the residue off a sparse support has
-fallen below 1e-4 of the largest entry still yields that support.  When
-the fit's own support is smaller, it is fit again on that support, so a
-result does not keep rounding-level entries on columns the first fit
-left near zero.  The solve returns the result
-with the lowest weighted lp objective sum_i w_i^p |x_i|^p.
+The first run starts at the minimum-norm point pinv(A) b.  When p < 1,
+the null space of A is not empty but smaller than the measurement count
+(n < N < 2 n), and the result is not certified sparse (more than n/2
+entries above 1e-4 of the largest one), up to _RESTARTS more runs start
+from pinv(A) b plus a random null-space vector, at a small sigma, until
+the best result is certified sparse.  In a null space that small a
+random start often reaches a lower objective; in a larger one, as in an
+audio block (1536 against n = 512) or a sweep instance (300-400 against
+100-200), no restart was seen to, and restarts only spent the
+iterations the first run left.  They draw from a generator seeded with
+the fixed _RESTART_SEED, never from global state, and spend only the
+iterations left of cfg.max_iters.  A run result with at most n entries
+above 1e-4 of the largest is replaced by the least-squares fit of b on
+those entries when that fit is feasible and has no larger objective;
+this removes the residue a finite sigma leaves off the support.  A
+result with more than n such entries is fit on its n/2 largest instead:
+a run that ends before the residue off a sparse support has fallen
+below 1e-4 of the largest entry still yields that support.  Where
+N >= 2 n, that refit is tried only when the n/2 largest alone leave a
+residual below _HEAD_REL ||b||, which skips a fit that cannot be
+feasible on a compressible result.  When the fit's own support is
+smaller, it is fit again on that support, so a result does not keep
+rounding-level entries on columns the first fit left near zero.  The
+solve returns the result with the lowest weighted lp objective
+sum_i w_i^p |x_i|^p.
 """
 
 from __future__ import annotations
@@ -95,7 +102,9 @@ _LEVEL_ITERS = 20
 _NONMONOTONE = 5
 
 # Restarts from random feasible points, taken while the best result is
-# not certified sparse.  Each starts at pinv(A) b plus a null-space
+# not certified sparse, and only when p < 1 and n < N < 2 n: in a null
+# space of n or more dimensions no random start was seen to reach a
+# lower objective.  Each starts at pinv(A) b plus a null-space
 # vector _RESTART_SCALE times as long as pinv(A) b, at smoothing level
 # _RESTART_SIGMA (or cfg.sigma_init, if that is smaller).
 _RESTARTS = 3
@@ -106,8 +115,9 @@ _RESTART_SIGMA = 1e-2
 # Entries above this fraction of the largest one count as the support.
 _SUPPORT_REL = 1e-4
 
-# A result with more than n support entries is refit on its n/2 largest
-# when those alone leave a residual below this fraction of ||b||.
+# Where N >= 2 n, a result with more than n support entries is refit on
+# its n/2 largest only when those alone leave a residual below this
+# fraction of ||b||.
 _HEAD_REL = 1e-2
 
 
@@ -151,7 +161,8 @@ class SolverConfig:
 
 @dataclass
 class SolverTrace:
-    """Per-iteration record of the first run, plus restart counts.
+    """Per-iteration record of the first run, its stop reason, plus
+    restart counts.
 
     The columns hold one row per iteration of the run that starts at
     pinv(A) b, so sigma never increases along them.  ``step`` is the
@@ -162,8 +173,14 @@ class SolverTrace:
     was rejected and the iterate stayed put (sigma then moved to its
     next level).
     ``iterates`` holds x_0 followed by each iteration's x of that run
-    when the solve was asked to keep them.  Restarts record no rows;
-    ``restart_iters`` holds the iterations each one ran, in order.
+    when the solve was asked to keep them.  ``stop_reason`` says why
+    that run ended: ``"sigma_floor"`` when sigma fell to
+    cfg.sigma_floor, ``"stationary"`` when the gradient vanished, or
+    ``"max_iters"`` when its iterations ran out first.  Restarts record
+    no rows; ``restart_iters`` holds the iterations each one ran, in
+    order.  Restarts are taken only when p < 1, the null space of A is
+    smaller than n, and the first result is not certified sparse (see
+    the module docstring), so on most instances it is empty.
     ``len(trace)`` is the number of iterations the whole solve ran.
     """
 
@@ -172,6 +189,7 @@ class SolverTrace:
     objective: np.ndarray
     step: np.ndarray
     residual: np.ndarray
+    stop_reason: str
     iterates: list[np.ndarray] | None = None
     restart_iters: tuple[int, ...] = ()
 
@@ -286,12 +304,17 @@ def solve(
 
     b_norm = float(np.linalg.norm(y))
     feas_limit = cfg.feasibility_tol * max(1.0, b_norm)
+    # a null space that is not empty but smaller than n: there random
+    # restarts can reach a lower objective, and the n/2-largest refit
+    # runs without its residual screen
+    explore = n < N < 2 * n
     rows: list[tuple[int, float, float, float, float]] = []
     iterates: list[np.ndarray] | None = [x0.copy()] if keep_iterates else None
 
     def descend(x, sigma, budget, record):
         """Run at most ``budget`` iterations from x at smoothing level
-        sigma; returns the last x and the iterations run."""
+        sigma; returns the last x, the iterations run and why it
+        stopped (see SolverTrace.stop_reason)."""
         at_level = 0
         recent = deque(maxlen=_NONMONOTONE)
         x_prev = pd_prev = None
@@ -308,7 +331,7 @@ def solve(
                     rows.append((t, sigma, f0, 0.0, _norm(A.apply(x) - y)))
                     if iterates is not None:
                         iterates.append(x.copy())
-                return x, t
+                return x, t, "stationary"
 
             pd = project(-g)
             lam = 1.0
@@ -350,8 +373,8 @@ def solve(
                 at_level = 0
                 recent.clear()
                 if sigma <= cfg.sigma_floor:
-                    return x, t
-        return x, budget
+                    return x, t, "sigma_floor"
+        return x, budget, "max_iters"
 
     def support(x) -> np.ndarray:
         mags = np.abs(x)
@@ -369,12 +392,13 @@ def solve(
         value = float(np.sum(wp * np.abs(x) ** p))
         cols = support(x)
         if cols.size > n:
-            # not sparse: fit its n/2 largest entries instead when they
-            # alone come within _HEAD_REL of b
+            # not sparse: fit its n/2 largest entries instead; where the
+            # null space is at least n, only when they alone come within
+            # _HEAD_REL of b
             cols = np.sort(np.argsort(-np.abs(x), kind="stable")[: n // 2])
             head = np.zeros(N)
             head[cols] = x[cols]
-            if _norm(A.apply(head) - y) > _HEAD_REL * b_norm:
+            if not explore and _norm(A.apply(head) - y) > _HEAD_REL * b_norm:
                 return x, value
         if 0 < cols.size <= n:
             z = fit(cols)
@@ -388,19 +412,19 @@ def solve(
                 return z, z_value
         return x, value
 
-    x, used = descend(x0, float(cfg.sigma_init), cfg.max_iters, True)
+    x, used, stop_reason = descend(x0, float(cfg.sigma_init), cfg.max_iters, True)
     best, best_value = finish(x)
     restart_iters: list[int] = []
     # at p = 1 the problem is convex and a restart can only end where the
-    # first run did; a square A leaves no null space to restart along
-    if p < 1.0 and N > n:
+    # first run did
+    if p < 1.0 and explore:
         rng = np.random.default_rng(_RESTART_SEED)
         scale = _RESTART_SCALE * float(np.linalg.norm(x0))
         sigma = min(_RESTART_SIGMA, float(cfg.sigma_init))
         while len(restart_iters) < _RESTARTS and used < cfg.max_iters and 2 * support(best).size > n:
             z = project(rng.standard_normal(N))
             start = x0 + (scale / float(np.linalg.norm(z))) * z
-            x, spent = descend(start, sigma, cfg.max_iters - used, False)
+            x, spent, _ = descend(start, sigma, cfg.max_iters - used, False)
             used += spent
             restart_iters.append(spent)
             x, value = finish(x)
@@ -420,6 +444,7 @@ def solve(
         objective=np.asarray(objective, dtype=np.float64),
         step=np.asarray(step, dtype=np.float64),
         residual=np.asarray(residual, dtype=np.float64),
+        stop_reason=stop_reason,
         iterates=iterates,
         restart_iters=tuple(restart_iters),
     )

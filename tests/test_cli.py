@@ -195,6 +195,20 @@ def test_sweep_from_config_and_seed_override(tmp_path):
     assert rows1 != rows2
 
 
+def test_replay_reproduces_sweep_with_stop_reasons(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    _write_sweep_config(cfg)
+    out, redo = tmp_path / "orig", tmp_path / "redo"
+    assert main(["--config", str(cfg), "--out-dir", str(out), "sweep"]) == 0
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+    orig, again = ([line.split(",") for line in (d / "sweep.csv").read_text().strip().split("\n")]
+                   for d in (out, redo))
+    col = orig[0].index("wall_ms")
+    assert [r[:col] + r[col + 1:] for r in again] == [r[:col] + r[col + 1:] for r in orig]
+    reasons = [r[orig[0].index("stop_reason")] for r in orig[1:]]
+    assert reasons and set(reasons) <= {"sigma_floor", "max_iters", "stationary"}
+
+
 def test_sweep_bad_config_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("N = 30\nmystery = 4\n")

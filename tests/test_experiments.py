@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from cswlp import experiments
 from cswlp.audio import AudioPipelineConfig, recover_clip
-from cswlp.core import ConfigError
+from cswlp.core import ConfigError, RankDeficientError, SolverDivergenceError
 from cswlp.experiments import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -116,8 +117,10 @@ def test_sweep_rows_are_deterministic_and_ordered():
     spec = _tiny_spec(n_list=(16, 20), p_list=(0.5, 1.0), omega_list=(0.0, 1.0))
     first = run_sweep(spec)
     second = run_sweep(spec)
-    a = [r.as_csv_fields()[:9] + r.as_csv_fields()[10:] for r in first.rows]
-    b = [r.as_csv_fields()[:9] + r.as_csv_fields()[10:] for r in second.rows]
+    # wall_ms is measured time, the one column determinism cannot cover
+    col = CSV_COLUMNS.index("wall_ms")
+    a = [r.as_csv_fields()[:col] + r.as_csv_fields()[col + 1:] for r in first.rows]
+    b = [r.as_csv_fields()[:col] + r.as_csv_fields()[col + 1:] for r in second.rows]
     assert a == b
     assert len(first.rows) == 2 * 2 * 2 * 2
     keys = [(r.n, r.trial, r.p, r.omega) for r in first.rows]
@@ -169,16 +172,45 @@ def test_csv_round_trip(tmp_path):
 
 def test_failed_row_formatting():
     row = SweepRow(n=10, p=0.5, omega=0.0, alpha_req=0.7, alpha_real=0.7, rho=1.0,
-                   trial=0, snr_db=float("-inf"), iters=0, wall_ms=1.25, status="failed")
+                   trial=0, snr_db=float("-inf"), iters=0, stop_reason="diverged",
+                   wall_ms=1.25, status="failed")
     fields = row.as_csv_fields()
     assert fields[CSV_COLUMNS.index("snr_db")] == "-inf"
+    assert fields[CSV_COLUMNS.index("stop_reason")] == "diverged"
     assert fields[CSV_COLUMNS.index("status")] == "failed"
+
+
+def test_sweep_csv_names_why_each_solve_stopped(tmp_path):
+    res = run_sweep(_tiny_spec(p_list=(0.5, 1.0), omega_list=(0.0, 1.0)))
+    out = tmp_path / "sweep.csv"
+    res.to_csv(out)
+    lines = [line.split(",") for line in out.read_text().strip().split("\n")]
+    assert lines[0][lines[0].index("iters") + 1] == "stop_reason"
+    col = CSV_COLUMNS.index("stop_reason")
+    assert [line[col] for line in lines[1:]] == [row.stop_reason for row in res.rows]
+    assert {row.stop_reason for row in res.rows} <= {"sigma_floor", "max_iters", "stationary"}
+
+
+@pytest.mark.parametrize("cause", ["diverged", "rank_deficient"])
+def test_failed_sweep_row_names_its_cause(monkeypatch, cause):
+    def fail(*args, **kwargs):
+        if cause == "diverged":
+            raise SolverDivergenceError("objective became non-finite")
+        raise RankDeficientError("sensing matrix is rank deficient")
+
+    monkeypatch.setattr(experiments, "solve" if cause == "diverged" else "_projector_parts", fail)
+    rows = run_sweep(_tiny_spec()).rows
+    assert rows and all(
+        (r.status, r.snr_db, r.iters, r.stop_reason) == ("failed", float("-inf"), 0, cause)
+        for r in rows
+    )
 
 
 def test_row_filters_and_stats():
     rows = [
         SweepRow(n=10, p=0.5, omega=0.0, alpha_req=0.7, alpha_real=0.7, rho=1.0,
-                 trial=t, snr_db=float(s), iters=1, wall_ms=0.0, status="ok")
+                 trial=t, snr_db=float(s), iters=1, stop_reason="sigma_floor",
+                 wall_ms=0.0, status="ok")
         for t, s in enumerate((10.0, 20.0, 30.0))
     ]
     picked = filter_rows(rows, omega=0.0)
@@ -189,7 +221,8 @@ def test_row_filters_and_stats():
     # a failed row has no SNR; the statistics name it instead of
     # averaging its -inf
     failed = SweepRow(n=10, p=0.5, omega=0.0, alpha_req=0.7, alpha_real=0.7, rho=1.0,
-                      trial=3, snr_db=float("-inf"), iters=0, wall_ms=0.0, status="failed")
+                      trial=3, snr_db=float("-inf"), iters=0, stop_reason="diverged",
+                      wall_ms=0.0, status="failed")
     for stat in (mean_snr, stderr_snr):
         with pytest.raises(ValueError, match="1 of 4 rows failed"):
             stat(rows + [failed])

@@ -20,6 +20,7 @@ from cswlp import (
     solve,
 )
 from cswlp import _kernels, experiments, solver
+from cswlp.oracle import oracle_weighted_lp
 from cswlp.solver import _projector_parts
 from test_kernels import reference_backtrack
 
@@ -115,6 +116,33 @@ def test_trace_rows_and_columns():
     assert np.all(accepted <= 1.0)
 
 
+def _stop_instance(reason):
+    if reason == "stationary":
+        # pinv(A) b = (1, 0, 0) and its only nonzero entry has weight 0,
+        # so the gradient vanishes at the start
+        A = DenseMatrix(np.array([[1.0, 0.0, 0.0]]))
+        return A, np.array([1.0]), np.array([0.0, 1.0, 1.0]), SolverConfig(p=0.5)
+    A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
+    max_iters = 5 if reason == "max_iters" else 500
+    return DenseMatrix(A), y, np.ones(40), SolverConfig(p=0.5, max_iters=max_iters)
+
+
+@pytest.mark.parametrize("reason", ["sigma_floor", "max_iters", "stationary"])
+def test_trace_names_why_the_first_run_stopped(reason):
+    A, y, w, cfg = _stop_instance(reason)
+    _, trace = solve(A, y, w, cfg)
+    assert trace.stop_reason == reason
+    last = trace.t.shape[0]
+    if reason == "sigma_floor":
+        assert last < cfg.max_iters
+        assert trace.sigma[-1] * cfg.sigma_decay <= cfg.sigma_floor < trace.sigma[-1]
+    elif reason == "max_iters":
+        assert last == cfg.max_iters
+        assert trace.sigma[-1] * cfg.sigma_decay > cfg.sigma_floor
+    else:
+        assert last == 1 and trace.step[0] == 0.0
+
+
 def _criterion_3_instance(k, trial, seed=12345):
     # the n = 6, N = 10 instances of the acceptance suite's oracle check
     rng = np.random.default_rng(np.random.SeedSequence([seed, k, trial]))
@@ -153,6 +181,42 @@ def test_restarts_are_seeded_inside_solve():
     assert len(trace.restart_iters) >= 1
     assert len(trace) == trace.t.shape[0] + sum(trace.restart_iters) <= cfg.max_iters
     assert np.array_equal(first.entries, again.entries)
+
+
+def test_audio_shaped_block_takes_no_restarts():
+    # null space 160 against n = 96 measurements: restarts are not taken
+    A, y, w, cfg = _identity_instance("dct")
+    _, trace = solve(A, y, w, cfg)
+    assert trace.restart_iters == ()
+    assert len(trace) == trace.t.shape[0]
+
+
+def test_dense_result_with_large_null_space_takes_no_restarts():
+    # a compressible signal at N = 2 n: the first run is not certified
+    # sparse, but a null space of n dimensions takes no restarts
+    rng = np.random.default_rng(0)
+    N, n = 40, 20
+    A = rng.standard_normal((n, N)) / np.sqrt(n)
+    y = A @ (rng.standard_normal(N) * np.arange(1, N + 1) ** -1.0)
+    x, trace = solve(DenseMatrix(A), y, np.ones(N), SolverConfig(p=0.5))
+    mags = np.abs(x.entries)
+    assert 2 * np.count_nonzero(mags > 1e-4 * mags.max()) > n
+    assert trace.restart_iters == ()
+    assert len(trace) == trace.t.shape[0] < SolverConfig(p=0.5).max_iters
+
+
+def test_criterion_3_seed_5_instance_lands_on_the_oracle_support():
+    # the first run ends at a 6-entry local minimizer; the third restart
+    # ends with 9 entries, whose 3 largest leave a residual of 0.45 ||b||,
+    # far above _HEAD_REL ||b||, and only their unscreened refit finds the
+    # oracle's 2-entry support
+    A, y = _criterion_3_instance(2, 34, seed=5)
+    x, trace = solve(DenseMatrix(A), y, np.ones(10), SolverConfig(p=0.5))
+    assert len(trace.restart_iters) >= 1
+    mags = np.abs(x.entries)
+    got = tuple(int(i) + 1 for i in np.flatnonzero(mags > 1e-4 * mags.max()))
+    assert got == oracle_weighted_lp(DenseMatrix(A), y, np.ones(10), 0.5, 4).support
+    assert len(got) == 2
 
 
 def _identity_instance(name):
