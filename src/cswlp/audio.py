@@ -11,7 +11,7 @@ estimate tracks the signal as it moves.
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -29,7 +29,9 @@ from .core import (
     best_k_term,
     snr_db,
 )
-from .solver import SolverConfig, _projector_parts, solve
+from .solver import SolverConfig, solve
+# kept only until the benchmark tracer stops binding it
+from .solver import _projector_parts  # noqa: F401
 
 __all__ = [
     "AudioPipelineConfig",
@@ -45,8 +47,6 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
-
-AUDIO_CSV_COLUMNS = ("omega", "p", "snr_db")
 
 
 @lru_cache(maxsize=4)
@@ -150,7 +150,11 @@ class AudioRow:
     snr_db: float
 
     def as_csv_fields(self) -> tuple[str, ...]:
-        return (repr(float(self.omega)), repr(float(self.p)), repr(float(self.snr_db)))
+        # repr(float(v)), since repr of an np.float64 snr_db differs
+        return tuple(repr(float(getattr(self, name))) for name in AUDIO_CSV_COLUMNS)
+
+
+AUDIO_CSV_COLUMNS = tuple(f.name for f in fields(AudioRow))
 
 
 def _clip_snr(reference: np.ndarray, recon: np.ndarray, cap_db: float) -> float:
@@ -171,7 +175,7 @@ def recover_clip(
     Returns SNR rows (omega varying fastest) and the reconstructed
     waveforms keyed by (p, omega).  Sample masks depend only on
     (cfg.seed, block index), so all combinations see identical
-    measurements and share each block's projector.
+    measurements.
     """
     # kept only until the benchmark stops passing threads=1
     if threads != 1:
@@ -195,20 +199,13 @@ def recover_clip(
         block = samples[j * N : (j + 1) * N]
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _SEED_MASK, j]))
         keep = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=n_keep, replace=False)))
-        projector = _projector_parts(RestrictedTransform(rows=keep, size=N))
         for p, omega in combos:
             prev = prev_coeffs[(p, omega)]
             prev_est = None
             if prev is not None and prev_count > 0:
                 prev_est = SupportEstimate(best_k_term(prev, prev_count)[1])
             problem = build_block_problem(block, keep, prev_est, cfg, omega)
-            coeffs, _ = solve(
-                problem.operator,
-                problem.measurements,
-                problem.weights,
-                replace(base_cfg, p=p),
-                projector=projector,
-            )
+            coeffs, _ = solve(problem.operator, problem.measurements, problem.weights, replace(base_cfg, p=p))
             prev_coeffs[(p, omega)] = coeffs.entries
             recons[(p, omega)][j * N : (j + 1) * N] = _idct(coeffs.entries)
 

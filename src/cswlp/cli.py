@@ -17,7 +17,7 @@ import hashlib
 import json
 import struct
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -275,17 +275,7 @@ _RUNNERS = {
 
 
 def _cmd_solve(args) -> int:
-    solver = {
-        "p": args.p,
-        "sigma_init": args.sigma_init,
-        "sigma_decay": args.sigma_decay,
-        "max_iters": args.max_iters,
-        "sigma_floor": args.sigma_floor,
-        "step_shrink": args.step_shrink,
-        "max_backtracks": args.max_backtracks,
-        "feasibility_tol": args.feasibility_tol,
-        "snr_cap_db": args.snr_cap_db,
-    }
+    solver = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
     config = {
         "matrix_path": str(args.matrix.resolve()),
         "measurements_path": str(args.measurements.resolve()),
@@ -395,16 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--support", type=Path, default=None, help="file of 1-based support indices")
     ps.add_argument("--omega", type=float, default=1.0, help="weight on the support estimate")
     ps.add_argument("--epsilon", type=float, default=0.0, help="noise bound recorded with b")
-    ps.add_argument("--p", type=float, default=0.5)
-    # the solver knobs default to SolverConfig's own defaults
-    ps.add_argument("--sigma-init", type=float, default=SolverConfig.sigma_init)
-    ps.add_argument("--sigma-decay", type=float, default=SolverConfig.sigma_decay)
-    ps.add_argument("--max-iters", type=int, default=SolverConfig.max_iters)
-    ps.add_argument("--sigma-floor", type=float, default=SolverConfig.sigma_floor)
-    ps.add_argument("--step-shrink", type=float, default=SolverConfig.step_shrink)
-    ps.add_argument("--max-backtracks", type=int, default=SolverConfig.max_backtracks)
-    ps.add_argument("--feasibility-tol", type=float, default=SolverConfig.feasibility_tol)
-    ps.add_argument("--snr-cap-db", type=float, default=SolverConfig.snr_cap_db)
+    # one flag per SolverConfig field, with that field's default; p has
+    # none, so --p defaults to 0.5
+    for f in fields(SolverConfig):
+        default = 0.5 if f.name == "p" else f.default
+        ps.add_argument("--" + f.name.replace("_", "-"), type=type(default), default=default)
     ps.set_defaults(func=_cmd_solve)
 
     pt = sub.add_parser("theory", help="tabulate recovery thresholds over parameter grids")

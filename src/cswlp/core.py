@@ -60,6 +60,10 @@ class ConditionViolatedError(CswlpError):
     """Recovery-condition denominator is not positive for these parameters."""
 
 
+# Singular values below this fraction of the largest count as zero rank.
+_RANK_TOL = 1e-10
+
+
 def _as_vector(values, name: str = "values") -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
@@ -94,7 +98,12 @@ class SignalVector:
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Sensing operator given by an explicit n x N matrix, n <= N."""
+    """Sensing operator given by an explicit n x N matrix, n <= N.
+
+    ``pinv`` takes one SVD on first use and keeps it, so every later
+    solve on the same operator reuses it; the matrix must not be changed
+    after that.
+    """
 
     matrix: np.ndarray
 
@@ -123,6 +132,19 @@ class DenseMatrix:
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         return self.matrix.T @ r
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """The N x n pseudo-inverse, from one SVD.  Raises
+        RankDeficientError when the smallest singular value falls below
+        _RANK_TOL times the largest."""
+        U, s, Vt = np.linalg.svd(self.matrix, full_matrices=False)
+        if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
+            ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
+            raise RankDeficientError(
+                f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
+            )
+        return (Vt.T / s) @ U.T
 
 
 @lru_cache(maxsize=8)

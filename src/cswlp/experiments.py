@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,9 @@ from .core import (
     best_k_term,
     snr_db,
 )
-from .solver import SolverConfig, _projector_parts, solve
+from .solver import SolverConfig, solve
+# kept only until the benchmark tracer stops binding it
+from .solver import _projector_parts  # noqa: F401
 
 __all__ = [
     "ExperimentSpec",
@@ -47,21 +49,6 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
-
-CSV_COLUMNS = (
-    "n",
-    "p",
-    "omega",
-    "alpha_req",
-    "alpha_real",
-    "rho",
-    "trial",
-    "snr_db",
-    "iters",
-    "stop_reason",
-    "wall_ms",
-    "status",
-)
 
 
 def gen_sparse_signal(N: int, k: int, rng: np.random.Generator) -> SignalVector:
@@ -199,20 +186,15 @@ class SweepRow:
     status: str
 
     def as_csv_fields(self) -> tuple[str, ...]:
-        return (
-            str(self.n),
-            repr(float(self.p)),
-            repr(float(self.omega)),
-            repr(float(self.alpha_req)),
-            repr(float(self.alpha_real)),
-            repr(float(self.rho)),
-            str(self.trial),
-            repr(float(self.snr_db)),
-            str(self.iters),
-            self.stop_reason,
-            repr(float(self.wall_ms)),
-            self.status,
+        # fields declared float print as repr(float(v)): an int there
+        # still prints as a float, and an np.float64 snr_db has its own repr
+        return tuple(
+            repr(float(getattr(self, f.name))) if f.type == "float" else str(getattr(self, f.name))
+            for f in fields(self)
         )
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 @dataclass
@@ -293,27 +275,21 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
     rho_real = size / spec.k
 
     rows: list[SweepRow] = []
-    try:
-        projector = _projector_parts(A)
-    except RankDeficientError:
-        projector = None
-
     for p in spec.p_list:
         cfg = replace(base_cfg, p=p)
         for omega in spec.omega_list:
             w = WeightVector(omega=omega, estimate=estimate, size=spec.N)
             start = time.perf_counter()
             snr, iters, status = float("-inf"), 0, "failed"
-            if projector is None:
+            try:
+                x_hat, trace = solve(A, y, w, cfg)
+            except SolverDivergenceError:
+                stop_reason = "diverged"
+            except RankDeficientError:
                 stop_reason = "rank_deficient"
             else:
-                try:
-                    x_hat, trace = solve(A, y, w, cfg, projector=projector)
-                except SolverDivergenceError:
-                    stop_reason = "diverged"
-                else:
-                    snr = snr_db(x, x_hat, cfg.snr_cap_db)
-                    iters, stop_reason, status = len(trace), trace.stop_reason, "ok"
+                snr = snr_db(x, x_hat, cfg.snr_cap_db)
+                iters, stop_reason, status = len(trace), trace.stop_reason, "ok"
             wall_ms = (time.perf_counter() - start) * 1e3
             rows.append(
                 SweepRow(

@@ -60,7 +60,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +67,6 @@ import numpy as np
 from . import _kernels
 from .core import (
     Measurements,
-    RankDeficientError,
     RestrictedTransform,
     SensingOperator,
     SignalVector,
@@ -85,12 +83,6 @@ __all__ = [
     "smoothed_gradient",
     "solve",
 ]
-
-# d -> d - pinv(A) A d and r -> pinv(A) r, from _projector_parts.
-Projector = tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]
-
-# Singular values below this fraction of the largest count as zero rank.
-_RANK_TOL = 1e-10
 
 # A sigma level has settled once min(1, t_L) ||pd|| / ||x|| falls below
 # this times sqrt(sigma), or after _LEVEL_ITERS iterations.
@@ -237,26 +229,16 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _projector_parts(A: SensingOperator) -> Projector:
+def _projector_parts(A: SensingOperator):
     """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r.
 
     Both operator kinds project through the operator itself, and differ
     only in the pull-back.  A RestrictedTransform has orthonormal rows,
-    so pinv(A) = A^T and it takes no SVD.  A DenseMatrix pays one SVD for
-    the n x N pinv(A), and raises RankDeficientError when its smallest
-    singular value falls below _RANK_TOL times the largest.
+    so pinv(A) = A^T and it takes no SVD.  A DenseMatrix reads its cached
+    ``pinv``, which takes one SVD on the operator's first solve and
+    raises RankDeficientError for a rank-deficient matrix.
     """
-    if isinstance(A, RestrictedTransform):
-        pull_back = A.adjoint
-    else:
-        U, s, Vt = np.linalg.svd(A.matrix, full_matrices=False)
-        if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
-            ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
-            raise RankDeficientError(
-                f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
-            )
-        pinv = (Vt.T / s) @ U.T
-        pull_back = pinv.__matmul__
+    pull_back = A.adjoint if isinstance(A, RestrictedTransform) else A.pinv.__matmul__
     return (lambda d: d - pull_back(A.apply(d))), pull_back
 
 
@@ -267,7 +249,6 @@ def solve(
     cfg: SolverConfig,
     *,
     keep_iterates: bool = False,
-    projector: Projector | None = None,
 ) -> tuple[SignalVector, SolverTrace]:
     """Run the smoothed projected-gradient iteration.
 
@@ -278,8 +259,6 @@ def solve(
     w : WeightVector or array_like weights in [0, 1]
     cfg : SolverConfig
     keep_iterates : also record x_0 and every iterate in the trace
-    projector : optional ``_projector_parts(A)`` result, for callers
-        solving many right-hand sides against one operator
 
     Returns
     -------
@@ -299,7 +278,7 @@ def solve(
     p = float(cfg.p)
     wp = w_arr**p
 
-    project, pull_back = _projector_parts(A) if projector is None else projector
+    project, pull_back = _projector_parts(A)
     x0 = pull_back(y)
 
     b_norm = float(np.linalg.norm(y))

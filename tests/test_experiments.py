@@ -3,7 +3,7 @@ import pytest
 
 from cswlp import experiments
 from cswlp.audio import AudioPipelineConfig, recover_clip
-from cswlp.core import ConfigError, RankDeficientError, SolverDivergenceError
+from cswlp.core import ConfigError, DenseMatrix, SolverDivergenceError
 from cswlp.experiments import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -193,12 +193,20 @@ def test_sweep_csv_names_why_each_solve_stopped(tmp_path):
 
 @pytest.mark.parametrize("cause", ["diverged", "rank_deficient"])
 def test_failed_sweep_row_names_its_cause(monkeypatch, cause):
-    def fail(*args, **kwargs):
-        if cause == "diverged":
-            raise SolverDivergenceError("objective became non-finite")
-        raise RankDeficientError("sensing matrix is rank deficient")
+    def diverge(*args, **kwargs):
+        raise SolverDivergenceError("objective became non-finite")
 
-    monkeypatch.setattr(experiments, "solve" if cause == "diverged" else "_projector_parts", fail)
+    gen = experiments.gen_gaussian_matrix
+
+    def repeated_row(n, N, rng):
+        A = gen(n, N, rng).matrix.copy()
+        A[-1] = A[0]
+        return DenseMatrix(A)
+
+    if cause == "diverged":
+        monkeypatch.setattr(experiments, "solve", diverge)
+    else:
+        monkeypatch.setattr(experiments, "gen_gaussian_matrix", repeated_row)
     rows = run_sweep(_tiny_spec()).rows
     assert rows and all(
         (r.status, r.snr_db, r.iters, r.stop_reason) == ("failed", float("-inf"), 0, cause)

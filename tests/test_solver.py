@@ -398,13 +398,25 @@ def test_rank_deficient_matrix_is_rejected():
         solve(DenseMatrix(A), np.array([1.0, 2.0]), np.ones(4), SolverConfig(p=0.5))
 
 
-def test_precomputed_projector_reproduces_solve():
+def test_dense_matrix_takes_one_svd_for_every_solve(monkeypatch):
     A, _, y = _sparse_instance(N=30, n=15, k=3, seed=17)
-    w = np.ones(30)
     cfg = SolverConfig(p=0.5)
-    direct, _ = solve(DenseMatrix(A), y, w, cfg)
-    shared, _ = solve(DenseMatrix(A), y, w, cfg, projector=_projector_parts(DenseMatrix(A)))
-    assert np.array_equal(direct.entries, shared.entries)
+    weights = [np.ones(30), np.where(np.arange(30) < 5, 0.3, 1.0)]
+    fresh = [solve(DenseMatrix(A), y, w, cfg)[0] for w in weights]
+
+    svd = np.linalg.svd
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    op = DenseMatrix(A)
+    shared = [solve(op, y, w, cfg)[0] for w in weights]
+    assert len(calls) == 1
+    for got, want in zip(shared, fresh):
+        assert np.array_equal(got.entries, want.entries)
 
 
 @pytest.mark.parametrize("kind", ["dense", "dct"])
