@@ -166,7 +166,6 @@ def _clip_snr(reference: np.ndarray, recon: np.ndarray, cap_db: float) -> float:
 def recover_clip(
     samples: np.ndarray,
     cfg: AudioPipelineConfig,
-    base_cfg: SolverConfig | None = None,
     *,
     threads: int = 1,
 ) -> tuple[list[AudioRow], dict[tuple[float, float], np.ndarray]]:
@@ -185,8 +184,6 @@ def recover_clip(
     if samples.ndim != 1 or samples.shape[0] < total:
         raise ValueError(f"need at least {total} samples, got {samples.shape}")
     samples = samples[:total]
-    if base_cfg is None:
-        base_cfg = SolverConfig(p=cfg.p_list[0])
 
     N = cfg.block_len
     n_keep = cfg.samples_per_block
@@ -205,11 +202,11 @@ def recover_clip(
             if prev is not None and prev_count > 0:
                 prev_est = SupportEstimate(best_k_term(prev, prev_count)[1])
             problem = build_block_problem(block, keep, prev_est, cfg, omega)
-            coeffs, _ = solve(problem.operator, problem.measurements, problem.weights, replace(base_cfg, p=p))
+            coeffs, _ = solve(problem.operator, problem.measurements, problem.weights, SolverConfig(p=p))
             prev_coeffs[(p, omega)] = coeffs.entries
             recons[(p, omega)][j * N : (j + 1) * N] = _idct(coeffs.entries)
 
-    cap = base_cfg.snr_cap_db
+    cap = SolverConfig.snr_cap_db
     rows = [AudioRow(omega=w, p=p, snr_db=_clip_snr(samples, recons[(p, w)], cap)) for p, w in combos]
     return rows, recons
 
@@ -276,7 +273,6 @@ def run_audio_pipeline(
     wav_path,
     cfg: AudioPipelineConfig,
     out_dir,
-    base_cfg: SolverConfig | None = None,
 ) -> list[AudioRow]:
     """Read a WAV clip, recover it per (p, omega), write results.
 
@@ -286,7 +282,7 @@ def run_audio_pipeline(
     """
     samples, rate = read_wav_mono(wav_path)
     cfg = replace(cfg, sample_rate_hz=rate)
-    rows, recons = recover_clip(samples, cfg, base_cfg)
+    rows, recons = recover_clip(samples, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     lines = [",".join(AUDIO_CSV_COLUMNS)]

@@ -34,7 +34,7 @@ from .core import (
     WeightVector,
 )
 from .experiments import ExperimentSpec, load_experiment_spec, run_sweep
-from .solver import SolverConfig, solve
+from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK, SolverConfig, solve
 from .theory import (
     ConditionViolatedError,
     TheoryParams,
@@ -48,6 +48,13 @@ from .theory import (
 __all__ = ["RunManifest", "main", "read_array", "write_matrix_binary", "write_vector_binary"]
 
 _MAGIC = b"CSWLPB01"
+
+# Settings that solve manifests recorded while SolverConfig had them as
+# fields, at the values the solver now fixes.
+_FIXED_SOLVER_SETTINGS = dict(
+    sigma_init=_SIGMA_INIT, sigma_decay=_SIGMA_DECAY, sigma_floor=_SIGMA_FLOOR, step_shrink=_STEP_SHRINK,
+    max_backtracks=_MAX_BACKTRACKS, feasibility_tol=SolverConfig.feasibility_tol, snr_cap_db=SolverConfig.snr_cap_db,
+)
 
 
 def write_matrix_binary(path, arr) -> None:
@@ -138,6 +145,12 @@ class RunManifest:
                 raise ValueError(f"{path}: manifest input {name!r} needs string 'path' and 'sha256'")
         # manifests written while sweeps and audio had a thread pool name it
         data["config"].pop("threads", None)
+        # solve manifests name the settings the solver now fixes; a run
+        # that set one to another value can no longer be reproduced
+        solver = data["config"].get("solver")
+        for name, fixed in _FIXED_SOLVER_SETTINGS.items():
+            if isinstance(solver, dict) and name in solver and (value := solver.pop(name)) != fixed:
+                raise ValueError(f"{path}: cannot reproduce solver setting {name!r} = {value!r}, fixed at {fixed!r}")
         return cls(**data)
 
 
@@ -384,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--measurements", type=Path, required=True, help="CSV or binary length-n vector")
     ps.add_argument("--support", type=Path, default=None, help="file of 1-based support indices")
     ps.add_argument("--omega", type=float, default=1.0, help="weight on the support estimate")
-    ps.add_argument("--epsilon", type=float, default=0.0, help="noise bound recorded with b")
+    ps.add_argument("--epsilon", type=float, default=0.0, help="noise bound on b; the solver supports only 0")
     # one flag per SolverConfig field, with that field's default; p has
     # none, so --p defaults to 0.5
     for f in fields(SolverConfig):

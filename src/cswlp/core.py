@@ -100,9 +100,9 @@ class SignalVector:
 class DenseMatrix:
     """Sensing operator given by an explicit n x N matrix, n <= N.
 
-    ``pinv`` takes one SVD on first use and keeps it, so every later
-    solve on the same operator reuses it; the matrix must not be changed
-    after that.
+    ``pinv`` takes one SVD on first use and keeps its outcome, so every
+    later solve on the same operator reuses it; the matrix must not be
+    changed after that.
     """
 
     matrix: np.ndarray
@@ -133,15 +133,20 @@ class DenseMatrix:
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         return self.matrix.T @ r
 
-    @cached_property
+    @property
     def pinv(self) -> np.ndarray:
-        """The N x n pseudo-inverse, from one SVD.  Raises
-        RankDeficientError when the smallest singular value falls below
-        _RANK_TOL times the largest."""
+        """The N x n pseudo-inverse, from one SVD; raises RankDeficientError
+        if the smallest singular value is below _RANK_TOL times the largest."""
+        if isinstance(self._pinv, RankDeficientError):
+            raise self._pinv.with_traceback(None)
+        return self._pinv
+
+    @cached_property
+    def _pinv(self) -> np.ndarray | RankDeficientError:
         U, s, Vt = np.linalg.svd(self.matrix, full_matrices=False)
         if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
             ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
-            raise RankDeficientError(
+            return RankDeficientError(
                 f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
             )
         return (Vt.T / s) @ U.T

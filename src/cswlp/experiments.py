@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +256,7 @@ def _instance_rng(seed: int, n: int, alpha_idx: int, trial: int) -> np.random.Ge
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: int, trial: int) -> list[SweepRow]:
+def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list[SweepRow]:
     alpha = spec.alpha_list[alpha_idx]
     rng = _instance_rng(spec.seed, n, alpha_idx, trial)
     if spec.signal_kind == "sparse":
@@ -276,7 +276,7 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
 
     rows: list[SweepRow] = []
     for p in spec.p_list:
-        cfg = replace(base_cfg, p=p)
+        cfg = SolverConfig(p=p)
         for omega in spec.omega_list:
             w = WeightVector(omega=omega, estimate=estimate, size=spec.N)
             start = time.perf_counter()
@@ -310,7 +310,7 @@ def _task_rows(spec: ExperimentSpec, base_cfg: SolverConfig, n: int, alpha_idx: 
     return rows
 
 
-def run_sweep(spec: ExperimentSpec, base_cfg: SolverConfig | None = None, *, threads: int = 1) -> ExperimentResult:
+def run_sweep(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
     """Solve the full (n, alpha, trial) x (p, omega) grid, in grid order.
 
     Each row's stop_reason says why its solve's first run stopped (see
@@ -321,14 +321,12 @@ def run_sweep(spec: ExperimentSpec, base_cfg: SolverConfig | None = None, *, thr
     # kept only until the benchmark stops passing threads=1
     if threads != 1:
         raise ValueError(f"run_sweep is serial; threads must be 1, got {threads}")
-    if base_cfg is None:
-        base_cfg = SolverConfig(p=spec.p_list[0])
     rows = [
         row
         for n in spec.n_list
         for alpha_idx in range(len(spec.alpha_list))
         for trial in range(spec.trials)
-        for row in _task_rows(spec, base_cfg, n, alpha_idx, trial)
+        for row in _task_rows(spec, n, alpha_idx, trial)
     ]
     return ExperimentResult(spec=spec, rows=rows)
 

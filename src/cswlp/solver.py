@@ -10,24 +10,25 @@ trial step is the Barzilai-Borwein length (IMA J. Numer. Anal. 1988)
 lambda = s.s / s.y with s = x - x_prev and y = pd_prev - pd, clipped to
 at most 1; it is 1 on a run's first iteration and whenever s.y <= 0.
 The memory (x_prev, pd_prev) carries over from one sigma level to the
-next.  The search then shrinks lambda pd by cfg.step_shrink until the
-objective falls below the largest objective of the last _NONMONOTONE
-iterations at the current sigma level (Grippo, Lampariello & Lucidi,
-SIAM J. Numer. Anal. 1986), so the objective need not fall at every
-iteration.
+next.  The search then shrinks lambda pd by _STEP_SHRINK, at most
+_MAX_BACKTRACKS times, until the objective falls below the largest
+objective of the last _NONMONOTONE iterations at the current sigma
+level (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 1986), so the
+objective need not fall at every iteration.
 
-Sigma is held until the iterate has settled at the current level, and
-is then multiplied by cfg.sigma_decay, as in the continuation of
-Chartrand & Yin, "Iteratively reweighted algorithms for compressive
-sensing" (ICASSP 2008).  The level has settled when every trial step is
-rejected, after _LEVEL_ITERS iterations, or when min(1, t_L) ||pd|| /
-||x|| falls below sqrt(sigma) / 100.  Here t_L = 2 ||pd||^2 / L, with
+Sigma starts at _SIGMA_INIT.  It is held until the iterate has settled
+at the current level, and is then multiplied by _SIGMA_DECAY, as in the
+fixed continuation schedule of Chartrand & Yin, "Iteratively reweighted
+algorithms for compressive sensing" (ICASSP 2008).  The level has
+settled when every trial step is rejected, after _LEVEL_ITERS
+iterations, or when min(1, t_L) ||pd|| / ||x|| falls below
+sqrt(sigma) / 100.  Here t_L = 2 ||pd||^2 / L, with
 L = p sigma^(p-2) sum_i w_i^p pd_i^2 the curvature bound of the
 smoothed objective along pd, is a step that the descent lemma
 guarantees to lower the objective; the test reads it rather than the
 step taken, which a short spectral step would make fire early.  A run
-ends when sigma falls to cfg.sigma_floor, at a stationary point, or
-when its iterations run out.
+ends when sigma falls to _SIGMA_FLOOR, at a stationary point, or when
+its iterations run out.
 
 The first run starts at the minimum-norm point pinv(A) b.  When p < 1,
 the null space of A is not empty but smaller than the measurement count
@@ -61,6 +62,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -84,6 +86,13 @@ __all__ = [
     "solve",
 ]
 
+# The sigma schedule and line search of the module docstring.
+_SIGMA_INIT = 10.0
+_SIGMA_DECAY = 0.7
+_SIGMA_FLOOR = 1e-9
+_STEP_SHRINK = 0.5
+_MAX_BACKTRACKS = 30
+
 # A sigma level has settled once min(1, t_L) ||pd|| / ||x|| falls below
 # this times sqrt(sigma), or after _LEVEL_ITERS iterations.
 _SETTLE_REL = 1e-2
@@ -96,9 +105,9 @@ _NONMONOTONE = 5
 # Restarts from random feasible points, taken while the best result is
 # not certified sparse, and only when p < 1 and n < N < 2 n: in a null
 # space of n or more dimensions no random start was seen to reach a
-# lower objective.  Each starts at pinv(A) b plus a null-space
-# vector _RESTART_SCALE times as long as pinv(A) b, at smoothing level
-# _RESTART_SIGMA (or cfg.sigma_init, if that is smaller).
+# lower objective.  Each starts at pinv(A) b plus a null-space vector
+# _RESTART_SCALE times as long as pinv(A) b, at smoothing level
+# _RESTART_SIGMA.
 _RESTARTS = 3
 _RESTART_SEED = 20080331
 _RESTART_SCALE = 5.0
@@ -115,40 +124,22 @@ _HEAD_REL = 1e-2
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the smoothed projected-gradient iteration.
-
-    ``sigma_decay`` is the factor sigma is multiplied by each time the
-    iterate settles at the current level; ``max_iters`` bounds the
-    iterations of one solve, restarts included.
-    """
+    """The exponent ``p`` and ``max_iters``, the bound on the iterations
+    of one solve, restarts included.  The sigma schedule and the line
+    search are module constants (_SIGMA_INIT, _SIGMA_DECAY, _SIGMA_FLOOR,
+    _STEP_SHRINK, _MAX_BACKTRACKS); ``feasibility_tol`` and ``snr_cap_db``
+    are fixed class attributes."""
 
     p: float
-    sigma_init: float = 10.0
-    sigma_decay: float = 0.7
     max_iters: int = 500
-    sigma_floor: float = 1e-9
-    step_shrink: float = 0.5
-    max_backtracks: int = 30
-    feasibility_tol: float = 1e-8
-    snr_cap_db: float = 300.0
+    feasibility_tol: ClassVar[float] = 1e-8
+    snr_cap_db: ClassVar[float] = 300.0
 
     def __post_init__(self):
         if not (0.0 < self.p <= 1.0):
             raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if not (self.sigma_init > 0):
-            raise ValueError("sigma_init must be positive")
-        if not (0.0 < self.sigma_decay < 1.0):
-            raise ValueError("sigma_decay must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not (0.0 < self.sigma_floor < self.sigma_init):
-            raise ValueError("sigma_floor must lie in (0, sigma_init)")
-        if not (0.0 < self.step_shrink < 1.0):
-            raise ValueError("step_shrink must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be >= 1")
-        if not (self.feasibility_tol > 0):
-            raise ValueError("feasibility_tol must be positive")
 
 
 @dataclass
@@ -167,7 +158,7 @@ class SolverTrace:
     ``iterates`` holds x_0 followed by each iteration's x of that run
     when the solve was asked to keep them.  ``stop_reason`` says why
     that run ended: ``"sigma_floor"`` when sigma fell to
-    cfg.sigma_floor, ``"stationary"`` when the gradient vanished, or
+    _SIGMA_FLOOR, ``"stationary"`` when the gradient vanished, or
     ``"max_iters"`` when its iterations ran out first.  Restarts record
     no rows; ``restart_iters`` holds the iterations each one ran, in
     order.  Restarts are taken only when p < 1, the null space of A is
@@ -255,7 +246,7 @@ def solve(
     Parameters
     ----------
     A : sensing operator (dense matrix or restricted transform)
-    b : Measurements or array_like measurement vector
+    b : Measurements with epsilon 0, or array_like measurement vector
     w : WeightVector or array_like weights in [0, 1]
     cfg : SolverConfig
     keep_iterates : also record x_0 and every iterate in the trace
@@ -268,9 +259,12 @@ def solve(
     objective; the trace records the first run (see SolverTrace).
     Every iterate satisfies A x = b up to cfg.feasibility_tol relative
     to max(1, ||b||).  A non-finite objective raises
-    SolverDivergenceError; a rank-deficient A raises RankDeficientError.
+    SolverDivergenceError; a rank-deficient A raises RankDeficientError;
+    Measurements with epsilon > 0 raise ValueError (the fit is exact).
     """
     n, N = A.shape
+    if isinstance(b, Measurements) and b.epsilon > 0.0:
+        raise ValueError(f"solve fits A x = b exactly; it cannot honour noise bound epsilon={b.epsilon!r}")
     y = b.y if isinstance(b, Measurements) else _signal_array(b)
     if y.shape[0] != n:
         raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {n}")
@@ -323,7 +317,7 @@ def solve(
             recent.append(f0)
             d = lam * pd
             step, f_new = _kernels.backtrack_raw(
-                x, d, wp, p, sigma, max(recent), cfg.step_shrink, cfg.max_backtracks
+                x, d, wp, p, sigma, max(recent), _STEP_SHRINK, _MAX_BACKTRACKS
             )
             x_new = x + step * d if step > 0.0 else x
 
@@ -348,10 +342,10 @@ def solve(
             x = x_new
             at_level += 1
             if step == 0.0 or rel <= _SETTLE_REL * math.sqrt(sigma) or at_level >= _LEVEL_ITERS:
-                sigma *= cfg.sigma_decay
+                sigma *= _SIGMA_DECAY
                 at_level = 0
                 recent.clear()
-                if sigma <= cfg.sigma_floor:
+                if sigma <= _SIGMA_FLOOR:
                     return x, t, "sigma_floor"
         return x, budget, "max_iters"
 
@@ -391,7 +385,7 @@ def solve(
                 return z, z_value
         return x, value
 
-    x, used, stop_reason = descend(x0, float(cfg.sigma_init), cfg.max_iters, True)
+    x, used, stop_reason = descend(x0, _SIGMA_INIT, cfg.max_iters, True)
     best, best_value = finish(x)
     restart_iters: list[int] = []
     # at p = 1 the problem is convex and a restart can only end where the
@@ -399,11 +393,10 @@ def solve(
     if p < 1.0 and explore:
         rng = np.random.default_rng(_RESTART_SEED)
         scale = _RESTART_SCALE * float(np.linalg.norm(x0))
-        sigma = min(_RESTART_SIGMA, float(cfg.sigma_init))
         while len(restart_iters) < _RESTARTS and used < cfg.max_iters and 2 * support(best).size > n:
             z = project(rng.standard_normal(N))
             start = x0 + (scale / float(np.linalg.norm(z))) * z
-            x, spent, _ = descend(start, sigma, cfg.max_iters - used, False)
+            x, spent, _ = descend(start, _RESTART_SIGMA, cfg.max_iters - used, False)
             used += spent
             restart_iters.append(spent)
             x, value = finish(x)

@@ -22,6 +22,14 @@ def _plant_problem(rng, n=6, N=12, k=2):
     return A, x, A @ x
 
 
+# The solver config of a solve manifest written while every solver
+# setting was a SolverConfig field, at the defaults of that time.
+_NINE_KEY_SOLVER = {
+    "p": 0.5, "max_iters": 500, "sigma_init": 10.0, "sigma_decay": 0.7, "sigma_floor": 1e-9,
+    "step_shrink": 0.5, "max_backtracks": 30, "feasibility_tol": 1e-8, "snr_cap_db": 300.0,
+}
+
+
 def _full_manifest(**fields):
     base = {"subcommand": "solve", "seed": 0, "version": "0", "config": {},
             "inputs": {}, "outputs": [], "timestamp": "t"}
@@ -345,6 +353,44 @@ def test_replay_ignores_legacy_backend_field(tmp_path, capsys):
         assert (redo / name).read_bytes() == (out / name).read_bytes()
 
 
+def test_replay_drops_solver_settings_now_fixed(tmp_path, capsys):
+    rng = np.random.default_rng(14)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", y)
+    out = tmp_path / "orig"
+    assert main([
+        "--out-dir", str(out),
+        "solve",
+        "--matrix", str(tmp_path / "A.bin"),
+        "--measurements", str(tmp_path / "y.bin"),
+    ]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["solver"] == {"p": 0.5, "max_iters": 500}
+    manifest["config"]["solver"] = dict(_NINE_KEY_SOLVER)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    redo = tmp_path / "redo"
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+    assert capsys.readouterr().err == ""
+    for name in ("recovered.csv", "trace.csv"):
+        assert (redo / name).read_bytes() == (out / name).read_bytes()
+    assert json.loads((redo / "manifest.json").read_text())["config"]["solver"] == {"p": 0.5, "max_iters": 500}
+
+
+def test_solve_refuses_a_noise_bound(tmp_path, capsys):
+    rng = np.random.default_rng(15)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", y)
+    args = ["solve", "--matrix", str(tmp_path / "A.bin"), "--measurements", str(tmp_path / "y.bin")]
+    assert main(["--out-dir", str(tmp_path / "noisy"), *args, "--epsilon", "0.1"]) == 1
+    assert "epsilon=0.1" in capsys.readouterr().err
+    assert not (tmp_path / "noisy").exists()
+    assert main(["--out-dir", str(tmp_path / "exact"), *args, "--epsilon", "0"]) == 0
+    assert (tmp_path / "exact" / "recovered.csv").exists()
+
+
 def test_replay_drops_legacy_threads_key(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     _write_sweep_config(cfg)
@@ -381,9 +427,13 @@ def test_replay_drops_legacy_threads_key(tmp_path, capsys):
         (_full_manifest(outputs={}), "manifest field 'outputs' is not a JSON list"),
         (_full_manifest(inputs={"matrix": "A.bin"}), "input 'matrix' needs string 'path' and 'sha256'"),
         (_full_manifest(subcommand="sweep", config={"spec": []}), "malformed sweep config"),
+        (
+            _full_manifest(config={"solver": {**_NINE_KEY_SOLVER, "sigma_decay": 0.98}}),
+            "solver setting 'sigma_decay' = 0.98",
+        ),
     ],
     ids=["missing-fields", "not-an-object", "config-missing-key", "config-not-an-object",
-         "outputs-not-a-list", "input-entry-malformed", "spec-not-an-object"],
+         "outputs-not-a-list", "input-entry-malformed", "spec-not-an-object", "fixed-setting-changed"],
 )
 def test_replay_rejects_malformed_manifest(tmp_path, capsys, content, message):
     path = tmp_path / "manifest.json"

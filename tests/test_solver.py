@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -67,9 +68,14 @@ def test_gradient_matches_finite_differences():
 
 def test_solver_config_validation():
     SolverConfig(p=0.5)
-    for bad in (dict(p=0.0), dict(p=1.2), dict(p=0.5, sigma_decay=1.0), dict(p=0.5, max_iters=0), dict(p=0.5, step_shrink=1.0), dict(p=0.5, sigma_init=0.0)):
+    for bad in (dict(p=0.0), dict(p=1.2), dict(p=0.5, max_iters=0)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+    # the other settings are constants, not fields
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["p", "max_iters"]
+    assert (SolverConfig.feasibility_tol, SolverConfig.snr_cap_db) == (1e-8, 300.0)
+    with pytest.raises(TypeError):
+        SolverConfig(p=0.5, sigma_decay=0.98)
 
 
 def test_square_system_returns_exact_solution_immediately():
@@ -135,10 +141,10 @@ def test_trace_names_why_the_first_run_stopped(reason):
     last = trace.t.shape[0]
     if reason == "sigma_floor":
         assert last < cfg.max_iters
-        assert trace.sigma[-1] * cfg.sigma_decay <= cfg.sigma_floor < trace.sigma[-1]
+        assert trace.sigma[-1] * solver._SIGMA_DECAY <= solver._SIGMA_FLOOR < trace.sigma[-1]
     elif reason == "max_iters":
         assert last == cfg.max_iters
-        assert trace.sigma[-1] * cfg.sigma_decay > cfg.sigma_floor
+        assert trace.sigma[-1] * solver._SIGMA_DECAY > solver._SIGMA_FLOOR
     else:
         assert last == 1 and trace.step[0] == 0.0
 
@@ -279,7 +285,7 @@ def test_first_iteration_tries_the_unit_step(monkeypatch):
     op, w, cfg = DenseMatrix(A), np.ones(40), SolverConfig(p=0.5)
     calls = _record_searches(monkeypatch)
     _, trace = solve(op, y, w, cfg, keep_iterates=True)
-    pd = _projected_gradient(op, trace.iterates[0], w, cfg.p, cfg.sigma_init)
+    pd = _projected_gradient(op, trace.iterates[0], w, cfg.p, solver._SIGMA_INIT)
     assert np.array_equal(calls[0]["d"], pd)
     assert trace.step[0] == calls[0]["step"] > 0.0
 
@@ -288,7 +294,8 @@ def test_first_iteration_tries_the_unit_step(monkeypatch):
 def test_second_iteration_takes_the_barzilai_borwein_step(monkeypatch, sigma_init, case):
     A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
     op, w = DenseMatrix(A), np.ones(40)
-    cfg = SolverConfig(p=0.5, sigma_init=sigma_init, max_iters=2)
+    monkeypatch.setattr(solver, "_SIGMA_INIT", sigma_init)
+    cfg = SolverConfig(p=0.5, max_iters=2)
     calls = _record_searches(monkeypatch)
     _, trace = solve(op, y, w, cfg, keep_iterates=True)
     assert len(calls) == 2 and trace.step[0] > 0.0
@@ -347,7 +354,7 @@ def test_recorded_step_is_the_spectral_step_times_the_search_step(monkeypatch):
         assert 0.0 < lam <= 1.0
         assert np.allclose(calls[t]["d"], lam * pd, rtol=1e-9, atol=1e-300)
         step = calls[t]["step"]
-        assert step == 0.0 or round(math.log(step) / math.log(cfg.step_shrink)) >= 0
+        assert step == 0.0 or round(math.log(step) / math.log(solver._STEP_SHRINK)) >= 0
         assert np.isclose(trace.step[t], lam * step, rtol=1e-9, atol=0.0)
         assert 0.0 <= trace.step[t] <= 1.0
     # both unit and shorter spectral steps occur
@@ -398,12 +405,7 @@ def test_rank_deficient_matrix_is_rejected():
         solve(DenseMatrix(A), np.array([1.0, 2.0]), np.ones(4), SolverConfig(p=0.5))
 
 
-def test_dense_matrix_takes_one_svd_for_every_solve(monkeypatch):
-    A, _, y = _sparse_instance(N=30, n=15, k=3, seed=17)
-    cfg = SolverConfig(p=0.5)
-    weights = [np.ones(30), np.where(np.arange(30) < 5, 0.3, 1.0)]
-    fresh = [solve(DenseMatrix(A), y, w, cfg)[0] for w in weights]
-
+def _count_svds(monkeypatch) -> list[int]:
     svd = np.linalg.svd
     calls = []
 
@@ -412,11 +414,33 @@ def test_dense_matrix_takes_one_svd_for_every_solve(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def test_dense_matrix_takes_one_svd_for_every_solve(monkeypatch):
+    A, _, y = _sparse_instance(N=30, n=15, k=3, seed=17)
+    cfg = SolverConfig(p=0.5)
+    weights = [np.ones(30), np.where(np.arange(30) < 5, 0.3, 1.0)]
+    fresh = [solve(DenseMatrix(A), y, w, cfg)[0] for w in weights]
+
+    calls = _count_svds(monkeypatch)
     op = DenseMatrix(A)
     shared = [solve(op, y, w, cfg)[0] for w in weights]
     assert len(calls) == 1
     for got, want in zip(shared, fresh):
         assert np.array_equal(got.entries, want.entries)
+
+
+def test_rank_deficient_dense_matrix_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(31)
+    A = rng.standard_normal((4, 10))
+    A[3] = A[1]
+    calls = _count_svds(monkeypatch)
+    op = DenseMatrix(A)
+    for _ in range(3):
+        with pytest.raises(RankDeficientError, match="sensing matrix is rank deficient"):
+            solve(op, np.ones(4), np.ones(10), SolverConfig(p=0.5))
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", ["dense", "dct"])
@@ -477,6 +501,12 @@ def test_measurement_length_mismatch_raises():
     A = np.zeros((3, 6)) + np.eye(3, 6)
     with pytest.raises(ValueError):
         solve(DenseMatrix(A), np.ones(4), np.ones(6), SolverConfig(p=0.5))
+
+
+def test_noise_bound_is_refused():
+    A, _, y = _sparse_instance(N=16, n=8, k=2, seed=29)
+    with pytest.raises(ValueError, match="epsilon=0.5"):
+        solve(DenseMatrix(A), Measurements(y=y, epsilon=0.5), np.ones(16), SolverConfig(p=0.5))
 
 
 def test_measurements_object_accepted():
