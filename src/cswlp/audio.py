@@ -6,14 +6,18 @@ coefficients are recovered by the weighted lp solver.  The support
 estimate for a block is the fixed low-frequency band below a cutoff
 plus the largest coefficients recovered from the previous block, so the
 estimate tracks the signal as it moves.
+
+``recover_clip`` returns SNR rows and reconstructed waveforms and
+writes no file; ``cswlp audio`` (in ``cswlp.cli``) reads the input
+WAV, writes ``audio_snr.csv`` and one WAV per (p, omega), and names
+them.  This module keeps only the mono 16-bit PCM encoding.
 """
 
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +45,6 @@ __all__ = [
     "lowfreq_support",
     "read_wav_mono",
     "recover_clip",
-    "run_audio_pipeline",
     "synthesize_speech_like",
     "write_wav_mono",
 ]
@@ -148,13 +151,6 @@ class AudioRow:
     omega: float
     p: float
     snr_db: float
-
-    def as_csv_fields(self) -> tuple[str, ...]:
-        # repr(float(v)), since repr of an np.float64 snr_db differs
-        return tuple(repr(float(getattr(self, name))) for name in AUDIO_CSV_COLUMNS)
-
-
-AUDIO_CSV_COLUMNS = tuple(f.name for f in fields(AudioRow))
 
 
 def _clip_snr(reference: np.ndarray, recon: np.ndarray, cap_db: float) -> float:
@@ -267,27 +263,3 @@ def synthesize_speech_like(
 
     peak = float(np.max(np.abs(out)))
     return 0.8 * out / peak
-
-
-def run_audio_pipeline(
-    wav_path,
-    cfg: AudioPipelineConfig,
-    out_dir,
-) -> list[AudioRow]:
-    """Read a WAV clip, recover it per (p, omega), write results.
-
-    Outputs in ``out_dir``: ``audio_snr.csv`` plus one
-    ``recon_p{p}_w{omega}.wav`` per combination.  The WAV header's
-    sample rate overrides cfg.sample_rate_hz for the cutoff mapping.
-    """
-    samples, rate = read_wav_mono(wav_path)
-    cfg = replace(cfg, sample_rate_hz=rate)
-    rows, recons = recover_clip(samples, cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(AUDIO_CSV_COLUMNS)]
-    lines.extend(",".join(row.as_csv_fields()) for row in rows)
-    (out / "audio_snr.csv").write_text("\n".join(lines) + "\n")
-    for (p, omega), recon in recons.items():
-        write_wav_mono(out / f"recon_p{p:g}_w{omega:g}.wav", recon, rate)
-    return rows

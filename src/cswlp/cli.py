@@ -4,7 +4,9 @@ Every run writes its outputs plus a ``manifest.json`` capturing the
 resolved configuration, seed, package version, and SHA-256 of any
 input files.  ``replay`` re-executes a manifest into a fresh directory
 and reproduces the data outputs byte for byte (the manifest's own
-timestamp and measured wall times naturally differ).
+timestamp and measured wall times naturally differ).  This module
+writes every output file: the library modules return rows and arrays,
+and one CSV writer formats every table.
 
 Exit codes: 0 success, 1 usage/config/input errors, 2 numerical
 failure.
@@ -17,14 +19,15 @@ import hashlib
 import json
 import struct
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from datetime import datetime, timezone
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .audio import AudioPipelineConfig, run_audio_pipeline
+from .audio import AudioPipelineConfig, AudioRow, read_wav_mono, recover_clip, write_wav_mono
 from .core import (
     CswlpError,
     DenseMatrix,
@@ -33,7 +36,7 @@ from .core import (
     SupportEstimate,
     WeightVector,
 )
-from .experiments import ExperimentSpec, load_experiment_spec, run_sweep
+from .experiments import ExperimentSpec, SweepRow, load_experiment_spec, run_sweep
 from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK, SolverConfig, solve
 from .theory import (
     ConditionViolatedError,
@@ -154,19 +157,6 @@ class RunManifest:
         return cls(**data)
 
 
-def _write_manifest(subcommand: str, seed: int, config: dict, inputs: dict, outputs: list[str], out_dir: Path) -> None:
-    manifest = RunManifest(
-        subcommand=subcommand,
-        seed=int(seed),
-        version=__version__,
-        config=config,
-        inputs={name: {"path": str(Path(p).resolve()), "sha256": _sha256(p)} for name, p in inputs.items()},
-        outputs=sorted(outputs),
-        timestamp=datetime.now(timezone.utc).isoformat(),
-    )
-    manifest.save(out_dir / "manifest.json")
-
-
 def _parse_grid(text: str) -> tuple[float, ...]:
     """Comma-separated values; a token start:stop:count expands to a
     linspace, so "0:1:5" means 0, 0.25, 0.5, 0.75, 1."""
@@ -190,13 +180,20 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
+def _write_csv(path: Path, header, rows) -> None:
+    """Write the one CSV format every output table uses: a header line
+    (none when ``header`` is empty), comma-separated fields, floats
+    (np.float64 included) as repr(float(v)), anything else as str(v),
+    and a trailing newline."""
+    lines = [",".join(header)] if header else []
+    lines.extend(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row) for row in rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- runners
-# Each runner takes (config, out_dir) and returns the list of files it
-# wrote; replay calls them with a manifest's stored config.
+# Each runner takes (config, out_dir), writes its files and returns their
+# names; only _execute calls them, for fresh runs and replays alike.
 
 
 def _run_solve(config: dict, out_dir: Path) -> list[str]:
@@ -210,70 +207,71 @@ def _run_solve(config: dict, out_dir: Path) -> list[str]:
     cfg = SolverConfig(**config["solver"])
     b = Measurements(y, epsilon=float(config["epsilon"]))
     x_hat, trace = solve(A, b, w, cfg)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "recovered.csv").write_text("\n".join(_fmt(v) for v in x_hat.entries) + "\n")
-    lines = [",".join(trace.COLUMNS)]
-    for t, sigma, objective, step, residual in trace.rows():
-        lines.append(f"{t},{_fmt(sigma)},{_fmt(objective)},{_fmt(step)},{_fmt(residual)}")
-    (out_dir / "trace.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out_dir / "recovered.csv", (), ((v,) for v in x_hat.entries))
+    _write_csv(out_dir / "trace.csv", trace.COLUMNS, trace.rows())
     return ["recovered.csv", "trace.csv"]
 
 
 def _run_theory(config: dict, out_dir: Path) -> list[str]:
+    # a manifest may hold the grids as JSON integers; the table prints floats
+    a_grid, p_grid, omega_grid, alpha_grid, rho_grid = (
+        [float(v) for v in config[name]] for name in ("a", "p", "omega", "alpha", "rho")
+    )
+    # the theory's (alpha, rho) domain, checked before any cell is computed
+    bad = [(alpha, rho) for alpha in alpha_grid for rho in rho_grid if 1.0 + rho - 2.0 * alpha * rho < 0.0]
+    if bad:
+        raise ValueError(
+            f"1 + rho - 2 alpha rho < 0 at (alpha, rho) = {', '.join(map(str, bad))}: such an estimate "
+            "would hold more correct entries (alpha rho k) than the support's k"
+        )
     d1 = config.get("delta_ak")
     d2 = config.get("delta_a1k")
     with_constants = d1 is not None and d2 is not None
     header = ["a", "p", "omega", "alpha", "rho", "delta_hat_lp", "delta_hat_wl1", "delta_hat_wlp"]
     if with_constants:
         header += ["c1", "c2", "condition_holds"]
-    lines = [",".join(header)]
-    for a in config["a"]:
-        for p in config["p"]:
-            for omega in config["omega"]:
-                for alpha in config["alpha"]:
-                    for rho in config["rho"]:
-                        fields = [
-                            _fmt(a),
-                            _fmt(p),
-                            _fmt(omega),
-                            _fmt(alpha),
-                            _fmt(rho),
-                            _fmt(delta_hat_lp(a, p)),
-                            _fmt(delta_hat_wl1(a, omega, alpha, rho)),
-                            _fmt(delta_hat_wlp(a, p, omega, alpha, rho)),
-                        ]
-                        if with_constants:
-                            params = TheoryParams(
-                                p=p, omega=omega, alpha=alpha, rho=rho, a=a,
-                                delta_ak=float(d1), delta_a1k=float(d2),
-                            )
-                            holds = sufficient_condition_holds(params)
-                            try:
-                                c1, c2 = error_constants(params)
-                            except ConditionViolatedError:
-                                c1, c2 = float("inf"), float("inf")
-                            fields += [_fmt(c1), _fmt(c2), "true" if holds else "false"]
-                        lines.append(",".join(fields))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "theory.csv").write_text("\n".join(lines) + "\n")
+    rows = []
+    for a, p, omega, alpha, rho in product(a_grid, p_grid, omega_grid, alpha_grid, rho_grid):
+        row = [
+            a, p, omega, alpha, rho,
+            delta_hat_lp(a, p), delta_hat_wl1(a, omega, alpha, rho), delta_hat_wlp(a, p, omega, alpha, rho),
+        ]
+        if with_constants:
+            params = TheoryParams(
+                p=p, omega=omega, alpha=alpha, rho=rho, a=a,
+                delta_ak=float(d1), delta_a1k=float(d2),
+            )
+            holds = sufficient_condition_holds(params)
+            try:
+                c1, c2 = error_constants(params)
+            except ConditionViolatedError:
+                c1, c2 = float("inf"), float("inf")
+            row += [c1, c2, "true" if holds else "false"]
+        rows.append(row)
+    _write_csv(out_dir / "theory.csv", header, rows)
     return ["theory.csv"]
 
 
 def _run_sweep(config: dict, out_dir: Path) -> list[str]:
-    spec = ExperimentSpec(**config["spec"])
-    result = run_sweep(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result.to_csv(out_dir / "sweep.csv")
+    rows = run_sweep(ExperimentSpec(**config["spec"])).rows
+    _write_csv(out_dir / "sweep.csv", [f.name for f in fields(SweepRow)], map(astuple, rows))
     return ["sweep.csv"]
 
 
 def _run_audio(config: dict, out_dir: Path) -> list[str]:
     cfg = AudioPipelineConfig(**config["pipeline"])
-    run_audio_pipeline(config["input_path"], cfg, out_dir)
-    outputs = ["audio_snr.csv"]
-    outputs += [f"recon_p{p:g}_w{omega:g}.wav" for p in cfg.p_list for omega in cfg.omega_list]
-    return outputs
+    combos = [(p, omega) for p in cfg.p_list for omega in cfg.omega_list]
+    wavs = [f"recon_p{p:g}_w{omega:g}.wav" for p, omega in combos]
+    for i, name in enumerate(wavs):
+        if name in wavs[:i]:
+            raise ValueError(f"(p, omega) = {combos[wavs.index(name)]} and {combos[i]} would both write {name}")
+    samples, rate = read_wav_mono(config["input_path"])
+    # the WAV header's sample rate places the low-frequency cutoff
+    rows, recons = recover_clip(samples, replace(cfg, sample_rate_hz=rate))
+    _write_csv(out_dir / "audio_snr.csv", [f.name for f in fields(AudioRow)], map(astuple, rows))
+    for combo, name in zip(combos, wavs):
+        write_wav_mono(out_dir / name, recons[combo], rate)
+    return ["audio_snr.csv", *wavs]
 
 
 _RUNNERS = {
@@ -282,6 +280,22 @@ _RUNNERS = {
     "sweep": _run_sweep,
     "audio": _run_audio,
 }
+
+
+def _execute(subcommand: str, seed: int, config: dict, inputs: dict, out_dir: Path) -> int:
+    """Run ``subcommand`` on ``config`` into ``out_dir`` and record the
+    run in its ``manifest.json``; fresh runs and replays both come here."""
+    outputs = _RUNNERS[subcommand](config, out_dir)
+    RunManifest(
+        subcommand=subcommand,
+        seed=int(seed),
+        version=__version__,
+        config=config,
+        inputs={name: {"path": str(Path(p).resolve()), "sha256": _sha256(p)} for name, p in inputs.items()},
+        outputs=sorted(outputs),
+        timestamp=datetime.now(timezone.utc).isoformat(),
+    ).save(out_dir / "manifest.json")
+    return 0
 
 
 # ------------------------------------------------------------- commands
@@ -297,12 +311,10 @@ def _cmd_solve(args) -> int:
         "epsilon": args.epsilon,
         "solver": solver,
     }
-    outputs = _run_solve(config, args.out_dir)
     inputs = {"matrix": args.matrix, "measurements": args.measurements}
     if args.support:
         inputs["support"] = args.support
-    _write_manifest("solve", args.seed or 0, config, inputs, outputs, args.out_dir)
-    return 0
+    return _execute("solve", args.seed or 0, config, inputs, args.out_dir)
 
 
 def _cmd_theory(args) -> int:
@@ -317,9 +329,7 @@ def _cmd_theory(args) -> int:
         "delta_ak": args.delta_ak,
         "delta_a1k": args.delta_a1k,
     }
-    outputs = _run_theory(config, args.out_dir)
-    _write_manifest("theory", args.seed or 0, config, {}, outputs, args.out_dir)
-    return 0
+    return _execute("theory", args.seed or 0, config, {}, args.out_dir)
 
 
 def _cmd_sweep(args) -> int:
@@ -330,9 +340,7 @@ def _cmd_sweep(args) -> int:
         spec = ExperimentSpec(**{**asdict(spec), "seed": int(args.seed)})
     # the resolved spec is embedded, so replay never re-reads the file
     config = {"spec": asdict(spec), "config_path": str(args.config.resolve())}
-    outputs = _run_sweep(config, args.out_dir)
-    _write_manifest("sweep", spec.seed, config, {}, outputs, args.out_dir)
-    return 0
+    return _execute("sweep", spec.seed, config, {}, args.out_dir)
 
 
 def _cmd_audio(args) -> int:
@@ -347,9 +355,7 @@ def _cmd_audio(args) -> int:
         seed=args.seed or 0,
     )
     config = {"pipeline": asdict(cfg), "input_path": str(args.input.resolve())}
-    outputs = _run_audio(config, args.out_dir)
-    _write_manifest("audio", cfg.seed, config, {"input": args.input}, outputs, args.out_dir)
-    return 0
+    return _execute("audio", cfg.seed, config, {"input": args.input}, args.out_dir)
 
 
 def _cmd_replay(args) -> int:
@@ -363,23 +369,15 @@ def _cmd_replay(args) -> int:
         digest = _sha256(path)
         if digest != entry["sha256"]:
             raise ValueError(f"replay input {name!r} changed since the original run: {path}")
+    inputs = {name: entry["path"] for name, entry in manifest.inputs.items()}
     try:
-        outputs = _RUNNERS[manifest.subcommand](manifest.config, args.out_dir)
+        return _execute(manifest.subcommand, manifest.seed, manifest.config, inputs, args.out_dir)
     except KeyError as exc:
         raise ValueError(
             f"{args.manifest}: {manifest.subcommand} config has no {exc.args[0]!r} entry"
         ) from exc
     except TypeError as exc:
         raise ValueError(f"{args.manifest}: malformed {manifest.subcommand} config: {exc}") from exc
-    _write_manifest(
-        manifest.subcommand,
-        manifest.seed,
-        manifest.config,
-        {name: entry["path"] for name, entry in manifest.inputs.items()},
-        outputs,
-        args.out_dir,
-    )
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,10 @@ Every random draw flows from one integer seed through named streams
 keyed by (seed, n, alpha index, trial).  The stream key deliberately
 excludes p and omega, so every (p, omega) combination solves the exact
 same instances and comparisons between them are paired.
+
+``run_sweep`` returns the rows and writes no file; ``cswlp sweep`` (in
+``cswlp.cli``) writes them as ``sweep.csv``, one column per ``SweepRow``
+field.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import math
 import re
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,27 +189,11 @@ class SweepRow:
     wall_ms: float
     status: str
 
-    def as_csv_fields(self) -> tuple[str, ...]:
-        # fields declared float print as repr(float(v)): an int there
-        # still prints as a float, and an np.float64 snr_db has its own repr
-        return tuple(
-            repr(float(getattr(self, f.name))) if f.type == "float" else str(getattr(self, f.name))
-            for f in fields(self)
-        )
-
-
-CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
-
 
 @dataclass
 class ExperimentResult:
     spec: ExperimentSpec
     rows: list[SweepRow]
-
-    def to_csv(self, path) -> None:
-        lines = [",".join(CSV_COLUMNS)]
-        lines.extend(",".join(row.as_csv_fields()) for row in self.rows)
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def filter_rows(rows, **match):

@@ -30,6 +30,8 @@ __all__ = ["OracleResult", "oracle_l0", "oracle_weighted_lp"]
 
 _MAX_N = 20
 _MAX_SUPPORT = 4
+# a support fits when its least-squares residual is at most this times max(1, ||y||)
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -67,13 +69,13 @@ def _supports(N: int, size: int) -> np.ndarray:
     return table
 
 
-def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int, residual_tol: float):
+def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int):
     """For each size 0..k_max in turn, yield (supports, coefficients):
     the rows of the size's support table whose least-squares fit
-    reproduces y to within residual_tol, in table order, and their fits,
+    reproduces y to within _RESIDUAL_TOL, in table order, and their fits,
     both (F, size) arrays with F possibly 0."""
     n, N = A_dense.shape
-    tol = residual_tol * max(1.0, float(np.linalg.norm(y)))
+    tol = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(y)))
     for size in range(k_max + 1):
         supports = _supports(N, size)
         cols = np.moveaxis(A_dense[:, supports], 1, 0)  # (S, n, size)
@@ -91,7 +93,7 @@ def _embed(N: int, support, z) -> SignalVector:
     return SignalVector(full)
 
 
-def oracle_l0(A, b, k_max: int, *, residual_tol: float = 1e-8) -> OracleResult:
+def oracle_l0(A, b, k_max: int) -> OracleResult:
     """Sparsest exact fit: the first support (smallest size, then
     lexicographic) whose least-squares solution reproduces b.
 
@@ -99,7 +101,7 @@ def oracle_l0(A, b, k_max: int, *, residual_tol: float = 1e-8) -> OracleResult:
     """
     A_dense, y = _prepare(A, b, k_max)
     N = A_dense.shape[1]
-    for supports, z in _exact_fits(A_dense, y, k_max, residual_tol):
+    for supports, z in _exact_fits(A_dense, y, k_max):
         if len(supports):
             return OracleResult(
                 minimizer=_embed(N, supports[0], z[0]),
@@ -109,7 +111,7 @@ def oracle_l0(A, b, k_max: int, *, residual_tol: float = 1e-8) -> OracleResult:
     raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")
 
 
-def oracle_weighted_lp(A, b, w, p: float, k_max: int, *, residual_tol: float = 1e-8) -> OracleResult:
+def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     """Exact fit minimizing sum_i w_i^p |z_i|^p over supports of size <= k_max.
 
     Ties (within 1e-12) keep the earlier support in enumeration order.
@@ -121,7 +123,7 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int, *, residual_tol: float = 1
     N = A_dense.shape[1]
     wp = _weights_array(w, N) ** p
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for supports, z in _exact_fits(A_dense, y, k_max, residual_tol):
+    for supports, z in _exact_fits(A_dense, y, k_max):
         values = np.sum(wp[supports] * np.abs(z) ** p, axis=1)
         for i, value in enumerate(values.tolist()):
             if best is None or value < best[0] - 1e-12:

@@ -27,6 +27,9 @@ __all__ = [
     "sufficient_condition_holds",
 ]
 
+# proposition2_check's relative tolerance on "weighted equals unweighted"
+_COMPARE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TheoryParams:
@@ -183,8 +186,6 @@ def proposition2_check(
     rho: float,
     a: float,
     delta_grid,
-    *,
-    tol: float = 1e-12,
 ) -> bool:
     """Compare weighted against unweighted constants over a delta grid.
 
@@ -211,11 +212,11 @@ def proposition2_check(
             scale = max(abs(weighted), abs(unweighted), 1.0)
             gain = unweighted - weighted
             if alpha > 0.5:
-                ok = gain > tol * scale
+                ok = gain > _COMPARE_TOL * scale
             elif alpha == 0.5:
-                ok = abs(gain) <= tol * scale
+                ok = abs(gain) <= _COMPARE_TOL * scale
             else:
-                ok = gain < -tol * scale
+                ok = gain < -_COMPARE_TOL * scale
             if not ok:
                 return False
     return compared > 0

@@ -9,11 +9,11 @@ from cswlp.audio import (
     lowfreq_support,
     read_wav_mono,
     recover_clip,
-    run_audio_pipeline,
     synthesize_speech_like,
     write_wav_mono,
     _clip_snr,
 )
+from cswlp.cli import main
 
 
 def _tiny_cfg(**overrides):
@@ -134,19 +134,23 @@ def test_recover_clip_shapes_and_order():
 
 
 def test_pipeline_writes_csv_and_wavs(tmp_path):
-    cfg = _tiny_cfg()
+    # the input's header rate, not the 44100 Hz default, places the cutoff
+    cfg = _tiny_cfg(sample_rate_hz=22050.0)
     wav = tmp_path / "in.wav"
-    write_wav_mono(wav, synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=1), 44100.0)
+    write_wav_mono(wav, synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=1), cfg.sample_rate_hz)
     out = tmp_path / "out"
-    rows = run_audio_pipeline(wav, cfg, out)
+    assert main([
+        "--seed", "11", "--out-dir", str(out), "audio", "--input", str(wav),
+        "--block-len", "128", "--num-blocks", "2", "--keep-frac", "0.5", "--p", "0.5", "--omega", "0,0.5",
+    ]) == 0
+    rows, recons = recover_clip(read_wav_mono(wav)[0], cfg)
     csv_lines = (out / "audio_snr.csv").read_text().strip().split("\n")
     assert csv_lines[0] == "omega,p,snr_db"
-    assert len(csv_lines) == 1 + len(rows)
-    assert (out / "recon_p0.5_w0.wav").exists()
-    assert (out / "recon_p0.5_w0.5.wav").exists()
-    recon, rate = read_wav_mono(out / "recon_p0.5_w0.wav")
-    assert rate == 44100.0
-    assert recon.shape == (cfg.block_len * cfg.num_blocks,)
+    assert [tuple(map(float, line.split(","))) for line in csv_lines[1:]] == [(r.omega, r.p, r.snr_db) for r in rows]
+    for combo, name in [((0.5, 0.0), "recon_p0.5_w0.wav"), ((0.5, 0.5), "recon_p0.5_w0.5.wav")]:
+        assert read_wav_mono(out / name)[1] == 22050.0
+        write_wav_mono(tmp_path / "ref.wav", recons[combo], 22050.0)
+        assert (out / name).read_bytes() == (tmp_path / "ref.wav").read_bytes()
 
 
 def test_recover_clip_needs_no_svd(monkeypatch):

@@ -180,6 +180,36 @@ def test_theory_csv_with_and_without_constants(tmp_path):
     assert lines[1].split(",")[-1] in ("true", "false")
 
 
+def test_theory_names_every_grid_pair_outside_the_domain(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["--out-dir", str(out), "theory", "--a", "2,3", "--p", "0.5,1", "--omega", "0:1:5",
+                 "--alpha", "0:1:3", "--rho", "1,2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    # alpha = 1, rho = 2 asks for 2k correct entries in a support of k
+    assert "(alpha, rho) = (1.0, 2.0):" in err
+    assert not out.exists()
+    # 1 + 1.5 - 2 * 0.8 * 1.5 = 0.1 is inside the domain
+    code = main(["--out-dir", str(out), "theory", "--alpha", "0.8,1", "--rho", "1.5,2"])
+    assert code == 1
+    assert "(alpha, rho) = (0.8, 2.0), (1.0, 1.5), (1.0, 2.0):" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_prints_integer_theory_grids_as_floats(tmp_path):
+    out, redo = tmp_path / "orig", tmp_path / "redo"
+    assert main(["--out-dir", str(out), "theory", "--a", "3", "--p", "1", "--omega", "0,0.5",
+                 "--alpha", "1", "--rho", "1", "--delta-ak", "0.05", "--delta-a1k", "0.05"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # a hand-written manifest may hold JSON integers
+    manifest["config"].update(a=[3], p=[1], omega=[0, 0.5], alpha=[1], rho=[1])
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+    table = (redo / "theory.csv").read_text()
+    assert table == (out / "theory.csv").read_text()
+    assert table.split("\n")[1].startswith("3.0,1.0,0.0,1.0,1.0,")
+
+
 def test_theory_requires_both_deltas(tmp_path, capsys):
     code = main(["--out-dir", str(tmp_path), "theory", "--delta-ak", "0.1"])
     assert code == 1
@@ -276,6 +306,18 @@ def test_audio_end_to_end_and_silence(tmp_path):
     assert code == 0
     row = (out2 / "audio_snr.csv").read_text().strip().split("\n")[1]
     assert row.split(",")[-1] == "300.0"  # zero clip reconstructed exactly
+
+
+def test_audio_refuses_two_combos_that_share_a_wav_name(tmp_path, capsys):
+    wav = tmp_path / "in.wav"
+    write_wav_mono(wav, synthesize_speech_like(512, seed=4), 44100.0)
+    out = tmp_path / "run"
+    code = main(["--out-dir", str(out), "audio", "--input", str(wav), "--block-len", "256",
+                 "--num-blocks", "2", "--keep-frac", "0.5", "--p", "0.5", "--omega", "0.1234561,0.1234562"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "0.1234561" in err and "0.1234562" in err and "recon_p0.5_w0.123456.wav" in err
+    assert not out.exists()
 
 
 def test_audio_missing_input_fails(tmp_path, capsys):

@@ -1,11 +1,13 @@
+from dataclasses import astuple, fields
+
 import numpy as np
 import pytest
 
 from cswlp import experiments
 from cswlp.audio import AudioPipelineConfig, recover_clip
+from cswlp.cli import main
 from cswlp.core import ConfigError, DenseMatrix, SolverDivergenceError
 from cswlp.experiments import (
-    CSV_COLUMNS,
     ExperimentSpec,
     SweepRow,
     filter_rows,
@@ -38,6 +40,24 @@ def _tiny_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+_COLUMNS = [f.name for f in fields(SweepRow)]
+
+
+def _sweep_csv(tmp_path, spec):
+    """The text of the sweep.csv that `cswlp sweep` writes for a sparse spec."""
+    def join(values):
+        return ", ".join(map(str, values))
+
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(
+        f"N = {spec.N}\nn = {join(spec.n_list)}\nk = {spec.k}\nsignal_kind = {spec.signal_kind}\n"
+        f"noise_frac = {spec.noise_frac}\nalpha = {join(spec.alpha_list)}\nrho = {spec.rho}\n"
+        f"omega = {join(spec.omega_list)}\np = {join(spec.p_list)}\ntrials = {spec.trials}\nseed = {spec.seed}\n"
+    )
+    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "sweep"]) == 0
+    return (tmp_path / "out" / "sweep.csv").read_text()
 
 
 def test_sparse_signal_has_exact_support_size():
@@ -118,9 +138,9 @@ def test_sweep_rows_are_deterministic_and_ordered():
     first = run_sweep(spec)
     second = run_sweep(spec)
     # wall_ms is measured time, the one column determinism cannot cover
-    col = CSV_COLUMNS.index("wall_ms")
-    a = [r.as_csv_fields()[:col] + r.as_csv_fields()[col + 1:] for r in first.rows]
-    b = [r.as_csv_fields()[:col] + r.as_csv_fields()[col + 1:] for r in second.rows]
+    col = _COLUMNS.index("wall_ms")
+    a = [astuple(r)[:col] + astuple(r)[col + 1:] for r in first.rows]
+    b = [astuple(r)[:col] + astuple(r)[col + 1:] for r in second.rows]
     assert a == b
     assert len(first.rows) == 2 * 2 * 2 * 2
     keys = [(r.n, r.trial, r.p, r.omega) for r in first.rows]
@@ -161,32 +181,41 @@ def test_noise_free_recovery_beats_noisy():
 
 def test_csv_round_trip(tmp_path):
     spec = _tiny_spec()
-    res = run_sweep(spec)
-    out = tmp_path / "sweep.csv"
-    res.to_csv(out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == ",".join(CSV_COLUMNS)
-    assert len(lines) == 1 + len(res.rows)
-    assert lines[1].split(",")[0] == "20"
+    text = _sweep_csv(tmp_path, spec)
+    assert text.endswith("\n")
+    lines = [line.split(",") for line in text.strip().split("\n")]
+    assert lines[0] == _COLUMNS
+    rows = run_sweep(spec).rows
+    assert len(lines) == 1 + len(rows)
+    assert lines[1][0] == "20"
+    # every field but the measured wall_ms reads back as the row's value
+    col = _COLUMNS.index("wall_ms")
+    for line, row in zip(lines[1:], rows):
+        values = astuple(row)
+        parsed = tuple(type(v)(f) for v, f in zip(values, line))
+        assert parsed[:col] + parsed[col + 1:] == values[:col] + values[col + 1:]
 
 
-def test_failed_row_formatting():
-    row = SweepRow(n=10, p=0.5, omega=0.0, alpha_req=0.7, alpha_real=0.7, rho=1.0,
-                   trial=0, snr_db=float("-inf"), iters=0, stop_reason="diverged",
-                   wall_ms=1.25, status="failed")
-    fields = row.as_csv_fields()
-    assert fields[CSV_COLUMNS.index("snr_db")] == "-inf"
-    assert fields[CSV_COLUMNS.index("stop_reason")] == "diverged"
-    assert fields[CSV_COLUMNS.index("status")] == "failed"
+def test_failed_row_formatting(tmp_path, monkeypatch):
+    def diverge(*args, **kwargs):
+        raise SolverDivergenceError("objective became non-finite")
+
+    monkeypatch.setattr(experiments, "solve", diverge)
+    lines = [line.split(",") for line in _sweep_csv(tmp_path, _tiny_spec()).strip().split("\n")]
+    assert len(lines) == 3
+    for line in lines[1:]:
+        assert line[_COLUMNS.index("snr_db")] == "-inf"
+        assert line[_COLUMNS.index("iters")] == "0"
+        assert line[_COLUMNS.index("stop_reason")] == "diverged"
+        assert line[_COLUMNS.index("status")] == "failed"
 
 
 def test_sweep_csv_names_why_each_solve_stopped(tmp_path):
-    res = run_sweep(_tiny_spec(p_list=(0.5, 1.0), omega_list=(0.0, 1.0)))
-    out = tmp_path / "sweep.csv"
-    res.to_csv(out)
-    lines = [line.split(",") for line in out.read_text().strip().split("\n")]
+    spec = _tiny_spec(p_list=(0.5, 1.0), omega_list=(0.0, 1.0))
+    lines = [line.split(",") for line in _sweep_csv(tmp_path, spec).strip().split("\n")]
+    res = run_sweep(spec)
     assert lines[0][lines[0].index("iters") + 1] == "stop_reason"
-    col = CSV_COLUMNS.index("stop_reason")
+    col = _COLUMNS.index("stop_reason")
     assert [line[col] for line in lines[1:]] == [row.stop_reason for row in res.rows]
     assert {row.stop_reason for row in res.rows} <= {"sigma_floor", "max_iters", "stationary"}
 
