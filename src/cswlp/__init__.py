@@ -13,7 +13,6 @@ from .core import (
     RestrictedTransform,
     SignalVector,
     SolverDivergenceError,
-    SparseProblem,
     SupportEstimate,
     WeightVector,
     best_k_term,
@@ -48,7 +47,6 @@ __all__ = [
     "SolverConfig",
     "SolverDivergenceError",
     "SolverTrace",
-    "SparseProblem",
     "SupportEstimate",
     "TheoryParams",
     "WeightVector",

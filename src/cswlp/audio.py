@@ -25,7 +25,6 @@ from .core import (
     Measurements,
     RestrictedTransform,
     SignalVector,
-    SparseProblem,
     SupportEstimate,
     WeightVector,
     _idct,
@@ -122,8 +121,9 @@ def build_block_problem(
     prev_estimate: SupportEstimate | None,
     cfg: AudioPipelineConfig,
     omega: float,
-) -> SparseProblem:
-    """Assemble one block's recovery problem.
+) -> tuple[RestrictedTransform, Measurements, WeightVector]:
+    """Assemble one block's recovery problem: (operator, measurements,
+    weights).
 
     The operator keeps ``keep_rows`` (1-based time positions) of the
     inverse DCT, applied by FFT; the weight support is the low-frequency
@@ -143,7 +143,7 @@ def build_block_problem(
         estimate=SupportEstimate(tuple(sorted(joined))),
         size=cfg.block_len,
     )
-    return SparseProblem(operator=op, measurements=y, weights=weights)
+    return op, y, weights
 
 
 @dataclass(frozen=True)
@@ -197,8 +197,8 @@ def recover_clip(
             prev_est = None
             if prev is not None and prev_count > 0:
                 prev_est = SupportEstimate(best_k_term(prev, prev_count)[1])
-            problem = build_block_problem(block, keep, prev_est, cfg, omega)
-            coeffs, _ = solve(problem.operator, problem.measurements, problem.weights, SolverConfig(p=p))
+            op, y, weights = build_block_problem(block, keep, prev_est, cfg, omega)
+            coeffs, _ = solve(op, y, weights, SolverConfig(p=p))
             prev_coeffs[(p, omega)] = coeffs.entries
             recons[(p, omega)][j * N : (j + 1) * N] = _idct(coeffs.entries)
 

@@ -1,10 +1,12 @@
 """Command-line interface: solve, theory, sweep, audio, replay.
 
-Every run writes its outputs plus a ``manifest.json`` capturing the
-resolved configuration, seed, package version, and SHA-256 of any
-input files.  ``replay`` re-executes a manifest into a fresh directory
-and reproduces the data outputs byte for byte (the manifest's own
-timestamp and measured wall times naturally differ).  This module
+Every run writes its outputs plus a ``manifest.json`` recording each
+fact once: the subcommand, package version, resolved configuration
+(which holds any seed), output names, and in ``inputs`` the SHA-256
+and manifest-relative path of each file the run read.  ``replay``
+re-executes a manifest on those hash-checked files into a fresh
+directory and reproduces the data outputs byte for byte (the manifest's
+own timestamp and measured wall times naturally differ).  This module
 writes every output file: the library modules return rows and arrays,
 and one CSV writer formats every table.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import struct
 import sys
 from dataclasses import asdict, astuple, dataclass, fields, replace
@@ -41,6 +44,7 @@ from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _S
 from .theory import (
     ConditionViolatedError,
     TheoryParams,
+    check_domain,
     delta_hat_lp,
     delta_hat_wl1,
     delta_hat_wlp,
@@ -116,7 +120,6 @@ class RunManifest:
     """Everything needed to reproduce one CLI run."""
 
     subcommand: str
-    seed: int
     version: str
     config: dict
     inputs: dict
@@ -131,8 +134,10 @@ class RunManifest:
         data = json.loads(Path(path).read_text())
         if not isinstance(data, dict):
             raise ValueError(f"{path}: manifest is not a JSON object")
-        # manifests written before the package had one kernel path name it
-        data.pop("backend", None)
+        # older manifests name a kernel backend and repeat the seed their
+        # config holds (solve and theory never used one)
+        for name in ("backend", "seed"):
+            data.pop(name, None)
         fields = set(cls.__dataclass_fields__)
         unknown = set(data) - fields
         if unknown:
@@ -146,8 +151,11 @@ class RunManifest:
         for name, entry in data["inputs"].items():
             if not (isinstance(entry, dict) and all(isinstance(entry.get(k), str) for k in ("path", "sha256"))):
                 raise ValueError(f"{path}: manifest input {name!r} needs string 'path' and 'sha256'")
-        # manifests written while sweeps and audio had a thread pool name it
-        data["config"].pop("threads", None)
+        # older configs name a thread pool, repeat the input paths whose
+        # hash-checked copies are in ``inputs``, or name the sweep config
+        # file whose spec they embed
+        for name in ("threads", "matrix_path", "measurements_path", "support_path", "input_path", "config_path"):
+            data["config"].pop(name, None)
         # solve manifests name the settings the solver now fixes; a run
         # that set one to another value can no longer be reproduced
         solver = data["config"].get("solver")
@@ -192,17 +200,18 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 # ---------------------------------------------------------------- runners
-# Each runner takes (config, out_dir), writes its files and returns their
-# names; only _execute calls them, for fresh runs and replays alike.
+# Each runner takes (config, inputs, out_dir), where inputs maps each
+# input name to the file it reads; it writes its files and returns their
+# names.  Only _execute calls them, for fresh runs and replays alike.
 
 
-def _run_solve(config: dict, out_dir: Path) -> list[str]:
-    A = DenseMatrix(read_array(config["matrix_path"]))
-    y = _read_vector(config["measurements_path"])
+def _run_solve(config: dict, inputs: dict, out_dir: Path) -> list[str]:
+    A = DenseMatrix(read_array(inputs["matrix"]))
+    y = _read_vector(inputs["measurements"])
     n, N = A.shape
     indices: tuple[int, ...] = ()
-    if config.get("support_path"):
-        indices = _read_support(config["support_path"])
+    if "support" in inputs:
+        indices = _read_support(inputs["support"])
     w = WeightVector(omega=float(config["omega"]), estimate=SupportEstimate(indices), size=N)
     cfg = SolverConfig(**config["solver"])
     b = Measurements(y, epsilon=float(config["epsilon"]))
@@ -212,12 +221,12 @@ def _run_solve(config: dict, out_dir: Path) -> list[str]:
     return ["recovered.csv", "trace.csv"]
 
 
-def _run_theory(config: dict, out_dir: Path) -> list[str]:
+def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     # a manifest may hold the grids as JSON integers; the table prints floats
-    a_grid, p_grid, omega_grid, alpha_grid, rho_grid = (
-        [float(v) for v in config[name]] for name in ("a", "p", "omega", "alpha", "rho")
-    )
-    # the theory's (alpha, rho) domain, checked before any cell is computed
+    grids = {name: [float(v) for v in config[name]] for name in ("a", "p", "omega", "alpha", "rho")}
+    a_grid, p_grid, omega_grid, alpha_grid, rho_grid = grids.values()
+    # the theory's domain, checked before any cell is computed
+    check_domain(**grids)
     bad = [(alpha, rho) for alpha in alpha_grid for rho in rho_grid if 1.0 + rho - 2.0 * alpha * rho < 0.0]
     if bad:
         raise ValueError(
@@ -252,20 +261,20 @@ def _run_theory(config: dict, out_dir: Path) -> list[str]:
     return ["theory.csv"]
 
 
-def _run_sweep(config: dict, out_dir: Path) -> list[str]:
+def _run_sweep(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     rows = run_sweep(ExperimentSpec(**config["spec"])).rows
     _write_csv(out_dir / "sweep.csv", [f.name for f in fields(SweepRow)], map(astuple, rows))
     return ["sweep.csv"]
 
 
-def _run_audio(config: dict, out_dir: Path) -> list[str]:
+def _run_audio(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     cfg = AudioPipelineConfig(**config["pipeline"])
     combos = [(p, omega) for p in cfg.p_list for omega in cfg.omega_list]
     wavs = [f"recon_p{p:g}_w{omega:g}.wav" for p, omega in combos]
     for i, name in enumerate(wavs):
         if name in wavs[:i]:
             raise ValueError(f"(p, omega) = {combos[wavs.index(name)]} and {combos[i]} would both write {name}")
-    samples, rate = read_wav_mono(config["input_path"])
+    samples, rate = read_wav_mono(inputs["input"])
     # the WAV header's sample rate places the low-frequency cutoff
     rows, recons = recover_clip(samples, replace(cfg, sample_rate_hz=rate))
     _write_csv(out_dir / "audio_snr.csv", [f.name for f in fields(AudioRow)], map(astuple, rows))
@@ -282,16 +291,21 @@ _RUNNERS = {
 }
 
 
-def _execute(subcommand: str, seed: int, config: dict, inputs: dict, out_dir: Path) -> int:
-    """Run ``subcommand`` on ``config`` into ``out_dir`` and record the
-    run in its ``manifest.json``; fresh runs and replays both come here."""
-    outputs = _RUNNERS[subcommand](config, out_dir)
+def _execute(subcommand: str, config: dict, inputs: dict, out_dir: Path) -> int:
+    """Run ``subcommand`` on ``config`` and the ``inputs`` files into
+    ``out_dir`` and record the run in its ``manifest.json``, each input
+    by its path relative to ``out_dir``; fresh runs and replays both
+    come here."""
+    outputs = _RUNNERS[subcommand](config, inputs, out_dir)
+    here = Path(out_dir).resolve()
     RunManifest(
         subcommand=subcommand,
-        seed=int(seed),
         version=__version__,
         config=config,
-        inputs={name: {"path": str(Path(p).resolve()), "sha256": _sha256(p)} for name, p in inputs.items()},
+        inputs={
+            name: {"path": os.path.relpath(Path(p).resolve(), here), "sha256": _sha256(p)}
+            for name, p in inputs.items()
+        },
         outputs=sorted(outputs),
         timestamp=datetime.now(timezone.utc).isoformat(),
     ).save(out_dir / "manifest.json")
@@ -303,18 +317,11 @@ def _execute(subcommand: str, seed: int, config: dict, inputs: dict, out_dir: Pa
 
 def _cmd_solve(args) -> int:
     solver = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
-    config = {
-        "matrix_path": str(args.matrix.resolve()),
-        "measurements_path": str(args.measurements.resolve()),
-        "support_path": str(args.support.resolve()) if args.support else None,
-        "omega": args.omega,
-        "epsilon": args.epsilon,
-        "solver": solver,
-    }
+    config = {"omega": args.omega, "epsilon": args.epsilon, "solver": solver}
     inputs = {"matrix": args.matrix, "measurements": args.measurements}
     if args.support:
         inputs["support"] = args.support
-    return _execute("solve", args.seed or 0, config, inputs, args.out_dir)
+    return _execute("solve", config, inputs, args.out_dir)
 
 
 def _cmd_theory(args) -> int:
@@ -329,18 +336,15 @@ def _cmd_theory(args) -> int:
         "delta_ak": args.delta_ak,
         "delta_a1k": args.delta_a1k,
     }
-    return _execute("theory", args.seed or 0, config, {}, args.out_dir)
+    return _execute("theory", config, {}, args.out_dir)
 
 
 def _cmd_sweep(args) -> int:
-    if args.config is None:
-        raise ValueError("sweep requires --config pointing at an experiment file")
     spec = load_experiment_spec(args.config)
     if args.seed is not None:
-        spec = ExperimentSpec(**{**asdict(spec), "seed": int(args.seed)})
+        spec = replace(spec, seed=args.seed)
     # the resolved spec is embedded, so replay never re-reads the file
-    config = {"spec": asdict(spec), "config_path": str(args.config.resolve())}
-    return _execute("sweep", spec.seed, config, {}, args.out_dir)
+    return _execute("sweep", {"spec": asdict(spec)}, {}, args.out_dir)
 
 
 def _cmd_audio(args) -> int:
@@ -352,29 +356,28 @@ def _cmd_audio(args) -> int:
         prev_block_keep=args.prev_keep,
         p_list=_parse_grid(args.p),
         omega_list=_parse_grid(args.omega),
-        seed=args.seed or 0,
+        seed=args.seed,
     )
-    config = {"pipeline": asdict(cfg), "input_path": str(args.input.resolve())}
-    return _execute("audio", cfg.seed, config, {"input": args.input}, args.out_dir)
+    return _execute("audio", {"pipeline": asdict(cfg)}, {"input": args.input}, args.out_dir)
 
 
 def _cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
     if manifest.subcommand not in _RUNNERS:
         raise ValueError(f"manifest subcommand {manifest.subcommand!r} is not replayable")
-    for name, entry in manifest.inputs.items():
-        path = Path(entry["path"])
+    # an input path is relative to the manifest's directory; joining an
+    # absolute path, as older manifests hold, gives that path itself
+    inputs = {name: args.manifest.resolve().parent / entry["path"] for name, entry in manifest.inputs.items()}
+    for name, path in inputs.items():
         if not path.exists():
             raise FileNotFoundError(f"replay input {name!r} missing: {path}")
-        digest = _sha256(path)
-        if digest != entry["sha256"]:
+        if _sha256(path) != manifest.inputs[name]["sha256"]:
             raise ValueError(f"replay input {name!r} changed since the original run: {path}")
-    inputs = {name: entry["path"] for name, entry in manifest.inputs.items()}
     try:
-        return _execute(manifest.subcommand, manifest.seed, manifest.config, inputs, args.out_dir)
+        return _execute(manifest.subcommand, manifest.config, inputs, args.out_dir)
     except KeyError as exc:
         raise ValueError(
-            f"{args.manifest}: {manifest.subcommand} config has no {exc.args[0]!r} entry"
+            f"{args.manifest}: {manifest.subcommand} manifest has no {exc.args[0]!r} config entry or input"
         ) from exc
     except TypeError as exc:
         raise ValueError(f"{args.manifest}: malformed {manifest.subcommand} config: {exc}") from exc
@@ -385,8 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="cswlp",
         description="Weighted lp recovery of sparse signals from linear measurements.",
     )
-    parser.add_argument("--seed", type=int, default=None, help="master random seed")
-    parser.add_argument("--config", type=Path, default=None, help="experiment config file (sweep)")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory for outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -414,6 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.set_defaults(func=_cmd_theory)
 
     pw = sub.add_parser("sweep", help="run the experiment grid described by --config")
+    pw.add_argument("--config", type=Path, required=True, help="experiment config file")
+    pw.add_argument("--seed", type=int, default=None, help="replaces the config file's seed")
     pw.set_defaults(func=_cmd_sweep)
 
     pa = sub.add_parser("audio", help="blockwise recovery of a subsampled WAV clip")
@@ -425,6 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--keep-frac", type=float, default=0.25)
     pa.add_argument("--cutoff-hz", type=float, default=4000.0)
     pa.add_argument("--prev-keep", type=float, default=1.0 / 16.0)
+    pa.add_argument("--seed", type=int, default=0, help="seed of the kept-sample masks")
     pa.set_defaults(func=_cmd_audio)
 
     pr = sub.add_parser("replay", help="re-run a manifest and reproduce its outputs")

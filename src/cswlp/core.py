@@ -29,7 +29,6 @@ __all__ = [
     "Measurements",
     "SupportEstimate",
     "WeightVector",
-    "SparseProblem",
     "best_k_term",
     "snr_db",
     "weighted_lp_norm",
@@ -325,24 +324,6 @@ class WeightVector:
         if self.estimate.indices:
             w[np.asarray(self.estimate.indices, dtype=np.intp) - 1] = self.omega
         return w
-
-
-@dataclass(frozen=True)
-class SparseProblem:
-    """One recovery instance: operator, measurements and weights."""
-
-    operator: SensingOperator
-    measurements: Measurements
-    weights: WeightVector
-
-    def __post_init__(self):
-        n, N = self.operator.shape
-        if self.measurements.y.shape[0] != n:
-            raise ValueError(
-                f"measurement length {self.measurements.y.shape[0]} does not match operator rows {n}"
-            )
-        if self.weights.size != N:
-            raise ValueError(f"weight size {self.weights.size} does not match signal length {N}")
 
 
 def _weights_array(w, N: int) -> np.ndarray:

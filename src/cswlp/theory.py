@@ -19,6 +19,7 @@ from .core import ConditionViolatedError
 
 __all__ = [
     "TheoryParams",
+    "check_domain",
     "delta_hat_lp",
     "delta_hat_wl1",
     "delta_hat_wlp",
@@ -29,6 +30,26 @@ __all__ = [
 
 # proposition2_check's relative tolerance on "weighted equals unweighted"
 _COMPARE_TOL = 1e-12
+
+
+# each scalar parameter's domain: its test and how the error words it
+_DOMAIN = {
+    "p": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "omega": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "alpha": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "rho": (lambda v: v >= 0.0, "be >= 0"),
+    "a": (lambda v: v > 1.0, "exceed 1"),
+}
+
+
+def check_domain(**values) -> None:
+    """Raise one ValueError naming every value outside its domain; each
+    keyword is a TheoryParams field (p, omega, alpha, rho or a) with a
+    list of values."""
+    errors = [f"{name} must {_DOMAIN[name][1]}, got {v}"
+              for name, vs in values.items() for v in vs if not _DOMAIN[name][0](v)]
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -49,16 +70,7 @@ class TheoryParams:
     delta_a1k: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
-        if not (0.0 <= self.omega <= 1.0):
-            raise ValueError(f"omega must lie in [0, 1], got {self.omega}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.rho < 0.0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
-        if not (self.a > 1.0):
-            raise ValueError(f"a must exceed 1, got {self.a}")
+        check_domain(**{name: [getattr(self, name)] for name in _DOMAIN})
         for name in ("delta_ak", "delta_a1k"):
             val = getattr(self, name)
             if val is not None and not (0.0 <= val < 1.0):
@@ -77,10 +89,7 @@ def _gamma(p: float, omega: float, alpha: float, rho: float) -> float:
 def delta_hat_lp(a: float, p: float) -> float:
     """Largest delta_(a+1)k for which plain lp recovery is guaranteed,
     assuming delta_ak matches it: (a^(2/p-1) - 1) / (a^(2/p-1) + 1)."""
-    if not (a > 1.0):
-        raise ValueError(f"a must exceed 1, got {a}")
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    check_domain(a=[a], p=[p])
     t = a ** (2.0 / p - 1.0)
     return (t - 1.0) / (t + 1.0)
 
@@ -88,8 +97,7 @@ def delta_hat_lp(a: float, p: float) -> float:
 def delta_hat_wl1(a: float, omega: float, alpha: float, rho: float) -> float:
     """Weighted l1 threshold (a - gamma^2) / (a + gamma^2) with
     gamma = omega + (1 - omega) sqrt(1 + rho - 2 alpha rho)."""
-    if not (a > 1.0):
-        raise ValueError(f"a must exceed 1, got {a}")
+    check_domain(a=[a])
     r = 1.0 + rho - 2.0 * alpha * rho
     if r < 0.0:
         raise ValueError(f"1 + rho - 2 alpha rho must be >= 0, got {r}")
@@ -100,10 +108,7 @@ def delta_hat_wl1(a: float, omega: float, alpha: float, rho: float) -> float:
 def delta_hat_wlp(a: float, p: float, omega: float, alpha: float, rho: float) -> float:
     """Weighted lp threshold (a^(2/p-1) - gamma^(2/p)) / (a^(2/p-1) + gamma^(2/p))
     with gamma = omega^p + (1 - omega^p) (1 + rho - 2 alpha rho)^(1 - p/2)."""
-    if not (a > 1.0):
-        raise ValueError(f"a must exceed 1, got {a}")
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    check_domain(a=[a], p=[p])
     t = a ** (2.0 / p - 1.0)
     g = _gamma(p, omega, alpha, rho) ** (2.0 / p)
     return (t - g) / (t + g)

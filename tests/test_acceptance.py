@@ -301,7 +301,7 @@ def test_criterion_9_replay_is_bit_identical(tmp_path):
         "theory": ["theory", "--a", "3", "--p", "0.5", "--omega", "0:1:5",
                    "--alpha", "0:1:5", "--rho", "1",
                    "--delta-ak", "0.05", "--delta-a1k", "0.05"],
-        "sweep": ["sweep"],
+        "sweep": ["sweep", "--config", str(sweep_cfg)],
         "audio": ["audio", "--input", str(wav), "--block-len", "256",
                   "--num-blocks", "2", "--keep-frac", "0.5",
                   "--p", "0.5", "--omega", "0,0.5"],
@@ -310,10 +310,7 @@ def test_criterion_9_replay_is_bit_identical(tmp_path):
     for name, argv in runs.items():
         orig = tmp_path / name
         redo = tmp_path / (name + "_replay")
-        prefix = ["--out-dir", str(orig)]
-        if name == "sweep":
-            prefix += ["--config", str(sweep_cfg)]
-        assert main(prefix + argv) == 0
+        assert main(["--out-dir", str(orig), *argv]) == 0
         assert main(["--out-dir", str(redo), "replay",
                      "--manifest", str(orig / "manifest.json")]) == 0
         for out_name in RunManifest.load(orig / "manifest.json").outputs:

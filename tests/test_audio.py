@@ -65,9 +65,9 @@ def test_block_problem_unions_previous_support():
     extra = max(low) + 3
     from cswlp.core import SupportEstimate
 
-    prob = build_block_problem(block, keep, SupportEstimate((extra,)), cfg, omega=0.5)
-    assert set(prob.weights.estimate.indices) == low | {extra}
-    assert prob.measurements.y.shape == (64,)
+    _, measurements, weights = build_block_problem(block, keep, SupportEstimate((extra,)), cfg, omega=0.5)
+    assert set(weights.estimate.indices) == low | {extra}
+    assert measurements.y.shape == (64,)
     with pytest.raises(ValueError):
         build_block_problem(np.zeros(100), keep, None, cfg, omega=0.5)
 
@@ -140,7 +140,7 @@ def test_pipeline_writes_csv_and_wavs(tmp_path):
     write_wav_mono(wav, synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=1), cfg.sample_rate_hz)
     out = tmp_path / "out"
     assert main([
-        "--seed", "11", "--out-dir", str(out), "audio", "--input", str(wav),
+        "--out-dir", str(out), "audio", "--seed", "11", "--input", str(wav),
         "--block-len", "128", "--num-blocks", "2", "--keep-frac", "0.5", "--p", "0.5", "--omega", "0,0.5",
     ]) == 0
     rows, recons = recover_clip(read_wav_mono(wav)[0], cfg)
@@ -170,8 +170,8 @@ def test_dct_block_iterates_stay_feasible():
     block = synthesize_speech_like(cfg.block_len, seed=4)
     rng = np.random.default_rng(5)
     keep = tuple(int(i) + 1 for i in np.sort(rng.choice(cfg.block_len, size=cfg.samples_per_block, replace=False)))
-    prob = build_block_problem(block, keep, SupportEstimate((40, 41)), cfg, omega=0.5)
-    b = prob.measurements.y
-    _, trace = solve(prob.operator, prob.measurements, prob.weights, SolverConfig(p=0.5), keep_iterates=True)
-    worst = max(float(np.linalg.norm(prob.operator.apply(it) - b)) for it in trace.iterates)
+    op, measurements, weights = build_block_problem(block, keep, SupportEstimate((40, 41)), cfg, omega=0.5)
+    b = measurements.y
+    _, trace = solve(op, measurements, weights, SolverConfig(p=0.5), keep_iterates=True)
+    worst = max(float(np.linalg.norm(op.apply(it) - b)) for it in trace.iterates)
     assert worst <= 1e-8 * float(np.linalg.norm(b))

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ _NINE_KEY_SOLVER = {
 
 
 def _full_manifest(**fields):
-    base = {"subcommand": "solve", "seed": 0, "version": "0", "config": {},
+    base = {"subcommand": "solve", "version": "0", "config": {},
             "inputs": {}, "outputs": [], "timestamp": "t"}
     return {**base, **fields}
 
@@ -92,7 +93,6 @@ def test_parse_grid_forms():
 def test_manifest_round_trip(tmp_path):
     manifest = RunManifest(
         subcommand="solve",
-        seed=5,
         version="0.0.0",
         config={"p": 0.5},
         inputs={},
@@ -196,6 +196,30 @@ def test_theory_names_every_grid_pair_outside_the_domain(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "grids, named",
+    [
+        (["--alpha", "1.5", "--rho", "0.5", "--omega", "0.5"], ["alpha must lie in [0, 1], got 1.5"]),
+        (["--rho", "-1"], ["rho must be >= 0, got -1.0"]),
+        (["--omega", "1.5"], ["omega must lie in [0, 1], got 1.5"]),
+        (
+            ["--omega=-0.5,0.5,1.5", "--a", "1,3", "--p", "0,1"],
+            ["p must lie in (0, 1], got 0.0", "omega must lie in [0, 1], got -0.5",
+             "omega must lie in [0, 1], got 1.5", "a must exceed 1, got 1.0"],
+        ),
+    ],
+    ids=["alpha-above-1", "rho-negative", "omega-above-1", "several-grids"],
+)
+def test_theory_names_every_value_outside_the_domain(tmp_path, capsys, grids, named):
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), "theory", *grids]) == 1
+    err = capsys.readouterr().err
+    for message in named:
+        assert message in err
+    assert err.count(" must ") == len(named)
+    assert not out.exists()
+
+
 def test_replay_prints_integer_theory_grids_as_floats(tmp_path):
     out, redo = tmp_path / "orig", tmp_path / "redo"
     assert main(["--out-dir", str(out), "theory", "--a", "3", "--p", "1", "--omega", "0,0.5",
@@ -220,15 +244,15 @@ def test_sweep_from_config_and_seed_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     _write_sweep_config(cfg)
     out1 = tmp_path / "a"
-    assert main(["--config", str(cfg), "--out-dir", str(out1), "sweep"]) == 0
+    assert main(["--out-dir", str(out1), "sweep", "--config", str(cfg)]) == 0
     rows1 = (out1 / "sweep.csv").read_text().strip().split("\n")
     assert rows1[0].startswith("n,p,omega,")
     assert len(rows1) == 1 + 2 * 2  # trials x omega values
 
     out2 = tmp_path / "b"
-    assert main(["--config", str(cfg), "--seed", "99", "--out-dir", str(out2), "sweep"]) == 0
+    assert main(["--out-dir", str(out2), "sweep", "--config", str(cfg), "--seed", "99"]) == 0
     manifest = RunManifest.load(out2 / "manifest.json")
-    assert manifest.seed == 99
+    assert manifest.config["spec"]["seed"] == 99
     rows2 = (out2 / "sweep.csv").read_text().strip().split("\n")
     assert rows1 != rows2
 
@@ -237,7 +261,7 @@ def test_replay_reproduces_sweep_with_stop_reasons(tmp_path):
     cfg = tmp_path / "exp.cfg"
     _write_sweep_config(cfg)
     out, redo = tmp_path / "orig", tmp_path / "redo"
-    assert main(["--config", str(cfg), "--out-dir", str(out), "sweep"]) == 0
+    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 0
     assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
     orig, again = ([line.split(",") for line in (d / "sweep.csv").read_text().strip().split("\n")]
                    for d in (out, redo))
@@ -250,7 +274,7 @@ def test_replay_reproduces_sweep_with_stop_reasons(tmp_path):
 def test_sweep_bad_config_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("N = 30\nmystery = 4\n")
-    code = main(["--config", str(cfg), "--out-dir", str(tmp_path / "o"), "sweep"])
+    code = main(["--out-dir", str(tmp_path / "o"), "sweep", "--config", str(cfg)])
     assert code == 1
     assert "mystery" in capsys.readouterr().err
 
@@ -264,8 +288,24 @@ def test_sweep_without_config_fails(tmp_path, capsys):
 def test_threads_flag_is_gone(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     _write_sweep_config(cfg)
-    code = main(["--threads", "2", "--config", str(cfg), "--out-dir", str(tmp_path / "o"), "sweep"])
+    code = main(["--threads", "2", "--out-dir", str(tmp_path / "o"), "sweep", "--config", str(cfg)])
     assert code == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--config"])
+@pytest.mark.parametrize("command", ["solve", "theory"])
+def test_solve_and_theory_take_no_seed_or_config(tmp_path, capsys, flag, command):
+    rng = np.random.default_rng(18)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", y)
+    argv = {"solve": ["solve", "--matrix", str(tmp_path / "A.bin"), "--measurements", str(tmp_path / "y.bin")],
+            "theory": ["theory"]}[command]
+    value = "123" if flag == "--seed" else str(tmp_path / "exp.cfg")
+    # the flags solve and theory never read are no longer global
+    assert main([flag, value, "--out-dir", str(tmp_path / "o"), *argv]) == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
@@ -367,6 +407,65 @@ def test_replay_rejects_changed_input(tmp_path, capsys):
     assert "changed" in capsys.readouterr().err
 
 
+def test_replay_follows_a_moved_run(tmp_path, capsys):
+    rng = np.random.default_rng(16)
+    A, x, y = _plant_problem(rng)
+    base = tmp_path / "a"
+    base.mkdir()
+    write_matrix_binary(base / "A.bin", A)
+    write_vector_binary(base / "y.bin", y)
+    assert main(["--out-dir", str(base / "run"), "solve",
+                 "--matrix", str(base / "A.bin"), "--measurements", str(base / "y.bin")]) == 0
+    manifest = RunManifest.load(base / "run" / "manifest.json")
+    assert {name: entry["path"] for name, entry in manifest.inputs.items()} == {
+        "matrix": "../A.bin", "measurements": "../y.bin"}
+    # the run and its inputs move together
+    shutil.move(base, tmp_path / "moved")
+    run = tmp_path / "moved" / "run"
+    redo = tmp_path / "redo"
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(run / "manifest.json")]) == 0
+    for name in ("recovered.csv", "trace.csv"):
+        assert (redo / name).read_bytes() == (run / name).read_bytes()
+    # a run moved away from its inputs names the path it tried
+    shutil.move(run, tmp_path / "alone")
+    code = main(["--out-dir", str(tmp_path / "redo2"), "replay",
+                 "--manifest", str(tmp_path / "alone" / "manifest.json")])
+    assert code == 1
+    assert f"replay input 'matrix' missing: {(tmp_path / 'alone').resolve() / '../A.bin'}" in capsys.readouterr().err
+
+
+def test_replay_of_an_older_manifest_reads_only_its_hashed_inputs(tmp_path):
+    rng = np.random.default_rng(17)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_matrix_binary(tmp_path / "other.bin", A + 1.0)
+    write_vector_binary(tmp_path / "y.bin", y)
+    (tmp_path / "T.txt").write_text(" ".join(str(int(i) + 1) for i in np.flatnonzero(x)))
+    out = tmp_path / "orig"
+    assert main(["--out-dir", str(out), "solve", "--matrix", str(tmp_path / "A.bin"),
+                 "--measurements", str(tmp_path / "y.bin"), "--support", str(tmp_path / "T.txt"),
+                 "--omega", "0.3"]) == 0
+    # the format written before each fact was recorded once: a top-level
+    # seed, absolute input paths, and config keys repeating them
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["seed"] = 123
+    for name, entry in manifest["inputs"].items():
+        entry["path"] = str(tmp_path / {"matrix": "A.bin", "measurements": "y.bin", "support": "T.txt"}[name])
+        manifest["config"][name + "_path"] = entry["path"]
+    manifest["config"]["config_path"] = str(tmp_path / "exp.cfg")
+    for matrix_path in (tmp_path / "A.bin", tmp_path / "other.bin"):
+        manifest["config"]["matrix_path"] = str(matrix_path)
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        redo = tmp_path / ("redo_" + matrix_path.stem)
+        assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+        for name in ("recovered.csv", "trace.csv"):
+            assert (redo / name).read_bytes() == (out / name).read_bytes()
+        again = json.loads((redo / "manifest.json").read_text())
+        assert set(again) == {"subcommand", "version", "config", "inputs", "outputs", "timestamp"}
+        assert set(again["config"]) == {"omega", "epsilon", "solver"}
+        assert again["inputs"]["matrix"] == {"path": "../A.bin", "sha256": manifest["inputs"]["matrix"]["sha256"]}
+
+
 def test_help_and_missing_subcommand():
     assert main(["--help"]) == 0
     assert main([]) == 1
@@ -437,7 +536,7 @@ def test_replay_drops_legacy_threads_key(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     _write_sweep_config(cfg)
     out = tmp_path / "orig"
-    assert main(["--config", str(cfg), "--out-dir", str(out), "sweep"]) == 0
+    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "threads" not in manifest["config"]
     manifest["config"]["threads"] = 3
@@ -464,7 +563,7 @@ def test_replay_drops_legacy_threads_key(tmp_path, capsys):
             "missing manifest fields ['config', 'inputs', 'outputs', 'timestamp', 'version']",
         ),
         (["solve", 0], "not a JSON object"),
-        (_full_manifest(), "solve config has no 'matrix_path' entry"),
+        (_full_manifest(), "solve manifest has no 'matrix' config entry or input"),
         (_full_manifest(config=[]), "manifest field 'config' is not a JSON object"),
         (_full_manifest(outputs={}), "manifest field 'outputs' is not a JSON list"),
         (_full_manifest(inputs={"matrix": "A.bin"}), "input 'matrix' needs string 'path' and 'sha256'"),

@@ -56,7 +56,7 @@ def _sweep_csv(tmp_path, spec):
         f"noise_frac = {spec.noise_frac}\nalpha = {join(spec.alpha_list)}\nrho = {spec.rho}\n"
         f"omega = {join(spec.omega_list)}\np = {join(spec.p_list)}\ntrials = {spec.trials}\nseed = {spec.seed}\n"
     )
-    assert main(["--config", str(cfg), "--out-dir", str(tmp_path / "out"), "sweep"]) == 0
+    assert main(["--out-dir", str(tmp_path / "out"), "sweep", "--config", str(cfg)]) == 0
     return (tmp_path / "out" / "sweep.csv").read_text()
 
 
