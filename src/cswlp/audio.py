@@ -30,6 +30,7 @@ from .core import (
     _idct,
     _idct_entries,
     best_k_term,
+    check_domain,
     snr_db,
 )
 from .solver import SolverConfig, solve
@@ -97,10 +98,7 @@ class AudioPipelineConfig:
             raise ValueError("cutoff must lie in [0, sample_rate/2]")
         if not (0.0 <= self.prev_block_keep <= 1.0):
             raise ValueError("prev_block_keep must lie in [0, 1]")
-        if not self.p_list or any(not (0.0 < p <= 1.0) for p in self.p_list):
-            raise ValueError("every p must lie in (0, 1]")
-        if not self.omega_list or any(not (0.0 <= w <= 1.0) for w in self.omega_list):
-            raise ValueError("every omega must lie in [0, 1]")
+        check_domain(p=self.p_list, omega=self.omega_list)
 
     @property
     def samples_per_block(self) -> int:

@@ -38,13 +38,13 @@ from .core import (
     SolverDivergenceError,
     SupportEstimate,
     WeightVector,
+    check_domain,
 )
 from .experiments import ExperimentSpec, SweepRow, load_experiment_spec, run_sweep
 from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK, SolverConfig, solve
 from .theory import (
     ConditionViolatedError,
     TheoryParams,
-    check_domain,
     delta_hat_lp,
     delta_hat_wl1,
     delta_hat_wlp,
@@ -224,15 +224,8 @@ def _run_solve(config: dict, inputs: dict, out_dir: Path) -> list[str]:
 def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     # a manifest may hold the grids as JSON integers; the table prints floats
     grids = {name: [float(v) for v in config[name]] for name in ("a", "p", "omega", "alpha", "rho")}
-    a_grid, p_grid, omega_grid, alpha_grid, rho_grid = grids.values()
     # the theory's domain, checked before any cell is computed
     check_domain(**grids)
-    bad = [(alpha, rho) for alpha in alpha_grid for rho in rho_grid if 1.0 + rho - 2.0 * alpha * rho < 0.0]
-    if bad:
-        raise ValueError(
-            f"1 + rho - 2 alpha rho < 0 at (alpha, rho) = {', '.join(map(str, bad))}: such an estimate "
-            "would hold more correct entries (alpha rho k) than the support's k"
-        )
     d1 = config.get("delta_ak")
     d2 = config.get("delta_a1k")
     with_constants = d1 is not None and d2 is not None
@@ -240,7 +233,7 @@ def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     if with_constants:
         header += ["c1", "c2", "condition_holds"]
     rows = []
-    for a, p, omega, alpha, rho in product(a_grid, p_grid, omega_grid, alpha_grid, rho_grid):
+    for a, p, omega, alpha, rho in product(*grids.values()):
         row = [
             a, p, omega, alpha, rho,
             delta_hat_lp(a, p), delta_hat_wl1(a, omega, alpha, rho), delta_hat_wlp(a, p, omega, alpha, rho),
@@ -283,11 +276,12 @@ def _run_audio(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     return ["audio_snr.csv", *wavs]
 
 
+# each subcommand's runner and the names of the inputs it may read
 _RUNNERS = {
-    "solve": _run_solve,
-    "theory": _run_theory,
-    "sweep": _run_sweep,
-    "audio": _run_audio,
+    "solve": (_run_solve, {"matrix", "measurements", "support"}),
+    "theory": (_run_theory, set()),
+    "sweep": (_run_sweep, set()),
+    "audio": (_run_audio, {"input"}),
 }
 
 
@@ -296,7 +290,7 @@ def _execute(subcommand: str, config: dict, inputs: dict, out_dir: Path) -> int:
     ``out_dir`` and record the run in its ``manifest.json``, each input
     by its path relative to ``out_dir``; fresh runs and replays both
     come here."""
-    outputs = _RUNNERS[subcommand](config, inputs, out_dir)
+    outputs = _RUNNERS[subcommand][0](config, inputs, out_dir)
     here = Path(out_dir).resolve()
     RunManifest(
         subcommand=subcommand,
@@ -365,6 +359,9 @@ def _cmd_replay(args) -> int:
     manifest = RunManifest.load(args.manifest)
     if manifest.subcommand not in _RUNNERS:
         raise ValueError(f"manifest subcommand {manifest.subcommand!r} is not replayable")
+    unread = sorted(set(manifest.inputs) - _RUNNERS[manifest.subcommand][1])
+    if unread:
+        raise ValueError(f"{args.manifest}: {manifest.subcommand} does not read manifest inputs {unread}")
     # an input path is relative to the manifest's directory; joining an
     # absolute path, as older manifests hold, gives that path itself
     inputs = {name: args.manifest.resolve().parent / entry["path"] for name, entry in manifest.inputs.items()}

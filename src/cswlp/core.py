@@ -7,10 +7,13 @@ Conventions used throughout the package:
   boundary; 0-based numpy indexing stays internal
 * weight vectors assign a value omega in [0, 1] on an estimated support
   and 1.0 elsewhere
+* every module checks each scalar parameter (p, omega, alpha, rho, ...)
+  it takes against one domain table, ``check_domain``
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -30,6 +33,7 @@ __all__ = [
     "SupportEstimate",
     "WeightVector",
     "best_k_term",
+    "check_domain",
     "snr_db",
     "weighted_lp_norm",
 ]
@@ -61,6 +65,46 @@ class ConditionViolatedError(CswlpError):
 
 # Singular values below this fraction of the largest count as zero rank.
 _RANK_TOL = 1e-10
+
+# each parameter's domain: its test and how the error words it
+_DOMAIN = {
+    "p": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "omega": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "alpha": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "rho": (lambda v: v >= 0.0, "be >= 0"),
+    "a": (lambda v: v > 1.0, "exceed 1"),
+    "sigma": (lambda v: v > 0.0, "be positive"),
+    "delta_ak": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "delta_a1k": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "epsilon": (lambda v: v >= 0.0, "be >= 0"),
+    "noise_frac": (lambda v: v >= 0.0, "be >= 0"),
+}
+
+
+def check_domain(**values) -> None:
+    """Raise one ValueError naming every value outside its domain.
+
+    Each keyword names a parameter of ``_DOMAIN`` and takes a non-empty
+    list of its values, each finite and in its domain.  When all are,
+    every (alpha, rho) pair of the alpha and rho lists must satisfy
+    1 + rho - 2 alpha rho >= 0, the estimate's symmetric difference with
+    the true support relative to k.
+    """
+    values = {name: [float(v) for v in vs] for name, vs in values.items()}
+    errors = [f"{name} needs at least one value" for name, vs in values.items() if not vs]
+    errors += [
+        f"{name} must {_DOMAIN[name][1] if math.isfinite(v) else 'be finite'}, got {v}"
+        for name, vs in values.items() for v in vs if not (math.isfinite(v) and _DOMAIN[name][0](v))
+    ]
+    bad = [f"({alpha}, {rho})" for alpha in values.get("alpha", ()) for rho in values.get("rho", ())
+           if 1.0 + rho - 2.0 * alpha * rho < 0.0]
+    if bad and not errors:
+        errors.append(
+            f"1 + rho - 2 alpha rho < 0 at (alpha, rho) = {', '.join(bad)}: such an estimate "
+            "would hold more correct entries (alpha rho k) than the support's k"
+        )
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 def _as_vector(values, name: str = "values") -> np.ndarray:
@@ -272,8 +316,7 @@ class Measurements:
             raise ValueError("measurements must be finite")
         object.__setattr__(self, "y", arr)
         eps = float(self.epsilon)
-        if not (eps >= 0.0 and np.isfinite(eps)):
-            raise ValueError("epsilon must be finite and >= 0")
+        check_domain(epsilon=[eps])
         object.__setattr__(self, "epsilon", eps)
 
 
@@ -309,8 +352,7 @@ class WeightVector:
 
     def __post_init__(self):
         om = float(self.omega)
-        if not (0.0 <= om <= 1.0):
-            raise ValueError(f"omega must lie in [0, 1], got {om}")
+        check_domain(omega=[om])
         object.__setattr__(self, "omega", om)
         N = int(self.size)
         if N < 1:
@@ -354,8 +396,7 @@ def weighted_lp_norm(x, w, p: float) -> float:
     w : WeightVector or array_like with entries in [0, 1]
     p : float in (0, 1]
     """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    check_domain(p=[p])
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
     total = float(np.sum(wa**p * np.abs(xa) ** p))

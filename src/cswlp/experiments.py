@@ -12,7 +12,6 @@ field.
 
 from __future__ import annotations
 
-import math
 import re
 import time
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from .core import (
     SupportEstimate,
     WeightVector,
     best_k_term,
+    check_domain,
     snr_db,
 )
 from .solver import SolverConfig, solve
@@ -95,6 +95,20 @@ def gen_noise_on_sphere(n: int, level: float, x, rng: np.random.Generator) -> np
     return g * (level * float(np.linalg.norm(ref)) / float(np.linalg.norm(g)))
 
 
+def _estimate_counts(k: int, alpha: float, rho: float, N: int) -> tuple[int, int]:
+    """How many indices an estimate of size round(rho*k) and accuracy
+    alpha draws from a true support of size k in 1..N, and how many from
+    the N - k others; raises ValueError when either exceeds what is there."""
+    inside = int(round(alpha * rho * k))
+    outside = int(round(rho * k)) - inside
+    if inside > k or outside > N - k:
+        raise ValueError(
+            f"an estimate at (alpha, rho) = ({alpha}, {rho}) needs {inside} of the {k} true indices "
+            f"and {outside} of the {N - k} others in 1..{N}"
+        )
+    return inside, outside
+
+
 def gen_support_estimate(
     T0, alpha: float, rho: float, N: int, rng: np.random.Generator
 ) -> SupportEstimate:
@@ -107,19 +121,8 @@ def gen_support_estimate(
         raise ValueError("true support must be non-empty")
     if any(i < 1 or i > N for i in true):
         raise ValueError("true support indices must lie in 1..N")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
-    total = int(round(rho * k))
-    inside = int(round(alpha * rho * k))
-    outside = total - inside
-    if inside > k:
-        raise ValueError(f"estimate needs {inside} true indices but the support has only {k}")
-    if outside > N - k:
-        raise ValueError(
-            f"estimate needs {outside} indices outside a true support of size {k} in 1..{N}"
-        )
+    check_domain(alpha=[alpha], rho=[rho])
+    inside, outside = _estimate_counts(k, alpha, rho, N)
     pick_in = rng.choice(np.asarray(true, dtype=np.int64), size=inside, replace=False)
     complement = np.setdiff1d(np.arange(1, N + 1, dtype=np.int64), np.asarray(true, dtype=np.int64))
     pick_out = rng.choice(complement, size=outside, replace=False)
@@ -160,16 +163,11 @@ class ExperimentSpec:
             raise ValueError(f"unknown signal kind {self.signal_kind!r}")
         if self.signal_kind == "compressible" and (self.decay is None or not (self.decay > 0)):
             raise ValueError("compressible signals need a positive decay exponent")
-        if not (self.noise_frac >= 0 and math.isfinite(self.noise_frac)):
-            raise ValueError(f"noise_frac must be finite and >= 0, got {self.noise_frac}")
-        if not self.alpha_list or any(not (0.0 <= a <= 1.0) for a in self.alpha_list):
-            raise ValueError("every alpha must lie in [0, 1]")
-        if not (self.rho >= 0 and math.isfinite(self.rho)):
-            raise ValueError(f"rho must be finite and >= 0, got {self.rho}")
-        if not self.omega_list or any(not (0.0 <= w <= 1.0) for w in self.omega_list):
-            raise ValueError("every omega must lie in [0, 1]")
-        if not self.p_list or any(not (0.0 < p <= 1.0) for p in self.p_list):
-            raise ValueError("every p must lie in (0, 1]")
+        check_domain(p=self.p_list, omega=self.omega_list, alpha=self.alpha_list,
+                     rho=[self.rho], noise_frac=[self.noise_frac])
+        # refuse an estimate no instance can draw before any solve
+        for alpha in self.alpha_list:
+            _estimate_counts(self.k, alpha, self.rho, self.N)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
 

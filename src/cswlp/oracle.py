@@ -24,6 +24,7 @@ from .core import (
     SignalVector,
     _signal_array,
     _weights_array,
+    check_domain,
 )
 
 __all__ = ["OracleResult", "oracle_l0", "oracle_weighted_lp"]
@@ -117,8 +118,7 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     Ties (within 1e-12) keep the earlier support in enumeration order.
     Raises OracleInfeasibleError when no support fits.
     """
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+    check_domain(p=[p])
     A_dense, y = _prepare(A, b, k_max)
     N = A_dense.shape[1]
     wp = _weights_array(w, N) ** p

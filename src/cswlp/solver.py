@@ -76,6 +76,7 @@ from .core import (
     WeightVector,
     _signal_array,
     _weights_array,
+    check_domain,
 )
 
 __all__ = [
@@ -136,8 +137,7 @@ class SolverConfig:
     snr_cap_db: ClassVar[float] = 300.0
 
     def __post_init__(self):
-        if not (0.0 < self.p <= 1.0):
-            raise ValueError(f"p must lie in (0, 1], got {self.p}")
+        check_domain(p=[self.p])
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
 
@@ -194,10 +194,7 @@ class SolverTrace:
 
 def smoothed_objective(x, w, p: float, sigma: float) -> float:
     """Value of sum_i w_i^p (x_i^2 + sigma^2)^(p/2)."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
+    check_domain(p=[p], sigma=[sigma])
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
     return float(_kernels.smoothed_objective_raw(xa, wa**p, float(p), float(sigma)))
@@ -205,10 +202,7 @@ def smoothed_objective(x, w, p: float, sigma: float) -> float:
 
 def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
     """Gradient p w_i^p (x_i^2 + sigma^2)^(p/2 - 1) x_i of the smoothed objective."""
-    if not (0.0 < p <= 1.0):
-        raise ValueError(f"p must lie in (0, 1], got {p}")
-    if not (sigma > 0):
-        raise ValueError("sigma must be positive")
+    check_domain(p=[p], sigma=[sigma])
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
     return _kernels.smoothed_gradient_raw(xa, wa**p, float(p), float(sigma))

@@ -4,8 +4,9 @@ Bounds are expressed through the restricted-isometry constants of the
 sensing matrix: delta_ak for columns drawn ak at a time and
 delta_(a+1)k for (a+1)k at a time.  The weighted decoders depend on the
 weight omega applied on an estimated support of size rho*k whose
-overlap with the true support is alpha.  Everything here is scalar
-arithmetic; grids are handled by the callers.
+overlap with the true support is alpha.  Each entry point checks its
+parameters, the (alpha, rho) pair included, with ``core.check_domain``.
+Everything here is scalar arithmetic; grids are handled by the callers.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConditionViolatedError
+from .core import ConditionViolatedError, check_domain
 
 __all__ = [
     "TheoryParams",
-    "check_domain",
     "delta_hat_lp",
     "delta_hat_wl1",
     "delta_hat_wlp",
@@ -30,26 +30,6 @@ __all__ = [
 
 # proposition2_check's relative tolerance on "weighted equals unweighted"
 _COMPARE_TOL = 1e-12
-
-
-# each scalar parameter's domain: its test and how the error words it
-_DOMAIN = {
-    "p": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
-    "omega": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
-    "alpha": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
-    "rho": (lambda v: v >= 0.0, "be >= 0"),
-    "a": (lambda v: v > 1.0, "exceed 1"),
-}
-
-
-def check_domain(**values) -> None:
-    """Raise one ValueError naming every value outside its domain; each
-    keyword is a TheoryParams field (p, omega, alpha, rho or a) with a
-    list of values."""
-    errors = [f"{name} must {_DOMAIN[name][1]}, got {v}"
-              for name, vs in values.items() for v in vs if not _DOMAIN[name][0](v)]
-    if errors:
-        raise ValueError("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -70,20 +50,14 @@ class TheoryParams:
     delta_a1k: float | None = None
 
     def __post_init__(self):
-        check_domain(**{name: [getattr(self, name)] for name in _DOMAIN})
-        for name in ("delta_ak", "delta_a1k"):
-            val = getattr(self, name)
-            if val is not None and not (0.0 <= val < 1.0):
-                raise ValueError(f"{name} must lie in [0, 1), got {val}")
+        # every field is a parameter of the domain table; unset deltas are None
+        check_domain(**{name: [v] for name, v in vars(self).items() if v is not None})
 
 
 def _gamma(p: float, omega: float, alpha: float, rho: float) -> float:
     """omega^p + (1 - omega^p) (1 + rho - 2 alpha rho)^(1 - p/2)."""
-    r = 1.0 + rho - 2.0 * alpha * rho
-    if r < 0.0:
-        raise ValueError(f"1 + rho - 2 alpha rho must be >= 0, got {r}")
     wp = omega**p
-    return wp + (1.0 - wp) * r ** (1.0 - 0.5 * p)
+    return wp + (1.0 - wp) * (1.0 + rho - 2.0 * alpha * rho) ** (1.0 - 0.5 * p)
 
 
 def delta_hat_lp(a: float, p: float) -> float:
@@ -97,18 +71,15 @@ def delta_hat_lp(a: float, p: float) -> float:
 def delta_hat_wl1(a: float, omega: float, alpha: float, rho: float) -> float:
     """Weighted l1 threshold (a - gamma^2) / (a + gamma^2) with
     gamma = omega + (1 - omega) sqrt(1 + rho - 2 alpha rho)."""
-    check_domain(a=[a])
-    r = 1.0 + rho - 2.0 * alpha * rho
-    if r < 0.0:
-        raise ValueError(f"1 + rho - 2 alpha rho must be >= 0, got {r}")
-    g = omega + (1.0 - omega) * math.sqrt(r)
+    check_domain(a=[a], omega=[omega], alpha=[alpha], rho=[rho])
+    g = omega + (1.0 - omega) * math.sqrt(1.0 + rho - 2.0 * alpha * rho)
     return (a - g * g) / (a + g * g)
 
 
 def delta_hat_wlp(a: float, p: float, omega: float, alpha: float, rho: float) -> float:
     """Weighted lp threshold (a^(2/p-1) - gamma^(2/p)) / (a^(2/p-1) + gamma^(2/p))
     with gamma = omega^p + (1 - omega^p) (1 + rho - 2 alpha rho)^(1 - p/2)."""
-    check_domain(a=[a], p=[p])
+    check_domain(a=[a], p=[p], omega=[omega], alpha=[alpha], rho=[rho])
     t = a ** (2.0 / p - 1.0)
     g = _gamma(p, omega, alpha, rho) ** (2.0 / p)
     return (t - g) / (t + g)

@@ -466,6 +466,26 @@ def test_replay_of_an_older_manifest_reads_only_its_hashed_inputs(tmp_path):
         assert again["inputs"]["matrix"] == {"path": "../A.bin", "sha256": manifest["inputs"]["matrix"]["sha256"]}
 
 
+def test_replay_refuses_an_input_its_runner_never_reads(tmp_path, capsys):
+    rng = np.random.default_rng(18)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", y)
+    (tmp_path / "T.txt").write_text(" ".join(str(int(i) + 1) for i in np.flatnonzero(x)))
+    out = tmp_path / "orig"
+    assert main(["--out-dir", str(out), "solve", "--matrix", str(tmp_path / "A.bin"),
+                 "--measurements", str(tmp_path / "y.bin"), "--support", str(tmp_path / "T.txt"),
+                 "--omega", "0.3"]) == 0
+    # a misspelt input name would otherwise drop the support silently
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["inputs"]["suport"] = manifest["inputs"].pop("support")
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    redo = tmp_path / "redo"
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 1
+    assert f"{out / 'manifest.json'}: solve does not read manifest inputs ['suport']" in capsys.readouterr().err
+    assert not redo.exists()
+
+
 def test_help_and_missing_subcommand():
     assert main(["--help"]) == 0
     assert main([]) == 1

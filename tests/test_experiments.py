@@ -117,6 +117,16 @@ def test_support_estimate_infeasible_sizes_raise():
         gen_support_estimate(tuple(range(1, 5)), N=5, alpha=0.0, rho=0.5, rng=rng)
 
 
+def test_spec_refuses_an_estimate_no_instance_can_draw():
+    # alpha = 0.7 at rho = 2 needs 14 true indices of k = 10; the
+    # alpha = 0.5 cells must not be solved first
+    with pytest.raises(ValueError, match=r"\(0.7, 2.0\) needs 14 of the 10 true indices and 6 of the 30 others"):
+        _tiny_spec(N=40, k=10, alpha_list=(0.5, 0.7), rho=2.0)
+    # round(rho k) - round(alpha rho k) = 4 outside indices, but N - k = 3
+    with pytest.raises(ValueError, match=r"\(0.0, 1.0\) needs 0 of the 4 true indices and 4 of the 3 others in 1..7"):
+        _tiny_spec(N=7, n_list=(5,), k=4, alpha_list=(0.0,), rho=1.0)
+
+
 def test_spec_validation():
     _tiny_spec()
     with pytest.raises(ValueError):
