@@ -58,8 +58,7 @@ def dct_matrix(N: int) -> np.ndarray:
 
     D @ D.T = I, so D.T maps coefficients back to samples.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    check_domain(N=[N])
     return _idct_entries(N, np.arange(N), np.arange(N)).T
 
 
@@ -84,21 +83,15 @@ class AudioPipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_domain(block_len=[self.block_len], num_blocks=[self.num_blocks], keep_frac=[self.keep_frac],
+                     lowfreq_cutoff_hz=[self.lowfreq_cutoff_hz], sample_rate_hz=[self.sample_rate_hz],
+                     prev_block_keep=[self.prev_block_keep], p=self.p_list, omega=self.omega_list)
+        object.__setattr__(self, "block_len", int(self.block_len))
+        object.__setattr__(self, "num_blocks", int(self.num_blocks))
         object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
         object.__setattr__(self, "omega_list", tuple(float(v) for v in self.omega_list))
-        if self.block_len < 1:
-            raise ValueError("block_len must be >= 1")
-        if self.num_blocks < 1:
-            raise ValueError("num_blocks must be >= 1")
-        if not (0.0 < self.keep_frac <= 1.0):
-            raise ValueError("keep_frac must lie in (0, 1]")
-        if not (self.sample_rate_hz > 0):
-            raise ValueError("sample_rate_hz must be positive")
-        if not (0.0 <= self.lowfreq_cutoff_hz <= self.sample_rate_hz / 2.0):
+        if self.lowfreq_cutoff_hz > self.sample_rate_hz / 2.0:
             raise ValueError("cutoff must lie in [0, sample_rate/2]")
-        if not (0.0 <= self.prev_block_keep <= 1.0):
-            raise ValueError("prev_block_keep must lie in [0, 1]")
-        check_domain(p=self.p_list, omega=self.omega_list)
 
     @property
     def samples_per_block(self) -> int:

@@ -156,6 +156,10 @@ class RunManifest:
         # file whose spec they embed
         for name in ("threads", "matrix_path", "measurements_path", "support_path", "input_path", "config_path"):
             data["config"].pop(name, None)
+        # older audio configs record a sample rate that the input's WAV
+        # header replaced
+        if data["subcommand"] == "audio" and isinstance(data["config"].get("pipeline"), dict):
+            data["config"]["pipeline"].pop("sample_rate_hz", None)
         # solve manifests name the settings the solver now fixes; a run
         # that set one to another value can no longer be reproduced
         solver = data["config"].get("solver")
@@ -177,10 +181,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             parts = token.split(":")
             if len(parts) != 3:
                 raise ValueError(f"grid token {token!r} must be start:stop:count")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError(f"grid token {token!r} needs count >= 1")
-            values.extend(float(v) for v in np.linspace(start, stop, count))
+            start, stop, count = (float(part) for part in parts)
+            check_domain(count=[count])
+            values.extend(float(v) for v in np.linspace(start, stop, int(count)))
         else:
             values.append(float(token))
     if not values:
@@ -222,13 +225,15 @@ def _run_solve(config: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 
 def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
+    d1 = config.get("delta_ak")
+    d2 = config.get("delta_a1k")
+    if (d1 is None) != (d2 is None):
+        raise ValueError("--delta-ak and --delta-a1k must be given together")
+    with_constants = d1 is not None
     # a manifest may hold the grids as JSON integers; the table prints floats
     grids = {name: [float(v) for v in config[name]] for name in ("a", "p", "omega", "alpha", "rho")}
     # the theory's domain, checked before any cell is computed
     check_domain(**grids)
-    d1 = config.get("delta_ak")
-    d2 = config.get("delta_a1k")
-    with_constants = d1 is not None and d2 is not None
     header = ["a", "p", "omega", "alpha", "rho", "delta_hat_lp", "delta_hat_wl1", "delta_hat_wlp"]
     if with_constants:
         header += ["c1", "c2", "condition_holds"]
@@ -261,15 +266,15 @@ def _run_sweep(config: dict, inputs: dict, out_dir: Path) -> list[str]:
 
 
 def _run_audio(config: dict, inputs: dict, out_dir: Path) -> list[str]:
-    cfg = AudioPipelineConfig(**config["pipeline"])
+    samples, rate = read_wav_mono(inputs["input"])
+    # the WAV header's sample rate places the low-frequency cutoff
+    cfg = AudioPipelineConfig(**config["pipeline"], sample_rate_hz=rate)
     combos = [(p, omega) for p in cfg.p_list for omega in cfg.omega_list]
     wavs = [f"recon_p{p:g}_w{omega:g}.wav" for p, omega in combos]
     for i, name in enumerate(wavs):
         if name in wavs[:i]:
             raise ValueError(f"(p, omega) = {combos[wavs.index(name)]} and {combos[i]} would both write {name}")
-    samples, rate = read_wav_mono(inputs["input"])
-    # the WAV header's sample rate places the low-frequency cutoff
-    rows, recons = recover_clip(samples, replace(cfg, sample_rate_hz=rate))
+    rows, recons = recover_clip(samples, cfg)
     _write_csv(out_dir / "audio_snr.csv", [f.name for f in fields(AudioRow)], map(astuple, rows))
     for combo, name in zip(combos, wavs):
         write_wav_mono(out_dir / name, recons[combo], rate)
@@ -319,8 +324,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    if (args.delta_ak is None) != (args.delta_a1k is None):
-        raise ValueError("--delta-ak and --delta-a1k must be given together")
     config = {
         "a": list(_parse_grid(args.a)),
         "p": list(_parse_grid(args.p)),
@@ -342,7 +345,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audio(args) -> int:
-    cfg = AudioPipelineConfig(
+    # the sample rate is the input WAV header's, so it is not recorded
+    pipeline = dict(
         block_len=args.block_len,
         num_blocks=args.num_blocks,
         keep_frac=args.keep_frac,
@@ -352,7 +356,7 @@ def _cmd_audio(args) -> int:
         omega_list=_parse_grid(args.omega),
         seed=args.seed,
     )
-    return _execute("audio", {"pipeline": asdict(cfg)}, {"input": args.input}, args.out_dir)
+    return _execute("audio", {"pipeline": pipeline}, {"input": args.input}, args.out_dir)
 
 
 def _cmd_replay(args) -> int:

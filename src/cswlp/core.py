@@ -7,8 +7,10 @@ Conventions used throughout the package:
   boundary; 0-based numpy indexing stays internal
 * weight vectors assign a value omega in [0, 1] on an estimated support
   and 1.0 elsewhere
-* every module checks each scalar parameter (p, omega, alpha, rho, ...)
-  it takes against one domain table, ``check_domain``
+* every module checks each scalar setting it takes (p, omega, alpha,
+  rho, the counts n, k, max_iters, ..., the audio fractions and rates)
+  against one domain table, ``check_domain``; only rules that relate
+  two values, such as n <= N, are written where they apply
 """
 
 from __future__ import annotations
@@ -78,6 +80,16 @@ _DOMAIN = {
     "delta_a1k": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
     "epsilon": (lambda v: v >= 0.0, "be >= 0"),
     "noise_frac": (lambda v: v >= 0.0, "be >= 0"),
+    "decay": (lambda v: v > 0.0, "be positive"),
+    "keep_frac": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
+    "prev_block_keep": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "sample_rate_hz": (lambda v: v > 0.0, "be positive"),
+    "lowfreq_cutoff_hz": (lambda v: v >= 0.0, "be >= 0"),
+    # the counts: iterations, trials, lengths, sizes and grid points
+    **dict.fromkeys(
+        ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "size", "count"),
+        (lambda v: v >= 1.0 and v.is_integer(), "be an integer >= 1"),
+    ),
 }
 
 
@@ -85,7 +97,8 @@ def check_domain(**values) -> None:
     """Raise one ValueError naming every value outside its domain.
 
     Each keyword names a parameter of ``_DOMAIN`` and takes a non-empty
-    list of its values, each finite and in its domain.  When all are,
+    list of its values, each finite and in its domain; a count must be
+    an integer >= 1, though it may be given as a float.  When all are,
     every (alpha, rho) pair of the alpha and rho lists must satisfy
     1 + rho - 2 alpha rho >= 0, the estimate's symmetric difference with
     the true support relative to k.
@@ -351,14 +364,10 @@ class WeightVector:
     size: int
 
     def __post_init__(self):
-        om = float(self.omega)
-        check_domain(omega=[om])
-        object.__setattr__(self, "omega", om)
-        N = int(self.size)
-        if N < 1:
-            raise ValueError("size must be >= 1")
-        object.__setattr__(self, "size", N)
-        self.estimate.validate_within(N)
+        check_domain(omega=[self.omega], size=[self.size])
+        object.__setattr__(self, "omega", float(self.omega))
+        object.__setattr__(self, "size", int(self.size))
+        self.estimate.validate_within(self.size)
 
     @cached_property
     def weights(self) -> np.ndarray:

@@ -58,7 +58,9 @@ _SEED_MASK = (1 << 64) - 1
 def gen_sparse_signal(N: int, k: int, rng: np.random.Generator) -> SignalVector:
     """k-sparse signal with uniformly random support and standard normal
     nonzero values."""
-    if not (1 <= k <= N):
+    check_domain(N=[N], k=[k])
+    N, k = int(N), int(k)
+    if k > N:
         raise ValueError(f"k must lie in 1..{N}, got {k}")
     support = rng.choice(N, size=k, replace=False)
     values = rng.standard_normal(k)
@@ -71,23 +73,24 @@ def gen_sparse_signal(N: int, k: int, rng: np.random.Generator) -> SignalVector:
 
 def gen_compressible_signal(N: int, d: float) -> SignalVector:
     """Deterministic power-law decay x_j = j^(-d), j = 1..N."""
-    if d <= 0:
-        raise ValueError(f"decay exponent must be positive, got {d}")
+    check_domain(N=[N], decay=[d])
     j = np.arange(1, N + 1, dtype=np.float64)
     return SignalVector(j**(-d))
 
 
 def gen_gaussian_matrix(n: int, N: int, rng: np.random.Generator) -> DenseMatrix:
     """n x N matrix with i.i.d. N(0, 1/n) entries."""
-    if not (1 <= n <= N):
+    check_domain(n=[n], N=[N])
+    n, N = int(n), int(N)
+    if n > N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     return DenseMatrix(rng.standard_normal((n, N)) / np.sqrt(n))
 
 
 def gen_noise_on_sphere(n: int, level: float, x, rng: np.random.Generator) -> np.ndarray:
     """Noise vector with ||e|| exactly level * ||x|| and uniform direction."""
-    if level < 0:
-        raise ValueError("noise level must be >= 0")
+    check_domain(n=[n], noise_frac=[level])
+    n = int(n)
     ref = x.entries if isinstance(x, SignalVector) else np.asarray(x, dtype=np.float64)
     g = rng.standard_normal(n)
     while not np.any(g):
@@ -115,13 +118,13 @@ def gen_support_estimate(
     """Support estimate of size round(rho*k) with round(alpha*size)
     indices drawn from the true support T0 (1-based) and the rest from
     its complement."""
+    check_domain(alpha=[alpha], rho=[rho], N=[N])
     true = sorted(int(i) for i in T0)
     k = len(true)
     if k == 0:
         raise ValueError("true support must be non-empty")
     if any(i < 1 or i > N for i in true):
         raise ValueError("true support indices must lie in 1..N")
-    check_domain(alpha=[alpha], rho=[rho])
     inside, outside = _estimate_counts(k, alpha, rho, N)
     pick_in = rng.choice(np.asarray(true, dtype=np.int64), size=inside, replace=False)
     complement = np.setdiff1d(np.arange(1, N + 1, dtype=np.int64), np.asarray(true, dtype=np.int64))
@@ -147,29 +150,28 @@ class ExperimentSpec:
     seed: int
 
     def __post_init__(self):
-        if any(not float(v).is_integer() for v in self.n_list):
-            raise ValueError(f"every n must be an integer, got {self.n_list}")
+        if self.signal_kind not in ("sparse", "compressible"):
+            raise ValueError(f"unknown signal kind {self.signal_kind!r}")
+        # a sparse signal has no decay exponent to check
+        decay = {"decay": [self.decay]} if self.signal_kind == "compressible" else {}
+        if decay and self.decay is None:
+            raise ValueError("compressible signals need a decay exponent")
+        check_domain(N=[self.N], n=self.n_list, k=[self.k], trials=[self.trials], p=self.p_list,
+                     omega=self.omega_list, alpha=self.alpha_list, rho=[self.rho],
+                     noise_frac=[self.noise_frac], **decay)
+        for name in ("N", "k", "trials"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
         object.__setattr__(self, "alpha_list", tuple(float(v) for v in self.alpha_list))
         object.__setattr__(self, "omega_list", tuple(float(v) for v in self.omega_list))
         object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
-        if not self.n_list or any(not (1 <= n <= self.N) for n in self.n_list):
+        if max(self.n_list) > self.N:
             raise ValueError("every n must lie in 1..N")
-        if not (1 <= self.k <= self.N):
+        if self.k > self.N:
             raise ValueError("k must lie in 1..N")
-        if self.signal_kind not in ("sparse", "compressible"):
-            raise ValueError(f"unknown signal kind {self.signal_kind!r}")
-        if self.signal_kind == "compressible" and (self.decay is None or not (self.decay > 0)):
-            raise ValueError("compressible signals need a positive decay exponent")
-        check_domain(p=self.p_list, omega=self.omega_list, alpha=self.alpha_list,
-                     rho=[self.rho], noise_frac=[self.noise_frac])
         # refuse an estimate no instance can draw before any solve
         for alpha in self.alpha_list:
             _estimate_counts(self.k, alpha, self.rho, self.N)
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -319,10 +321,36 @@ def run_sweep(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
 
 _COMPRESSIBLE_RE = re.compile(r"^compressible\(([-0-9.eE+]+)\)$")
 
-_LIST_KEYS = {"n", "alpha", "omega", "p"}
-_INT_KEYS = {"N", "k", "trials", "seed"}
-_FLOAT_KEYS = {"noise_frac", "rho"}
-_ALL_KEYS = _LIST_KEYS | _INT_KEYS | _FLOAT_KEYS | {"signal_kind"}
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _signal_kind(text: str) -> tuple[str, float | None]:
+    """``sparse``, or ``compressible(d)`` with its decay exponent d."""
+    if text == "sparse":
+        return "sparse", None
+    m = _COMPRESSIBLE_RE.match(text)
+    if not m:
+        raise ValueError(text)
+    return "compressible", float(m.group(1))
+
+
+# each config key: the ExperimentSpec field it sets and how its text
+# converts; signal_kind sets both signal_kind and decay
+_CONFIG_KEYS = {
+    "signal_kind": ("signal_kind", _signal_kind),
+    "N": ("N", int),
+    "n": ("n_list", _floats),
+    "k": ("k", int),
+    "noise_frac": ("noise_frac", float),
+    "alpha": ("alpha_list", _floats),
+    "rho": ("rho", float),
+    "omega": ("omega_list", _floats),
+    "p": ("p_list", _floats),
+    "trials": ("trials", int),
+    "seed": ("seed", int),
+}
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -341,58 +369,23 @@ def load_experiment_spec(path) -> ExperimentSpec:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = val
-    missing = sorted(_ALL_KEYS - set(values))
+    missing = sorted(set(_CONFIG_KEYS) - set(values))
     if missing:
         raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
 
-    def floats(key: str) -> tuple[float, ...]:
+    settings = {}
+    for key, (name, convert) in _CONFIG_KEYS.items():
         try:
-            return tuple(float(v) for v in values[key].split(","))
+            settings[name] = convert(values[key])
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {values[key]!r}") from exc
-
-    def one_int(key: str) -> int:
-        try:
-            return int(values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key!r}: {values[key]!r}") from exc
-
-    def one_float(key: str) -> float:
-        try:
-            return float(values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key!r}: {values[key]!r}") from exc
-
-    kind_raw = values["signal_kind"]
-    decay = None
-    if kind_raw == "sparse":
-        kind = "sparse"
-    else:
-        m = _COMPRESSIBLE_RE.match(kind_raw)
-        if not m:
-            raise ConfigError(f"{path}: bad value for 'signal_kind': {kind_raw!r}")
-        kind = "compressible"
-        decay = float(m.group(1))
-
+    settings["signal_kind"], settings["decay"] = settings["signal_kind"]
     try:
-        return ExperimentSpec(
-            N=one_int("N"),
-            n_list=floats("n"),
-            k=one_int("k"),
-            signal_kind=kind,
-            decay=decay,
-            noise_frac=one_float("noise_frac"),
-            alpha_list=floats("alpha"),
-            rho=one_float("rho"),
-            omega_list=floats("omega"),
-            p_list=floats("p"),
-            trials=one_int("trials"),
-            seed=one_int("seed"),
-        )
+        return ExperimentSpec(**settings)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -137,9 +137,8 @@ class SolverConfig:
     snr_cap_db: ClassVar[float] = 300.0
 
     def __post_init__(self):
-        check_domain(p=[self.p])
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        check_domain(p=[self.p], max_iters=[self.max_iters])
+        object.__setattr__(self, "max_iters", int(self.max_iters))
 
 
 @dataclass

@@ -240,6 +240,19 @@ def test_theory_requires_both_deltas(tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_replay_requires_both_deltas(tmp_path, capsys):
+    out = tmp_path / "orig"
+    assert main(["--out-dir", str(out), "theory", "--delta-ak", "0.05", "--delta-a1k", "0.05"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # the c1, c2 and condition_holds columns would otherwise be dropped
+    manifest["config"]["delta_a1k"] = None
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    redo = tmp_path / "redo"
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 1
+    assert "--delta-ak and --delta-a1k must be given together" in capsys.readouterr().err
+    assert not redo.exists()
+
+
 def test_sweep_from_config_and_seed_override(tmp_path):
     cfg = tmp_path / "exp.cfg"
     _write_sweep_config(cfg)
@@ -346,6 +359,25 @@ def test_audio_end_to_end_and_silence(tmp_path):
     assert code == 0
     row = (out2 / "audio_snr.csv").read_text().strip().split("\n")[1]
     assert row.split(",")[-1] == "300.0"  # zero clip reconstructed exactly
+
+
+def test_audio_manifest_takes_the_sample_rate_from_the_input(tmp_path):
+    wav = tmp_path / "in.wav"
+    write_wav_mono(wav, synthesize_speech_like(512, seed=4), 22050.0)
+    out, redo = tmp_path / "orig", tmp_path / "redo"
+    assert main(["--out-dir", str(out), "audio", "--input", str(wav), "--block-len", "256",
+                 "--num-blocks", "2", "--keep-frac", "0.5", "--p", "0.5", "--omega", "0,1"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    # the WAV header's rate places the cutoff; no second rate is recorded
+    assert "sample_rate_hz" not in manifest["config"]["pipeline"]
+    # older manifests recorded the unread default; loading drops it
+    manifest["config"]["pipeline"]["sample_rate_hz"] = 44100.0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert "sample_rate_hz" not in RunManifest.load(out / "manifest.json").config["pipeline"]
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+    for name in manifest["outputs"]:
+        assert (redo / name).read_bytes() == (out / name).read_bytes()
+    assert "sample_rate_hz" not in json.loads((redo / "manifest.json").read_text())["config"]["pipeline"]
 
 
 def test_audio_refuses_two_combos_that_share_a_wav_name(tmp_path, capsys):

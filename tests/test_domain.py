@@ -1,18 +1,32 @@
-"""Every entry point that takes p, omega, alpha or rho refuses the same
-bad value with the same message, from the one table in ``cswlp.core``."""
+"""Every entry point that takes a scalar setting (p, omega, alpha, rho,
+a count, an audio fraction or rate, ...) refuses the same bad value with
+the same message, from the one table in ``cswlp.core``."""
+
+import math
 
 import numpy as np
 import pytest
 
-from cswlp.audio import AudioPipelineConfig
-from cswlp.cli import main
+from cswlp.audio import AudioPipelineConfig, dct_matrix
+from cswlp.cli import _parse_grid, main
 from cswlp.core import SupportEstimate, WeightVector, weighted_lp_norm
-from cswlp.experiments import ExperimentSpec, gen_support_estimate
+from cswlp.experiments import (
+    ExperimentSpec,
+    gen_compressible_signal,
+    gen_gaussian_matrix,
+    gen_noise_on_sphere,
+    gen_sparse_signal,
+    gen_support_estimate,
+)
 from cswlp.oracle import oracle_weighted_lp
 from cswlp.solver import SolverConfig, smoothed_gradient, smoothed_objective
 from cswlp.theory import TheoryParams, delta_hat_lp, delta_hat_wl1, delta_hat_wlp
 
-_GOOD = dict(p=0.5, omega=0.5, alpha=0.5, rho=1.0)
+_GOOD = dict(
+    p=0.5, omega=0.5, alpha=0.5, rho=1.0, max_iters=500, trials=1, N=40, n=20, k=4, block_len=64,
+    num_blocks=1, size=2, keep_frac=0.25, prev_block_keep=0.0625, sample_rate_hz=44100.0,
+    lowfreq_cutoff_hz=4000.0, decay=1.1, noise_frac=0.0, count=5,
+)
 
 _PAIR = "1 + rho - 2 alpha rho < 0 at (alpha, rho) = (1.0, 2.0): such an estimate " \
         "would hold more correct entries (alpha rho k) than the support's k"
@@ -26,6 +40,25 @@ _BAD = {
     "alpha,rho=1,2": (dict(alpha=1.0, rho=2.0), _PAIR),
 }
 
+# each other setting: a finite value outside its domain, and how the
+# table words that domain
+_SETTINGS = {
+    **{count: (0, "be an integer >= 1")
+       for count in ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "size", "count")},
+    "keep_frac": (0.0, "lie in (0, 1]"),
+    "prev_block_keep": (1.5, "lie in [0, 1]"),
+    "sample_rate_hz": (0.0, "be positive"),
+    "lowfreq_cutoff_hz": (-1.0, "be >= 0"),
+    "decay": (0.0, "be positive"),
+    "noise_frac": (-0.5, "be >= 0"),
+}
+for _name, (_out, _rule) in _SETTINGS.items():
+    # a count must also be whole
+    for _v in (float("nan"), float("inf"), _out) + ((2.5,) if "integer" in _rule else ()):
+        _BAD[f"{_name}={_v}"] = (
+            {_name: _v}, f"{_name} must {_rule if math.isfinite(_v) else 'be finite'}, got {float(_v)}"
+        )
+
 
 def _theory_cli(v, tmp_path, capsys):
     args = [f"--{name}={v[name]!r}" for name in ("p", "omega", "alpha", "rho")]
@@ -35,30 +68,46 @@ def _theory_cli(v, tmp_path, capsys):
 
 # name -> (parameters it takes, call with the parameter values v)
 _ENTRY_POINTS = {
-    "SolverConfig": ("p", lambda v, *_: SolverConfig(p=v["p"])),
+    "SolverConfig": ("p max_iters", lambda v, *_: SolverConfig(**v)),
     "smoothed_objective": ("p", lambda v, *_: smoothed_objective(np.ones(2), np.ones(2), v["p"], 1.0)),
     "smoothed_gradient": ("p", lambda v, *_: smoothed_gradient(np.ones(2), np.ones(2), v["p"], 1.0)),
-    "WeightVector": ("omega", lambda v, *_: WeightVector(omega=v["omega"], estimate=SupportEstimate((1,)), size=2)),
+    "WeightVector": ("omega size", lambda v, *_: WeightVector(estimate=SupportEstimate((1,)), **v)),
     "weighted_lp_norm": ("p", lambda v, *_: weighted_lp_norm(np.ones(2), np.ones(2), v["p"])),
     "oracle_weighted_lp": ("p", lambda v, *_: oracle_weighted_lp(np.eye(2), np.ones(2), np.ones(2), v["p"], 2)),
     "gen_support_estimate": (
-        "alpha rho",
-        lambda v, *_: gen_support_estimate((1, 2, 3, 4), v["alpha"], v["rho"], 40, np.random.default_rng(0)),
+        "alpha rho N",
+        lambda v, *_: gen_support_estimate((1, 2, 3, 4), v["alpha"], v["rho"], v["N"], np.random.default_rng(0)),
+    ),
+    "gen_sparse_signal": ("N k", lambda v, *_: gen_sparse_signal(v["N"], v["k"], np.random.default_rng(0))),
+    "gen_compressible_signal": ("N decay", lambda v, *_: gen_compressible_signal(v["N"], v["decay"])),
+    "gen_gaussian_matrix": ("n N", lambda v, *_: gen_gaussian_matrix(v["n"], v["N"], np.random.default_rng(0))),
+    "gen_noise_on_sphere": (
+        "n noise_frac",
+        lambda v, *_: gen_noise_on_sphere(v["n"], v["noise_frac"], np.ones(3), np.random.default_rng(0)),
     ),
     "ExperimentSpec": (
-        "p omega alpha rho",
+        "p omega alpha rho N n k trials decay noise_frac",
         lambda v, *_: ExperimentSpec(
-            N=40, n_list=(20,), k=4, signal_kind="sparse", decay=None, noise_frac=0.0,
-            alpha_list=(v["alpha"],), rho=v["rho"], omega_list=(v["omega"],), p_list=(v["p"],),
-            trials=1, seed=0,
+            N=v["N"], n_list=(v["n"],), k=v["k"], signal_kind="compressible", decay=v["decay"],
+            noise_frac=v["noise_frac"], alpha_list=(v["alpha"],), rho=v["rho"], omega_list=(v["omega"],),
+            p_list=(v["p"],), trials=v["trials"], seed=0,
         ),
     ),
-    "AudioPipelineConfig": ("p omega", lambda v, *_: AudioPipelineConfig(p_list=(v["p"],), omega_list=(v["omega"],))),
+    "AudioPipelineConfig": (
+        "p omega block_len num_blocks keep_frac prev_block_keep sample_rate_hz lowfreq_cutoff_hz",
+        lambda v, *_: AudioPipelineConfig(
+            block_len=v["block_len"], num_blocks=v["num_blocks"], keep_frac=v["keep_frac"],
+            prev_block_keep=v["prev_block_keep"], sample_rate_hz=v["sample_rate_hz"],
+            lowfreq_cutoff_hz=v["lowfreq_cutoff_hz"], p_list=(v["p"],), omega_list=(v["omega"],),
+        ),
+    ),
+    "dct_matrix": ("N", lambda v, *_: dct_matrix(v["N"])),
     "TheoryParams": ("p omega alpha rho", lambda v, *_: TheoryParams(a=3.0, **v)),
     "delta_hat_lp": ("p", lambda v, *_: delta_hat_lp(3.0, v["p"])),
     "delta_hat_wl1": ("omega alpha rho", lambda v, *_: delta_hat_wl1(3.0, v["omega"], v["alpha"], v["rho"])),
     "delta_hat_wlp": ("p omega alpha rho", lambda v, *_: delta_hat_wlp(3.0, **v)),
     "theory_cli": ("p omega alpha rho", _theory_cli),
+    "grid_token": ("count", lambda v, *_: _parse_grid(f"0:1:{v['count']!r}")),
 }
 
 _CASES = [
@@ -71,9 +120,10 @@ _CASES = [
 
 @pytest.mark.parametrize("entry, bad", _CASES)
 def test_every_entry_point_refuses_the_same_bad_value_with_the_same_message(entry, bad, tmp_path, capsys):
-    call = _ENTRY_POINTS[entry][1]
+    takes, call = _ENTRY_POINTS[entry]
     overrides, message = _BAD[bad]
-    call(_GOOD, tmp_path, capsys)
+    good = {name: _GOOD[name] for name in takes.split()}
+    call(good, tmp_path, capsys)
     with pytest.raises(ValueError) as exc:
-        call({**_GOOD, **overrides}, tmp_path / "bad", capsys)
+        call({**good, **overrides}, tmp_path / "bad", capsys)
     assert str(exc.value) == message

@@ -108,6 +108,26 @@ def test_iterates_start_at_min_norm_point_and_stay_feasible():
     assert len(trace.iterates) == trace.t.shape[0] + 1
 
 
+def test_iterates_stay_feasible_on_an_ill_conditioned_matrix():
+    # with singular values from 1 down to 1e-9, rounding in each step
+    # drifts the iterate off A x = b; the pull-back inside the iteration
+    # keeps every iterate within the limit (without it, 3 of these 10
+    # solves leave it, the worst by 7x)
+    cfg = SolverConfig(p=0.5)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+        V, _ = np.linalg.qr(rng.standard_normal((60, 20)))
+        A = (U * np.logspace(0, -9, 20)) @ V.T
+        x = np.zeros(60)
+        x[rng.choice(60, size=4, replace=False)] = rng.standard_normal(4)
+        y = A @ x
+        _, trace = solve(DenseMatrix(A), y, np.ones(60), cfg, keep_iterates=True)
+        limit = cfg.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
+        worst = max(float(np.linalg.norm(A @ it - y)) for it in trace.iterates)
+        assert worst <= limit, (seed, worst / limit)
+
+
 def test_trace_rows_and_columns():
     A, _, y = _sparse_instance(N=24, n=12, k=2, seed=13)
     _, trace = solve(DenseMatrix(A), y, np.ones(24), SolverConfig(p=0.5, max_iters=40))
