@@ -92,6 +92,11 @@ class AudioPipelineConfig:
         object.__setattr__(self, "omega_list", tuple(float(v) for v in self.omega_list))
         if self.lowfreq_cutoff_hz > self.sample_rate_hz / 2.0:
             raise ValueError("cutoff must lie in [0, sample_rate/2]")
+        if self.samples_per_block < 1:
+            raise ValueError(
+                f"keep_frac * block_len must round to at least one kept sample, "
+                f"got keep_frac={self.keep_frac!r}, block_len={self.block_len}"
+            )
 
     @property
     def samples_per_block(self) -> int:
@@ -102,7 +107,6 @@ def lowfreq_support(cfg: AudioPipelineConfig) -> SupportEstimate:
     """DCT bins at or below the cutoff: 1..floor(cutoff / bin width)
     where bin width = (sample_rate/2) / block_len."""
     count = int(np.floor(cfg.lowfreq_cutoff_hz * 2.0 * cfg.block_len / cfg.sample_rate_hz))
-    count = min(count, cfg.block_len)
     return SupportEstimate(tuple(range(1, count + 1)))
 
 

@@ -191,6 +191,15 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _grid_arg(text: str) -> tuple[float, ...]:
+    """``_parse_grid`` as an argparse type: its message then reaches the
+    user under the flag's name."""
+    try:
+        return _parse_grid(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _write_csv(path: Path, header, rows) -> None:
     """Write the one CSV format every output table uses: a header line
     (none when ``header`` is empty), comma-separated fields, floats
@@ -220,7 +229,7 @@ def _run_solve(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     b = Measurements(y, epsilon=float(config["epsilon"]))
     x_hat, trace = solve(A, b, w, cfg)
     _write_csv(out_dir / "recovered.csv", (), ((v,) for v in x_hat.entries))
-    _write_csv(out_dir / "trace.csv", trace.COLUMNS, trace.rows())
+    _write_csv(out_dir / "trace.csv", trace.COLUMNS, zip(*(getattr(trace, c) for c in trace.COLUMNS)))
     return ["recovered.csv", "trace.csv"]
 
 
@@ -324,15 +333,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_theory(args) -> int:
-    config = {
-        "a": list(_parse_grid(args.a)),
-        "p": list(_parse_grid(args.p)),
-        "omega": list(_parse_grid(args.omega)),
-        "alpha": list(_parse_grid(args.alpha)),
-        "rho": list(_parse_grid(args.rho)),
-        "delta_ak": args.delta_ak,
-        "delta_a1k": args.delta_a1k,
-    }
+    grids = {name: list(getattr(args, name)) for name in ("a", "p", "omega", "alpha", "rho")}
+    config = {**grids, "delta_ak": args.delta_ak, "delta_a1k": args.delta_a1k}
     return _execute("theory", config, {}, args.out_dir)
 
 
@@ -346,16 +348,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_audio(args) -> int:
     # the sample rate is the input WAV header's, so it is not recorded
-    pipeline = dict(
-        block_len=args.block_len,
-        num_blocks=args.num_blocks,
-        keep_frac=args.keep_frac,
-        lowfreq_cutoff_hz=args.cutoff_hz,
-        prev_block_keep=args.prev_keep,
-        p_list=_parse_grid(args.p),
-        omega_list=_parse_grid(args.omega),
-        seed=args.seed,
-    )
+    pipeline = {f.name: getattr(args, f.name) for f in fields(AudioPipelineConfig) if f.name != "sample_rate_hz"}
     return _execute("audio", {"pipeline": pipeline}, {"input": args.input}, args.out_dir)
 
 
@@ -406,11 +399,11 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_solve)
 
     pt = sub.add_parser("theory", help="tabulate recovery thresholds over parameter grids")
-    pt.add_argument("--a", default="3", help="grid: comma values or start:stop:count")
-    pt.add_argument("--p", default="0.5", help="grid over p")
-    pt.add_argument("--omega", default="0:1:5", help="grid over omega")
-    pt.add_argument("--alpha", default="0:1:5", help="grid over alpha")
-    pt.add_argument("--rho", default="1", help="grid over rho")
+    pt.add_argument("--a", type=_grid_arg, default="3", help="grid: comma values or start:stop:count")
+    pt.add_argument("--p", type=_grid_arg, default="0.5", help="grid over p")
+    pt.add_argument("--omega", type=_grid_arg, default="0:1:5", help="grid over omega")
+    pt.add_argument("--alpha", type=_grid_arg, default="0:1:5", help="grid over alpha")
+    pt.add_argument("--rho", type=_grid_arg, default="1", help="grid over rho")
     pt.add_argument("--delta-ak", type=float, default=None, help="RIP constant for ak columns")
     pt.add_argument("--delta-a1k", type=float, default=None, help="RIP constant for (a+1)k columns")
     pt.set_defaults(func=_cmd_theory)
@@ -422,14 +415,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("audio", help="blockwise recovery of a subsampled WAV clip")
     pa.add_argument("--input", type=Path, required=True, help="mono 16-bit PCM WAV file")
-    pa.add_argument("--p", default="0.5", help="grid over p")
-    pa.add_argument("--omega", default="0:1:7", help="grid over omega")
-    pa.add_argument("--block-len", type=int, default=2048)
-    pa.add_argument("--num-blocks", type=int, default=21)
-    pa.add_argument("--keep-frac", type=float, default=0.25)
-    pa.add_argument("--cutoff-hz", type=float, default=4000.0)
-    pa.add_argument("--prev-keep", type=float, default=1.0 / 16.0)
-    pa.add_argument("--seed", type=int, default=0, help="seed of the kept-sample masks")
+    # each flag sets the AudioPipelineConfig field of its dest, with that
+    # field's default; the sample rate is the input WAV header's
+    pipeline = AudioPipelineConfig
+    pa.add_argument("--p", dest="p_list", type=_grid_arg, default=pipeline.p_list, help="grid over p")
+    pa.add_argument("--omega", dest="omega_list", type=_grid_arg, default=pipeline.omega_list, help="grid over omega")
+    pa.add_argument("--block-len", dest="block_len", type=int, default=pipeline.block_len)
+    pa.add_argument("--num-blocks", dest="num_blocks", type=int, default=pipeline.num_blocks)
+    pa.add_argument("--keep-frac", dest="keep_frac", type=float, default=pipeline.keep_frac)
+    pa.add_argument("--cutoff-hz", dest="lowfreq_cutoff_hz", type=float, default=pipeline.lowfreq_cutoff_hz)
+    pa.add_argument("--prev-keep", dest="prev_block_keep", type=float, default=pipeline.prev_block_keep)
+    pa.add_argument("--seed", dest="seed", type=int, default=pipeline.seed, help="seed of the kept-sample masks")
     pa.set_defaults(func=_cmd_audio)
 
     pr = sub.add_parser("replay", help="re-run a manifest and reproduce its outputs")

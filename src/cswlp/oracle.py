@@ -5,7 +5,9 @@ a size, in lexicographic order.  Every support of one size is fitted by
 least squares at once: its columns are gathered into one stack and
 solved with one batched pseudo-inverse.  The oracles are exponential in
 N and exist to check the iterative solver on instances small enough to
-enumerate, so N is capped at 20 and support size at 4.
+enumerate, so N is capped at 20 and support size at 4.  Both read the
+measurements as ``solve`` does: an exact fit, so Measurements with
+epsilon > 0 raise ValueError.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from .core import (
     _weights_array,
     check_domain,
 )
+from .solver import SolverConfig
 
 __all__ = ["OracleResult", "oracle_l0", "oracle_weighted_lp"]
 
 _MAX_N = 20
 _MAX_SUPPORT = 4
-# a support fits when its least-squares residual is at most this times max(1, ||y||)
-_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,8 @@ class OracleResult:
 
 def _prepare(A, b, k_max: int) -> tuple[np.ndarray, np.ndarray]:
     A_dense = A.as_dense() if isinstance(A, SensingOperator) else np.asarray(A, dtype=np.float64)
+    if isinstance(b, Measurements) and b.epsilon > 0.0:
+        raise ValueError(f"the oracles fit A z = b exactly; they cannot honour noise bound epsilon={b.epsilon!r}")
     y = b.y if isinstance(b, Measurements) else _signal_array(b)
     n, N = A_dense.shape
     if y.shape[0] != n:
@@ -72,11 +75,12 @@ def _supports(N: int, size: int) -> np.ndarray:
 
 def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int):
     """For each size 0..k_max in turn, yield (supports, coefficients):
-    the rows of the size's support table whose least-squares fit
-    reproduces y to within _RESIDUAL_TOL, in table order, and their fits,
+    the rows of the size's support table whose least-squares fit leaves
+    a residual of at most SolverConfig.feasibility_tol * max(1, ||y||),
+    the solver's own feasibility rule, in table order, and their fits,
     both (F, size) arrays with F possibly 0."""
     n, N = A_dense.shape
-    tol = _RESIDUAL_TOL * max(1.0, float(np.linalg.norm(y)))
+    tol = SolverConfig.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
     for size in range(k_max + 1):
         supports = _supports(N, size)
         cols = np.moveaxis(A_dense[:, supports], 1, 0)  # (S, n, size)

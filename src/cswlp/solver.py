@@ -175,20 +175,11 @@ class SolverTrace:
     iterates: list[np.ndarray] | None = None
     restart_iters: tuple[int, ...] = ()
 
+    # the per-iteration arrays, in the column order of the CLI's trace.csv
     COLUMNS = ("t", "sigma", "objective", "step", "residual")
 
     def __len__(self) -> int:
         return int(self.t.shape[0]) + sum(self.restart_iters)
-
-    def rows(self):
-        for i in range(self.t.shape[0]):
-            yield (
-                int(self.t[i]),
-                float(self.sigma[i]),
-                float(self.objective[i]),
-                float(self.step[i]),
-                float(self.residual[i]),
-            )
 
 
 def smoothed_objective(x, w, p: float, sigma: float) -> float:

@@ -52,8 +52,18 @@ def test_lowfreq_support_default_width():
 def test_lowfreq_support_cannot_exceed_block():
     cfg = _tiny_cfg(lowfreq_cutoff_hz=22050.0)  # exactly Nyquist
     assert len(lowfreq_support(cfg).indices) == 128
+    # the cutoff <= sample_rate/2 rule alone keeps the count within the block
+    cfg = _tiny_cfg(block_len=256, lowfreq_cutoff_hz=22050.0, sample_rate_hz=44100.0)
+    assert lowfreq_support(cfg).indices == tuple(range(1, 257))
     with pytest.raises(ValueError):
         _tiny_cfg(lowfreq_cutoff_hz=22050.1)
+
+
+def test_config_refuses_a_block_that_keeps_no_sample():
+    with pytest.raises(ValueError, match=r"keep_frac=0\.001, block_len=256"):
+        AudioPipelineConfig(block_len=256, num_blocks=1, keep_frac=0.001)
+    # 0.002 * 256 = 0.512 rounds to one kept sample
+    assert AudioPipelineConfig(block_len=256, num_blocks=1, keep_frac=0.002).samples_per_block == 1
 
 
 def test_block_problem_unions_previous_support():

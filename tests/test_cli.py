@@ -1,9 +1,11 @@
 import json
 import shutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from cswlp import cli
 from cswlp.cli import (
     RunManifest,
     _parse_grid,
@@ -12,7 +14,8 @@ from cswlp.cli import (
     write_matrix_binary,
     write_vector_binary,
 )
-from cswlp.audio import synthesize_speech_like, write_wav_mono
+from cswlp.audio import AudioPipelineConfig, synthesize_speech_like, write_wav_mono
+from cswlp.core import SolverDivergenceError
 
 
 def _plant_problem(rng, n=6, N=12, k=2):
@@ -178,6 +181,15 @@ def test_theory_csv_with_and_without_constants(tmp_path):
     lines = (out2 / "theory.csv").read_text().strip().split("\n")
     assert lines[0].endswith("c1,c2,condition_holds")
     assert lines[1].split(",")[-1] in ("true", "false")
+
+
+def test_theory_writes_infinite_constants_where_the_condition_fails(tmp_path):
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), "theory", "--a", "3", "--p", "0.5", "--omega", "1", "--alpha", "0.5",
+                 "--rho", "1", "--delta-ak", "0.99", "--delta-a1k", "0.99"]) == 0
+    lines = (out / "theory.csv").read_text().strip().split("\n")
+    assert len(lines) == 2
+    assert lines[1].split(",")[-3:] == ["inf", "inf", "false"]
 
 
 def test_theory_names_every_grid_pair_outside_the_domain(tmp_path, capsys):
@@ -380,6 +392,36 @@ def test_audio_manifest_takes_the_sample_rate_from_the_input(tmp_path):
     assert "sample_rate_hz" not in json.loads((redo / "manifest.json").read_text())["config"]["pipeline"]
 
 
+def test_audio_flags_default_to_the_pipeline_config(tmp_path):
+    wav = tmp_path / "in.wav"
+    write_wav_mono(wav, synthesize_speech_like(256, seed=4), 44100.0)
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), "audio", "--input", str(wav), "--block-len", "256",
+                 "--num-blocks", "1", "--keep-frac", "0.5"]) == 0
+    pipeline = json.loads((out / "manifest.json").read_text())["config"]["pipeline"]
+    assert pipeline["omega_list"] == list(AudioPipelineConfig().omega_list)
+    # every other unset flag records its field's default too
+    expected = asdict(AudioPipelineConfig(block_len=256, num_blocks=1, keep_frac=0.5))
+    del expected["sample_rate_hz"]
+    assert pipeline == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize(
+    "command, grid, message",
+    [
+        ("theory", "0:1", "grid token '0:1' must be start:stop:count"),
+        ("audio", "0:1:0", "count must be an integer >= 1, got 0.0"),
+    ],
+    ids=["theory", "audio"],
+)
+def test_malformed_grid_exits_1_naming_its_flag(tmp_path, capsys, command, grid, message):
+    argv = ["--input", str(tmp_path / "in.wav")] if command == "audio" else []
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), command, *argv, "--omega", grid]) == 1
+    assert f"argument --omega: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_audio_refuses_two_combos_that_share_a_wav_name(tmp_path, capsys):
     wav = tmp_path / "in.wav"
     write_wav_mono(wav, synthesize_speech_like(512, seed=4), 44100.0)
@@ -569,6 +611,23 @@ def test_replay_drops_solver_settings_now_fixed(tmp_path, capsys):
     for name in ("recovered.csv", "trace.csv"):
         assert (redo / name).read_bytes() == (out / name).read_bytes()
     assert json.loads((redo / "manifest.json").read_text())["config"]["solver"] == {"p": 0.5, "max_iters": 500}
+
+
+def test_solve_divergence_exits_2(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(15)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", y)
+
+    def diverge(*args, **kwargs):
+        raise SolverDivergenceError("objective became non-finite at iteration 7")
+
+    monkeypatch.setattr(cli, "solve", diverge)
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), "solve", "--matrix", str(tmp_path / "A.bin"),
+                 "--measurements", str(tmp_path / "y.bin")]) == 2
+    assert "error: objective became non-finite at iteration 7" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_refuses_a_noise_bound(tmp_path, capsys):

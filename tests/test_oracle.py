@@ -5,6 +5,7 @@ import pytest
 
 from cswlp import (
     DenseMatrix,
+    Measurements,
     OracleInfeasibleError,
     SignalVector,
     SolverConfig,
@@ -54,6 +55,21 @@ def test_infeasible_measurements_raise():
         oracle_l0(DenseMatrix(A), y, 1)
     with pytest.raises(OracleInfeasibleError):
         oracle_weighted_lp(DenseMatrix(A), y, np.ones(3), 0.5, 1)
+
+
+@pytest.mark.parametrize("oracle", [
+    lambda A, b: oracle_weighted_lp(A, b, np.ones(10), 0.5, 2),
+    lambda A, b: oracle_l0(A, b, 2),
+], ids=["weighted_lp", "l0"])
+def test_oracles_refuse_a_noise_bound(oracle):
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((5, 10))
+    x = np.zeros(10)
+    x[2] = 1.0
+    assert oracle(DenseMatrix(A), Measurements(A @ x)).support == (3,)
+    # an exact fit cannot honour a noise bound, as in solve
+    with pytest.raises(ValueError, match="epsilon=0.5"):
+        oracle(DenseMatrix(A), Measurements(A @ x, epsilon=0.5))
 
 
 def test_size_caps_are_enforced():

@@ -132,9 +132,8 @@ def test_trace_rows_and_columns():
     A, _, y = _sparse_instance(N=24, n=12, k=2, seed=13)
     _, trace = solve(DenseMatrix(A), y, np.ones(24), SolverConfig(p=0.5, max_iters=40))
     assert SolverTrace.COLUMNS == ("t", "sigma", "objective", "step", "residual")
-    rows = list(trace.rows())
-    assert len(rows) == trace.t.shape[0]
-    assert rows[0][0] == 1
+    assert all(getattr(trace, c).shape == trace.t.shape for c in SolverTrace.COLUMNS)
+    assert trace.t[0] == 1
     # sigma never increases along the run
     assert np.all(np.diff(trace.sigma) <= 0)
     # accepted steps lie in (0, 1]
