@@ -189,6 +189,15 @@ class DenseMatrix:
     def adjoint(self, r: np.ndarray) -> np.ndarray:
         return self.matrix.T @ r
 
+    def project_null(self, d: np.ndarray) -> np.ndarray:
+        """d - pinv(A) (A d), through the cached ``pinv``: two n x N
+        matvecs and no N x N array."""
+        return d - self.pinv @ (self.matrix @ d)
+
+    def pull_back(self, r: np.ndarray) -> np.ndarray:
+        """pinv(A) r, the minimum-norm x with A x = r."""
+        return self.pinv @ r
+
     @property
     def pinv(self) -> np.ndarray:
         """The N x n pseudo-inverse, from one SVD; raises RankDeficientError
@@ -209,13 +218,45 @@ class DenseMatrix:
 
 
 @lru_cache(maxsize=8)
-def _dct_twiddles(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """exp(-i pi k / 2N) for k = 0..N//2, and the orthonormal DCT-II
-    row scales sqrt(1/N), sqrt(2/N), ..., sqrt(2/N)."""
+def _dct_twiddles(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The factors of the one-FFT DCT-II of length N (see ``_dct``).
+
+    The first two are exp(-i pi k / 2N) times the orthonormal row scale
+    s_k (sqrt(1/N) at k = 0, sqrt(2/N) after), and its conjugate over
+    s_k, for k = 0..N//2.  The third is each sample's position in the
+    FFT's order: its even entries followed by its odd entries reversed.
+    """
     k = np.arange(N // 2 + 1, dtype=np.float64)
-    scale = np.full(N, np.sqrt(2.0 / N))
+    scale = np.full(N // 2 + 1, np.sqrt(2.0 / N))
     scale[0] = np.sqrt(1.0 / N)
-    return np.exp(-0.5j * np.pi * k / N), scale
+    twiddle = np.exp(-0.5j * np.pi * k / N)
+    m = np.arange(N)
+    order = np.where(m % 2 == 0, m // 2, N - 1 - m // 2)
+    return twiddle * scale, np.conj(twiddle) / scale, order
+
+
+def _dct_from_fft_order(v: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II coefficients of the samples whose FFT-order
+    arrangement (see ``_dct_twiddles``) is v, by one real FFT."""
+    N = v.shape[0]
+    z = np.fft.rfft(v)
+    z *= _dct_twiddles(N)[0]
+    c = np.empty(N)
+    c[: N // 2 + 1] = z.real
+    np.negative(z.imag[1 : (N + 1) // 2][::-1], out=c[N // 2 + 1 :])
+    return c
+
+
+def _idct_to_fft_order(c: np.ndarray) -> np.ndarray:
+    """Samples of the orthonormal DCT-II coefficients c, in FFT order,
+    by one inverse real FFT: V_k = exp(i pi k / 2N) (y_k - i y_{N-k})
+    with y = c / s and y_N = 0."""
+    N = c.shape[0]
+    spectrum = np.zeros(N // 2 + 1, dtype=np.complex128)
+    spectrum.real = c[: N // 2 + 1]
+    np.negative(c[(N + 1) // 2 :][::-1], out=spectrum.imag[1:])
+    spectrum *= _dct_twiddles(N)[1]
+    return np.fft.irfft(spectrum, n=N)
 
 
 def _dct(x: np.ndarray) -> np.ndarray:
@@ -227,30 +268,15 @@ def _dct(x: np.ndarray) -> np.ndarray:
     = Re(exp(-i pi k / 2N) V_k); the same product's imaginary part at k
     is minus the sum at N - k, so V_0..V_{N//2} give every coefficient.
     """
-    N = x.shape[0]
-    twiddle, scale = _dct_twiddles(N)
-    z = twiddle * np.fft.rfft(np.concatenate((x[::2], x[1::2][::-1])))
-    c = np.empty(N)
-    c[: N // 2 + 1] = z.real
-    c[N // 2 + 1 :] = -z.imag[1 : (N + 1) // 2][::-1]
-    return scale * c
+    v = np.empty(x.shape[0])
+    v[_dct_twiddles(x.shape[0])[2]] = x
+    return _dct_from_fft_order(v)
 
 
 def _idct(c: np.ndarray) -> np.ndarray:
     """Inverse of ``_dct``, which is its transpose: samples from
     orthonormal DCT-II coefficients, by one inverse real FFT."""
-    N = c.shape[0]
-    twiddle, scale = _dct_twiddles(N)
-    y = c / scale
-    # V_k = exp(i pi k / 2N) (y_k - i y_{N-k}), with y_N = 0
-    flipped = np.zeros(N // 2 + 1)
-    flipped[1:] = y[(N + 1) // 2 :][::-1]
-    v = np.fft.irfft(np.conj(twiddle) * (y[: N // 2 + 1] - 1j * flipped), n=N)
-    x = np.empty(N)
-    half = (N + 1) // 2
-    x[::2] = v[:half]
-    x[1::2] = v[half:][::-1]
-    return x
+    return _idct_to_fft_order(c)[_dct_twiddles(c.shape[0])[2]]
 
 
 def _idct_entries(N: int, idx: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -303,13 +329,30 @@ class RestrictedTransform:
         computed without the other columns."""
         return _idct_entries(self.size, self._idx, cols)
 
+    @cached_property
+    def _pos(self) -> np.ndarray:
+        """The kept samples' positions in the FFT's sample order."""
+        return _dct_twiddles(self.size)[2][self._idx]
+
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return _idct(np.asarray(x, dtype=np.float64))[self._idx]
+        return _idct_to_fft_order(np.asarray(x, dtype=np.float64))[self._pos]
 
     def adjoint(self, r: np.ndarray) -> np.ndarray:
-        z = np.zeros(self.size)
-        z[self._idx] = r
-        return _dct(z)
+        v = np.zeros(self.size)
+        v[self._pos] = r
+        return _dct_from_fft_order(v)
+
+    def project_null(self, d: np.ndarray) -> np.ndarray:
+        """d - A^T A d: the transform with the kept samples zeroed, by one
+        inverse and one forward real FFT; the zeroing happens in the
+        FFT's sample order, so neither transform permutes."""
+        v = _idct_to_fft_order(d)
+        v[self._pos] = 0.0
+        return _dct_from_fft_order(v)
+
+    def pull_back(self, r: np.ndarray) -> np.ndarray:
+        """pinv(A) r, which is A^T r for orthonormal rows."""
+        return self.adjoint(r)
 
 
 # Either operator kind works anywhere a sensing operator is expected.

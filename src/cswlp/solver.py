@@ -30,6 +30,15 @@ step taken, which a short spectral step would make fire early.  A run
 ends when sigma falls to _SIGMA_FLOOR, at a stationary point, or when
 its iterations run out.
 
+Rounding lets an iterate drift off the affine set.  Its residual
+||A x - b|| is measured on a run's first iteration and its last, and in
+between only where drift could reach the limit: after each measurement
+the next waits as many iterations as the fastest growth per iteration
+seen so far in the run would need to reach half of
+feasibility_tol * max(1, ||b||), but at most _RESIDUAL_WAIT.  A
+measured residual above that half pulls the iterate back onto the set
+by x - pinv(A) (A x - b).
+
 The first run starts at the minimum-norm point pinv(A) b.  When p < 1,
 the null space of A is not empty but smaller than the measurement count
 (n < N < 2 n), and the result is not certified sparse (more than n/2
@@ -69,7 +78,6 @@ import numpy as np
 from . import _kernels
 from .core import (
     Measurements,
-    RestrictedTransform,
     SensingOperator,
     SignalVector,
     SolverDivergenceError,
@@ -114,6 +122,11 @@ _RESTART_SEED = 20080331
 _RESTART_SCALE = 5.0
 _RESTART_SIGMA = 1e-2
 
+# After each residual measurement, the next waits as many iterations as
+# the fastest residual growth seen in the run would take to reach half
+# the feasibility limit, but at most this many.
+_RESIDUAL_WAIT = 16
+
 # Entries above this fraction of the largest one count as the support.
 _SUPPORT_REL = 1e-4
 
@@ -153,7 +166,10 @@ class SolverTrace:
     nonmonotone acceptance it can rise from one row to the next at the
     same sigma.  ``step == 0`` marks an iteration where every trial step
     was rejected and the iterate stayed put (sigma then moved to its
-    next level).
+    next level).  ``residual`` is ||A x - b|| at the row's iterate on
+    the rows where it was measured (the first, the last, and those the
+    drift schedule of the module docstring picks) and NaN on every
+    other row; it is never interpolated or filled in.
     ``iterates`` holds x_0 followed by each iteration's x of that run
     when the solve was asked to keep them.  ``stop_reason`` says why
     that run ended: ``"sigma_floor"`` when sigma fell to
@@ -205,16 +221,9 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _projector_parts(A: SensingOperator):
-    """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r.
-
-    Both operator kinds project through the operator itself, and differ
-    only in the pull-back.  A RestrictedTransform has orthonormal rows,
-    so pinv(A) = A^T and it takes no SVD.  A DenseMatrix reads its cached
-    ``pinv``, which takes one SVD on the operator's first solve and
-    raises RankDeficientError for a rank-deficient matrix.
-    """
-    pull_back = A.adjoint if isinstance(A, RestrictedTransform) else A.pinv.__matmul__
-    return (lambda d: d - pull_back(A.apply(d))), pull_back
+    """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r,
+    as the operator computes them (``project_null``, ``pull_back``)."""
+    return A.project_null, A.pull_back
 
 
 def solve(
@@ -275,6 +284,10 @@ def solve(
         at_level = 0
         recent = deque(maxlen=_NONMONOTONE)
         x_prev = pd_prev = None
+        # the residual is next measured at iteration check_at; rate is
+        # the fastest growth per iteration seen between measurements, the
+        # run's start taken as feasible (iteration 0, residual 0)
+        check_at, checked_t, checked_res, rate = 1, 0, 0.0, 0.0
         for t in range(1, budget + 1):
             f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)
             if not math.isfinite(f0):
@@ -305,17 +318,6 @@ def solve(
             )
             x_new = x + step * d if step > 0.0 else x
 
-            res = _norm(A.apply(x_new) - y)
-            if res > 0.5 * feas_limit:
-                # numerical drift off the affine set; pull back before it matters
-                x_new = x_new - pull_back(A.apply(x_new) - y)
-                res = _norm(A.apply(x_new) - y)
-
-            if record:
-                rows.append((t, sigma, f_new if step > 0.0 else f0, lam * step, res))
-                if iterates is not None:
-                    iterates.append(x_new.copy())
-
             # t_L = 2 ||pd||^2 / L, with sigma^(2-p) in the numerator so
             # that a small sigma cannot overflow it; with no curvature at
             # all it is infinite, and min(1, t_L) is 1
@@ -323,13 +325,35 @@ def solve(
             curv = p * float((wp * pd).dot(pd))
             bound = 2.0 * pd_sq * sigma ** (2.0 - p) / curv if curv > 0.0 else 1.0
             rel = min(1.0, bound) * math.sqrt(pd_sq) / max(_norm(x), 1e-30)
-            x = x_new
             at_level += 1
-            if step == 0.0 or rel <= _SETTLE_REL * math.sqrt(sigma) or at_level >= _LEVEL_ITERS:
+            settled = step == 0.0 or rel <= _SETTLE_REL * math.sqrt(sigma) or at_level >= _LEVEL_ITERS
+            at_floor = settled and sigma * _SIGMA_DECAY <= _SIGMA_FLOOR
+
+            res = math.nan
+            if t >= check_at or at_floor or t == budget:
+                r = A.apply(x_new) - y
+                res = _norm(r)
+                rate = max(rate, (res - checked_res) / (t - checked_t))
+                if res > 0.5 * feas_limit:
+                    # numerical drift off the affine set; pull back before it matters
+                    x_new = x_new - pull_back(r)
+                    res = _norm(A.apply(x_new) - y)
+                checked_t, checked_res = t, res
+                room = 0.5 * feas_limit - res
+                wait = min(_RESIDUAL_WAIT, room / rate) if rate > 0.0 else _RESIDUAL_WAIT
+                check_at = t + max(1, int(wait))
+
+            if record:
+                rows.append((t, sigma, f_new if step > 0.0 else f0, lam * step, res))
+                if iterates is not None:
+                    iterates.append(x_new.copy())
+
+            x = x_new
+            if settled:
                 sigma *= _SIGMA_DECAY
                 at_level = 0
                 recent.clear()
-                if sigma <= _SIGMA_FLOOR:
+                if at_floor:
                     return x, t, "sigma_floor"
         return x, budget, "max_iters"
 

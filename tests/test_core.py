@@ -13,6 +13,7 @@ from cswlp import (
     weighted_lp_norm,
 )
 from cswlp.audio import dct_matrix
+from cswlp.core import _dct, _idct
 
 
 def test_signal_vector_rejects_non_finite():
@@ -39,6 +40,24 @@ def test_restricted_transform_dct_matches_dense(N):
     assert np.max(np.abs(rt.apply(x) - dense @ x)) < 1e-12
     assert np.max(np.abs(rt.adjoint(r) - dense.T @ r)) < 1e-12
     assert np.max(np.abs(rt.as_dense() - dense)) < 1e-12
+
+
+@pytest.mark.parametrize("N", [7, 8, 255, 256, 2048])
+def test_restricted_transform_projects_onto_its_null_space_in_one_pass(N):
+    # rows 1 and N are kept: the first and last samples sit at either end
+    # of the FFT's even/odd-reversed sample order
+    rng = np.random.default_rng(N)
+    inner = rng.choice(np.arange(2, N), size=N // 3, replace=False)
+    rt = RestrictedTransform(rows=(1, N, *(int(i) for i in inner)), size=N)
+    d = rng.standard_normal(N)
+    tol = 1e-13 * float(np.linalg.norm(d))
+    pd = rt.project_null(d)
+    assert np.linalg.norm(pd - (d - rt.adjoint(rt.apply(d)))) <= tol
+    assert np.linalg.norm(rt.apply(pd)) <= tol
+    assert np.linalg.norm(rt.project_null(pd) - pd) <= tol
+    # the DCT pair built over the same helpers still inverts itself
+    assert np.max(np.abs(_idct(_dct(d)) - d)) < 1e-13
+    assert np.max(np.abs(_dct(_idct(d)) - d)) < 1e-13
 
 
 def test_operators_adjoint_identity():

@@ -128,6 +128,60 @@ def test_iterates_stay_feasible_on_an_ill_conditioned_matrix():
         assert worst <= limit, (seed, worst / limit)
 
 
+def _conditioned_instance(kappa, seed):
+    # test_iterates_stay_feasible_on_an_ill_conditioned_matrix's draw, with
+    # singular values from 1 down to 1 / kappa
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    V, _ = np.linalg.qr(rng.standard_normal((60, 20)))
+    A = (U * np.logspace(0, -np.log10(kappa), 20)) @ V.T
+    x = np.zeros(60)
+    x[rng.choice(60, size=4, replace=False)] = rng.standard_normal(4)
+    return A, A @ x
+
+
+@pytest.mark.parametrize("kappa", [1e0, 1e3, 1e6, 1e9])
+def test_residual_is_measured_only_where_drift_can_reach_the_limit(kappa):
+    # the residual is skipped on most rows of a well-conditioned run, yet
+    # every iterate stays within the limit at any condition number
+    cfg = SolverConfig(p=0.5)
+    rows = measured = 0
+    for seed in range(10):
+        A, y = _conditioned_instance(kappa, seed)
+        _, trace = solve(DenseMatrix(A), y, np.ones(60), cfg, keep_iterates=True)
+        limit = cfg.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
+        worst = max(float(np.linalg.norm(A @ it - y)) for it in trace.iterates)
+        assert worst <= limit, (seed, worst / limit)
+        on = ~np.isnan(trace.residual)
+        # the first and the last row are always measured
+        assert on[0] and on[-1]
+        rows += on.size
+        measured += int(np.count_nonzero(on))
+    if kappa <= 1e3:
+        assert 8 * measured <= rows, (measured, rows)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_residual_measured_every_iteration_gives_the_same_solve(monkeypatch, p):
+    # a wait of at most one iteration is the check on every row; on
+    # criterion-6 instances drift never reaches the limit, so skipping
+    # rows changes nothing but the residual column's NaNs
+    x, A, y, estimate = _criterion_6_instance(100, 1)
+    w = WeightVector(omega=0.5, estimate=estimate, size=500)
+    cfg = SolverConfig(p=p)
+    got, trace = solve(A, y, w, cfg)
+    monkeypatch.setattr(solver, "_RESIDUAL_WAIT", 1)
+    every, trace_every = solve(A, y, w, cfg)
+    assert not np.isnan(trace_every.residual).any()
+    assert np.isnan(trace.residual).sum() > trace.t.shape[0] // 2
+    assert np.array_equal(got.entries, every.entries)
+    for col in ("t", "sigma", "objective", "step"):
+        assert np.array_equal(getattr(trace, col), getattr(trace_every, col)), col
+    on = ~np.isnan(trace.residual)
+    assert np.array_equal(trace.residual[on], trace_every.residual[on])
+    assert (trace.stop_reason, trace.restart_iters) == (trace_every.stop_reason, trace_every.restart_iters)
+
+
 def test_trace_rows_and_columns():
     A, _, y = _sparse_instance(N=24, n=12, k=2, seed=13)
     _, trace = solve(DenseMatrix(A), y, np.ones(24), SolverConfig(p=0.5, max_iters=40))
@@ -274,7 +328,7 @@ def test_solve_matches_sequential_reference_search(monkeypatch, name):
         assert len(trace.restart_iters) >= 1
     assert np.array_equal(x.entries, x_ref.entries)
     for col in SolverTrace.COLUMNS:
-        assert np.array_equal(getattr(trace, col), getattr(trace_ref, col)), col
+        assert np.array_equal(getattr(trace, col), getattr(trace_ref, col), equal_nan=True), col
     assert trace.restart_iters == trace_ref.restart_iters
 
 
