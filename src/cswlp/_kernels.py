@@ -3,9 +3,11 @@
 All kernels take plain float64 arrays.  ``wp`` is the elementwise
 weight raised to the p-th power, precomputed by the caller.  The solver
 calls them as ``_kernels.<name>`` so that a profiler can rebind them.
-``backtrack_raw`` is the line search: the first of the steps 1, shrink,
-shrink^2, ... along the direction it is given whose objective falls
-below a reference value.
+``smoothed_objective_raw`` gives the smoothed objective's value and
+gradient from one power; ``smoothed_value_raw`` gives the value alone,
+for the trial steps of ``backtrack_raw``.  ``backtrack_raw`` is the line
+search: the first of the steps 1, shrink, shrink^2, ... along the
+direction it is given whose objective falls below a reference value.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 __all__ = [
     "get_backend",
     "smoothed_objective_raw",
+    "smoothed_value_raw",
     "smoothed_gradient_raw",
     "backtrack_raw",
     "indicator_max_raw",
@@ -28,16 +31,24 @@ def get_backend() -> str:
     return "numpy"
 
 
-def smoothed_objective_raw(x, wp, p, sigma) -> float:
-    return float((wp * (x * x + sigma * sigma) ** (0.5 * p)).sum())
+def smoothed_objective_raw(x, wp, p, sigma) -> tuple[float, np.ndarray]:
+    """Value sum wp (x^2 + sigma^2)^(p/2) and gradient
+    p wp (x^2 + sigma^2)^(p/2 - 1) x, from one power r = u^(p/2) of
+    u = x^2 + sigma^2: the gradient is p wp (r / u) x."""
+    u = x * x + sigma * sigma
+    r = u ** (0.5 * p)
+    return float(wp.dot(r)), p * wp * (r / u) * x
 
 
-# Bound at import, for backtrack_raw.
-_objective = smoothed_objective_raw
+def smoothed_value_raw(x, wp, p, sigma) -> float:
+    """The value of smoothed_objective_raw alone, by the same operations,
+    so the two agree bit for bit."""
+    u = x * x + sigma * sigma
+    return float(wp.dot(u ** (0.5 * p)))
 
 
 def smoothed_gradient_raw(x, wp, p, sigma) -> np.ndarray:
-    return p * wp * (x * x + sigma * sigma) ** (0.5 * p - 1.0) * x
+    return smoothed_objective_raw(x, wp, p, sigma)[1]
 
 
 def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[float, float]:
@@ -45,14 +56,13 @@ def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[floa
     x + shrink**j pd is finite and below f0, with that objective;
     (0.0, f0) when none is.
 
-    The steps are tried in order, one objective evaluation each.  Each
-    is computed through _objective, not the smoothed_objective_raw
-    attribute, so that a profiler rebinding that attribute counts the
+    The steps are tried in order, one smoothed_value_raw evaluation
+    each, so a profiler that rebinds smoothed_objective_raw counts the
     evaluations of a search once, as this call.
     """
     step = 1.0
     for _ in range(max_backtracks):
-        f = _objective(x + step * pd, wp, p, sigma)
+        f = smoothed_value_raw(x + step * pd, wp, p, sigma)
         if math.isfinite(f) and f < f0:
             return step, f
         step *= shrink

@@ -156,9 +156,9 @@ class SignalVector:
 class DenseMatrix:
     """Sensing operator given by an explicit n x N matrix, n <= N.
 
-    ``pinv`` takes one SVD on first use and keeps its outcome, so every
-    later solve on the same operator reuses it; the matrix must not be
-    changed after that.
+    Its projections take one Householder QR of A^T = Q R on first use and
+    keep it, so every later solve on the same operator reuses it; the
+    matrix must not be changed after that.
     """
 
     matrix: np.ndarray
@@ -190,31 +190,36 @@ class DenseMatrix:
         return self.matrix.T @ r
 
     def project_null(self, d: np.ndarray) -> np.ndarray:
-        """d - pinv(A) (A d), through the cached ``pinv``: two n x N
-        matvecs and no N x N array."""
-        return d - self.pinv @ (self.matrix @ d)
+        """d - Q (Q^T d), where the orthonormal columns of Q span the row
+        space of A: two matvecs through the one stored N x n array Q, and
+        no N x N array."""
+        q = self._factors[0]
+        return d - q @ (q.T @ d)
 
     def pull_back(self, r: np.ndarray) -> np.ndarray:
-        """pinv(A) r, the minimum-norm x with A x = r."""
-        return self.pinv @ r
+        """pinv(A) r = Q R^-T r, the minimum-norm x with A x = r."""
+        q, r_inv = self._factors
+        return q @ (r_inv.T @ r)
 
     @property
-    def pinv(self) -> np.ndarray:
-        """The N x n pseudo-inverse, from one SVD; raises RankDeficientError
-        if the smallest singular value is below _RANK_TOL times the largest."""
-        if isinstance(self._pinv, RankDeficientError):
-            raise self._pinv.with_traceback(None)
-        return self._pinv
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q and R^-1 of A^T = Q R; raises RankDeficientError if the
+        smallest singular value of R, which are those of A, is below
+        _RANK_TOL times the largest."""
+        if isinstance(self._qr, RankDeficientError):
+            raise self._qr.with_traceback(None)
+        return self._qr
 
     @cached_property
-    def _pinv(self) -> np.ndarray | RankDeficientError:
-        U, s, Vt = np.linalg.svd(self.matrix, full_matrices=False)
+    def _qr(self) -> tuple[np.ndarray, np.ndarray] | RankDeficientError:
+        q, r = np.linalg.qr(self.matrix.T)
+        s = np.linalg.svd(r, compute_uv=False)
         if s[0] == 0.0 or s[-1] <= _RANK_TOL * s[0]:
             ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
             return RankDeficientError(
                 f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
             )
-        return (Vt.T / s) @ U.T
+        return q, np.linalg.inv(r)
 
 
 @lru_cache(maxsize=8)

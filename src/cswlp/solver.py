@@ -2,19 +2,22 @@
 
 Minimizes sum_i w_i^p (x_i^2 + sigma^2)^(p/2) over the affine set
 {x : A x = b} while the smoothing level sigma is lowered toward zero.
-Each iteration projects the negative gradient onto the null space of A,
-pd = -(g - pinv(A) A g), and searches along it by spectral projected
-gradient (Birgin, Martinez & Raydan, "Nonmonotone spectral projected
-gradient methods on convex sets", SIAM J. Optim. 2000).  The first
-trial step is the Barzilai-Borwein length (IMA J. Numer. Anal. 1988)
-lambda = s.s / s.y with s = x - x_prev and y = pd_prev - pd, clipped to
-at most 1; it is 1 on a run's first iteration and whenever s.y <= 0.
-The memory (x_prev, pd_prev) carries over from one sigma level to the
-next.  The search then shrinks lambda pd by _STEP_SHRINK, at most
-_MAX_BACKTRACKS times, until the objective falls below the largest
-objective of the last _NONMONOTONE iterations at the current sigma
-level (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 1986), so the
-objective need not fall at every iteration.
+Each iteration takes the objective and its gradient g from one power
+of x_i^2 + sigma^2, projects -g onto the null space of A,
+pd = -(g - pinv(A) A g), as the operator computes it (``project_null``;
+-(g - Q Q^T g) for a dense A, with Q the orthonormal basis of its row
+space from the QR A^T = Q R), and searches along pd by spectral
+projected gradient (Birgin, Martinez & Raydan, "Nonmonotone spectral
+projected gradient methods on convex sets", SIAM J. Optim. 2000).  The
+first trial step is the Barzilai-Borwein length (IMA J. Numer. Anal.
+1988) lambda = s.s / s.y with s = x - x_prev and y = pd_prev - pd,
+clipped to at most 1; it is 1 on a run's first iteration and whenever
+s.y <= 0.  The memory (x_prev, pd_prev) carries over from one sigma
+level to the next.  The search then shrinks lambda pd by _STEP_SHRINK,
+at most _MAX_BACKTRACKS times, until the objective falls below the
+largest objective of the last _NONMONOTONE iterations at the current
+sigma level (Grippo, Lampariello & Lucidi, SIAM J. Numer. Anal. 1986),
+so the objective need not fall at every iteration.
 
 Sigma starts at _SIGMA_INIT.  It is held until the iterate has settled
 at the current level, and is then multiplied by _SIGMA_DECAY, as in the
@@ -203,7 +206,7 @@ def smoothed_objective(x, w, p: float, sigma: float) -> float:
     check_domain(p=[p], sigma=[sigma])
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
-    return float(_kernels.smoothed_objective_raw(xa, wa**p, float(p), float(sigma)))
+    return _kernels.smoothed_value_raw(xa, wa**p, float(p), float(sigma))
 
 
 def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
@@ -222,7 +225,9 @@ def _norm(v: np.ndarray) -> float:
 
 def _projector_parts(A: SensingOperator):
     """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r,
-    as the operator computes them (``project_null``, ``pull_back``)."""
+    as the operator computes them (``project_null``, ``pull_back``): a
+    DenseMatrix through the factors of its QR, A^T = Q R, as d - Q Q^T d
+    and Q R^-T r; a RestrictedTransform by FFT."""
     return A.project_null, A.pull_back
 
 
@@ -289,10 +294,9 @@ def solve(
         # run's start taken as feasible (iteration 0, residual 0)
         check_at, checked_t, checked_res, rate = 1, 0, 0.0, 0.0
         for t in range(1, budget + 1):
-            f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)
+            f0, g = _kernels.smoothed_objective_raw(x, wp, p, sigma)
             if not math.isfinite(f0):
                 raise SolverDivergenceError(f"objective became non-finite at iteration {t}")
-            g = _kernels.smoothed_gradient_raw(x, wp, p, sigma)
 
             if not g.any():
                 # stationary at every smoothing level: only zero entries carry
@@ -412,9 +416,9 @@ def solve(
                 best, best_value = x, value
 
     x = best
-    res = float(np.linalg.norm(A.apply(x) - y))
-    if res > feas_limit:
-        x = x - pull_back(A.apply(x) - y)
+    r = A.apply(x) - y
+    if _norm(r) > feas_limit:
+        x = x - pull_back(r)
 
     # every run records at least one row
     t, sigma, objective, step, residual = zip(*rows)

@@ -22,11 +22,11 @@ def _draws(count=25, N=24, seed=5):
 
 def reference_backtrack(x, pd, wp, p, sigma, f0, shrink, max_backtracks):
     """The sequential search backtrack_raw must reproduce: one objective
-    evaluation per trial step, from step 1, multiplying by shrink after
-    each rejection."""
+    value per trial step, from step 1, multiplying by shrink after each
+    rejection."""
     step = 1.0
     for _ in range(max_backtracks):
-        f_try = _kernels.smoothed_objective_raw(x + step * pd, wp, p, sigma)
+        f_try = _kernels.smoothed_value_raw(x + step * pd, wp, p, sigma)
         if math.isfinite(f_try) and f_try < f0:
             return step, f_try
         step *= shrink
@@ -54,7 +54,7 @@ def test_backtrack_returns_first_decreasing_step():
             p = float(rng.choice([0.5, 1.0, rng.uniform(0.1, 1.0)]))
             sigma = float(10.0 ** rng.uniform(-9.0, 1.0))
             wp = w**p
-            f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)
+            f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)[0]
             g = _kernels.smoothed_gradient_raw(x, wp, p, sigma)
             pd = _projected_descent(x, wp, p, sigma, Q)
             # projected descent, uphill, too long for a unit step, noisy,
@@ -63,7 +63,7 @@ def test_backtrack_returns_first_decreasing_step():
             # a direction whose first rows overflow to inf, from a point
             # large enough that a later row can still be accepted
             big = x * 1e150
-            f0_big = _kernels.smoothed_objective_raw(big, wp, p, sigma)
+            f0_big = _kernels.smoothed_objective_raw(big, wp, p, sigma)[0]
             pd_big = _projected_descent(big, wp, p, sigma, Q)
             pd_big *= 1e156 / np.abs(pd_big).max()
             for shrink in (0.5, 0.7, 0.3):
@@ -120,7 +120,7 @@ def test_backtracking_rejects_when_no_decrease_possible():
     w = np.ones(3)
     p = 0.5
     wp = w**p
-    f0 = _kernels.smoothed_objective_raw(x, wp, p, 1.0)
+    f0 = _kernels.smoothed_objective_raw(x, wp, p, 1.0)[0]
     pd = np.ones(3)
     step, f_new = _kernels.backtrack_raw(x, pd, wp, p, 1.0, f0, 0.5, 8)
     assert step == 0.0

@@ -64,6 +64,17 @@ def test_gradient_matches_finite_differences():
         e[i] = h
         fd = (smoothed_objective(x + e, w, p, sigma) - smoothed_objective(x - e, w, p, sigma)) / (2 * h)
         assert abs(fd - g[i]) <= 1e-7 * max(1.0, abs(g[i]))
+    # the kernel takes value and gradient from one power r = u^(p/2) of
+    # u = x^2 + sigma^2; its gradient p w^p (r / u) x is the closed form,
+    # and its value is the line search's, bit for bit
+    for sigma in (10.0, 1e-3, 1e-9):
+        for p in (0.3, 0.5, 1.0):
+            wp = w**p
+            f, g = _kernels.smoothed_objective_raw(x, wp, p, sigma)
+            expected = p * wp * (x * x + sigma * sigma) ** (0.5 * p - 1.0) * x
+            assert np.allclose(g, expected, rtol=1e-13, atol=0.0), (sigma, p)
+            assert f == _kernels.smoothed_value_raw(x, wp, p, sigma)
+            assert np.array_equal(_kernels.smoothed_gradient_raw(x, wp, p, sigma), g)
 
 
 def test_solver_config_validation():
@@ -340,7 +351,7 @@ def _record_searches(monkeypatch) -> list[dict]:
 
     def recorded(x, d, wp, p, sigma, f_ref, shrink, max_backtracks):
         step, f_new = search(x, d, wp, p, sigma, f_ref, shrink, max_backtracks)
-        f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)
+        f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)[0]
         calls.append(dict(x=x.copy(), d=d.copy(), sigma=sigma, f0=f0, f_ref=f_ref, step=step))
         return step, f_new
 
@@ -478,15 +489,15 @@ def test_rank_deficient_matrix_is_rejected():
         solve(DenseMatrix(A), np.array([1.0, 2.0]), np.ones(4), SolverConfig(p=0.5))
 
 
-def _count_svds(monkeypatch) -> list[int]:
-    svd = np.linalg.svd
+def _count_svds(monkeypatch) -> list[str]:
+    """Record the name of each np.linalg.svd and np.linalg.qr call."""
     calls = []
+    for name in ("svd", "qr"):
+        def counted(*args, name=name, factor=getattr(np.linalg, name), **kwargs):
+            calls.append(name)
+            return factor(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -499,7 +510,8 @@ def test_dense_matrix_takes_one_svd_for_every_solve(monkeypatch):
     calls = _count_svds(monkeypatch)
     op = DenseMatrix(A)
     shared = [solve(op, y, w, cfg)[0] for w in weights]
-    assert len(calls) == 1
+    # one QR of A^T and the singular values of its R
+    assert sorted(calls) == ["qr", "svd"]
     for got, want in zip(shared, fresh):
         assert np.array_equal(got.entries, want.entries)
 
@@ -513,36 +525,41 @@ def test_rank_deficient_dense_matrix_takes_one_svd(monkeypatch):
     for _ in range(3):
         with pytest.raises(RankDeficientError, match="sensing matrix is rank deficient"):
             solve(op, np.ones(4), np.ones(10), SolverConfig(p=0.5))
-    assert len(calls) == 1
+    assert sorted(calls) == ["qr", "svd"]
 
 
-@pytest.mark.parametrize("kind", ["dense", "dct"])
+@pytest.mark.parametrize("kind", ["dense", "dense-ill-conditioned", "dct"])
 def test_projector_parts_pull_back_and_project(kind):
     rng = np.random.default_rng(19)
     if kind == "dense":
         A, _, y = _sparse_instance(N=20, n=10, k=2, seed=19)
+        op = DenseMatrix(A)
+    elif kind == "dense-ill-conditioned":
+        # singular values from 1 down to 1e-6
+        A, y = _conditioned_instance(1e6, 19)
         op = DenseMatrix(A)
     else:
         rows = tuple(int(i) + 1 for i in np.sort(rng.choice(20, size=10, replace=False)))
         op = RestrictedTransform(rows=rows, size=20)
         y = rng.standard_normal(10)
     project, pull_back = _projector_parts(op)
+    dense = op.as_dense()
     # pinv(A) y is a feasible start
     assert np.allclose(op.apply(pull_back(y)), y, atol=1e-10)
-    d = rng.standard_normal(20)
+    assert np.allclose(pull_back(y), np.linalg.pinv(dense) @ y, atol=1e-10)
+    d = rng.standard_normal(op.shape[1])
     pd = project(d)
     # the projected direction lies in null(A), and projecting it again
     # leaves it where it is
     assert np.max(np.abs(op.apply(pd))) < 1e-10
     assert np.allclose(project(pd), pd, atol=1e-10)
     # and it is the orthogonal projection, d - pinv(A) A d
-    dense = op.as_dense()
     assert np.allclose(pd, d - np.linalg.pinv(dense) @ (dense @ d), atol=1e-10)
 
 
 def test_dense_projector_builds_no_n_by_n_array():
     # a 3000 x 3000 float64 array would take 72 MB; the projector needs
-    # only the 5 x 3000 pseudo-inverse
+    # only the 3000 x 5 Q of A^T = Q R
     A = DenseMatrix(np.random.default_rng(31).standard_normal((5, 3000)))
     tracemalloc.start()
     try:
