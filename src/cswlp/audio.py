@@ -27,8 +27,10 @@ from .core import (
     SignalVector,
     SupportEstimate,
     WeightVector,
+    _SNR_CAP_DB,
     _idct,
     _idct_entries,
+    _stream,
     best_k_term,
     check_domain,
     snr_db,
@@ -48,9 +50,6 @@ __all__ = [
     "synthesize_speech_like",
     "write_wav_mono",
 ]
-
-_SEED_MASK = (1 << 64) - 1
-
 
 @lru_cache(maxsize=4)
 def dct_matrix(N: int) -> np.ndarray:
@@ -148,7 +147,7 @@ class AudioRow:
     snr_db: float
 
 
-def _clip_snr(reference: np.ndarray, recon: np.ndarray, cap_db: float) -> float:
+def _clip_snr(reference: np.ndarray, recon: np.ndarray, cap_db: float = _SNR_CAP_DB) -> float:
     if not np.any(reference):
         return float(cap_db) if np.array_equal(reference, recon) else float("-inf")
     return snr_db(SignalVector(reference), SignalVector(recon), cap_db)
@@ -185,7 +184,7 @@ def recover_clip(
 
     for j in range(cfg.num_blocks):
         block = samples[j * N : (j + 1) * N]
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed & _SEED_MASK, j]))
+        rng = _stream(cfg.seed, j)
         keep = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=n_keep, replace=False)))
         for p, omega in combos:
             prev = prev_coeffs[(p, omega)]
@@ -197,8 +196,7 @@ def recover_clip(
             prev_coeffs[(p, omega)] = coeffs.entries
             recons[(p, omega)][j * N : (j + 1) * N] = _idct(coeffs.entries)
 
-    cap = SolverConfig.snr_cap_db
-    rows = [AudioRow(omega=w, p=p, snr_db=_clip_snr(samples, recons[(p, w)], cap)) for p, w in combos]
+    rows = [AudioRow(omega=w, p=p, snr_db=_clip_snr(samples, recons[(p, w)])) for p, w in combos]
     return rows, recons
 
 
@@ -234,7 +232,7 @@ def synthesize_speech_like(
     """Deterministic voice-like test clip: a slowly sweeping fundamental
     with decaying harmonics, a quiet high-frequency sweep, and slow
     amplitude modulation.  Peak-normalized to 0.8."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed & _SEED_MASK, 0xA0D10]))
+    rng = _stream(seed, 0xA0D10)
     t = np.arange(num_samples, dtype=np.float64) / sample_rate
     dur = num_samples / sample_rate
 

@@ -16,7 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -67,6 +67,11 @@ class ConditionViolatedError(CswlpError):
 
 # Singular values below this fraction of the largest count as zero rank.
 _RANK_TOL = 1e-10
+
+# The exact-fit tolerance relative to max(1, ||y||) (see _exact_fit), and
+# the SNR at which snr_db caps, which an exact reconstruction reports.
+_FEASIBILITY_TOL = 1e-8
+_SNR_CAP_DB = 300.0
 
 # each parameter's domain: its test and how the error words it
 _DOMAIN = {
@@ -444,6 +449,23 @@ def _signal_array(x) -> np.ndarray:
     return _as_vector(x, "x")
 
 
+def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
+    """y from b, and the limit _FEASIBILITY_TOL max(1, ||y||) under which
+    ||A x - y|| counts as an exact fit; a b with epsilon > 0, or whose
+    length is not A's row count, raises ValueError naming ``decoder``."""
+    if isinstance(b, Measurements) and b.epsilon > 0.0:
+        raise ValueError(f"{decoder} fits A x = b exactly; it cannot honour noise bound epsilon={b.epsilon!r}")
+    y = b.y if isinstance(b, Measurements) else _signal_array(b)
+    if y.shape[0] != A.shape[0]:
+        raise ValueError(f"{decoder}: measurement length {y.shape[0]} does not match operator rows {A.shape[0]}")
+    return y, _FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(y)))
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream named by ``key`` under any integer seed, taken modulo 2^64."""
+    return np.random.default_rng(np.random.SeedSequence([seed & ((1 << 64) - 1), *key]))
+
+
 def weighted_lp_norm(x, w, p: float) -> float:
     """Weighted lp quasi-norm (sum_i w_i^p |x_i|^p)^(1/p) for p in (0, 1].
 
@@ -479,11 +501,10 @@ def best_k_term(x, k: int) -> tuple[SignalVector, tuple[int, ...]]:
     return SignalVector(out), support
 
 
-def snr_db(x, x_hat, cap_db: float = 300.0) -> float:
-    """Reconstruction SNR in dB: 10 log10(||x||^2 / ||x - x_hat||^2).
-
-    Exact reconstruction returns ``cap_db``.  A zero reference signal has
-    no meaningful ratio and raises ValueError.
+def snr_db(x, x_hat, cap_db: float = _SNR_CAP_DB) -> float:
+    """Reconstruction SNR in dB: 10 log10(||x||^2 / ||x - x_hat||^2),
+    capped at ``cap_db``, which exact reconstruction returns.  A zero
+    reference signal has no meaningful ratio and raises ValueError.
     """
     xa = _signal_array(x)
     ha = _signal_array(x_hat)
@@ -496,4 +517,4 @@ def snr_db(x, x_hat, cap_db: float = 300.0) -> float:
     err_sq = float(np.dot(err, err))
     if err_sq == 0.0:
         return float(cap_db)
-    return 10.0 * np.log10(ref / err_sq)
+    return min(float(cap_db), float(10.0 * np.log10(ref / err_sq)))

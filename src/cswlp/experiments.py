@@ -28,6 +28,7 @@ from .core import (
     SolverDivergenceError,
     SupportEstimate,
     WeightVector,
+    _stream,
     best_k_term,
     check_domain,
     snr_db,
@@ -51,9 +52,6 @@ __all__ = [
     "run_sweep",
     "stderr_snr",
 ]
-
-_SEED_MASK = (1 << 64) - 1
-
 
 def gen_sparse_signal(N: int, k: int, rng: np.random.Generator) -> SignalVector:
     """k-sparse signal with uniformly random support and standard normal
@@ -240,8 +238,7 @@ def stderr_snr(rows) -> float:
 
 
 def _instance_rng(seed: int, n: int, alpha_idx: int, trial: int) -> np.random.Generator:
-    key = [seed & _SEED_MASK, int(n), int(alpha_idx), int(trial)]
-    return np.random.default_rng(np.random.SeedSequence(key))
+    return _stream(seed, int(n), int(alpha_idx), int(trial))
 
 
 def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list[SweepRow]:
@@ -276,7 +273,7 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
             except RankDeficientError:
                 stop_reason = "rank_deficient"
             else:
-                snr = snr_db(x, x_hat, cfg.snr_cap_db)
+                snr = snr_db(x, x_hat)
                 iters, stop_reason, status = len(trace), trace.stop_reason, "ok"
             wall_ms = (time.perf_counter() - start) * 1e3
             rows.append(

@@ -5,9 +5,9 @@ a size, in lexicographic order.  Every support of one size is fitted by
 least squares at once: its columns are gathered into one stack and
 solved with one batched pseudo-inverse.  The oracles are exponential in
 N and exist to check the iterative solver on instances small enough to
-enumerate, so N is capped at 20 and support size at 4.  Both read the
-measurements as ``solve`` does: an exact fit, so Measurements with
-epsilon > 0 raise ValueError.
+enumerate, so N is capped at 20 and support size at 4.  Both read b and
+judge each fit by ``core._exact_fit``, the rule ``solve`` reads it by, so
+Measurements with epsilon > 0 raise ValueError.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ from math import comb
 import numpy as np
 
 from .core import (
-    Measurements,
     OracleInfeasibleError,
     SensingOperator,
     SignalVector,
-    _signal_array,
+    _exact_fit,
     _weights_array,
     check_domain,
 )
-from .solver import SolverConfig
 
 __all__ = ["OracleResult", "oracle_l0", "oracle_weighted_lp"]
 
@@ -49,19 +47,15 @@ class OracleResult:
     objective_value: float
 
 
-def _prepare(A, b, k_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _prepare(A, b, k_max: int, decoder: str) -> tuple[np.ndarray, np.ndarray, float]:
     A_dense = A.as_dense() if isinstance(A, SensingOperator) else np.asarray(A, dtype=np.float64)
-    if isinstance(b, Measurements) and b.epsilon > 0.0:
-        raise ValueError(f"the oracles fit A z = b exactly; they cannot honour noise bound epsilon={b.epsilon!r}")
-    y = b.y if isinstance(b, Measurements) else _signal_array(b)
-    n, N = A_dense.shape
-    if y.shape[0] != n:
-        raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {n}")
+    y, limit = _exact_fit(A_dense, b, decoder)
+    N = A_dense.shape[1]
     if N > _MAX_N:
         raise ValueError(f"enumeration is capped at N <= {_MAX_N}, got N = {N}")
     if not (0 <= k_max <= _MAX_SUPPORT):
         raise ValueError(f"k_max must lie in 0..{_MAX_SUPPORT}, got {k_max}")
-    return A_dense, y
+    return A_dense, y, limit
 
 
 @cache
@@ -73,14 +67,13 @@ def _supports(N: int, size: int) -> np.ndarray:
     return table
 
 
-def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int):
+def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int, limit: float):
     """For each size 0..k_max in turn, yield (supports, coefficients):
     the rows of the size's support table whose least-squares fit leaves
-    a residual of at most SolverConfig.feasibility_tol * max(1, ||y||),
-    the solver's own feasibility rule, in table order, and their fits,
-    both (F, size) arrays with F possibly 0."""
+    a residual of at most ``limit``, the feasibility limit of
+    ``core._exact_fit``, in table order, and their fits, both (F, size)
+    arrays with F possibly 0."""
     n, N = A_dense.shape
-    tol = SolverConfig.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
     for size in range(k_max + 1):
         supports = _supports(N, size)
         cols = np.moveaxis(A_dense[:, supports], 1, 0)  # (S, n, size)
@@ -88,14 +81,16 @@ def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int):
         # is 1e-15, and its rtol keyword needs numpy 2
         z = np.linalg.pinv(cols, rcond=max(n, size) * np.finfo(np.float64).eps) @ y
         residuals = np.linalg.norm((cols @ z[:, :, None])[:, :, 0] - y, axis=1)
-        fits = residuals <= tol
+        fits = residuals <= limit
         yield supports[fits], z[fits]
 
 
-def _embed(N: int, support, z) -> SignalVector:
+def _result(N: int, support, z, value) -> OracleResult:
+    """The fit z on the 0-based ``support``, embedded in R^N, with its
+    1-based support and objective value."""
     full = np.zeros(N, dtype=np.float64)
     full[support] = z
-    return SignalVector(full)
+    return OracleResult(SignalVector(full), tuple(int(i) + 1 for i in support), float(value))
 
 
 def oracle_l0(A, b, k_max: int) -> OracleResult:
@@ -104,15 +99,11 @@ def oracle_l0(A, b, k_max: int) -> OracleResult:
 
     Raises OracleInfeasibleError when no support of size <= k_max fits.
     """
-    A_dense, y = _prepare(A, b, k_max)
+    A_dense, y, limit = _prepare(A, b, k_max, "oracle_l0")
     N = A_dense.shape[1]
-    for supports, z in _exact_fits(A_dense, y, k_max):
+    for supports, z in _exact_fits(A_dense, y, k_max, limit):
         if len(supports):
-            return OracleResult(
-                minimizer=_embed(N, supports[0], z[0]),
-                support=tuple(int(i) + 1 for i in supports[0]),
-                objective_value=float(supports.shape[1]),
-            )
+            return _result(N, supports[0], z[0], supports.shape[1])
     raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")
 
 
@@ -123,11 +114,11 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     Raises OracleInfeasibleError when no support fits.
     """
     check_domain(p=[p])
-    A_dense, y = _prepare(A, b, k_max)
+    A_dense, y, limit = _prepare(A, b, k_max, "oracle_weighted_lp")
     N = A_dense.shape[1]
     wp = _weights_array(w, N) ** p
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for supports, z in _exact_fits(A_dense, y, k_max):
+    for supports, z in _exact_fits(A_dense, y, k_max, limit):
         values = np.sum(wp[supports] * np.abs(z) ** p, axis=1)
         for i, value in enumerate(values.tolist()):
             if best is None or value < best[0] - 1e-12:
@@ -135,8 +126,4 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     if best is None:
         raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")
     value, support, z = best
-    return OracleResult(
-        minimizer=_embed(N, support, z),
-        support=tuple(int(i) + 1 for i in support),
-        objective_value=value,
-    )
+    return _result(N, support, z, value)

@@ -80,11 +80,12 @@ import numpy as np
 
 from . import _kernels
 from .core import (
-    Measurements,
     SensingOperator,
     SignalVector,
     SolverDivergenceError,
-    WeightVector,
+    _FEASIBILITY_TOL,
+    _SNR_CAP_DB,
+    _exact_fit,
     _signal_array,
     _weights_array,
     check_domain,
@@ -144,13 +145,13 @@ class SolverConfig:
     """The exponent ``p`` and ``max_iters``, the bound on the iterations
     of one solve, restarts included.  The sigma schedule and the line
     search are module constants (_SIGMA_INIT, _SIGMA_DECAY, _SIGMA_FLOOR,
-    _STEP_SHRINK, _MAX_BACKTRACKS); ``feasibility_tol`` and ``snr_cap_db``
-    are fixed class attributes."""
+    _STEP_SHRINK, _MAX_BACKTRACKS).  ``feasibility_tol`` and ``snr_cap_db``
+    are core's _FEASIBILITY_TOL and _SNR_CAP_DB, kept for callers that read them."""
 
     p: float
     max_iters: int = 500
-    feasibility_tol: ClassVar[float] = 1e-8
-    snr_cap_db: ClassVar[float] = 300.0
+    feasibility_tol: ClassVar[float] = _FEASIBILITY_TOL
+    snr_cap_db: ClassVar[float] = _SNR_CAP_DB
 
     def __post_init__(self):
         check_domain(p=[self.p], max_iters=[self.max_iters])
@@ -258,14 +259,11 @@ def solve(
     Every iterate satisfies A x = b up to cfg.feasibility_tol relative
     to max(1, ||b||).  A non-finite objective raises
     SolverDivergenceError; a rank-deficient A raises RankDeficientError;
-    Measurements with epsilon > 0 raise ValueError (the fit is exact).
+    ``core._exact_fit``, as in the oracles, refuses epsilon > 0 or a b
+    of the wrong length with ValueError.
     """
     n, N = A.shape
-    if isinstance(b, Measurements) and b.epsilon > 0.0:
-        raise ValueError(f"solve fits A x = b exactly; it cannot honour noise bound epsilon={b.epsilon!r}")
-    y = b.y if isinstance(b, Measurements) else _signal_array(b)
-    if y.shape[0] != n:
-        raise ValueError(f"measurement length {y.shape[0]} does not match operator rows {n}")
+    y, feas_limit = _exact_fit(A, b, "solve")
     w_arr = _weights_array(w, N)
     p = float(cfg.p)
     wp = w_arr**p
@@ -273,8 +271,6 @@ def solve(
     project, pull_back = _projector_parts(A)
     x0 = pull_back(y)
 
-    b_norm = float(np.linalg.norm(y))
-    feas_limit = cfg.feasibility_tol * max(1.0, b_norm)
     # a null space that is not empty but smaller than n: there random
     # restarts can reach a lower objective, and the n/2-largest refit
     # runs without its residual screen
@@ -383,7 +379,7 @@ def solve(
             cols = np.sort(np.argsort(-np.abs(x), kind="stable")[: n // 2])
             head = np.zeros(N)
             head[cols] = x[cols]
-            if not explore and _norm(A.apply(head) - y) > _HEAD_REL * b_norm:
+            if not explore and _norm(A.apply(head) - y) > _HEAD_REL * float(np.linalg.norm(y)):
                 return x, value
         if 0 < cols.size <= n:
             z = fit(cols)

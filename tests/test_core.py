@@ -166,6 +166,9 @@ def test_snr_db_values():
     assert snr_db(x, SignalVector(np.zeros(2))) == 0.0
     half = SignalVector(np.array([3.0, 4.0]) * 0.9)
     assert abs(snr_db(x, half) - 20.0) < 1e-12
+    # a near-exact reconstruction (about 315 dB uncapped) never outscores an exact one
+    near = SignalVector(np.array([3.0, np.nextafter(4.0, 5.0)]))
+    assert snr_db(x, near) == 300.0
     with pytest.raises(ValueError):
         snr_db(SignalVector(np.zeros(2)), x)
 

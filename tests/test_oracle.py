@@ -57,19 +57,36 @@ def test_infeasible_measurements_raise():
         oracle_weighted_lp(DenseMatrix(A), y, np.ones(3), 0.5, 1)
 
 
-@pytest.mark.parametrize("oracle", [
-    lambda A, b: oracle_weighted_lp(A, b, np.ones(10), 0.5, 2),
-    lambda A, b: oracle_l0(A, b, 2),
-], ids=["weighted_lp", "l0"])
-def test_oracles_refuse_a_noise_bound(oracle):
+# each decoder of min ||x||_{p,w} s.t. A x = b, returning its minimizer
+_DECODERS = {
+    "oracle_weighted_lp": lambda A, b: oracle_weighted_lp(A, b, np.ones(10), 0.5, 2).minimizer,
+    "oracle_l0": lambda A, b: oracle_l0(A, b, 2).minimizer,
+    "solve": lambda A, b: solve(A, b, np.ones(10), SolverConfig(p=0.5))[0],
+}
+
+
+def _refusal(decoder, A, b) -> str:
+    with pytest.raises(ValueError) as err:
+        _DECODERS[decoder](A, b)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("decoder", list(_DECODERS), ids=["weighted_lp", "l0", "solve"])
+def test_oracles_refuse_a_noise_bound(decoder):
     rng = np.random.default_rng(0)
-    A = rng.standard_normal((5, 10))
+    A = DenseMatrix(rng.standard_normal((5, 10)))
     x = np.zeros(10)
     x[2] = 1.0
-    assert oracle(DenseMatrix(A), Measurements(A @ x)).support == (3,)
-    # an exact fit cannot honour a noise bound, as in solve
-    with pytest.raises(ValueError, match="epsilon=0.5"):
-        oracle(DenseMatrix(A), Measurements(A @ x, epsilon=0.5))
+    y = A.apply(x)
+    assert np.allclose(_DECODERS[decoder](A, Measurements(y)).entries, x, rtol=0.0, atol=1e-8)
+    # an exact fit cannot honour a noise bound, nor read a b of the wrong
+    # length; solve and the oracles refuse both in one wording
+    noisy = Measurements(y, epsilon=0.5)
+    assert "epsilon=0.5" in _refusal(decoder, A, noisy)
+    for b in (noisy, y[:4]):
+        message = _refusal(decoder, A, b)
+        assert message.startswith(decoder)
+        assert message.replace(decoder, "solve") == _refusal("solve", A, b)
 
 
 def test_size_caps_are_enforced():

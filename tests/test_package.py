@@ -1,3 +1,4 @@
+import ast
 import importlib
 import pkgutil
 import re
@@ -7,14 +8,33 @@ import pytest
 
 import cswlp
 
-_MODULES = sorted(info.name for info in pkgutil.iter_modules(cswlp.__path__))
+_NAMES = ["cswlp"] + sorted(f"cswlp.{info.name}" for info in pkgutil.iter_modules(cswlp.__path__))
 
 
-@pytest.mark.parametrize("name", ["cswlp"] + [f"cswlp.{m}" for m in _MODULES])
+@pytest.mark.parametrize("name", _NAMES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert not missing
+
+
+@pytest.mark.parametrize("name", _NAMES)
+def test_every_import_is_used(name):
+    # no linter is a dependency; an import that only the benchmark tracer
+    # binds is marked "# noqa: F401"
+    module = importlib.import_module(name)
+    source = Path(module.__file__).read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        and "# noqa: F401" not in lines[node.lineno - 1]
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
 
 
 def test_readme_python_blocks_run():
