@@ -18,6 +18,7 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -101,6 +102,12 @@ class AudioPipelineConfig:
     def samples_per_block(self) -> int:
         return int(round(self.keep_frac * self.block_len))
 
+    @property
+    def combos(self) -> tuple[tuple[float, float], ...]:
+        """Every (p, omega) pair, omega varying fastest: the order of
+        ``recover_clip``'s rows and of the CLI's WAVs."""
+        return tuple(product(self.p_list, self.omega_list))
+
 
 def lowfreq_support(cfg: AudioPipelineConfig) -> SupportEstimate:
     """DCT bins at or below the cutoff: 1..floor(cutoff / bin width)
@@ -161,7 +168,7 @@ def recover_clip(
 ) -> tuple[list[AudioRow], dict[tuple[float, float], np.ndarray]]:
     """Recover a clip for every (p, omega) combination.
 
-    Returns SNR rows (omega varying fastest) and the reconstructed
+    Returns SNR rows in ``cfg.combos`` order and the reconstructed
     waveforms keyed by (p, omega).  Sample masks depend only on
     (cfg.seed, block index), so all combinations see identical
     measurements.
@@ -178,7 +185,7 @@ def recover_clip(
     N = cfg.block_len
     n_keep = cfg.samples_per_block
     prev_count = int(round(cfg.prev_block_keep * n_keep))
-    combos = [(p, w) for p in cfg.p_list for w in cfg.omega_list]
+    combos = cfg.combos
     prev_coeffs: dict[tuple[float, float], np.ndarray | None] = {c: None for c in combos}
     recons = {c: np.zeros(total, dtype=np.float64) for c in combos}
 

@@ -40,10 +40,9 @@ from .core import (
     WeightVector,
     check_domain,
 )
-from .experiments import ExperimentSpec, SweepRow, load_experiment_spec, run_sweep
+from .experiments import ExperimentSpec, SweepRow, _parse_grid, load_experiment_spec, run_sweep
 from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK, SolverConfig, solve
 from .theory import (
-    ConditionViolatedError,
     TheoryParams,
     delta_hat_lp,
     delta_hat_wl1,
@@ -169,28 +168,6 @@ class RunManifest:
         return cls(**data)
 
 
-def _parse_grid(text: str) -> tuple[float, ...]:
-    """Comma-separated values; a token start:stop:count expands to a
-    linspace, so "0:1:5" means 0, 0.25, 0.5, 0.75, 1."""
-    values: list[float] = []
-    for token in str(text).split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ":" in token:
-            parts = token.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"grid token {token!r} must be start:stop:count")
-            start, stop, count = (float(part) for part in parts)
-            check_domain(count=[count])
-            values.extend(float(v) for v in np.linspace(start, stop, int(count)))
-        else:
-            values.append(float(token))
-    if not values:
-        raise ValueError(f"empty grid {text!r}")
-    return tuple(values)
-
-
 def _grid_arg(text: str) -> tuple[float, ...]:
     """``_parse_grid`` as an argparse type: its message then reaches the
     user under the flag's name."""
@@ -258,10 +235,7 @@ def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
                 delta_ak=float(d1), delta_a1k=float(d2),
             )
             holds = sufficient_condition_holds(params)
-            try:
-                c1, c2 = error_constants(params)
-            except ConditionViolatedError:
-                c1, c2 = float("inf"), float("inf")
+            c1, c2 = error_constants(params) if holds else (float("inf"), float("inf"))
             row += [c1, c2, "true" if holds else "false"]
         rows.append(row)
     _write_csv(out_dir / "theory.csv", header, rows)
@@ -278,7 +252,7 @@ def _run_audio(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     samples, rate = read_wav_mono(inputs["input"])
     # the WAV header's sample rate places the low-frequency cutoff
     cfg = AudioPipelineConfig(**config["pipeline"], sample_rate_hz=rate)
-    combos = [(p, omega) for p in cfg.p_list for omega in cfg.omega_list]
+    combos = cfg.combos
     wavs = [f"recon_p{p:g}_w{omega:g}.wav" for p, omega in combos]
     for i, name in enumerate(wavs):
         if name in wavs[:i]:

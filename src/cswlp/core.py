@@ -229,7 +229,8 @@ class DenseMatrix:
 
 @lru_cache(maxsize=8)
 def _dct_twiddles(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The factors of the one-FFT DCT-II of length N (see ``_dct``).
+    """The factors of the one-FFT DCT-II of length N (see
+    ``_dct_from_fft_order``).
 
     The first two are exp(-i pi k / 2N) times the orthonormal row scale
     s_k (sqrt(1/N) at k = 0, sqrt(2/N) after), and its conjugate over
@@ -246,8 +247,15 @@ def _dct_twiddles(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _dct_from_fft_order(v: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II coefficients of the samples whose FFT-order
-    arrangement (see ``_dct_twiddles``) is v, by one real FFT."""
+    """Orthonormal DCT-II coefficients of the samples x whose FFT-order
+    arrangement (see ``_dct_twiddles``) is v, by one real FFT (Makhoul,
+    "A fast cosine transform in one and two dimensions", IEEE TASSP 1980).
+
+    v holds x's even entries followed by its odd entries reversed; its
+    FFT V satisfies sum_m x_m cos(pi k (2m + 1) / 2N)
+    = Re(exp(-i pi k / 2N) V_k), and the same product's imaginary part at
+    k is minus the sum at N - k, so V_0..V_{N//2} give every coefficient.
+    """
     N = v.shape[0]
     z = np.fft.rfft(v)
     z *= _dct_twiddles(N)[0]
@@ -269,23 +277,9 @@ def _idct_to_fft_order(c: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spectrum, n=N)
 
 
-def _dct(x: np.ndarray) -> np.ndarray:
-    """Orthonormal DCT-II of x by one real FFT (Makhoul, "A fast cosine
-    transform in one and two dimensions", IEEE TASSP 1980).
-
-    Reordering x to its even entries followed by its odd entries reversed
-    gives a v whose FFT V satisfies sum_m x_m cos(pi k (2m + 1) / 2N)
-    = Re(exp(-i pi k / 2N) V_k); the same product's imaginary part at k
-    is minus the sum at N - k, so V_0..V_{N//2} give every coefficient.
-    """
-    v = np.empty(x.shape[0])
-    v[_dct_twiddles(x.shape[0])[2]] = x
-    return _dct_from_fft_order(v)
-
-
 def _idct(c: np.ndarray) -> np.ndarray:
-    """Inverse of ``_dct``, which is its transpose: samples from
-    orthonormal DCT-II coefficients, by one inverse real FFT."""
+    """Samples from orthonormal DCT-II coefficients, by one inverse real
+    FFT: the inverse of the DCT-II, which is its transpose."""
     return _idct_to_fft_order(c)[_dct_twiddles(c.shape[0])[2]]
 
 
@@ -466,6 +460,12 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed & ((1 << 64) - 1), *key]))
 
 
+def _weighted_lp_sum(wp: np.ndarray, x: np.ndarray, p: float):
+    """The decoder's objective sum_i w_i^p |x_i|^p along the last axis of
+    x, given wp = w^p: a float for one signal, an array for a stack."""
+    return np.sum(wp * np.abs(x) ** p, axis=-1)
+
+
 def weighted_lp_norm(x, w, p: float) -> float:
     """Weighted lp quasi-norm (sum_i w_i^p |x_i|^p)^(1/p) for p in (0, 1].
 
@@ -478,8 +478,7 @@ def weighted_lp_norm(x, w, p: float) -> float:
     check_domain(p=[p])
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
-    total = float(np.sum(wa**p * np.abs(xa) ** p))
-    return total ** (1.0 / p)
+    return float(_weighted_lp_sum(wa**p, xa, p)) ** (1.0 / p)
 
 
 def best_k_term(x, k: int) -> tuple[SignalVector, tuple[int, ...]]:

@@ -28,6 +28,7 @@ from .core import (
     SolverDivergenceError,
     SupportEstimate,
     WeightVector,
+    _signal_array,
     _stream,
     best_k_term,
     check_domain,
@@ -89,11 +90,10 @@ def gen_noise_on_sphere(n: int, level: float, x, rng: np.random.Generator) -> np
     """Noise vector with ||e|| exactly level * ||x|| and uniform direction."""
     check_domain(n=[n], noise_frac=[level])
     n = int(n)
-    ref = x.entries if isinstance(x, SignalVector) else np.asarray(x, dtype=np.float64)
     g = rng.standard_normal(n)
     while not np.any(g):
         g = rng.standard_normal(n)
-    return g * (level * float(np.linalg.norm(ref)) / float(np.linalg.norm(g)))
+    return g * (level * float(np.linalg.norm(_signal_array(x))) / float(np.linalg.norm(g)))
 
 
 def _estimate_counts(k: int, alpha: float, rho: float, N: int) -> tuple[int, int]:
@@ -252,7 +252,7 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
     A = gen_gaussian_matrix(n, spec.N, rng)
     e = gen_noise_on_sphere(n, spec.noise_frac, x, rng)
     estimate = gen_support_estimate(T0, alpha, spec.rho, spec.N, rng)
-    y = Measurements(A.matrix @ x.entries + e)
+    y = Measurements(A.apply(x.entries) + e)
 
     size = len(estimate)
     overlap = len(set(estimate.indices) & set(T0))
@@ -319,8 +319,26 @@ def run_sweep(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
 _COMPRESSIBLE_RE = re.compile(r"^compressible\(([-0-9.eE+]+)\)$")
 
 
-def _floats(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+def _parse_grid(text: str) -> tuple[float, ...]:
+    """A grid, as config-file lists and CLI flags both give it:
+    comma-separated values, where a token start:stop:count expands to a
+    linspace, so "0:1:5" means 0, 0.25, 0.5, 0.75, 1.  An empty token
+    raises ValueError."""
+    values: list[float] = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            raise ValueError(f"empty grid token in {text!r}")
+        if ":" in token:
+            parts = token.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"grid token {token!r} must be start:stop:count")
+            start, stop, count = (float(part) for part in parts)
+            check_domain(count=[count])
+            values.extend(float(v) for v in np.linspace(start, stop, int(count)))
+        else:
+            values.append(float(token))
+    return tuple(values)
 
 
 def _signal_kind(text: str) -> tuple[str, float | None]:
@@ -338,13 +356,13 @@ def _signal_kind(text: str) -> tuple[str, float | None]:
 _CONFIG_KEYS = {
     "signal_kind": ("signal_kind", _signal_kind),
     "N": ("N", int),
-    "n": ("n_list", _floats),
+    "n": ("n_list", _parse_grid),
     "k": ("k", int),
     "noise_frac": ("noise_frac", float),
-    "alpha": ("alpha_list", _floats),
+    "alpha": ("alpha_list", _parse_grid),
     "rho": ("rho", float),
-    "omega": ("omega_list", _floats),
-    "p": ("p_list", _floats),
+    "omega": ("omega_list", _parse_grid),
+    "p": ("p_list", _parse_grid),
     "trials": ("trials", int),
     "seed": ("seed", int),
 }
@@ -353,7 +371,8 @@ _CONFIG_KEYS = {
 def load_experiment_spec(path) -> ExperimentSpec:
     """Parse a flat key=value config file into an ExperimentSpec.
 
-    Lists use commas (``n = 100, 140, 200``); ``signal_kind`` is either
+    Lists take the grid syntax of ``_parse_grid`` (``n = 100, 140, 200``,
+    ``omega = 0:1:3``); ``signal_kind`` is either
     ``sparse`` or ``compressible(d)``.  Unknown or missing keys raise
     ConfigError naming the key.
     """

@@ -24,6 +24,7 @@ from .core import (
     SensingOperator,
     SignalVector,
     _exact_fit,
+    _weighted_lp_sum,
     _weights_array,
     check_domain,
 )
@@ -119,7 +120,11 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     wp = _weights_array(w, N) ** p
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for supports, z in _exact_fits(A_dense, y, k_max, limit):
-        values = np.sum(wp[supports] * np.abs(z) ** p, axis=1)
+        # scored as the embedded fits, so each value is the core objective
+        # of the minimizer it would return, to the bit
+        fits = np.zeros((len(supports), N))
+        np.put_along_axis(fits, supports, z, axis=1)
+        values = _weighted_lp_sum(wp, fits, p)
         for i, value in enumerate(values.tolist()):
             if best is None or value < best[0] - 1e-12:
                 best = (value, supports[i], z[i])

@@ -87,6 +87,7 @@ from .core import (
     _SNR_CAP_DB,
     _exact_fit,
     _signal_array,
+    _weighted_lp_sum,
     _weights_array,
     check_domain,
 )
@@ -370,7 +371,7 @@ def solve(
     def finish(x) -> tuple[np.ndarray, float]:
         """A run result, refit on its support when that helps, and its
         weighted lp objective."""
-        value = float(np.sum(wp * np.abs(x) ** p))
+        value = float(_weighted_lp_sum(wp, x, p))
         cols = support(x)
         if cols.size > n:
             # not sparse: fit its n/2 largest entries instead; where the
@@ -388,7 +389,7 @@ def solve(
                 # the fit leaves rounding-level values on the columns it
                 # sets to about zero; fitting on its own support drops them
                 z = fit(inner)
-            z_value = float(np.sum(wp * np.abs(z) ** p))
+            z_value = float(_weighted_lp_sum(wp, z, p))
             if _norm(A.apply(z) - y) <= feas_limit and z_value <= value:
                 return z, z_value
         return x, value

@@ -89,15 +89,14 @@ def sufficient_condition_holds(params: TheoryParams) -> bool:
     """Whether delta_ak + ratio * delta_(a+1)k < ratio - 1 with
     ratio = a^(2/p-1) / gamma^(2/p); requires both delta fields.
 
-    Evaluated in the equivalent product form
-        gamma^(2/p) (1 + delta_ak) < a^(2/p-1) (1 - delta_(a+1)k)
-    which stays defined when gamma = 0 (a zero-weight estimate that
-    covers the whole support)."""
-    if params.delta_ak is None or params.delta_a1k is None:
-        raise ValueError("sufficient condition needs delta_ak and delta_a1k")
-    g = _gamma(params.p, params.omega, params.alpha, params.rho) ** (2.0 / params.p)
-    t = params.a ** (2.0 / params.p - 1.0)
-    return g * (1.0 + params.delta_ak) < t * (1.0 - params.delta_a1k)
+    It is exactly D > 0 for the denominator D of ``error_constants``, so
+    it is read from that one computation: it holds exactly when those
+    constants are defined."""
+    try:
+        error_constants(params)
+    except ConditionViolatedError:
+        return False
+    return True
 
 
 def _constants_from_parts(p: float, a: float, gamma: float, d1: float, d2: float) -> tuple[float, float]:
@@ -132,7 +131,7 @@ def error_constants(params: TheoryParams) -> tuple[float, float]:
     the sufficient condition fails (non-positive denominator).
     """
     if params.delta_ak is None or params.delta_a1k is None:
-        raise ValueError("error constants need delta_ak and delta_a1k")
+        raise ValueError("the sufficient condition and the error constants need delta_ak and delta_a1k")
     gamma = _gamma(params.p, params.omega, params.alpha, params.rho)
     return _constants_from_parts(
         params.p, params.a, gamma, params.delta_ak, params.delta_a1k
@@ -148,11 +147,6 @@ def _wl1_constants(a: float, omega: float, alpha: float, rho: float, d1: float, 
     c1 = 2.0 * (1.0 + g / math.sqrt(a)) / D
     c2 = (2.0 / math.sqrt(a)) * (math.sqrt(1.0 + d1) + math.sqrt(1.0 - d2)) / D
     return c1, c2
-
-
-def _lp_constants(p: float, a: float, d1: float, d2: float) -> tuple[float, float]:
-    """Independent unweighted closed form (gamma = 1)."""
-    return _constants_from_parts(p, a, 1.0, d1, d2)
 
 
 def proposition2_check(
@@ -180,7 +174,7 @@ def proposition2_check(
             cw = error_constants(
                 TheoryParams(p=p, omega=omega, alpha=alpha, rho=rho, a=a, delta_ak=d1, delta_a1k=d2)
             )
-            cu = _lp_constants(p, a, d1, d2)
+            cu = _constants_from_parts(p, a, 1.0, d1, d2)
         except ConditionViolatedError:
             continue
         compared += 1

@@ -8,7 +8,6 @@ import pytest
 from cswlp import cli
 from cswlp.cli import (
     RunManifest,
-    _parse_grid,
     main,
     read_array,
     write_matrix_binary,
@@ -16,6 +15,7 @@ from cswlp.cli import (
 )
 from cswlp.audio import AudioPipelineConfig, synthesize_speech_like, write_wav_mono
 from cswlp.core import SolverDivergenceError
+from cswlp.experiments import _parse_grid
 
 
 def _plant_problem(rng, n=6, N=12, k=2):
@@ -91,6 +91,8 @@ def test_parse_grid_forms():
         _parse_grid("0:1")
     with pytest.raises(ValueError):
         _parse_grid("")
+    with pytest.raises(ValueError, match="empty grid token"):
+        _parse_grid("0.5,")
 
 
 def test_manifest_round_trip(tmp_path):
@@ -411,8 +413,9 @@ def test_audio_flags_default_to_the_pipeline_config(tmp_path):
     [
         ("theory", "0:1", "grid token '0:1' must be start:stop:count"),
         ("audio", "0:1:0", "count must be an integer >= 1, got 0.0"),
+        ("theory", "0,,1", "empty grid token in '0,,1'"),
     ],
-    ids=["theory", "audio"],
+    ids=["theory", "audio", "empty-token"],
 )
 def test_malformed_grid_exits_1_naming_its_flag(tmp_path, capsys, command, grid, message):
     argv = ["--input", str(tmp_path / "in.wav")] if command == "audio" else []

@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from cswlp.audio import AudioPipelineConfig, dct_matrix
-from cswlp.cli import _parse_grid, main
+from cswlp.cli import main
 from cswlp.core import SupportEstimate, WeightVector, weighted_lp_norm
 from cswlp.experiments import (
     ExperimentSpec,
+    _parse_grid,
     gen_compressible_signal,
     gen_gaussian_matrix,
     gen_noise_on_sphere,

@@ -275,7 +275,9 @@ def test_row_filters_and_stats():
             stat(rows + [failed])
 
 
-def test_config_file_round_trip(tmp_path):
+@pytest.mark.parametrize("omega", ["0, 0.5, 1", "0:1:3"])
+def test_config_file_round_trip(tmp_path, omega):
+    # lists take the CLI's grid syntax, start:stop:count tokens included
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(
         "# sweep description\n"
@@ -286,15 +288,14 @@ def test_config_file_round_trip(tmp_path):
         "noise_frac = 0\n"
         "alpha = 0.7\n"
         "rho = 1\n"
-        "omega = 0, 0.5, 1\n"
+        f"omega = {omega}\n"
         "p = 0.5\n"
         "trials = 2\n"
         "seed = 3\n"
     )
     spec = load_experiment_spec(cfg)
-    assert spec.N == 40
-    assert spec.n_list == (16, 20)
-    assert spec.omega_list == (0.0, 0.5, 1.0)
+    assert spec == _tiny_spec(N=40, n_list=(16, 20), k=4, omega_list=(0.0, 0.5, 1.0), p_list=(0.5,),
+                              alpha_list=(0.7,), rho=1.0, noise_frac=0.0, trials=2, seed=3)
     assert spec.signal_kind == "sparse"
 
 
@@ -328,6 +329,13 @@ def test_config_file_errors_name_the_key(tmp_path):
     )
     with pytest.raises(ConfigError, match="N"):
         load_experiment_spec(dup)
+    empty = tmp_path / "empty.cfg"
+    empty.write_text(
+        "N = 40\nn = 20\nk = 4\nsignal_kind = sparse\nnoise_frac = 0\n"
+        "alpha = 0.7\nrho = 1\nomega = 0,,1\np = 0.5\ntrials = 1\nseed = 0\n"
+    )
+    with pytest.raises(ConfigError, match="bad value for 'omega'"):
+        load_experiment_spec(empty)
 
 
 def test_non_integer_n_is_rejected(tmp_path):

@@ -13,6 +13,7 @@ from cswlp import (
     oracle_weighted_lp,
     solve,
 )
+from cswlp.core import _weighted_lp_sum
 
 
 def test_l0_prefers_the_sparsest_fit():
@@ -197,9 +198,10 @@ def _assert_matches(res, ref, N):
 def _check_against_reference(A, y, w, p, k_max):
     N = A.shape[1]
     _assert_matches(oracle_l0(DenseMatrix(A), y, k_max), _reference_l0(A, y, k_max), N)
-    _assert_matches(
-        oracle_weighted_lp(DenseMatrix(A), y, w, p, k_max), _reference_weighted_lp(A, y, w, p, k_max), N
-    )
+    res = oracle_weighted_lp(DenseMatrix(A), y, w, p, k_max)
+    _assert_matches(res, _reference_weighted_lp(A, y, w, p, k_max), N)
+    # the value it reports is the core objective of its minimizer, to the bit
+    assert res.objective_value == _weighted_lp_sum(w**p, res.minimizer.entries, p)
 
 
 def test_stacked_oracles_match_per_support_lstsq_on_criterion_3_instances():
@@ -231,6 +233,12 @@ def test_stacked_oracles_match_reference_on_rank_deficient_supports():
         for p in (0.5, 1.0):
             for w in (np.ones(10), rng.uniform(0.05, 1.0, 10)):
                 _check_against_reference(A, A @ x, w, p, 4)
+    # zero columns around the exact fit (0.1, 0.2, 0.3) on columns 1, 5, 6:
+    # summed in support order its objective at p = 1 is 0.6000000000000001,
+    # summed over all ten entries, as its minimizer's, it is 0.6
+    E = np.zeros((3, 10))
+    E[[0, 1, 2], [0, 4, 5]] = 1.0
+    _check_against_reference(E, np.array([0.1, 0.2, 0.3]), np.ones(10), 1.0, 4)
 
 
 def test_stacked_oracles_match_reference_at_the_size_caps():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from cswlp import (
     proposition2_check,
     sufficient_condition_holds,
 )
-from cswlp.theory import _lp_constants, _wl1_constants
+from cswlp.theory import _wl1_constants
 
 
 def test_lp_bound_spot_value():
@@ -87,6 +89,38 @@ def test_sufficient_condition_threshold():
     assert not sufficient_condition_holds(bad)
 
 
+def _constants_defined(params):
+    try:
+        error_constants(params)
+    except ConditionViolatedError:
+        return False
+    return True
+
+
+def test_condition_holds_exactly_when_the_constants_are_defined():
+    # random draws, and draws with delta_(a+1)k at the condition's
+    # threshold and at its float neighbours, where two forms of the same
+    # inequality can round apart; the first draw is one such case
+    draws = [TheoryParams(a=3.027488317197521, p=0.7710397305057322, omega=0.4210929223498161,
+                          alpha=0.05739995679562526, rho=1.5646929371692606,
+                          delta_ak=0.12840546323385527, delta_a1k=0.5846928301105241)]
+    rng = np.random.default_rng(23)
+    for _ in range(1500):
+        a, p, omega, alpha, rho, d1 = (rng.uniform(1.01, 8.0), rng.uniform(0.05, 1.0), rng.uniform(),
+                                       rng.uniform(), rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.5))
+        if 1.0 + rho - 2.0 * alpha * rho < 0.0:
+            continue
+        gamma = omega**p + (1.0 - omega**p) * (1.0 + rho - 2.0 * alpha * rho) ** (1.0 - p / 2.0)
+        edge = 1.0 - gamma ** (2.0 / p) * (1.0 + d1) / a ** (2.0 / p - 1.0)
+        for d2 in (rng.uniform(), edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
+            if 0.0 <= d2 < 1.0:
+                draws.append(TheoryParams(p=p, omega=omega, alpha=alpha, rho=rho, a=a,
+                                          delta_ak=d1, delta_a1k=float(d2)))
+    assert len(draws) > 3000
+    for params in draws:
+        assert sufficient_condition_holds(params) == _constants_defined(params), params
+
+
 def test_error_constants_positive_when_condition_holds():
     params = TheoryParams(p=0.5, omega=0.5, alpha=0.7, rho=1.0, a=3.0, delta_ak=0.1, delta_a1k=0.1)
     c1, c2 = error_constants(params)
@@ -133,9 +167,23 @@ def test_constants_match_independent_l1_form_at_p_one():
     assert checked > 100
 
 
-def test_unit_weight_constants_match_plain_lp_form():
-    got = error_constants(TheoryParams(p=0.5, omega=1.0, alpha=0.3, rho=0.5, a=3.0, delta_ak=0.1, delta_a1k=0.1))
-    want = _lp_constants(0.5, 3.0, 0.1, 0.1)
+def _plain_lp_constants(p, a, d1, d2):
+    """The unweighted (omega = 1) C1 and C2, written out apart from the
+    library: with r = a^(1-p/2), q = (2/p-1)^(p/2) and
+    E = r (1-d2)^(p/2) - (1+d1)^(p/2), C1 = 2^p (r q + 1) / (q E) and
+    C2 = 2 (q (1+d1)^(p/2) + (1-d2)^(p/2)) / (q E)."""
+    r = a ** (1.0 - p / 2.0)
+    q = (2.0 / p - 1.0) ** (p / 2.0)
+    lo, hi = (1.0 - d2) ** (p / 2.0), (1.0 + d1) ** (p / 2.0)
+    E = r * lo - hi
+    return 2.0**p * (r * q + 1.0) / (q * E), 2.0 * (q * hi + lo) / (q * E)
+
+
+@pytest.mark.parametrize("p, a, d1, d2", [(0.5, 3.0, 0.1, 0.1), (0.3, 2.0, 0.2, 0.05), (0.9, 5.0, 0.0, 0.3)])
+def test_unit_weight_constants_match_plain_lp_form(p, a, d1, d2):
+    got = error_constants(TheoryParams(p=p, omega=1.0, alpha=0.3, rho=0.5, a=a, delta_ak=d1, delta_a1k=d2))
+    want = _plain_lp_constants(p, a, d1, d2)
+    assert all(math.isfinite(v) and v > 0.0 for v in want)
     assert abs(got[0] - want[0]) < 1e-12 * abs(want[0])
     assert abs(got[1] - want[1]) < 1e-12 * abs(want[1])
 
