@@ -445,11 +445,14 @@ def _signal_array(x) -> np.ndarray:
 
 def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
     """y from b, and the limit _FEASIBILITY_TOL max(1, ||y||) under which
-    ||A x - y|| counts as an exact fit; a b with epsilon > 0, or whose
-    length is not A's row count, raises ValueError naming ``decoder``."""
+    ||A x - y|| counts as an exact fit; a b with epsilon > 0, a plain
+    array b holding NaN or inf, or a b whose length is not A's row count,
+    raises ValueError naming ``decoder``."""
     if isinstance(b, Measurements) and b.epsilon > 0.0:
         raise ValueError(f"{decoder} fits A x = b exactly; it cannot honour noise bound epsilon={b.epsilon!r}")
     y = b.y if isinstance(b, Measurements) else _signal_array(b)
+    if not np.all(np.isfinite(y)):
+        raise ValueError(f"{decoder}: measurements must be finite")
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"{decoder}: measurement length {y.shape[0]} does not match operator rows {A.shape[0]}")
     return y, _FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(y)))

@@ -1,13 +1,18 @@
 """Exhaustive-search reference decoders for tiny problems.
 
 Both oracles enumerate candidate supports in ascending size and, within
-a size, in lexicographic order.  Every support of one size is fitted by
-least squares at once: its columns are gathered into one stack and
-solved with one batched pseudo-inverse.  The oracles are exponential in
-N and exist to check the iterative solver on instances small enough to
-enumerate, so N is capped at 20 and support size at 4.  Both read b and
-judge each fit by ``core._exact_fit``, the rule ``solve`` reads it by, so
-Measurements with epsilon > 0 raise ValueError.
+a size, in lexicographic order.  Each support (t1 < ... < ts) is
+factored from its lexicographic prefix (t1 ... t(s-1)), a row of the
+previous size's table, by one batched Gram-Schmidt step, so a support
+costs O(n s) and no SVD.  That step gives b's distance from the span of
+the support's columns, which screens out the supports that cannot fit;
+the rest are fitted from their triangular factor, and supports with
+(nearly) dependent columns by the pseudo-inverse, lstsq's minimum-norm
+fit.  The oracles are exponential in N and exist to check the iterative
+solver on instances small enough to enumerate, so N is capped at 20 and
+support size at 4.  Both read b and judge each fit by
+``core._exact_fit``, the rule ``solve`` reads it by, so Measurements
+with epsilon > 0 raise ValueError.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .core import (
     OracleInfeasibleError,
     SensingOperator,
     SignalVector,
+    _as_matrix,
     _exact_fit,
     _weighted_lp_sum,
     _weights_array,
@@ -33,6 +39,9 @@ __all__ = ["OracleResult", "oracle_l0", "oracle_weighted_lp"]
 
 _MAX_N = 20
 _MAX_SUPPORT = 4
+# a new column whose component off its prefix's span is below this share
+# of its norm marks the support dependent (fitted by the pseudo-inverse)
+_PIVOT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -49,7 +58,12 @@ class OracleResult:
 
 
 def _prepare(A, b, k_max: int, decoder: str) -> tuple[np.ndarray, np.ndarray, float]:
-    A_dense = A.as_dense() if isinstance(A, SensingOperator) else np.asarray(A, dtype=np.float64)
+    if isinstance(A, SensingOperator):
+        A_dense = A.as_dense()
+    else:
+        A_dense = _as_matrix(A)
+        if not np.all(np.isfinite(A_dense)):
+            raise ValueError(f"{decoder}: matrix entries must be finite")
     y, limit = _exact_fit(A_dense, b, decoder)
     N = A_dense.shape[1]
     if N > _MAX_N:
@@ -68,21 +82,76 @@ def _supports(N: int, size: int) -> np.ndarray:
     return table
 
 
+@cache
+def _prefixes(N: int, size: int) -> np.ndarray:
+    """For each row of ``_supports(N, size)``, size >= 1, the row of
+    ``_supports(N, size - 1)`` that holds its first size - 1 entries."""
+    rank = {row: i for i, row in enumerate(map(tuple, _supports(N, size - 1).tolist()))}
+    index = np.array([rank[row[:-1]] for row in map(tuple, _supports(N, size).tolist())], dtype=np.intp)
+    index.flags.writeable = False
+    return index
+
+
+def _gram_schmidt_step(Q, R, r, dependent, a):
+    """Append the column a[i] to the i-th factorization: Q (S, n, s-1)
+    orthonormal, R (S, s-1, s-1) upper triangular and r the residual of
+    the measurements off span(Q).  Classical Gram-Schmidt is run twice,
+    which keeps Q orthonormal to working precision ("twice is enough").
+    A row is marked ``dependent`` when its new pivot falls below
+    _PIVOT_TOL ||a[i]||, or its prefix's was; its new column of Q is 0
+    and its factors go unused."""
+    c = np.einsum("snk,sn->sk", Q, a)
+    v = a - np.einsum("snk,sk->sn", Q, c)
+    c2 = np.einsum("snk,sn->sk", Q, v)
+    v -= np.einsum("snk,sk->sn", Q, c2)
+    pivot = np.linalg.norm(v, axis=1)
+    dependent = dependent | (pivot <= _PIVOT_TOL * np.linalg.norm(a, axis=1))
+    q = v * np.divide(1.0, pivot, out=np.zeros_like(pivot), where=~dependent)[:, None]
+    S, s = R.shape[0], R.shape[1] + 1
+    R_new = np.zeros((S, s, s))
+    R_new[:, :-1, :-1] = R
+    R_new[:, :-1, -1] = c + c2
+    R_new[:, -1, -1] = pivot
+    r_new = r - q * np.einsum("sn,sn->s", q, r)[:, None]
+    return np.concatenate((Q, q[:, :, None]), axis=2), R_new, r_new, dependent
+
+
 def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int, limit: float):
     """For each size 0..k_max in turn, yield (supports, coefficients):
     the rows of the size's support table whose least-squares fit leaves
     a residual of at most ``limit``, the feasibility limit of
     ``core._exact_fit``, in table order, and their fits, both (F, size)
-    arrays with F possibly 0."""
+    arrays with F possibly 0.
+
+    Each support's Q R factors extend its prefix's by one Gram-Schmidt
+    step.  A support with independent columns whose residual ||r|| off
+    their span exceeds 2 limit is dropped unfitted: no fit on it can
+    reach the limit.  The others are fitted by z = R^-1 Q^T y, and those
+    marked dependent by one batched pseudo-inverse, lstsq's minimum-norm
+    fit; every fit is then judged by its own residual
+    ||A_T z - y|| <= limit."""
     n, N = A_dense.shape
+    # the empty support: no columns, and all of y is residual
+    Q, R, r, dependent = np.zeros((1, n, 0)), np.zeros((1, 0, 0)), y[None, :], np.zeros(1, dtype=bool)
     for size in range(k_max + 1):
         supports = _supports(N, size)
-        cols = np.moveaxis(A_dense[:, supports], 1, 0)  # (S, n, size)
-        # the singular-value cutoff lstsq(rcond=None) uses; pinv's default
-        # is 1e-15, and its rtol keyword needs numpy 2
-        z = np.linalg.pinv(cols, rcond=max(n, size) * np.finfo(np.float64).eps) @ y
-        residuals = np.linalg.norm((cols @ z[:, :, None])[:, :, 0] - y, axis=1)
-        fits = residuals <= limit
+        if size:
+            prefix = _prefixes(N, size)
+            Q, R, r, dependent = _gram_schmidt_step(
+                Q[prefix], R[prefix], r[prefix], dependent[prefix], A_dense[:, supports[:, -1]].T
+            )
+        z = np.zeros(supports.shape)
+        solved = ~dependent & (np.linalg.norm(r, axis=1) <= 2.0 * limit)
+        z[solved] = np.linalg.solve(R[solved], np.einsum("snk,n->sk", Q[solved], y)[:, :, None])[:, :, 0]
+        if dependent.any():
+            cols = np.moveaxis(A_dense[:, supports[dependent]], 1, 0)
+            # the singular-value cutoff lstsq(rcond=None) uses; pinv's default
+            # is 1e-15, and its rtol keyword needs numpy 2
+            z[dependent] = np.linalg.pinv(cols, rcond=max(n, size) * np.finfo(np.float64).eps) @ y
+        tried = np.flatnonzero(solved | dependent)
+        cols = np.moveaxis(A_dense[:, supports[tried]], 1, 0)  # (F, n, size)
+        residuals = np.linalg.norm((cols @ z[tried][:, :, None])[:, :, 0] - y, axis=1)
+        fits = tried[residuals <= limit]
         yield supports[fits], z[fits]
 
 

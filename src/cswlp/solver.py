@@ -260,8 +260,8 @@ def solve(
     Every iterate satisfies A x = b up to cfg.feasibility_tol relative
     to max(1, ||b||).  A non-finite objective raises
     SolverDivergenceError; a rank-deficient A raises RankDeficientError;
-    ``core._exact_fit``, as in the oracles, refuses epsilon > 0 or a b
-    of the wrong length with ValueError.
+    ``core._exact_fit``, as in the oracles, refuses epsilon > 0, a
+    non-finite b or a b of the wrong length with ValueError.
     """
     n, N = A.shape
     y, feas_limit = _exact_fit(A, b, "solve")

@@ -256,7 +256,8 @@ def test_stacked_oracles_match_reference_on_zero_measurements():
 
 
 def test_oracles_need_no_lstsq(monkeypatch):
-    # every support of one size is fitted by one stacked pseudo-inverse
+    # each support is factored from its prefix by one batched Gram-Schmidt
+    # step and fitted from its triangular factor; none calls lstsq
     def no_lstsq(*args, **kwargs):
         raise AssertionError("the oracle called lstsq")
 
@@ -267,3 +268,78 @@ def test_oracles_need_no_lstsq(monkeypatch):
     x[[2, 7]] = (1.3, -0.4)
     assert oracle_l0(DenseMatrix(A), A @ x, 4).support == (3, 8)
     assert oracle_weighted_lp(DenseMatrix(A), A @ x, np.ones(10), 0.5, 4).support == (3, 8)
+
+
+def test_only_dependent_supports_take_the_pseudo_inverse(monkeypatch):
+    # every stack of matrices the oracle hands np.linalg.pinv
+    stacks = []
+    pinv = np.linalg.pinv
+
+    def recording_pinv(a, *args, **kwargs):
+        stacks.append(np.array(a))
+        return pinv(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
+    rng = np.random.default_rng(61)
+    A = rng.standard_normal((6, 10))
+    x = np.zeros(10)
+    x[[2, 7]] = (1.3, -0.4)
+    assert oracle_weighted_lp(DenseMatrix(A), A @ x, np.ones(10), 0.5, 4).support == (3, 8)
+    assert stacks == []
+    # the duplicated and scaled columns of the rank-deficient test: only
+    # the supports holding a dependent pair, and all of them, take pinv
+    A[:, 3] = A[:, 0]
+    A[:, 5] = -2.5 * A[:, 1]
+    A[:, 8] = A[:, 0]
+    pairs = [{0, 3}, {0, 8}, {3, 8}, {1, 5}]
+    counts = [sum(any(pair <= set(s) for pair in pairs) for s in combinations(range(10), size)) for size in range(5)]
+    oracle_weighted_lp(DenseMatrix(A), A @ x, np.ones(10), 0.5, 4)
+    assert [len(stack) for stack in stacks] == [c for c in counts if c]
+    for stack in stacks:
+        assert np.all(np.linalg.matrix_rank(stack) < stack.shape[-1])
+
+
+@pytest.mark.parametrize("share", [0.9, 1.1])
+def test_fits_are_judged_at_the_limit_not_the_screen(share):
+    # y sits off the span of columns 3 and 8 by share * limit, the error
+    # orthogonal to that span: its least-squares residual is exactly that
+    rng = np.random.default_rng(67)
+    A = rng.standard_normal((6, 10))
+    cols = A[:, [3, 8]]
+    y0 = cols @ np.array([1.5, -0.7])
+    assert np.linalg.norm(y0) > 1.0
+    u = rng.standard_normal(6)
+    u -= cols @ np.linalg.lstsq(cols, u, rcond=None)[0]
+    u /= np.linalg.norm(u)
+    # ||e|| = share * 1e-8 * ||y0 + e||, the limit of core._exact_fit
+    c = share * 1e-8
+    y = y0 + c * np.linalg.norm(y0) / np.sqrt(1.0 - c * c) * u
+    if share < 1.0:
+        assert oracle_l0(DenseMatrix(A), y, 2).support == (4, 9)
+        assert oracle_weighted_lp(DenseMatrix(A), y, np.ones(10), 0.5, 2).support == (4, 9)
+    else:
+        with pytest.raises(OracleInfeasibleError):
+            oracle_l0(DenseMatrix(A), y, 2)
+        with pytest.raises(OracleInfeasibleError):
+            oracle_weighted_lp(DenseMatrix(A), y, np.ones(10), 0.5, 2)
+
+
+@pytest.mark.parametrize("decoder", list(_DECODERS), ids=["weighted_lp", "l0", "solve"])
+def test_decoders_refuse_non_finite_inputs(decoder):
+    rng = np.random.default_rng(71)
+    A = rng.standard_normal((5, 10))
+    y = A[:, 2].copy()
+    for bad in (np.nan, np.inf):
+        b = y.copy()
+        b[1] = bad
+        assert _refusal(decoder, DenseMatrix(A), b) == f"{decoder}: measurements must be finite"
+        if decoder != "solve":  # solve takes an operator, never a plain array
+            M = A.copy()
+            M[4, 7] = bad
+            assert _refusal(decoder, M, y) == f"{decoder}: matrix entries must be finite"
+
+
+def test_oracles_refuse_a_plain_array_that_is_not_a_matrix():
+    for A in (np.ones(3), np.ones((3, 4, 2))):
+        for decoder in ("oracle_weighted_lp", "oracle_l0"):
+            assert _refusal(decoder, A, np.ones(3)).startswith("matrix must be two-dimensional")
