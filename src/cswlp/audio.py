@@ -29,6 +29,8 @@ from .core import (
     SupportEstimate,
     WeightVector,
     _SNR_CAP_DB,
+    _as_vector,
+    _check_fields,
     _idct,
     _idct_entries,
     _stream,
@@ -83,13 +85,8 @@ class AudioPipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_domain(block_len=[self.block_len], num_blocks=[self.num_blocks], keep_frac=[self.keep_frac],
-                     lowfreq_cutoff_hz=[self.lowfreq_cutoff_hz], sample_rate_hz=[self.sample_rate_hz],
-                     prev_block_keep=[self.prev_block_keep], p=self.p_list, omega=self.omega_list)
-        object.__setattr__(self, "block_len", int(self.block_len))
-        object.__setattr__(self, "num_blocks", int(self.num_blocks))
-        object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
-        object.__setattr__(self, "omega_list", tuple(float(v) for v in self.omega_list))
+        _check_fields(self, "block_len", "num_blocks", "keep_frac", "lowfreq_cutoff_hz", "sample_rate_hz",
+                      "prev_block_keep", "p_list", "omega_list")
         if self.lowfreq_cutoff_hz > self.sample_rate_hz / 2.0:
             raise ValueError("cutoff must lie in [0, sample_rate/2]")
         if self.samples_per_block < 1:
@@ -134,16 +131,11 @@ def build_block_problem(
     if block.shape != (cfg.block_len,):
         raise ValueError(f"block must have length {cfg.block_len}")
     op = RestrictedTransform(rows=tuple(keep_rows), size=cfg.block_len)
-    idx = np.asarray(keep_rows, dtype=np.intp) - 1
-    y = Measurements(block[idx])
+    y = Measurements(block[op._idx])
     joined = set(lowfreq_support(cfg).indices)
     if prev_estimate is not None:
         joined |= set(prev_estimate.indices)
-    weights = WeightVector(
-        omega=float(omega),
-        estimate=SupportEstimate(tuple(sorted(joined))),
-        size=cfg.block_len,
-    )
+    weights = WeightVector(omega=omega, estimate=SupportEstimate(tuple(joined)), size=cfg.block_len)
     return op, y, weights
 
 
@@ -176,9 +168,9 @@ def recover_clip(
     # kept only until the benchmark stops passing threads=1
     if threads != 1:
         raise ValueError(f"recover_clip is serial; threads must be 1, got {threads}")
-    samples = np.asarray(samples, dtype=np.float64)
+    samples = _as_vector(samples, "samples")
     total = cfg.num_blocks * cfg.block_len
-    if samples.ndim != 1 or samples.shape[0] < total:
+    if samples.shape[0] < total:
         raise ValueError(f"need at least {total} samples, got {samples.shape}")
     samples = samples[:total]
 

@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .audio import AudioPipelineConfig, AudioRow, read_wav_mono, recover_clip, write_wav_mono
 from .core import (
+    ConditionViolatedError,
     CswlpError,
     DenseMatrix,
     Measurements,
@@ -42,14 +43,7 @@ from .core import (
 )
 from .experiments import ExperimentSpec, SweepRow, _parse_grid, load_experiment_spec, run_sweep
 from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK, SolverConfig, solve
-from .theory import (
-    TheoryParams,
-    delta_hat_lp,
-    delta_hat_wl1,
-    delta_hat_wlp,
-    error_constants,
-    sufficient_condition_holds,
-)
+from .theory import TheoryParams, delta_hat_lp, delta_hat_wl1, delta_hat_wlp, error_constants
 
 __all__ = ["RunManifest", "main", "read_array", "write_matrix_binary", "write_vector_binary"]
 
@@ -105,9 +99,10 @@ def _read_vector(path) -> np.ndarray:
     raise ValueError(f"{path}: expected a vector, got shape {arr.shape}")
 
 
-def _read_support(path) -> tuple[int, ...]:
+def _read_support(path) -> tuple[float, ...]:
+    """The numbers of a support file, which ``SupportEstimate`` reads as indices."""
     tokens = Path(path).read_text().replace(",", " ").split()
-    return tuple(int(tok) for tok in tokens)
+    return tuple(float(tok) for tok in tokens)
 
 
 def _sha256(path) -> str:
@@ -198,12 +193,12 @@ def _run_solve(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     A = DenseMatrix(read_array(inputs["matrix"]))
     y = _read_vector(inputs["measurements"])
     n, N = A.shape
-    indices: tuple[int, ...] = ()
+    indices: tuple[float, ...] = ()
     if "support" in inputs:
         indices = _read_support(inputs["support"])
-    w = WeightVector(omega=float(config["omega"]), estimate=SupportEstimate(indices), size=N)
+    w = WeightVector(omega=config["omega"], estimate=SupportEstimate(indices), size=N)
     cfg = SolverConfig(**config["solver"])
-    b = Measurements(y, epsilon=float(config["epsilon"]))
+    b = Measurements(y, epsilon=config["epsilon"])
     x_hat, trace = solve(A, b, w, cfg)
     _write_csv(out_dir / "recovered.csv", (), ((v,) for v in x_hat.entries))
     _write_csv(out_dir / "trace.csv", trace.COLUMNS, zip(*(getattr(trace, c) for c in trace.COLUMNS)))
@@ -216,10 +211,9 @@ def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     if (d1 is None) != (d2 is None):
         raise ValueError("--delta-ak and --delta-a1k must be given together")
     with_constants = d1 is not None
-    # a manifest may hold the grids as JSON integers; the table prints floats
-    grids = {name: [float(v) for v in config[name]] for name in ("a", "p", "omega", "alpha", "rho")}
-    # the theory's domain, checked before any cell is computed
-    check_domain(**grids)
+    # the theory's domain, checked before any cell is computed; the table
+    # prints the floats it returns, also for a manifest's JSON integers
+    grids = check_domain(**{name: config[name] for name in ("a", "p", "omega", "alpha", "rho")})
     header = ["a", "p", "omega", "alpha", "rho", "delta_hat_lp", "delta_hat_wl1", "delta_hat_wlp"]
     if with_constants:
         header += ["c1", "c2", "condition_holds"]
@@ -230,13 +224,11 @@ def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
             delta_hat_lp(a, p), delta_hat_wl1(a, omega, alpha, rho), delta_hat_wlp(a, p, omega, alpha, rho),
         ]
         if with_constants:
-            params = TheoryParams(
-                p=p, omega=omega, alpha=alpha, rho=rho, a=a,
-                delta_ak=float(d1), delta_a1k=float(d2),
-            )
-            holds = sufficient_condition_holds(params)
-            c1, c2 = error_constants(params) if holds else (float("inf"), float("inf"))
-            row += [c1, c2, "true" if holds else "false"]
+            params = TheoryParams(p=p, omega=omega, alpha=alpha, rho=rho, a=a, delta_ak=d1, delta_a1k=d2)
+            try:
+                row += [*error_constants(params), "true"]
+            except ConditionViolatedError:
+                row += [float("inf"), float("inf"), "false"]
         rows.append(row)
     _write_csv(out_dir / "theory.csv", header, rows)
     return ["theory.csv"]

@@ -7,10 +7,18 @@ Conventions used throughout the package:
   boundary; 0-based numpy indexing stays internal
 * weight vectors assign a value omega in [0, 1] on an estimated support
   and 1.0 elsewhere
-* every module checks each scalar setting it takes (p, omega, alpha,
-  rho, the counts n, k, max_iters, ..., the audio fractions and rates)
-  against one domain table, ``check_domain``; only rules that relate
-  two values, such as n <= N, are written where they apply
+* every input is read by the reader of its kind, the only home of its
+  rule; only rules that relate two values, such as n <= N, are written
+  where they apply:
+  - arrays: ``_as_vector`` and ``_as_matrix`` refuse non-finite
+    entries, naming the input (and the decoder that reads it);
+  - index sets: ``_as_indices`` refuses a non-integer, a repeat, or an
+    index outside 1..N;
+  - scalar settings (p, omega, alpha, rho, the counts n, k, max_iters,
+    ..., the audio fractions and rates): ``check_domain`` checks them
+    against one domain table and returns them as the table keeps them,
+    a count as int and any other setting as float, which is what the
+    config types store (``_check_fields``)
 """
 
 from __future__ import annotations
@@ -73,6 +81,10 @@ _RANK_TOL = 1e-10
 _FEASIBILITY_TOL = 1e-8
 _SNR_CAP_DB = 300.0
 
+# the settings that count iterations, trials, lengths, sizes and grid
+# points: integers >= 1, kept as int
+_COUNTS = ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "size", "count")
+
 # each parameter's domain: its test and how the error words it
 _DOMAIN = {
     "p": (lambda v: 0.0 < v <= 1.0, "lie in (0, 1]"),
@@ -90,16 +102,14 @@ _DOMAIN = {
     "prev_block_keep": (lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]"),
     "sample_rate_hz": (lambda v: v > 0.0, "be positive"),
     "lowfreq_cutoff_hz": (lambda v: v >= 0.0, "be >= 0"),
-    # the counts: iterations, trials, lengths, sizes and grid points
-    **dict.fromkeys(
-        ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "size", "count"),
-        (lambda v: v >= 1.0 and v.is_integer(), "be an integer >= 1"),
-    ),
+    **dict.fromkeys(_COUNTS, (lambda v: v >= 1.0 and v.is_integer(), "be an integer >= 1")),
 }
 
 
-def check_domain(**values) -> None:
-    """Raise one ValueError naming every value outside its domain.
+def check_domain(**values) -> dict[str, list]:
+    """Each keyword's values as the table keeps them, a count as int and
+    any other setting as float; raise one ValueError naming every value
+    outside its domain.
 
     Each keyword names a parameter of ``_DOMAIN`` and takes a non-empty
     list of its values, each finite and in its domain; a count must be
@@ -123,22 +133,57 @@ def check_domain(**values) -> None:
         )
     if errors:
         raise ValueError("; ".join(errors))
+    return {name: [int(v) if name in _COUNTS else v for v in vs] for name, vs in values.items()}
 
 
-def _as_vector(values, name: str = "values") -> np.ndarray:
+def _check_fields(obj, *names: str) -> None:
+    """Check the fields ``names`` of the frozen dataclass ``obj`` by
+    ``check_domain``, a field ``<x>_list`` as the values of ``x`` and a
+    None field not at all, and store each as ``check_domain`` returns
+    it, a list field as a tuple."""
+    given = {name: getattr(obj, name) for name in names if getattr(obj, name) is not None}
+    checked = check_domain(**{
+        name.removesuffix("_list"): list(v) if name.endswith("_list") else [v] for name, v in given.items()
+    })
+    for name, values in zip(given, checked.values()):
+        object.__setattr__(obj, name, tuple(values) if name.endswith("_list") else values[0])
+
+
+def _as_vector(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     return arr
 
 
-def _as_matrix(values) -> np.ndarray:
+def _as_matrix(values, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
-        raise ValueError(f"matrix must be two-dimensional, got shape {arr.shape}")
+        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} entries must be finite")
     return arr
+
+
+def _as_indices(values, name: str, N: int | None = None) -> tuple[int, ...]:
+    """``values`` as 1-based indices, in their order; raises ValueError
+    naming ``name`` when one is not an integer (an integral float is),
+    repeats, or lies outside 1..N (below 1 when N is None)."""
+    floats = [float(v) for v in values]
+    fraction = next((v for v in floats if not v.is_integer()), None)
+    if fraction is not None:
+        raise ValueError(f"{name} must be integers, got {fraction}")
+    idx = tuple(int(v) for v in floats)
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"{name} must be distinct")
+    outside = [i for i in idx if i < 1 or (N is not None and i > N)]
+    if outside:
+        raise ValueError(f"{name} must {'be >= 1' if N is None else f'lie in 1..{N}'}, got {outside[0]}")
+    return idx
 
 
 @dataclass(frozen=True)
@@ -148,10 +193,7 @@ class SignalVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = _as_vector(self.entries, "entries")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("signal entries must be finite")
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _as_vector(self.entries, "signal entries"))
 
     def __len__(self) -> int:
         return int(self.entries.shape[0])
@@ -169,12 +211,10 @@ class DenseMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.matrix)
+        arr = _as_matrix(self.matrix, "matrix")
         n, N = arr.shape
         if n > N:
             raise ValueError(f"matrix must have n <= N, got {n} x {N}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -300,22 +340,18 @@ class RestrictedTransform:
     DCT-II of length ``size``, so its rows are orthonormal: A A^T = I and
     pinv(A) = A^T.
 
-    ``rows`` are the kept rows (1-based, distinct).  The transform is
-    applied by FFT without forming any N x N array.
+    ``rows`` are the kept rows (1-based, distinct, in 1..size).  The
+    transform is applied by FFT without forming any N x N array.
     """
 
     rows: tuple[int, ...]
     size: int
 
     def __post_init__(self):
-        rows = tuple(int(i) for i in self.rows)
-        N = int(self.size)
-        object.__setattr__(self, "size", N)
-        if len(rows) == 0 or len(set(rows)) != len(rows):
-            raise ValueError("rows must be non-empty and distinct")
-        if min(rows) < 1 or max(rows) > N:
-            raise ValueError(f"rows must lie in 1..{N}")
-        object.__setattr__(self, "rows", rows)
+        _check_fields(self, "size")
+        object.__setattr__(self, "rows", _as_indices(self.rows, "rows", self.size))
+        if not self.rows:
+            raise ValueError("rows must be non-empty")
 
     @cached_property
     def _idx(self) -> np.ndarray:
@@ -371,13 +407,8 @@ class Measurements:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        arr = _as_vector(self.y, "y")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("measurements must be finite")
-        object.__setattr__(self, "y", arr)
-        eps = float(self.epsilon)
-        check_domain(epsilon=[eps])
-        object.__setattr__(self, "epsilon", eps)
+        object.__setattr__(self, "y", _as_vector(self.y, "measurements"))
+        _check_fields(self, "epsilon")
 
 
 @dataclass(frozen=True)
@@ -387,19 +418,10 @@ class SupportEstimate:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if len(set(idx)) != len(idx):
-            raise ValueError("support indices must be distinct")
-        if any(i < 1 for i in idx):
-            raise ValueError("support indices are 1-based and must be >= 1")
-        object.__setattr__(self, "indices", tuple(sorted(idx)))
+        object.__setattr__(self, "indices", tuple(sorted(_as_indices(self.indices, "support indices"))))
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    def validate_within(self, N: int) -> None:
-        if self.indices and self.indices[-1] > N:
-            raise ValueError(f"support index {self.indices[-1]} exceeds N={N}")
 
 
 @dataclass(frozen=True)
@@ -411,10 +433,8 @@ class WeightVector:
     size: int
 
     def __post_init__(self):
-        check_domain(omega=[self.omega], size=[self.size])
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "size", int(self.size))
-        self.estimate.validate_within(self.size)
+        _check_fields(self, "omega", "size")
+        _as_indices(self.estimate.indices, "estimate indices", self.size)
 
     @cached_property
     def weights(self) -> np.ndarray:
@@ -424,35 +444,33 @@ class WeightVector:
         return w
 
 
-def _weights_array(w, N: int) -> np.ndarray:
+def _weights_array(w, N: int, name: str = "weights") -> np.ndarray:
     if isinstance(w, WeightVector):
         if w.size != N:
             raise ValueError(f"weight size {w.size} does not match signal length {N}")
         return w.weights
-    arr = _as_vector(w, "weights")
+    arr = _as_vector(w, name)
     if arr.shape[0] != N:
-        raise ValueError(f"weight length {arr.shape[0]} does not match signal length {N}")
+        raise ValueError(f"{name} length {arr.shape[0]} does not match signal length {N}")
     if np.any(arr < 0) or np.any(arr > 1):
-        raise ValueError("weights must lie in [0, 1]")
+        raise ValueError(f"{name} must lie in [0, 1]")
     return arr
 
 
-def _signal_array(x) -> np.ndarray:
+def _signal_array(x, name: str = "x") -> np.ndarray:
     if isinstance(x, SignalVector):
         return x.entries
-    return _as_vector(x, "x")
+    return _as_vector(x, name)
 
 
 def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
     """y from b, and the limit _FEASIBILITY_TOL max(1, ||y||) under which
     ||A x - y|| counts as an exact fit; a b with epsilon > 0, a plain
-    array b holding NaN or inf, or a b whose length is not A's row count,
-    raises ValueError naming ``decoder``."""
+    array b that ``_as_vector`` refuses, or a b whose length is not A's
+    row count, raises ValueError naming ``decoder``."""
     if isinstance(b, Measurements) and b.epsilon > 0.0:
         raise ValueError(f"{decoder} fits A x = b exactly; it cannot honour noise bound epsilon={b.epsilon!r}")
-    y = b.y if isinstance(b, Measurements) else _signal_array(b)
-    if not np.all(np.isfinite(y)):
-        raise ValueError(f"{decoder}: measurements must be finite")
+    y = b.y if isinstance(b, Measurements) else _as_vector(b, f"{decoder}: measurements")
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"{decoder}: measurement length {y.shape[0]} does not match operator rows {A.shape[0]}")
     return y, _FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(y)))
@@ -484,6 +502,17 @@ def weighted_lp_norm(x, w, p: float) -> float:
     return float(_weighted_lp_sum(wa**p, xa, p)) ** (1.0 / p)
 
 
+def _largest(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted 0-based positions of the k largest-magnitude entries
+    of x, ties broken toward the lower index, and x with every other
+    entry zeroed."""
+    # stable sort on -|x| keeps the earliest index among equal magnitudes
+    kept = np.sort(np.argsort(-np.abs(x), kind="stable")[:k])
+    head = np.zeros_like(x)
+    head[kept] = x[kept]
+    return kept, head
+
+
 def best_k_term(x, k: int) -> tuple[SignalVector, tuple[int, ...]]:
     """Keep the k largest-magnitude entries of x, zero the rest.
 
@@ -494,13 +523,8 @@ def best_k_term(x, k: int) -> tuple[SignalVector, tuple[int, ...]]:
     N = xa.shape[0]
     if not (0 <= k <= N):
         raise ValueError(f"k must lie in 0..{N}, got {k}")
-    # stable sort on -|x| keeps the earliest index among equal magnitudes
-    order = np.argsort(-np.abs(xa), kind="stable")
-    kept = np.sort(order[:k])
-    out = np.zeros_like(xa)
-    out[kept] = xa[kept]
-    support = tuple(int(i) + 1 for i in kept)
-    return SignalVector(out), support
+    kept, head = _largest(xa, k)
+    return SignalVector(head), tuple(int(i) + 1 for i in kept)
 
 
 def snr_db(x, x_hat, cap_db: float = _SNR_CAP_DB) -> float:
@@ -509,7 +533,7 @@ def snr_db(x, x_hat, cap_db: float = _SNR_CAP_DB) -> float:
     reference signal has no meaningful ratio and raises ValueError.
     """
     xa = _signal_array(x)
-    ha = _signal_array(x_hat)
+    ha = _signal_array(x_hat, "x_hat")
     if xa.shape[0] != ha.shape[0]:
         raise ValueError("signal lengths differ")
     ref = float(np.dot(xa, xa))

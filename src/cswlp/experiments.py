@@ -28,6 +28,8 @@ from .core import (
     SolverDivergenceError,
     SupportEstimate,
     WeightVector,
+    _as_indices,
+    _check_fields,
     _signal_array,
     _stream,
     best_k_term,
@@ -57,8 +59,7 @@ __all__ = [
 def gen_sparse_signal(N: int, k: int, rng: np.random.Generator) -> SignalVector:
     """k-sparse signal with uniformly random support and standard normal
     nonzero values."""
-    check_domain(N=[N], k=[k])
-    N, k = int(N), int(k)
+    [N], [k] = check_domain(N=[N], k=[k]).values()
     if k > N:
         raise ValueError(f"k must lie in 1..{N}, got {k}")
     support = rng.choice(N, size=k, replace=False)
@@ -72,15 +73,14 @@ def gen_sparse_signal(N: int, k: int, rng: np.random.Generator) -> SignalVector:
 
 def gen_compressible_signal(N: int, d: float) -> SignalVector:
     """Deterministic power-law decay x_j = j^(-d), j = 1..N."""
-    check_domain(N=[N], decay=[d])
+    [N], [d] = check_domain(N=[N], decay=[d]).values()
     j = np.arange(1, N + 1, dtype=np.float64)
     return SignalVector(j**(-d))
 
 
 def gen_gaussian_matrix(n: int, N: int, rng: np.random.Generator) -> DenseMatrix:
     """n x N matrix with i.i.d. N(0, 1/n) entries."""
-    check_domain(n=[n], N=[N])
-    n, N = int(n), int(N)
+    [n], [N] = check_domain(n=[n], N=[N]).values()
     if n > N:
         raise ValueError(f"need 1 <= n <= N, got n={n}, N={N}")
     return DenseMatrix(rng.standard_normal((n, N)) / np.sqrt(n))
@@ -88,8 +88,7 @@ def gen_gaussian_matrix(n: int, N: int, rng: np.random.Generator) -> DenseMatrix
 
 def gen_noise_on_sphere(n: int, level: float, x, rng: np.random.Generator) -> np.ndarray:
     """Noise vector with ||e|| exactly level * ||x|| and uniform direction."""
-    check_domain(n=[n], noise_frac=[level])
-    n = int(n)
+    [n], [level] = check_domain(n=[n], noise_frac=[level]).values()
     g = rng.standard_normal(n)
     while not np.any(g):
         g = rng.standard_normal(n)
@@ -116,18 +115,16 @@ def gen_support_estimate(
     """Support estimate of size round(rho*k) with round(alpha*size)
     indices drawn from the true support T0 (1-based) and the rest from
     its complement."""
-    check_domain(alpha=[alpha], rho=[rho], N=[N])
-    true = sorted(int(i) for i in T0)
+    [alpha], [rho], [N] = check_domain(alpha=[alpha], rho=[rho], N=[N]).values()
+    true = sorted(_as_indices(T0, "true support indices", N))
     k = len(true)
     if k == 0:
         raise ValueError("true support must be non-empty")
-    if any(i < 1 or i > N for i in true):
-        raise ValueError("true support indices must lie in 1..N")
     inside, outside = _estimate_counts(k, alpha, rho, N)
     pick_in = rng.choice(np.asarray(true, dtype=np.int64), size=inside, replace=False)
     complement = np.setdiff1d(np.arange(1, N + 1, dtype=np.int64), np.asarray(true, dtype=np.int64))
     pick_out = rng.choice(complement, size=outside, replace=False)
-    return SupportEstimate(tuple(int(i) for i in np.concatenate([pick_in, pick_out])))
+    return SupportEstimate(tuple(np.concatenate([pick_in, pick_out])))
 
 
 @dataclass(frozen=True)
@@ -151,18 +148,11 @@ class ExperimentSpec:
         if self.signal_kind not in ("sparse", "compressible"):
             raise ValueError(f"unknown signal kind {self.signal_kind!r}")
         # a sparse signal has no decay exponent to check
-        decay = {"decay": [self.decay]} if self.signal_kind == "compressible" else {}
+        decay = ("decay",) if self.signal_kind == "compressible" else ()
         if decay and self.decay is None:
             raise ValueError("compressible signals need a decay exponent")
-        check_domain(N=[self.N], n=self.n_list, k=[self.k], trials=[self.trials], p=self.p_list,
-                     omega=self.omega_list, alpha=self.alpha_list, rho=[self.rho],
-                     noise_frac=[self.noise_frac], **decay)
-        for name in ("N", "k", "trials"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
-        object.__setattr__(self, "alpha_list", tuple(float(v) for v in self.alpha_list))
-        object.__setattr__(self, "omega_list", tuple(float(v) for v in self.omega_list))
-        object.__setattr__(self, "p_list", tuple(float(v) for v in self.p_list))
+        _check_fields(self, "N", "n_list", "k", "trials", "p_list", "omega_list", "alpha_list", "rho",
+                      "noise_frac", *decay)
         if max(self.n_list) > self.N:
             raise ValueError("every n must lie in 1..N")
         if self.k > self.N:
@@ -190,7 +180,6 @@ class SweepRow:
 
 @dataclass
 class ExperimentResult:
-    spec: ExperimentSpec
     rows: list[SweepRow]
 
 
@@ -247,7 +236,7 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
     if spec.signal_kind == "sparse":
         x = gen_sparse_signal(spec.N, spec.k, rng)
     else:
-        x = gen_compressible_signal(spec.N, float(spec.decay))
+        x = gen_compressible_signal(spec.N, spec.decay)
     T0 = best_k_term(x, spec.k)[1]
     A = gen_gaussian_matrix(n, spec.N, rng)
     e = gen_noise_on_sphere(n, spec.noise_frac, x, rng)
@@ -313,7 +302,7 @@ def run_sweep(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
         for trial in range(spec.trials)
         for row in _task_rows(spec, n, alpha_idx, trial)
     ]
-    return ExperimentResult(spec=spec, rows=rows)
+    return ExperimentResult(rows=rows)
 
 
 _COMPRESSIBLE_RE = re.compile(r"^compressible\(([-0-9.eE+]+)\)$")
@@ -334,8 +323,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             if len(parts) != 3:
                 raise ValueError(f"grid token {token!r} must be start:stop:count")
             start, stop, count = (float(part) for part in parts)
-            check_domain(count=[count])
-            values.extend(float(v) for v in np.linspace(start, stop, int(count)))
+            [count] = check_domain(count=[count])["count"]
+            values.extend(float(v) for v in np.linspace(start, stop, count))
         else:
             values.append(float(token))
     return tuple(values)

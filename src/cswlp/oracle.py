@@ -58,12 +58,7 @@ class OracleResult:
 
 
 def _prepare(A, b, k_max: int, decoder: str) -> tuple[np.ndarray, np.ndarray, float]:
-    if isinstance(A, SensingOperator):
-        A_dense = A.as_dense()
-    else:
-        A_dense = _as_matrix(A)
-        if not np.all(np.isfinite(A_dense)):
-            raise ValueError(f"{decoder}: matrix entries must be finite")
+    A_dense = A.as_dense() if isinstance(A, SensingOperator) else _as_matrix(A, f"{decoder}: matrix")
     y, limit = _exact_fit(A_dense, b, decoder)
     N = A_dense.shape[1]
     if N > _MAX_N:
@@ -186,7 +181,7 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     check_domain(p=[p])
     A_dense, y, limit = _prepare(A, b, k_max, "oracle_weighted_lp")
     N = A_dense.shape[1]
-    wp = _weights_array(w, N) ** p
+    wp = _weights_array(w, N, "oracle_weighted_lp: weights") ** p
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for supports, z in _exact_fits(A_dense, y, k_max, limit):
         # scored as the embedded fits, so each value is the core objective

@@ -85,7 +85,9 @@ from .core import (
     SolverDivergenceError,
     _FEASIBILITY_TOL,
     _SNR_CAP_DB,
+    _check_fields,
     _exact_fit,
+    _largest,
     _signal_array,
     _weighted_lp_sum,
     _weights_array,
@@ -155,8 +157,7 @@ class SolverConfig:
     snr_cap_db: ClassVar[float] = _SNR_CAP_DB
 
     def __post_init__(self):
-        check_domain(p=[self.p], max_iters=[self.max_iters])
-        object.__setattr__(self, "max_iters", int(self.max_iters))
+        _check_fields(self, "p", "max_iters")
 
 
 @dataclass
@@ -205,18 +206,18 @@ class SolverTrace:
 
 def smoothed_objective(x, w, p: float, sigma: float) -> float:
     """Value of sum_i w_i^p (x_i^2 + sigma^2)^(p/2)."""
-    check_domain(p=[p], sigma=[sigma])
+    [p], [sigma] = check_domain(p=[p], sigma=[sigma]).values()
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
-    return _kernels.smoothed_value_raw(xa, wa**p, float(p), float(sigma))
+    return _kernels.smoothed_value_raw(xa, wa**p, p, sigma)
 
 
 def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
     """Gradient p w_i^p (x_i^2 + sigma^2)^(p/2 - 1) x_i of the smoothed objective."""
-    check_domain(p=[p], sigma=[sigma])
+    [p], [sigma] = check_domain(p=[p], sigma=[sigma]).values()
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
-    return _kernels.smoothed_gradient_raw(xa, wa**p, float(p), float(sigma))
+    return _kernels.smoothed_gradient_raw(xa, wa**p, p, sigma)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -261,12 +262,13 @@ def solve(
     to max(1, ||b||).  A non-finite objective raises
     SolverDivergenceError; a rank-deficient A raises RankDeficientError;
     ``core._exact_fit``, as in the oracles, refuses epsilon > 0, a
-    non-finite b or a b of the wrong length with ValueError.
+    non-finite b or a b of the wrong length, and ``core._weights_array``
+    non-finite weights, each with a ValueError naming ``solve``.
     """
     n, N = A.shape
     y, feas_limit = _exact_fit(A, b, "solve")
-    w_arr = _weights_array(w, N)
-    p = float(cfg.p)
+    w_arr = _weights_array(w, N, "solve: weights")
+    p = cfg.p
     wp = w_arr**p
 
     project, pull_back = _projector_parts(A)
@@ -377,9 +379,7 @@ def solve(
             # not sparse: fit its n/2 largest entries instead; where the
             # null space is at least n, only when they alone come within
             # _HEAD_REL of b
-            cols = np.sort(np.argsort(-np.abs(x), kind="stable")[: n // 2])
-            head = np.zeros(N)
-            head[cols] = x[cols]
+            cols, head = _largest(x, n // 2)
             if not explore and _norm(A.apply(head) - y) > _HEAD_REL * float(np.linalg.norm(y)):
                 return x, value
         if 0 < cols.size <= n:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConditionViolatedError, check_domain
+from .core import ConditionViolatedError, _check_fields, check_domain
 
 __all__ = [
     "TheoryParams",
@@ -51,7 +51,7 @@ class TheoryParams:
 
     def __post_init__(self):
         # every field is a parameter of the domain table; unset deltas are None
-        check_domain(**{name: [v] for name, v in vars(self).items() if v is not None})
+        _check_fields(self, *vars(self))
 
 
 def _gamma(p: float, omega: float, alpha: float, rho: float) -> float:

@@ -141,6 +141,10 @@ def test_recover_clip_shapes_and_order():
         assert np.all(np.isfinite(recon))
     for row in rows:
         assert row.snr_db > 0.0
+    # a NaN sample is refused before any block is solved, kept or not
+    samples[1] = np.nan
+    with pytest.raises(ValueError, match="^samples must be finite$"):
+        recover_clip(samples, cfg)
 
 
 def test_pipeline_writes_csv_and_wavs(tmp_path):

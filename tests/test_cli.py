@@ -145,7 +145,7 @@ def test_solve_end_to_end(tmp_path):
     assert set(manifest.inputs) == {"matrix", "measurements"}
 
 
-def test_solve_with_support_file(tmp_path):
+def test_solve_with_support_file(tmp_path, capsys):
     rng = np.random.default_rng(8)
     A, x, y = _plant_problem(rng)
     support = tuple(int(i) + 1 for i in np.flatnonzero(x))
@@ -164,6 +164,12 @@ def test_solve_with_support_file(tmp_path):
     assert code == 0
     manifest = RunManifest.load(out / "manifest.json")
     assert "support" in manifest.inputs
+    # a fractional index is refused by the one index rule, not parsed as text
+    (tmp_path / "T.txt").write_text("1.5 3")
+    argv = ["--out-dir", str(tmp_path / "bad"), "solve", "--matrix", str(tmp_path / "A.csv"),
+            "--measurements", str(tmp_path / "y.csv"), "--support", str(tmp_path / "T.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: support indices must be integers, got 1.5\n"
 
 
 def test_theory_csv_with_and_without_constants(tmp_path):

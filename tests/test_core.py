@@ -91,6 +91,11 @@ def test_restricted_transform_rejects_bad_rows():
         RestrictedTransform(rows=(1, 1), size=4)
     with pytest.raises(ValueError):
         RestrictedTransform(rows=(5,), size=4)
+    # a fractional row or size is refused, not truncated
+    with pytest.raises(ValueError, match="rows must be integers, got 1.5"):
+        RestrictedTransform(rows=(1.5, 2), size=4)
+    with pytest.raises(ValueError, match="size must be an integer >= 1, got 2.5"):
+        RestrictedTransform(rows=(1, 2), size=2.5)
 
 
 def test_measurements_epsilon_must_be_nonnegative():
@@ -106,9 +111,8 @@ def test_support_estimate_sorted_distinct_one_based():
         SupportEstimate((0, 1))
     with pytest.raises(ValueError):
         SupportEstimate((2, 2))
-    est.validate_within(3)
-    with pytest.raises(ValueError):
-        est.validate_within(2)
+    with pytest.raises(ValueError, match="support indices must be integers, got 1.7"):
+        SupportEstimate((1.7, 3))
 
 
 def test_weight_vector_pattern():
@@ -118,6 +122,9 @@ def test_weight_vector_pattern():
         WeightVector(omega=1.5, estimate=SupportEstimate((2, 4)), size=5)
     with pytest.raises(ValueError):
         WeightVector(omega=0.5, estimate=SupportEstimate((2, 4)), size=3)
+    WeightVector(omega=0.5, estimate=SupportEstimate((3, 1, 2)), size=3)
+    with pytest.raises(ValueError, match=r"estimate indices must lie in 1..2, got 3"):
+        WeightVector(omega=0.5, estimate=SupportEstimate((3, 1, 2)), size=2)
 
 
 def test_weighted_lp_norm_spot_value():
@@ -173,6 +180,9 @@ def test_snr_db_values():
     assert snr_db(x, near) == 300.0
     with pytest.raises(ValueError):
         snr_db(SignalVector(np.zeros(2)), x)
+    # a NaN estimate is refused, not scored at the cap
+    with pytest.raises(ValueError, match="x_hat must be finite"):
+        snr_db([1.0, 2.0], [np.nan, 1.0])
 
 
 def test_apply_matches_dense():

@@ -9,7 +9,7 @@ import pytest
 
 from cswlp.audio import AudioPipelineConfig, dct_matrix
 from cswlp.cli import main
-from cswlp.core import SupportEstimate, WeightVector, weighted_lp_norm
+from cswlp.core import Measurements, RestrictedTransform, SupportEstimate, WeightVector, weighted_lp_norm
 from cswlp.experiments import (
     ExperimentSpec,
     _parse_grid,
@@ -128,3 +128,33 @@ def test_every_entry_point_refuses_the_same_bad_value_with_the_same_message(entr
     with pytest.raises(ValueError) as exc:
         call({**good, **overrides}, tmp_path / "bad", capsys)
     assert str(exc.value) == message
+
+
+def test_config_types_store_counts_as_int_and_settings_as_float():
+    # each count given as a float and each real setting as an int; the
+    # reprs tell 50 from 50.0 and a Python float from a numpy one
+    stored = [
+        (SolverConfig(p=1, max_iters=50.0), dict(p=1.0, max_iters=50)),
+        (WeightVector(omega=np.int64(0), estimate=SupportEstimate(()), size=4.0), dict(omega=0.0, size=4)),
+        (Measurements(np.ones(2), epsilon=0), dict(epsilon=0.0)),
+        (RestrictedTransform(rows=(1,), size=np.float64(4.0)), dict(size=4)),
+        (
+            AudioPipelineConfig(block_len=64.0, num_blocks=2.0, keep_frac=1, lowfreq_cutoff_hz=0,
+                                sample_rate_hz=8000, prev_block_keep=0, p_list=[1], omega_list=(0, 1)),
+            dict(block_len=64, num_blocks=2, keep_frac=1.0, lowfreq_cutoff_hz=0.0, sample_rate_hz=8000.0,
+                 prev_block_keep=0.0, p_list=(1.0,), omega_list=(0.0, 1.0)),
+        ),
+        (
+            ExperimentSpec(N=40.0, n_list=[20.0], k=4.0, signal_kind="compressible", decay=1, noise_frac=0,
+                           alpha_list=(1,), rho=1, omega_list=(0,), p_list=(1,), trials=2.0, seed=0),
+            dict(N=40, n_list=(20,), k=4, decay=1.0, noise_frac=0.0, alpha_list=(1.0,), rho=1.0,
+                 omega_list=(0.0,), p_list=(1.0,), trials=2),
+        ),
+        (
+            TheoryParams(p=1, omega=0, alpha=1, rho=1, a=3, delta_ak=0),
+            dict(p=1.0, omega=0.0, alpha=1.0, rho=1.0, a=3.0, delta_ak=0.0, delta_a1k=None),
+        ),
+    ]
+    for config, fields in stored:
+        for name, want in fields.items():
+            assert repr(getattr(config, name)) == repr(want), (type(config).__name__, name)

@@ -60,15 +60,15 @@ def test_infeasible_measurements_raise():
 
 # each decoder of min ||x||_{p,w} s.t. A x = b, returning its minimizer
 _DECODERS = {
-    "oracle_weighted_lp": lambda A, b: oracle_weighted_lp(A, b, np.ones(10), 0.5, 2).minimizer,
+    "oracle_weighted_lp": lambda A, b, w=np.ones(10): oracle_weighted_lp(A, b, w, 0.5, 2).minimizer,
     "oracle_l0": lambda A, b: oracle_l0(A, b, 2).minimizer,
-    "solve": lambda A, b: solve(A, b, np.ones(10), SolverConfig(p=0.5))[0],
+    "solve": lambda A, b, w=np.ones(10): solve(A, b, w, SolverConfig(p=0.5))[0],
 }
 
 
-def _refusal(decoder, A, b) -> str:
+def _refusal(decoder, *args) -> str:
     with pytest.raises(ValueError) as err:
-        _DECODERS[decoder](A, b)
+        _DECODERS[decoder](*args)
     return str(err.value)
 
 
@@ -337,9 +337,13 @@ def test_decoders_refuse_non_finite_inputs(decoder):
             M = A.copy()
             M[4, 7] = bad
             assert _refusal(decoder, M, y) == f"{decoder}: matrix entries must be finite"
+        if decoder != "oracle_l0":  # the l0 oracle takes no weights
+            w = np.ones(10)
+            w[3] = bad
+            assert _refusal(decoder, DenseMatrix(A), y, w) == f"{decoder}: weights must be finite"
 
 
 def test_oracles_refuse_a_plain_array_that_is_not_a_matrix():
     for A in (np.ones(3), np.ones((3, 4, 2))):
         for decoder in ("oracle_weighted_lp", "oracle_l0"):
-            assert _refusal(decoder, A, np.ones(3)).startswith("matrix must be two-dimensional")
+            assert _refusal(decoder, A, np.ones(3)).startswith(f"{decoder}: matrix must be two-dimensional")
