@@ -297,7 +297,7 @@ def solve(
             if not math.isfinite(f0):
                 raise SolverDivergenceError(f"objective became non-finite at iteration {t}")
 
-            if not g.any():
+            if not np.count_nonzero(g):
                 # stationary at every smoothing level: only zero entries carry
                 # nonzero weight, so the iterate never moves again
                 if record:
@@ -315,11 +315,17 @@ def solve(
                     lam = min(1.0, float(s.dot(s)) / sy)
             x_prev, pd_prev = x, pd
             recent.append(f0)
-            d = lam * pd
+            # 1.0 v is v, bit for bit, so a unit lambda or step skips the multiply
+            d = pd if lam == 1.0 else lam * pd
             step, f_new = _kernels.backtrack_raw(
                 x, d, wp, p, sigma, max(recent), _STEP_SHRINK, _MAX_BACKTRACKS
             )
-            x_new = x + step * d if step > 0.0 else x
+            if step == 1.0:
+                x_new = x + d
+            elif step > 0.0:
+                x_new = x + step * d
+            else:
+                x_new = x
 
             # t_L = 2 ||pd||^2 / L, with sigma^(2-p) in the numerator so
             # that a small sigma cannot overflow it; with no curvature at

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,45 @@ def test_backtrack_returns_first_decreasing_step():
     # unit steps, long searches and rejections all occur
     assert 0 in accepted and max(accepted) >= 10
     assert rejected > 0 and past_overflow > 0
+
+
+def _warned(search, *args):
+    """search(*args) and the distinct warnings it raised.  A block of
+    trial steps raises a warning once for its array pass where the
+    sequential search raises it once per step, so each is counted once."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = search(*args)
+    return result, {(w.category, str(w.message)) for w in caught}
+
+
+@pytest.mark.parametrize("N", [1, 10, 500, 2048])
+def test_backtrack_blocks_match_the_sequential_search_at_every_boundary(N):
+    # along d = -c x the objective at x + s d = (1 - s c) x falls below
+    # f0 exactly when |1 - s c| < 1, so c = 1.5 2^j first accepts step
+    # 0.5^j: the first and last rows of each block of 2, 4, 8 and 15
+    # steps, and c = 1.5 2^30 rejects all 30
+    rng = np.random.default_rng(73)
+    for scale in (1.0, 1e152):
+        # at 1e152 the rows far before the accepted one overflow their
+        # square; the later rows of its block lie between x and the
+        # accepted point, so they raise nothing the sequential search does not
+        x = scale * rng.uniform(0.5, 2.0, N) * rng.choice([-1.0, 1.0], N)
+        wp = rng.uniform(0.1, 1.0, N)
+        p = float(rng.choice([0.5, 1.0, rng.uniform(0.1, 1.0)]))
+        sigma = scale * float(rng.uniform(0.1, 2.0))
+        f0 = _kernels.smoothed_value_raw(x, wp, p, sigma)
+        for row in (0, 1, 2, 3, 6, 7, 14, 15, 29, 30):
+            args = (x, -1.5 * 2.0**row * x, wp, p, sigma, f0, 0.5, 30)
+            expected, expected_warnings = _warned(reference_backtrack, *args)
+            assert expected[0] == (0.5**row if row < 30 else 0.0)
+            got, got_warnings = _warned(_kernels.backtrack_raw, *args)
+            assert got == expected
+            assert got_warnings == expected_warnings
+            if scale == 1.0 or row == 0:
+                assert not got_warnings
+            elif row >= 8:
+                assert {str(message) for _, message in got_warnings} == {"overflow encountered in multiply"}
 
 
 def test_indicator_max_matches_brute_force():

@@ -9,6 +9,7 @@ from cswlp import (
     OracleInfeasibleError,
     SignalVector,
     SolverConfig,
+    oracle,
     oracle_l0,
     oracle_weighted_lp,
     solve,
@@ -347,3 +348,70 @@ def test_oracles_refuse_a_plain_array_that_is_not_a_matrix():
     for A in (np.ones(3), np.ones((3, 4, 2))):
         for decoder in ("oracle_weighted_lp", "oracle_l0"):
             assert _refusal(decoder, A, np.ones(3)).startswith(f"{decoder}: matrix must be two-dimensional")
+
+
+def _bits(res):
+    return res.support, res.objective_value, res.minimizer.entries.tobytes()
+
+
+def _criterion_3_instance(seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((6, 10)) / np.sqrt(6)
+    x = np.zeros(10)
+    sup = rng.choice(10, size=2, replace=False)
+    x[sup] = rng.standard_normal(2)
+    w = np.ones(10)
+    w[sup] = 0.3
+    return A, A @ x, w
+
+
+def test_weightings_of_one_instance_share_its_fits():
+    A, y, w = _criterion_3_instance(79)
+    oracle._shared_fits.cache_clear()
+    shared = [_bits(oracle_weighted_lp(DenseMatrix(A), y, weights, 0.5, 4)) for weights in (np.ones(10), w)]
+    info = oracle._shared_fits.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    for weights, bits in zip((np.ones(10), w), shared):
+        oracle._shared_fits.cache_clear()
+        assert _bits(oracle_weighted_lp(DenseMatrix(A), y, weights, 0.5, 4)) == bits
+
+
+def test_a_changed_instance_is_fitted_afresh():
+    A, y, w = _criterion_3_instance(83)
+    A2 = A.copy()
+    A2[4, 7] += 1e-9
+    y2 = y.copy()
+    y2[2] += 1e-9
+    for A_c, y_c, k_max in ((A2, y, 4), (A, y2, 4), (A, y, 3)):
+        oracle._shared_fits.cache_clear()
+        fresh = _bits(oracle_weighted_lp(DenseMatrix(A_c), y_c, w, 0.5, k_max))
+        # the original instance takes the one cache entry; the changed one
+        # must miss it and be fitted again
+        oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)
+        misses = oracle._shared_fits.cache_info().misses
+        assert _bits(oracle_weighted_lp(DenseMatrix(A_c), y_c, w, 0.5, k_max)) == fresh
+        assert oracle._shared_fits.cache_info().misses == misses + 1
+
+
+def test_a_returned_minimizer_does_not_alias_the_shared_fits():
+    A, y, w = _criterion_3_instance(89)
+    first = oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)
+    expected = _bits(first)
+    first.minimizer.entries[:] = 7.0
+    assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)) == expected
+
+
+def test_l0_oracle_stops_at_the_first_size_that_fits(monkeypatch):
+    steps = []
+    step = oracle._gram_schmidt_step
+
+    def counted(*args):
+        steps.append(args[-1].shape)
+        return step(*args)
+
+    monkeypatch.setattr(oracle, "_gram_schmidt_step", counted)
+    rng = np.random.default_rng(97)
+    A = rng.standard_normal((6, 10))
+    assert oracle_l0(DenseMatrix(A), 2.5 * A[:, 4], 4).support == (5,)
+    # the size-1 step alone, over the ten single columns
+    assert steps == [(10, 6)]
