@@ -15,10 +15,11 @@ Conventions used throughout the package:
   - index sets: ``_as_indices`` refuses a non-integer, a repeat, or an
     index outside 1..N;
   - scalar settings (p, omega, alpha, rho, the counts n, k, max_iters,
-    ..., the audio fractions and rates): ``check_domain`` checks them
-    against one domain table and returns them as the table keeps them,
-    a count as int and any other setting as float, which is what the
-    config types store (``_check_fields``)
+    ..., an oracle's k_max, the audio fractions and rates):
+    ``check_domain`` checks them against one domain table and returns
+    them as the table keeps them, a count or k_max as int and any other
+    setting as float, which is what the config types store
+    (``_check_fields``)
 """
 
 from __future__ import annotations
@@ -82,8 +83,10 @@ _FEASIBILITY_TOL = 1e-8
 _SNR_CAP_DB = 300.0
 
 # the settings that count iterations, trials, lengths, sizes and grid
-# points: integers >= 1, kept as int
+# points: integers >= 1, kept as int, as is an oracle's largest support
+# size k_max, an integer >= 0
 _COUNTS = ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "size", "count")
+_INTEGERS = (*_COUNTS, "k_max")
 
 # each parameter's domain: its test and how the error words it
 _DOMAIN = {
@@ -103,20 +106,21 @@ _DOMAIN = {
     "sample_rate_hz": (lambda v: v > 0.0, "be positive"),
     "lowfreq_cutoff_hz": (lambda v: v >= 0.0, "be >= 0"),
     **dict.fromkeys(_COUNTS, (lambda v: v >= 1.0 and v.is_integer(), "be an integer >= 1")),
+    "k_max": (lambda v: v >= 0.0 and v.is_integer(), "be an integer >= 0"),
 }
 
 
 def check_domain(**values) -> dict[str, list]:
-    """Each keyword's values as the table keeps them, a count as int and
-    any other setting as float; raise one ValueError naming every value
-    outside its domain.
+    """Each keyword's values as the table keeps them, a count or k_max as
+    int and any other setting as float; raise one ValueError naming every
+    value outside its domain.
 
     Each keyword names a parameter of ``_DOMAIN`` and takes a non-empty
     list of its values, each finite and in its domain; a count must be
-    an integer >= 1, though it may be given as a float.  When all are,
-    every (alpha, rho) pair of the alpha and rho lists must satisfy
-    1 + rho - 2 alpha rho >= 0, the estimate's symmetric difference with
-    the true support relative to k.
+    an integer >= 1 and k_max one >= 0, though either may be given as a
+    float.  When all are, every (alpha, rho) pair of the alpha and rho
+    lists must satisfy 1 + rho - 2 alpha rho >= 0, the estimate's
+    symmetric difference with the true support relative to k.
     """
     values = {name: [float(v) for v in vs] for name, vs in values.items()}
     errors = [f"{name} needs at least one value" for name, vs in values.items() if not vs]
@@ -133,7 +137,7 @@ def check_domain(**values) -> dict[str, list]:
         )
     if errors:
         raise ValueError("; ".join(errors))
-    return {name: [int(v) if name in _COUNTS else v for v in vs] for name, vs in values.items()}
+    return {name: [int(v) if name in _INTEGERS else v for v in vs] for name, vs in values.items()}
 
 
 def _check_fields(obj, *names: str) -> None:

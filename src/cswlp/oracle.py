@@ -1,26 +1,30 @@
 """Exhaustive-search reference decoders for tiny problems.
 
-Both oracles enumerate candidate supports in ascending size and, within
-a size, in lexicographic order.  Each support (t1 < ... < ts) is
-factored from its lexicographic prefix (t1 ... t(s-1)), a row of the
-previous size's table, by one batched Gram-Schmidt step, so a support
-costs O(n s) and no SVD.  That step gives b's distance from the span of
-the support's columns, which screens out the supports that cannot fit;
-the rest are fitted from their triangular factor, and supports with
-(nearly) dependent columns by the pseudo-inverse, lstsq's minimum-norm
-fit.  The oracles are exponential in N and exist to check the iterative
-solver on instances small enough to enumerate, so N is capped at 20 and
-support size at 4.  Both read b and judge each fit by
-``core._exact_fit``, the rule ``solve`` reads it by, so Measurements
-with epsilon > 0 raise ValueError.
+Both oracles enumerate only supports with independent columns, which
+loses no answer: for p <= 1 the objective is concave on each orthant,
+which {A x = b} meets in a pointed polyhedron, so the minimum sits at a
+vertex, whose nonzero columns are independent, as are the sparsest
+fit's.  A fit on dependent columns lies in a polyhedron whose vertices
+are fits on independent subsets of them: no larger, so enumerated, and
+earlier, so they win ties.
 
-The fits do not depend on the weights, so ``oracle_weighted_lp`` keeps
-the last (A, b, k_max) it fitted, keyed by the bytes of A and b, and
-only scores the kept fits on a repeat call with other weights: the
-benchmark's validate workload and every loop that scores several
-weightings of one instance in turn hit it; criterion 3, which runs all
-instances at one weighting before the next, does not.  ``oracle_l0``
-streams the sizes and stops at the first that fits.
+Supports run in ascending size, lexicographic within a size.  Each is
+factored from its lexicographic prefix, a row of the previous size's
+table, by one batched Gram-Schmidt step: O(n s) and no SVD.  It is
+dropped unfitted when its new pivot there is below _PIVOT_TOL of its
+column's norm, or its prefix's was, or when b's residual off its span
+rules out a fit; the rest are fitted from their triangular factor and
+judged by ``core._exact_fit``, the rule ``solve`` reads b by, so
+Measurements with epsilon > 0 raise ValueError.
+
+The fits depend neither on the weights nor on the decoder, so both
+oracles read one table, the last (A, b, k_max)'s, keyed by the bytes of
+A and b: a repeat call on one instance, by either oracle or with other
+weights, fits nothing again.  N is capped at 20.  k_max may reach n,
+where ``oracle_weighted_lp`` is the exact decoder (no vertex has more
+than n nonzeros, so a larger k_max is refused); one p = 1 call there
+takes 0.14 s with an 81 MB peak RSS at n x N = 8 x 16, and 3.1 s with
+985 MB at 10 x 20, on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -46,10 +50,10 @@ from .core import (
 __all__ = ["OracleResult", "oracle_l0", "oracle_weighted_lp"]
 
 _MAX_N = 20
-_MAX_SUPPORT = 4
 # a new column whose component off its prefix's span is below this share
-# of its norm marks the support dependent (fitted by the pseudo-inverse)
-_PIVOT_TOL = 1e-6
+# of its norm drops the support as dependent: exactly dependent columns
+# leave about 1e-16, and independent ones at an angle above this are kept
+_PIVOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,15 +69,18 @@ class OracleResult:
     objective_value: float
 
 
-def _prepare(A, b, k_max: int, decoder: str) -> tuple[np.ndarray, np.ndarray, float]:
+def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, tuple]:
+    """N, k_max as read, and the fit table of (A, b) up to size k_max;
+    raises ValueError naming ``decoder`` on an input it refuses."""
     A_dense = A.as_dense() if isinstance(A, SensingOperator) else _as_matrix(A, f"{decoder}: matrix")
     y, limit = _exact_fit(A_dense, b, decoder)
-    N = A_dense.shape[1]
+    n, N = A_dense.shape
     if N > _MAX_N:
         raise ValueError(f"enumeration is capped at N <= {_MAX_N}, got N = {N}")
-    if not (0 <= k_max <= _MAX_SUPPORT):
-        raise ValueError(f"k_max must lie in 0..{_MAX_SUPPORT}, got {k_max}")
-    return A_dense, y, limit
+    (k_max,) = check_domain(k_max=[k_max])["k_max"]
+    if k_max > n:
+        raise ValueError(f"k_max must lie in 0..{n}, got {k_max}: no vertex has more than n = {n} nonzeros")
+    return N, k_max, _shared_fits(A_dense.shape, A_dense.tobytes(), y.tobytes(), k_max, limit)
 
 
 @cache
@@ -100,9 +107,8 @@ def _gram_schmidt_step(Q, R, r, dependent, a):
     orthonormal, R (S, s-1, s-1) upper triangular and r the residual of
     the measurements off span(Q).  Classical Gram-Schmidt is run twice,
     which keeps Q orthonormal to working precision ("twice is enough").
-    A row is marked ``dependent`` when its new pivot falls below
-    _PIVOT_TOL ||a[i]||, or its prefix's was; its new column of Q is 0
-    and its factors go unused."""
+    A row is marked ``dependent``, its new column of Q left 0, when its
+    new pivot falls below _PIVOT_TOL ||a[i]|| or its prefix's was."""
     c = np.einsum("snk,sn->sk", Q, a)
     v = a - np.einsum("snk,sk->sn", Q, c)
     c2 = np.einsum("snk,sn->sk", Q, v)
@@ -119,23 +125,20 @@ def _gram_schmidt_step(Q, R, r, dependent, a):
     return np.concatenate((Q, q[:, :, None]), axis=2), R_new, r_new, dependent
 
 
-def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int, limit: float):
-    """For each size 0..k_max in turn, yield (supports, coefficients):
-    the rows of the size's support table whose least-squares fit leaves
-    a residual of at most ``limit``, the feasibility limit of
-    ``core._exact_fit``, in table order, and their fits, both (F, size)
-    arrays with F possibly 0.
-
-    Each support's Q R factors extend its prefix's by one Gram-Schmidt
-    step.  A support with independent columns whose residual ||r|| off
-    their span exceeds 2 limit is dropped unfitted: no fit on it can
-    reach the limit.  The others are fitted by z = R^-1 Q^T y, and those
-    marked dependent by one batched pseudo-inverse, lstsq's minimum-norm
-    fit; every fit is then judged by its own residual
-    ||A_T z - y|| <= limit."""
-    n, N = A_dense.shape
+@lru_cache(maxsize=1)
+def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, k_max: int, limit: float):
+    """One read-only (supports, fits) pair per size 0..k_max: the
+    supports, in table order, that the drop rule keeps and whose fit
+    z = R^-1 Q^T y leaves ||A_T z - y|| <= ``limit``, and those fits
+    embedded in R^N.  A residual ||r|| above 2 limit is the rule's
+    screen: no fit on such a support can reach the limit.  A and y come
+    as C-order float64 bytes, so the cache is keyed by value and a
+    changed entry is refitted."""
+    n, N = shape
+    A_dense, y = np.frombuffer(matrix).reshape(shape), np.frombuffer(y)
     # the empty support: no columns, and all of y is residual
     Q, R, r, dependent = np.zeros((1, n, 0)), np.zeros((1, 0, 0)), y[None, :], np.zeros(1, dtype=bool)
+    sizes = []
     for size in range(k_max + 1):
         supports = _supports(N, size)
         if size:
@@ -143,44 +146,16 @@ def _exact_fits(A_dense: np.ndarray, y: np.ndarray, k_max: int, limit: float):
             Q, R, r, dependent = _gram_schmidt_step(
                 Q[prefix], R[prefix], r[prefix], dependent[prefix], A_dense[:, supports[:, -1]].T
             )
-        z = np.zeros(supports.shape)
-        solved = ~dependent & (np.linalg.norm(r, axis=1) <= 2.0 * limit)
-        z[solved] = np.linalg.solve(R[solved], np.einsum("snk,n->sk", Q[solved], y)[:, :, None])[:, :, 0]
-        if dependent.any():
-            cols = np.moveaxis(A_dense[:, supports[dependent]], 1, 0)
-            # the singular-value cutoff lstsq(rcond=None) uses; pinv's default
-            # is 1e-15, and its rtol keyword needs numpy 2
-            z[dependent] = np.linalg.pinv(cols, rcond=max(n, size) * np.finfo(np.float64).eps) @ y
-        tried = np.flatnonzero(solved | dependent)
+        tried = np.flatnonzero(~dependent & (np.linalg.norm(r, axis=1) <= 2.0 * limit))
+        z = np.linalg.solve(R[tried], np.einsum("snk,n->sk", Q[tried], y)[:, :, None])[:, :, 0]
         cols = np.moveaxis(A_dense[:, supports[tried]], 1, 0)  # (F, n, size)
-        residuals = np.linalg.norm((cols @ z[tried][:, :, None])[:, :, 0] - y, axis=1)
-        fits = tried[residuals <= limit]
-        yield supports[fits], z[fits]
-
-
-@lru_cache(maxsize=1)
-def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, k_max: int, limit: float):
-    """``_exact_fits`` of the C-order float64 matrix and measurements
-    given by their bytes, as one read-only (supports, z, fits) triple per
-    size, ``fits`` the z embedded in R^N.  Keyed by value, not by object,
-    so a changed matrix entry or measurement is refitted."""
-    A_dense = np.frombuffer(matrix).reshape(shape)
-    sizes = []
-    for supports, z in _exact_fits(A_dense, np.frombuffer(y), k_max, limit):
-        fits = np.zeros((len(supports), shape[1]))
-        np.put_along_axis(fits, supports, z, axis=1)
-        for table in (supports, z, fits):
-            table.flags.writeable = False
-        sizes.append((supports, z, fits))
+        fitted = np.linalg.norm((cols @ z[:, :, None])[:, :, 0] - y, axis=1) <= limit
+        found = supports[tried[fitted]]
+        fits = np.zeros((len(found), N))
+        np.put_along_axis(fits, found, z[fitted], axis=1)
+        found.flags.writeable = fits.flags.writeable = False
+        sizes.append((found, fits))
     return tuple(sizes)
-
-
-def _result(N: int, support, z, value) -> OracleResult:
-    """The fit z on the 0-based ``support``, embedded in R^N, with its
-    1-based support and objective value."""
-    full = np.zeros(N, dtype=np.float64)
-    full[support] = z
-    return OracleResult(SignalVector(full), tuple(int(i) + 1 for i in support), float(value))
 
 
 def oracle_l0(A, b, k_max: int) -> OracleResult:
@@ -189,11 +164,11 @@ def oracle_l0(A, b, k_max: int) -> OracleResult:
 
     Raises OracleInfeasibleError when no support of size <= k_max fits.
     """
-    A_dense, y, limit = _prepare(A, b, k_max, "oracle_l0")
-    N = A_dense.shape[1]
-    for supports, z in _exact_fits(A_dense, y, k_max, limit):
+    _, k_max, table = _prepare(A, b, k_max, "oracle_l0")
+    for supports, fits in table:
         if len(supports):
-            return _result(N, supports[0], z[0], supports.shape[1])
+            support = tuple(int(i) + 1 for i in supports[0])
+            return OracleResult(SignalVector(fits[0].copy()), support, float(len(support)))
     raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")
 
 
@@ -204,18 +179,17 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     Raises OracleInfeasibleError when no support fits.
     """
     check_domain(p=[p])
-    A_dense, y, limit = _prepare(A, b, k_max, "oracle_weighted_lp")
-    N = A_dense.shape[1]
+    N, k_max, table = _prepare(A, b, k_max, "oracle_weighted_lp")
     wp = _weights_array(w, N, "oracle_weighted_lp: weights") ** p
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for supports, z, fits in _shared_fits(A_dense.shape, A_dense.tobytes(), y.tobytes(), k_max, limit):
+    for supports, fits in table:
         # scored as the embedded fits, so each value is the core objective
-        # of the minimizer it would return, to the bit
+        # of the minimizer it returns, to the bit
         values = _weighted_lp_sum(wp, fits, p)
         for i, value in enumerate(values.tolist()):
             if best is None or value < best[0] - 1e-12:
-                best = (value, supports[i], z[i])
+                best = (value, supports[i], fits[i])
     if best is None:
         raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")
-    value, support, z = best
-    return _result(N, support, z, value)
+    value, support, fit = best
+    return OracleResult(SignalVector(fit.copy()), tuple(int(i) + 1 for i in support), float(value))

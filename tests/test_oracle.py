@@ -221,8 +221,8 @@ def test_stacked_oracles_match_per_support_lstsq_on_criterion_3_instances():
 
 def test_stacked_oracles_match_reference_on_rank_deficient_supports():
     # duplicated and scaled columns make every support holding both of a
-    # pair rank-deficient; lstsq and the pseudo-inverse both return the
-    # minimum-norm fit there
+    # pair rank-deficient; the reference fits them by lstsq's minimum-norm
+    # fit, the oracles drop them, and the answers agree
     rng = np.random.default_rng(47)
     A = rng.standard_normal((6, 10))
     A[:, 3] = A[:, 0]
@@ -236,10 +236,11 @@ def test_stacked_oracles_match_reference_on_rank_deficient_supports():
                 _check_against_reference(A, A @ x, w, p, 4)
     # zero columns around the exact fit (0.1, 0.2, 0.3) on columns 1, 5, 6:
     # summed in support order its objective at p = 1 is 0.6000000000000001,
-    # summed over all ten entries, as its minimizer's, it is 0.6
+    # summed over all ten entries, as its minimizer's, it is 0.6; with
+    # n = 3 rows, k_max = 3 is the largest allowed
     E = np.zeros((3, 10))
     E[[0, 1, 2], [0, 4, 5]] = 1.0
-    _check_against_reference(E, np.array([0.1, 0.2, 0.3]), np.ones(10), 1.0, 4)
+    _check_against_reference(E, np.array([0.1, 0.2, 0.3]), np.ones(10), 1.0, 3)
 
 
 def test_stacked_oracles_match_reference_at_the_size_caps():
@@ -271,33 +272,42 @@ def test_oracles_need_no_lstsq(monkeypatch):
     assert oracle_weighted_lp(DenseMatrix(A), A @ x, np.ones(10), 0.5, 4).support == (3, 8)
 
 
-def test_only_dependent_supports_take_the_pseudo_inverse(monkeypatch):
-    # every stack of matrices the oracle hands np.linalg.pinv
-    stacks = []
-    pinv = np.linalg.pinv
+def test_oracles_never_take_the_pseudo_inverse(monkeypatch):
+    # a support with dependent columns is dropped unfitted: its fits lie in
+    # a polyhedron whose vertices are fits on its independent subsets,
+    # which are smaller and come earlier, so the answer cannot move
+    def no_pinv(*args, **kwargs):
+        raise AssertionError("the oracle called pinv")
 
-    def recording_pinv(a, *args, **kwargs):
-        stacks.append(np.array(a))
-        return pinv(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "pinv", recording_pinv)
-    rng = np.random.default_rng(61)
+    monkeypatch.setattr(np.linalg, "pinv", no_pinv)
+    oracle._shared_fits.cache_clear()
+    # the duplicated and scaled columns of the rank-deficient test
+    rng = np.random.default_rng(47)
     A = rng.standard_normal((6, 10))
-    x = np.zeros(10)
-    x[[2, 7]] = (1.3, -0.4)
-    assert oracle_weighted_lp(DenseMatrix(A), A @ x, np.ones(10), 0.5, 4).support == (3, 8)
-    assert stacks == []
-    # the duplicated and scaled columns of the rank-deficient test: only
-    # the supports holding a dependent pair, and all of them, take pinv
     A[:, 3] = A[:, 0]
     A[:, 5] = -2.5 * A[:, 1]
     A[:, 8] = A[:, 0]
-    pairs = [{0, 3}, {0, 8}, {3, 8}, {1, 5}]
-    counts = [sum(any(pair <= set(s) for pair in pairs) for s in combinations(range(10), size)) for size in range(5)]
-    oracle_weighted_lp(DenseMatrix(A), A @ x, np.ones(10), 0.5, 4)
-    assert [len(stack) for stack in stacks] == [c for c in counts if c]
-    for stack in stacks:
-        assert np.all(np.linalg.matrix_rank(stack) < stack.shape[-1])
+    for x_support in ((0,), (1,), (0, 1), (1, 3, 6), (0, 2, 5, 7)):
+        x = np.zeros(10)
+        x[list(x_support)] = rng.standard_normal(len(x_support))
+        for p in (0.5, 1.0):
+            _check_against_reference(A, A @ x, rng.uniform(0.05, 1.0, 10), p, 4)
+
+
+@pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
+def test_near_parallel_columns_keep_their_vertex(delta):
+    # columns 3 and 7 are independent, at an angle delta: their pivot is
+    # about delta of the column norm, far above exact dependence's 1e-16,
+    # and b = 1.3 (a_3 - a_7) fits no other support of size <= 2
+    rng = np.random.default_rng(73)
+    A = rng.standard_normal((6, 10))
+    a = A[:, 2]
+    u = rng.standard_normal(6)
+    u -= a * (a @ u) / (a @ a)
+    A[:, 6] = np.cos(delta) * a + np.sin(delta) * np.linalg.norm(a) * u / np.linalg.norm(u)
+    y = 1.3 * (A[:, 2] - A[:, 6])
+    assert oracle_l0(DenseMatrix(A), y, 2).support == (3, 7)
+    assert oracle_weighted_lp(DenseMatrix(A), y, np.ones(10), 0.5, 2).support == (3, 7)
 
 
 @pytest.mark.parametrize("share", [0.9, 1.1])
@@ -401,17 +411,50 @@ def test_a_returned_minimizer_does_not_alias_the_shared_fits():
     assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)) == expected
 
 
-def test_l0_oracle_stops_at_the_first_size_that_fits(monkeypatch):
-    steps = []
-    step = oracle._gram_schmidt_step
+def test_both_decoders_read_one_table():
+    A, y, w = _criterion_3_instance(97)
+    oracle._shared_fits.cache_clear()
+    shared = (_bits(oracle_l0(DenseMatrix(A), y, 4)), _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)))
+    info = oracle._shared_fits.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    oracle._shared_fits.cache_clear()
+    assert _bits(oracle_l0(DenseMatrix(A), y, 4)) == shared[0]
+    oracle._shared_fits.cache_clear()
+    assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)) == shared[1]
 
-    def counted(*args):
-        steps.append(args[-1].shape)
-        return step(*args)
 
-    monkeypatch.setattr(oracle, "_gram_schmidt_step", counted)
-    rng = np.random.default_rng(97)
-    A = rng.standard_normal((6, 10))
-    assert oracle_l0(DenseMatrix(A), 2.5 * A[:, 4], 4).support == (5,)
-    # the size-1 step alone, over the ten single columns
-    assert steps == [(10, 6)]
+@pytest.mark.parametrize("decoder", ["oracle_weighted_lp", "oracle_l0"])
+def test_k_max_is_read_as_a_setting(decoder):
+    A, y, w = _criterion_3_instance(101)
+    call = {
+        "oracle_weighted_lp": lambda k_max: oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, k_max),
+        "oracle_l0": lambda k_max: oracle_l0(DenseMatrix(A), y, k_max),
+    }[decoder]
+    # an integral float counts as an integer
+    assert _bits(call(2.0)) == _bits(call(2))
+    for k_max in (2.5, -1):
+        with pytest.raises(ValueError, match=f"k_max must be an integer >= 0, got {float(k_max)}"):
+            call(k_max)
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_k_max_reaches_n(p):
+    # no vertex of {A x = b} has more than n nonzeros, so k_max = n is the
+    # exact decoder and a larger k_max is refused
+    rng = np.random.default_rng(103)
+    below = 0
+    for trial in range(30):
+        A = rng.standard_normal((6, 10)) / np.sqrt(6)
+        x = np.zeros(10)
+        x[rng.choice(10, size=2 + trial % 3, replace=False)] = rng.standard_normal(2 + trial % 3)
+        w = rng.uniform(0.1, 1.0, 10)
+        capped = oracle_weighted_lp(DenseMatrix(A), A @ x, w, p, 4).objective_value
+        exact = oracle_weighted_lp(DenseMatrix(A), A @ x, w, p, 6).objective_value
+        assert exact <= capped
+        below += exact < capped
+    # on some instances a vertex of 5 or 6 nonzeros beats every smaller one
+    assert below > 0
+    with pytest.raises(ValueError, match="k_max must lie in 0..6, got 7"):
+        oracle_weighted_lp(DenseMatrix(A), A @ x, w, p, 7)
+    with pytest.raises(ValueError, match="k_max must lie in 0..6, got 7"):
+        oracle_l0(DenseMatrix(A), A @ x, 7)
