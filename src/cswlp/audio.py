@@ -146,10 +146,10 @@ class AudioRow:
     snr_db: float
 
 
-def _clip_snr(reference: np.ndarray, recon: np.ndarray, cap_db: float = _SNR_CAP_DB) -> float:
+def _clip_snr(reference: np.ndarray, recon: np.ndarray) -> float:
     if not np.any(reference):
-        return float(cap_db) if np.array_equal(reference, recon) else float("-inf")
-    return snr_db(SignalVector(reference), SignalVector(recon), cap_db)
+        return _SNR_CAP_DB if np.array_equal(reference, recon) else float("-inf")
+    return snr_db(SignalVector(reference), SignalVector(recon))
 
 
 def recover_clip(

@@ -126,8 +126,8 @@ def test_wav_reader_rejects_stereo_and_8bit(tmp_path):
 
 def test_clip_snr_zero_reference_conventions():
     zeros = np.zeros(8)
-    assert _clip_snr(zeros, zeros.copy(), 300.0) == 300.0
-    assert _clip_snr(zeros, np.ones(8), 300.0) == float("-inf")
+    assert _clip_snr(zeros, zeros.copy()) == 300.0
+    assert _clip_snr(zeros, np.ones(8)) == float("-inf")
 
 
 def test_recover_clip_shapes_and_order():

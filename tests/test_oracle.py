@@ -216,7 +216,9 @@ def test_stacked_oracles_match_per_support_lstsq_on_criterion_3_instances():
         w = np.ones(10)
         if trial % 4 >= 2:
             w[sup] = 0.3
-        _check_against_reference(A, A @ x, w, 0.5, 4)
+        # k_max = n = 6 is the exact decoder
+        for p, k_max in ((0.5, 4), (0.5, 6), (1.0, 6)):
+            _check_against_reference(A, A @ x, w, p, k_max)
 
 
 def test_stacked_oracles_match_reference_on_rank_deficient_supports():
@@ -233,7 +235,8 @@ def test_stacked_oracles_match_reference_on_rank_deficient_supports():
         x[list(x_support)] = rng.standard_normal(len(x_support))
         for p in (0.5, 1.0):
             for w in (np.ones(10), rng.uniform(0.05, 1.0, 10)):
-                _check_against_reference(A, A @ x, w, p, 4)
+                for k_max in (4, 6):
+                    _check_against_reference(A, A @ x, w, p, k_max)
     # zero columns around the exact fit (0.1, 0.2, 0.3) on columns 1, 5, 6:
     # summed in support order its objective at p = 1 is 0.6000000000000001,
     # summed over all ten entries, as its minimizer's, it is 0.6; with
@@ -254,12 +257,13 @@ def test_stacked_oracles_match_reference_at_the_size_caps():
 def test_stacked_oracles_match_reference_on_zero_measurements():
     rng = np.random.default_rng(59)
     A = rng.standard_normal((6, 10))
-    _check_against_reference(A, np.zeros(6), np.ones(10), 0.5, 4)
+    for k_max in (4, 6):
+        _check_against_reference(A, np.zeros(6), np.ones(10), 0.5, k_max)
 
 
 def test_oracles_need_no_lstsq(monkeypatch):
-    # each support is factored from its prefix by one batched Gram-Schmidt
-    # step and fitted from its triangular factor; none calls lstsq
+    # each size's supports are factored by one stacked QR and fitted from
+    # their triangular factors; none calls lstsq
     def no_lstsq(*args, **kwargs):
         raise AssertionError("the oracle called lstsq")
 
@@ -375,13 +379,19 @@ def _criterion_3_instance(seed):
     return A, A @ x, w
 
 
+def _misses():
+    return oracle._shared_fits.cache_info().misses
+
+
 def test_weightings_of_one_instance_share_its_fits():
     A, y, w = _criterion_3_instance(79)
     oracle._shared_fits.cache_clear()
-    shared = [_bits(oracle_weighted_lp(DenseMatrix(A), y, weights, 0.5, 4)) for weights in (np.ones(10), w)]
-    info = oracle._shared_fits.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
-    for weights, bits in zip((np.ones(10), w), shared):
+    first = _bits(oracle_weighted_lp(DenseMatrix(A), y, np.ones(10), 0.5, 4))
+    misses = _misses()
+    second = _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4))
+    # the first weighting fits sizes 0..4, the second misses none of them
+    assert (misses, _misses()) == (5, 5)
+    for weights, bits in zip((np.ones(10), w), (first, second)):
         oracle._shared_fits.cache_clear()
         assert _bits(oracle_weighted_lp(DenseMatrix(A), y, weights, 0.5, 4)) == bits
 
@@ -392,15 +402,26 @@ def test_a_changed_instance_is_fitted_afresh():
     A2[4, 7] += 1e-9
     y2 = y.copy()
     y2[2] += 1e-9
-    for A_c, y_c, k_max in ((A2, y, 4), (A, y2, 4), (A, y, 3)):
+    for A_c, y_c in ((A2, y), (A, y2)):
         oracle._shared_fits.cache_clear()
-        fresh = _bits(oracle_weighted_lp(DenseMatrix(A_c), y_c, w, 0.5, k_max))
-        # the original instance takes the one cache entry; the changed one
-        # must miss it and be fitted again
+        fresh = _bits(oracle_weighted_lp(DenseMatrix(A_c), y_c, w, 0.5, 4))
+        oracle._shared_fits.cache_clear()
+        # only the original instance's sizes are cached; the changed one
+        # must miss every size and be fitted again
         oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)
-        misses = oracle._shared_fits.cache_info().misses
-        assert _bits(oracle_weighted_lp(DenseMatrix(A_c), y_c, w, 0.5, k_max)) == fresh
-        assert oracle._shared_fits.cache_info().misses == misses + 1
+        misses = _misses()
+        assert _bits(oracle_weighted_lp(DenseMatrix(A_c), y_c, w, 0.5, 4)) == fresh
+        assert _misses() == misses + 5
+    # k_max is not part of the key: a larger k_max fits only the sizes it adds
+    fresh = {}
+    for k_max in (4, 6):
+        oracle._shared_fits.cache_clear()
+        fresh[k_max] = _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, k_max))
+    oracle._shared_fits.cache_clear()
+    assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)) == fresh[4]
+    misses = _misses()
+    assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 6)) == fresh[6]
+    assert _misses() == misses + 2
 
 
 def test_a_returned_minimizer_does_not_alias_the_shared_fits():
@@ -415,12 +436,29 @@ def test_both_decoders_read_one_table():
     A, y, w = _criterion_3_instance(97)
     oracle._shared_fits.cache_clear()
     shared = (_bits(oracle_l0(DenseMatrix(A), y, 4)), _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)))
+    # oracle_l0 stops at size 2; the weighted oracle reads those sizes and
+    # fits 3 and 4, so each size is fitted once
     info = oracle._shared_fits.cache_info()
-    assert (info.hits, info.misses) == (1, 1)
+    assert (info.hits, info.misses) == (3, 5)
     oracle._shared_fits.cache_clear()
     assert _bits(oracle_l0(DenseMatrix(A), y, 4)) == shared[0]
     oracle._shared_fits.cache_clear()
     assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)) == shared[1]
+
+
+def test_l0_fits_no_size_above_its_answer(monkeypatch):
+    # a 1-sparse b on 10 x 20 at k_max = n: the answer has size 1, and the
+    # 616,645 supports of sizes 2..10 are never fitted
+    rng = np.random.default_rng(107)
+    A = rng.standard_normal((10, 20))
+    requested = []
+    supports = oracle._supports
+    monkeypatch.setattr(oracle, "_supports", lambda N, size: requested.append(size) or supports(N, size))
+    oracle._shared_fits.cache_clear()
+    res = oracle_l0(DenseMatrix(A), 1.7 * A[:, 4], 10)
+    assert res.support == (5,)
+    assert requested == [0, 1]
+    assert _misses() == 2
 
 
 @pytest.mark.parametrize("decoder", ["oracle_weighted_lp", "oracle_l0"])
