@@ -235,9 +235,6 @@ class DenseMatrix:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.matrix @ x
 
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ r
-
     def project_null(self, d: np.ndarray) -> np.ndarray:
         """d - Q (Q^T d), where the orthonormal columns of Q span the row
         space of A: two matvecs through the one stored N x n array Q, and
@@ -381,11 +378,6 @@ class RestrictedTransform:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return _idct_to_fft_order(np.asarray(x, dtype=np.float64))[self._pos]
 
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
-        v = np.zeros(self.size)
-        v[self._pos] = r
-        return _dct_from_fft_order(v)
-
     def project_null(self, d: np.ndarray) -> np.ndarray:
         """d - A^T A d: the transform with the kept samples zeroed, by one
         inverse and one forward real FFT; the zeroing happens in the
@@ -395,8 +387,11 @@ class RestrictedTransform:
         return _dct_from_fft_order(v)
 
     def pull_back(self, r: np.ndarray) -> np.ndarray:
-        """pinv(A) r, which is A^T r for orthonormal rows."""
-        return self.adjoint(r)
+        """pinv(A) r, which is A^T r for orthonormal rows: r placed at the
+        kept samples, in the FFT's sample order, and one forward real FFT."""
+        v = np.zeros(self.size)
+        v[self._pos] = r
+        return _dct_from_fft_order(v)
 
 
 # Either operator kind works anywhere a sensing operator is expected.

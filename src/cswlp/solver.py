@@ -175,10 +175,8 @@ class SolverTrace:
     next level).  ``residual`` is ||A x - b|| at the row's iterate on
     the rows where it was measured (the first, the last, and those the
     drift schedule of the module docstring picks) and NaN on every
-    other row; it is never interpolated or filled in.
-    ``iterates`` holds x_0 followed by each iteration's x of that run
-    when the solve was asked to keep them.  ``stop_reason`` says why
-    that run ended: ``"sigma_floor"`` when sigma fell to
+    other row; it is never interpolated or filled in.  ``stop_reason``
+    says why that run ended: ``"sigma_floor"`` when sigma fell to
     _SIGMA_FLOOR, ``"stationary"`` when the gradient vanished, or
     ``"max_iters"`` when its iterations ran out first.  Restarts record
     no rows; ``restart_iters`` holds the iterations each one ran, in
@@ -194,7 +192,6 @@ class SolverTrace:
     step: np.ndarray
     residual: np.ndarray
     stop_reason: str
-    iterates: list[np.ndarray] | None = None
     restart_iters: tuple[int, ...] = ()
 
     # the per-iteration arrays, in the column order of the CLI's trace.csv
@@ -239,8 +236,6 @@ def solve(
     b,
     w,
     cfg: SolverConfig,
-    *,
-    keep_iterates: bool = False,
 ) -> tuple[SignalVector, SolverTrace]:
     """Run the smoothed projected-gradient iteration.
 
@@ -250,7 +245,6 @@ def solve(
     b : Measurements with epsilon 0, or array_like measurement vector
     w : WeightVector or array_like weights in [0, 1]
     cfg : SolverConfig
-    keep_iterates : also record x_0 and every iterate in the trace
 
     Returns
     -------
@@ -279,7 +273,6 @@ def solve(
     # runs without its residual screen
     explore = n < N < 2 * n
     rows: list[tuple[int, float, float, float, float]] = []
-    iterates: list[np.ndarray] | None = [x0.copy()] if keep_iterates else None
 
     def descend(x, sigma, budget, record):
         """Run at most ``budget`` iterations from x at smoothing level
@@ -302,8 +295,6 @@ def solve(
                 # nonzero weight, so the iterate never moves again
                 if record:
                     rows.append((t, sigma, f0, 0.0, _norm(A.apply(x) - y)))
-                    if iterates is not None:
-                        iterates.append(x.copy())
                 return x, t, "stationary"
 
             pd = project(-g)
@@ -354,8 +345,6 @@ def solve(
 
             if record:
                 rows.append((t, sigma, f_new if step > 0.0 else f0, lam * step, res))
-                if iterates is not None:
-                    iterates.append(x_new.copy())
 
             x = x_new
             if settled:
@@ -432,7 +421,6 @@ def solve(
         step=np.asarray(step, dtype=np.float64),
         residual=np.asarray(residual, dtype=np.float64),
         stop_reason=stop_reason,
-        iterates=iterates,
         restart_iters=tuple(restart_iters),
     )
     return SignalVector(x), trace

@@ -15,6 +15,7 @@ from cswlp import (
     solve,
 )
 from cswlp.core import _weighted_lp_sum
+from irls import irls_weighted_l1
 
 
 def test_l0_prefers_the_sparsest_fit():
@@ -496,3 +497,21 @@ def test_k_max_reaches_n(p):
         oracle_weighted_lp(DenseMatrix(A), A @ x, w, p, 7)
     with pytest.raises(ValueError, match="k_max must lie in 0..6, got 7"):
         oracle_l0(DenseMatrix(A), A @ x, 7)
+
+
+def test_exact_decoder_matches_irls_at_p_1():
+    # at p = 1 the decoder is convex, so IRLS converges to its minimizer,
+    # which the oracle at k_max = n finds by enumerating the vertices
+    rng = np.random.default_rng(107)
+    for trial in range(30):
+        A = rng.standard_normal((6, 10)) / np.sqrt(6)
+        x = np.zeros(10)
+        x[rng.choice(10, size=3, replace=False)] = rng.standard_normal(3)
+        w = np.where(rng.random(10) < 0.3, 0.5, 1.0)
+        b = A @ x
+        exact = oracle_weighted_lp(DenseMatrix(A), b, w, 1.0, 6)
+        z = irls_weighted_l1(A, b, w)
+        value = float(_weighted_lp_sum(w, z, 1.0))
+        assert abs(value - exact.objective_value) <= 1e-9 * exact.objective_value, trial
+        gap = float(np.linalg.norm(z - exact.minimizer.entries))
+        assert gap <= 1e-9 * float(np.linalg.norm(exact.minimizer.entries)), trial

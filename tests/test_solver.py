@@ -22,7 +22,6 @@ from cswlp import (
 )
 from cswlp import _kernels, experiments, solver
 from cswlp.oracle import oracle_weighted_lp
-from cswlp.solver import _projector_parts
 from test_kernels import reference_backtrack
 
 
@@ -106,62 +105,75 @@ def test_exact_recovery_small_sparse():
     assert snr_db(SignalVector(x_true), x) >= 100.0
 
 
-def test_iterates_start_at_min_norm_point_and_stay_feasible():
+def test_iterates_start_at_min_norm_point_and_stay_feasible(monkeypatch):
     A, x_true, y = _sparse_instance(N=40, n=20, k=4, seed=8)
     cfg = SolverConfig(p=0.5)
-    x, trace = solve(DenseMatrix(A), y, np.ones(40), cfg, keep_iterates=True)
-    assert trace.iterates is not None
+    iterates = record_iterates(monkeypatch)
+    x, trace = solve(DenseMatrix(A), y, np.ones(40), cfg)
     x0 = np.linalg.pinv(A) @ y
-    assert np.allclose(trace.iterates[0], x0, atol=1e-10)
+    assert np.allclose(iterates[0], x0, atol=1e-10)
     limit = cfg.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
-    for it in trace.iterates:
-        assert float(np.linalg.norm(A @ it - y)) <= limit
-    assert len(trace.iterates) == trace.t.shape[0] + 1
+    assert worst_residual(DenseMatrix(A), y, iterates, trace) <= limit
+    # one search per row: every iterate but the last starts one
+    assert len(iterates) == trace.t.shape[0]
 
 
-def test_iterates_stay_feasible_on_an_ill_conditioned_matrix():
-    # with singular values from 1 down to 1e-9, rounding in each step
-    # drifts the iterate off A x = b; the pull-back inside the iteration
-    # keeps every iterate within the limit (without it, 3 of these 10
-    # solves leave it, the worst by 7x)
+def test_iterates_stay_feasible_on_an_ill_conditioned_matrix(monkeypatch):
+    # b lies almost along A's smallest singular direction, so pinv(A) b
+    # is about 1e8 ||b|| long, and rounding in each step drifts the
+    # iterate off A x = b; the pull-back inside the iteration keeps every
+    # iterate within the limit (without it, all 10 solves leave it, the
+    # worst by 7.7x).  The sparse-signal b of the same matrices never
+    # drifts that far; the kappa = 1e9 case of
+    # test_residual_is_measured_only_where_drift_can_reach_the_limit
+    # checks those.
     cfg = SolverConfig(p=0.5)
+    pulls = []
+    pull_back = DenseMatrix.pull_back
+
+    def counted(op, r):
+        pulls.append(r)
+        return pull_back(op, r)
+
+    monkeypatch.setattr(DenseMatrix, "pull_back", counted)
+    iterates = record_iterates(monkeypatch)
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
-        V, _ = np.linalg.qr(rng.standard_normal((60, 20)))
-        A = (U * np.logspace(0, -9, 20)) @ V.T
-        x = np.zeros(60)
-        x[rng.choice(60, size=4, replace=False)] = rng.standard_normal(4)
-        y = A @ x
-        _, trace = solve(DenseMatrix(A), y, np.ones(60), cfg, keep_iterates=True)
+        A, _, U = _conditioned_instance(1e8, seed)
+        op, y = DenseMatrix(A), U[:, -1] + 1e-3 * U[:, 0]
+        iterates.clear()
+        _, trace = solve(op, y, np.ones(60), cfg)
         limit = cfg.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
-        worst = max(float(np.linalg.norm(A @ it - y)) for it in trace.iterates)
+        worst = worst_residual(op, y, iterates, trace)
         assert worst <= limit, (seed, worst / limit)
+    # each solve starts at one pull-back; the iteration takes the rest
+    assert len(pulls) >= 10 + 50
 
 
 def _conditioned_instance(kappa, seed):
-    # test_iterates_stay_feasible_on_an_ill_conditioned_matrix's draw, with
-    # singular values from 1 down to 1 / kappa
+    # a 20 x 60 matrix with singular values from 1 down to 1 / kappa, its
+    # left singular vectors U, and b = A x for a 4-sparse x
     rng = np.random.default_rng(seed)
     U, _ = np.linalg.qr(rng.standard_normal((20, 20)))
     V, _ = np.linalg.qr(rng.standard_normal((60, 20)))
     A = (U * np.logspace(0, -np.log10(kappa), 20)) @ V.T
     x = np.zeros(60)
     x[rng.choice(60, size=4, replace=False)] = rng.standard_normal(4)
-    return A, A @ x
+    return A, A @ x, U
 
 
 @pytest.mark.parametrize("kappa", [1e0, 1e3, 1e6, 1e9])
-def test_residual_is_measured_only_where_drift_can_reach_the_limit(kappa):
+def test_residual_is_measured_only_where_drift_can_reach_the_limit(monkeypatch, kappa):
     # the residual is skipped on most rows of a well-conditioned run, yet
     # every iterate stays within the limit at any condition number
     cfg = SolverConfig(p=0.5)
     rows = measured = 0
+    iterates = record_iterates(monkeypatch)
     for seed in range(10):
-        A, y = _conditioned_instance(kappa, seed)
-        _, trace = solve(DenseMatrix(A), y, np.ones(60), cfg, keep_iterates=True)
+        A, y, _ = _conditioned_instance(kappa, seed)
+        iterates.clear()
+        _, trace = solve(DenseMatrix(A), y, np.ones(60), cfg)
         limit = cfg.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
-        worst = max(float(np.linalg.norm(A @ it - y)) for it in trace.iterates)
+        worst = worst_residual(DenseMatrix(A), y, iterates, trace)
         assert worst <= limit, (seed, worst / limit)
         on = ~np.isnan(trace.residual)
         # the first and the last row are always measured
@@ -359,17 +371,38 @@ def _record_searches(monkeypatch) -> list[dict]:
     return calls
 
 
+def record_iterates(monkeypatch) -> list[np.ndarray]:
+    """Record the point each line search starts from: every iterate of
+    every run, after its pull-back, but each run's last.  The first run's
+    last iterate is the point of the trace's last row, whose residual is
+    always measured (see ``worst_residual``)."""
+    iterates = []
+    search = _kernels.backtrack_raw
+
+    def recorded(x, *args):
+        iterates.append(x.copy())
+        return search(x, *args)
+
+    monkeypatch.setattr(_kernels, "backtrack_raw", recorded)
+    return iterates
+
+
+def worst_residual(op, y, iterates, trace) -> float:
+    """The largest ||A x - y|| over the recorded iterates and the first
+    run's last iterate, whose residual the trace's last row holds."""
+    return max(float(trace.residual[-1]), *(float(np.linalg.norm(op.apply(x) - y)) for x in iterates))
+
+
 def _projected_gradient(op, x, w, p, sigma):
-    project, _ = _projector_parts(op)
-    return project(-_kernels.smoothed_gradient_raw(x, w**p, p, sigma))
+    return op.project_null(-_kernels.smoothed_gradient_raw(x, w**p, p, sigma))
 
 
 def test_first_iteration_tries_the_unit_step(monkeypatch):
     A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
     op, w, cfg = DenseMatrix(A), np.ones(40), SolverConfig(p=0.5)
     calls = _record_searches(monkeypatch)
-    _, trace = solve(op, y, w, cfg, keep_iterates=True)
-    pd = _projected_gradient(op, trace.iterates[0], w, cfg.p, solver._SIGMA_INIT)
+    _, trace = solve(op, y, w, cfg)
+    pd = _projected_gradient(op, calls[0]["x"], w, cfg.p, solver._SIGMA_INIT)
     assert np.array_equal(calls[0]["d"], pd)
     assert trace.step[0] == calls[0]["step"] > 0.0
 
@@ -381,9 +414,9 @@ def test_second_iteration_takes_the_barzilai_borwein_step(monkeypatch, sigma_ini
     monkeypatch.setattr(solver, "_SIGMA_INIT", sigma_init)
     cfg = SolverConfig(p=0.5, max_iters=2)
     calls = _record_searches(monkeypatch)
-    _, trace = solve(op, y, w, cfg, keep_iterates=True)
+    _, trace = solve(op, y, w, cfg)
     assert len(calls) == 2 and trace.step[0] > 0.0
-    x0, x1 = trace.iterates[0], trace.iterates[1]
+    x0, x1 = calls[0]["x"], calls[1]["x"]
     pd0 = calls[0]["d"]
     pd1 = _projected_gradient(op, x1, w, cfg.p, calls[1]["sigma"])
     s = x1 - x0
@@ -422,10 +455,12 @@ def test_recorded_step_is_the_spectral_step_times_the_search_step(monkeypatch):
     A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
     op, w, cfg = DenseMatrix(A), np.ones(40), SolverConfig(p=0.5)
     calls = _record_searches(monkeypatch)
-    _, trace = solve(op, y, w, cfg, keep_iterates=True)
+    _, trace = solve(op, y, w, cfg)
     x_prev = pd_prev = None
+    # one search per row, each from that row's starting iterate
+    assert len(calls) == trace.t.shape[0]
     for t in range(trace.t.shape[0]):
-        x = trace.iterates[t]
+        x = calls[t]["x"]
         pd = _projected_gradient(op, x, w, cfg.p, trace.sigma[t])
         # the memory carries over from one sigma level to the next
         lam = 1.0
@@ -536,13 +571,13 @@ def test_projector_parts_pull_back_and_project(kind):
         op = DenseMatrix(A)
     elif kind == "dense-ill-conditioned":
         # singular values from 1 down to 1e-6
-        A, y = _conditioned_instance(1e6, 19)
+        A, y, _ = _conditioned_instance(1e6, 19)
         op = DenseMatrix(A)
     else:
         rows = tuple(int(i) + 1 for i in np.sort(rng.choice(20, size=10, replace=False)))
         op = RestrictedTransform(rows=rows, size=20)
         y = rng.standard_normal(10)
-    project, pull_back = _projector_parts(op)
+    project, pull_back = op.project_null, op.pull_back
     dense = op.as_dense()
     # pinv(A) y is a feasible start
     assert np.allclose(op.apply(pull_back(y)), y, atol=1e-10)
@@ -563,8 +598,7 @@ def test_dense_projector_builds_no_n_by_n_array():
     A = DenseMatrix(np.random.default_rng(31).standard_normal((5, 3000)))
     tracemalloc.start()
     try:
-        project, _ = _projector_parts(A)
-        project(np.ones(3000))
+        A.project_null(np.ones(3000))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
