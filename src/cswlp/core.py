@@ -199,9 +199,6 @@ class SignalVector:
     def __post_init__(self):
         object.__setattr__(self, "entries", _as_vector(self.entries, "signal entries"))
 
-    def __len__(self) -> int:
-        return int(self.entries.shape[0])
-
 
 @dataclass(frozen=True)
 class DenseMatrix:

@@ -50,10 +50,7 @@ __all__ = [
     "gen_sparse_signal",
     "gen_support_estimate",
     "load_experiment_spec",
-    "mean_snr",
-    "filter_rows",
     "run_sweep",
-    "stderr_snr",
 ]
 
 def gen_sparse_signal(N: int, k: int, rng: np.random.Generator) -> SignalVector:
@@ -181,49 +178,6 @@ class SweepRow:
 @dataclass
 class ExperimentResult:
     rows: list[SweepRow]
-
-
-def filter_rows(rows, **match):
-    """Rows whose named fields equal the given values (floats compared
-    within 1e-12)."""
-    out = []
-    for row in rows:
-        keep = True
-        for key, want in match.items():
-            have = getattr(row, key)
-            if isinstance(want, float) or isinstance(have, float):
-                keep = abs(float(have) - float(want)) <= 1e-12
-            else:
-                keep = have == want
-            if not keep:
-                break
-        if keep:
-            out.append(row)
-    return out
-
-
-def _snr_values(rows) -> np.ndarray:
-    """SNRs of the rows; raises ValueError naming the failed rows, whose
-    -inf would otherwise decide the statistic."""
-    rows = list(rows)
-    failed = sum(row.status == "failed" for row in rows)
-    if failed:
-        raise ValueError(f"{failed} of {len(rows)} rows failed; their SNR is undefined")
-    return np.asarray([row.snr_db for row in rows], dtype=np.float64)
-
-
-def mean_snr(rows) -> float:
-    vals = _snr_values(rows)
-    if not vals.size:
-        raise ValueError("no rows to average")
-    return float(np.mean(vals))
-
-
-def stderr_snr(rows) -> float:
-    vals = _snr_values(rows)
-    if vals.size < 2:
-        return 0.0
-    return float(np.std(vals, ddof=1) / np.sqrt(vals.size))
 
 
 def _instance_rng(seed: int, n: int, alpha_idx: int, trial: int) -> np.random.Generator:

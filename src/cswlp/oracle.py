@@ -22,19 +22,20 @@ oracles read one cache of them, keyed by the bytes of A and b and by
 the size: a repeat call on one instance, by either oracle, with other
 weights or a smaller k_max, fits nothing again, and a size is fitted
 only when a call reads it, so ``oracle_l0`` stops at its answer's size.
-N is capped at 20.  k_max may reach n, where ``oracle_weighted_lp`` is
-the exact decoder (no vertex has more than n nonzeros, so a larger
-k_max is refused); one p = 1 call there takes about 0.2 s with a 63 MB
-peak RSS at n x N = 8 x 16, and 4-6 s with 580 MB at 10 x 20, on a
-2-core x86 VM.
+Each size's index table of supports is built with its fits and freed
+with them.  N is capped at 20.  k_max may reach n, where
+``oracle_weighted_lp`` is the exact decoder (no vertex has more than n
+nonzeros, so a larger k_max is refused); one p = 1 call there takes
+about 0.2 s with a 60 MB peak RSS at n x N = 8 x 16, and 4-6 s with
+under 600 MB at 10 x 20, on a 2-core x86 VM.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -90,15 +91,6 @@ def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
     return N, k_max, (_shared_fits(*key, size) for size in range(min(k_max, N) + 1))
 
 
-@cache
-def _supports(N: int, size: int) -> np.ndarray:
-    """Every size-element subset of range(N) in lexicographic order, as
-    a read-only (C(N, size), size) index table."""
-    table = np.array(list(combinations(range(N), size)), dtype=np.intp).reshape(comb(N, size), size)
-    table.flags.writeable = False
-    return table
-
-
 @lru_cache(maxsize=_MAX_N + 1)
 def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, limit: float, size: int):
     """The read-only (supports, fits) of one size: the supports, in
@@ -112,7 +104,10 @@ def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, limit: float, 
     cache is keyed by value and a changed entry is refitted."""
     n, N = shape
     A_dense, y = np.frombuffer(matrix).reshape(shape), np.frombuffer(y)
-    supports = _supports(N, size)
+    # every size-element subset of range(N), in lexicographic order
+    count = comb(N, size)
+    subsets = chain.from_iterable(combinations(range(N), size))
+    supports = np.fromiter(subsets, dtype=np.intp, count=count * size).reshape(count, size)
     columns = np.column_stack((A_dense, y)).T  # (N + 1, n): row N is y
     with_y = np.column_stack((supports, np.full(len(supports), N)))
     R = np.linalg.qr(columns[with_y].transpose(0, 2, 1), mode="r")

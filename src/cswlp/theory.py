@@ -138,17 +138,6 @@ def error_constants(params: TheoryParams) -> tuple[float, float]:
     )
 
 
-def _wl1_constants(a: float, omega: float, alpha: float, rho: float, d1: float, d2: float) -> tuple[float, float]:
-    """Independent p = 1 closed form used to anchor the general formula."""
-    g = omega + (1.0 - omega) * math.sqrt(1.0 + rho - 2.0 * alpha * rho)
-    D = math.sqrt(1.0 - d2) - g * math.sqrt((1.0 + d1) / a)
-    if D <= 0.0:
-        raise ConditionViolatedError(f"condition denominator must be positive, got {D:.6g}")
-    c1 = 2.0 * (1.0 + g / math.sqrt(a)) / D
-    c2 = (2.0 / math.sqrt(a)) * (math.sqrt(1.0 + d1) + math.sqrt(1.0 - d2)) / D
-    return c1, c2
-
-
 def proposition2_check(
     p: float,
     omega: float,

@@ -27,9 +27,10 @@ from cswlp import (
     solve,
 )
 from cswlp.audio import AudioPipelineConfig, recover_clip, synthesize_speech_like, write_wav_mono
-from cswlp.experiments import ExperimentSpec, filter_rows, run_sweep
-from cswlp.theory import ConditionViolatedError, _wl1_constants
+from cswlp.experiments import ExperimentSpec, run_sweep
+from cswlp.theory import ConditionViolatedError
 from test_solver import record_iterates, worst_residual
+from test_theory import _wl1_constants
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -220,8 +221,9 @@ def test_criterion_6_sparse_sweep_trends():
                           omega_list=(0.0, 0.5, 1.0), p_list=(0.5, 1.0), trials=10, seed=2)
     res = run_sweep(spec)
 
-    def snrs(**kw):
-        return np.array([r.snr_db for r in filter_rows(res.rows, **kw)])
+    def snrs(n, p, omega):
+        # each row carries the spec's own floats, so equality selects
+        return np.array([r.snr_db for r in res.rows if (r.n, r.p, r.omega) == (n, p, omega)])
 
     gaps = []
     ordering_ok = True
@@ -246,7 +248,7 @@ def test_criterion_7_compressible_interior_omega():
                           decay=1.1, noise_frac=0.0, alpha_list=(0.7,), rho=1.0,
                           omega_list=omegas, p_list=(0.5,), trials=20, seed=2)
     res = run_sweep(spec)
-    means = {om: float(np.mean([r.snr_db for r in filter_rows(res.rows, omega=om)]))
+    means = {om: float(np.mean([r.snr_db for r in res.rows if (r.n, r.p, r.omega) == (100, 0.5, om)]))
              for om in omegas}
     best = max(means, key=means.get)
     ok = 0.0 < best < 1.0

@@ -146,6 +146,8 @@ def test_recover_clip_shapes_and_order():
     samples[1] = np.nan
     with pytest.raises(ValueError, match="^samples must be finite$"):
         recover_clip(samples, cfg)
+    with pytest.raises(ValueError, match=r"need at least 256 samples, got \(255,\)"):
+        recover_clip(np.zeros(255), cfg)
 
 
 def test_pipeline_writes_csv_and_wavs(tmp_path):

@@ -66,6 +66,17 @@ def test_binary_vector_is_column(tmp_path):
     assert np.array_equal(back[:, 0], [1.0, 2.5, -3.0])
     with pytest.raises(ValueError):
         write_vector_binary(tmp_path / "bad.bin", np.eye(2))
+    with pytest.raises(ValueError, match="expected a matrix"):
+        write_matrix_binary(tmp_path / "bad.bin", np.ones(3))
+
+
+def test_a_vector_is_read_from_a_column_or_a_row(tmp_path):
+    for name, shape in (("col.bin", (3, 1)), ("row.bin", (1, 3))):
+        write_matrix_binary(tmp_path / name, np.array([1.0, 2.5, -3.0]).reshape(shape))
+        assert np.array_equal(cli._read_vector(tmp_path / name), [1.0, 2.5, -3.0])
+    write_matrix_binary(tmp_path / "mat.bin", np.ones((2, 3)))
+    with pytest.raises(ValueError, match=r"expected a vector, got shape \(2, 3\)"):
+        cli._read_vector(tmp_path / "mat.bin")
 
 
 def test_read_array_csv_fallback(tmp_path):

@@ -21,6 +21,8 @@ def test_signal_vector_rejects_non_finite():
         SignalVector(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         SignalVector(np.array([[1.0, 2.0]]))
+    with pytest.raises(ValueError, match="signal entries must not be empty"):
+        SignalVector(np.array([]))
 
 
 def test_dense_matrix_must_be_underdetermined_or_square():
@@ -95,6 +97,8 @@ def test_restricted_transform_rejects_bad_rows():
         RestrictedTransform(rows=(1.5, 2), size=4)
     with pytest.raises(ValueError, match="size must be an integer >= 1, got 2.5"):
         RestrictedTransform(rows=(1, 2), size=2.5)
+    with pytest.raises(ValueError, match="rows must be non-empty"):
+        RestrictedTransform(rows=(), size=4)
 
 
 def test_measurements_epsilon_must_be_nonnegative():
@@ -148,6 +152,16 @@ def test_weighted_lp_norm_rejects_bad_p():
         weighted_lp_norm(np.ones(2), np.ones(2), 1.5)
 
 
+def test_weighted_lp_norm_rejects_weights_that_do_not_fit():
+    wv = WeightVector(omega=0.5, estimate=SupportEstimate((1,)), size=4)
+    with pytest.raises(ValueError, match="weight size 4 does not match signal length 3"):
+        weighted_lp_norm(np.ones(3), wv, 1.0)
+    with pytest.raises(ValueError, match="weights length 4 does not match signal length 3"):
+        weighted_lp_norm(np.ones(3), np.ones(4), 1.0)
+    with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
+        weighted_lp_norm(np.ones(3), np.array([1.0, 0.5, 1.5]), 1.0)
+
+
 def test_best_k_term_keeps_largest_and_breaks_ties_first():
     x = SignalVector(np.array([2.0, -2.0, 1.0]))
     approx, support = best_k_term(x, 1)
@@ -182,6 +196,8 @@ def test_snr_db_values():
     # a NaN estimate is refused, not scored at the cap
     with pytest.raises(ValueError, match="x_hat must be finite"):
         snr_db([1.0, 2.0], [np.nan, 1.0])
+    with pytest.raises(ValueError, match="signal lengths differ"):
+        snr_db(x, SignalVector(np.ones(3)))
 
 
 def test_apply_matches_dense():

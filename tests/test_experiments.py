@@ -10,16 +10,13 @@ from cswlp.core import ConfigError, DenseMatrix, SolverDivergenceError
 from cswlp.experiments import (
     ExperimentSpec,
     SweepRow,
-    filter_rows,
     gen_compressible_signal,
     gen_gaussian_matrix,
     gen_noise_on_sphere,
     gen_sparse_signal,
     gen_support_estimate,
     load_experiment_spec,
-    mean_snr,
     run_sweep,
-    stderr_snr,
 )
 
 
@@ -66,6 +63,8 @@ def test_sparse_signal_has_exact_support_size():
     nz = np.flatnonzero(x.entries)
     assert nz.size == 6
     assert np.all(x.entries[nz] != 0.0)
+    with pytest.raises(ValueError, match="k must lie in 1..5, got 6"):
+        gen_sparse_signal(5, 6, rng)
 
 
 def test_sparse_signal_deterministic_per_stream():
@@ -86,6 +85,8 @@ def test_gaussian_matrix_column_scale():
     assert A.matrix.shape == (50, 200)
     col_norms = np.linalg.norm(A.matrix, axis=0)
     assert abs(float(np.mean(col_norms)) - 1.0) < 0.05
+    with pytest.raises(ValueError, match="need 1 <= n <= N, got n=6, N=5"):
+        gen_gaussian_matrix(6, 5, rng)
 
 
 def test_noise_lands_exactly_on_sphere():
@@ -115,6 +116,8 @@ def test_support_estimate_infeasible_sizes_raise():
     with pytest.raises(ValueError):
         # outside count would exceed the complement
         gen_support_estimate(tuple(range(1, 5)), N=5, alpha=0.0, rho=0.5, rng=rng)
+    with pytest.raises(ValueError, match="true support must be non-empty"):
+        gen_support_estimate((), N=5, alpha=0.5, rho=1.0, rng=rng)
 
 
 def test_spec_refuses_an_estimate_no_instance_can_draw():
@@ -184,9 +187,11 @@ def test_paired_instances_share_data_across_p_and_omega():
 
 
 def test_noise_free_recovery_beats_noisy():
-    clean = run_sweep(_tiny_spec(trials=3))
-    noisy = run_sweep(_tiny_spec(trials=3, noise_frac=0.05))
-    assert mean_snr(clean.rows) > mean_snr(noisy.rows)
+    clean = run_sweep(_tiny_spec(trials=3)).rows
+    noisy = run_sweep(_tiny_spec(trials=3, noise_frac=0.05)).rows
+    # a failed row's -inf would decide the means
+    assert all(r.status == "ok" for r in clean + noisy)
+    assert np.mean([r.snr_db for r in clean]) > np.mean([r.snr_db for r in noisy])
 
 
 def test_csv_round_trip(tmp_path):
@@ -253,28 +258,6 @@ def test_failed_sweep_row_names_its_cause(monkeypatch, cause):
     )
 
 
-def test_row_filters_and_stats():
-    rows = [
-        SweepRow(n=10, p=0.5, omega=0.0, alpha_req=0.7, alpha_real=0.7, rho=1.0,
-                 trial=t, snr_db=float(s), iters=1, stop_reason="sigma_floor",
-                 wall_ms=0.0, status="ok")
-        for t, s in enumerate((10.0, 20.0, 30.0))
-    ]
-    picked = filter_rows(rows, omega=0.0)
-    assert len(picked) == 3
-    assert filter_rows(rows, omega=0.5) == []
-    assert abs(mean_snr(rows) - 20.0) < 1e-12
-    assert abs(stderr_snr(rows) - 10.0 / np.sqrt(3.0)) < 1e-12
-    # a failed row has no SNR; the statistics name it instead of
-    # averaging its -inf
-    failed = SweepRow(n=10, p=0.5, omega=0.0, alpha_req=0.7, alpha_real=0.7, rho=1.0,
-                      trial=3, snr_db=float("-inf"), iters=0, stop_reason="diverged",
-                      wall_ms=0.0, status="failed")
-    for stat in (mean_snr, stderr_snr):
-        with pytest.raises(ValueError, match="1 of 4 rows failed"):
-            stat(rows + [failed])
-
-
 @pytest.mark.parametrize("omega", ["0, 0.5, 1", "0:1:3"])
 def test_config_file_round_trip(tmp_path, omega):
     # lists take the CLI's grid syntax, start:stop:count tokens included
@@ -336,6 +319,17 @@ def test_config_file_errors_name_the_key(tmp_path):
     )
     with pytest.raises(ConfigError, match="bad value for 'omega'"):
         load_experiment_spec(empty)
+    kind = tmp_path / "kind.cfg"
+    kind.write_text(
+        "N = 40\nn = 20\nk = 4\nsignal_kind = dense\nnoise_frac = 0\n"
+        "alpha = 0.7\nrho = 1\nomega = 0.5\np = 0.5\ntrials = 1\nseed = 0\n"
+    )
+    with pytest.raises(ConfigError, match="bad value for 'signal_kind': 'dense'"):
+        load_experiment_spec(kind)
+    no_equals = tmp_path / "no_equals.cfg"
+    no_equals.write_text("N = 40\nn 20\n")
+    with pytest.raises(ConfigError, match="no_equals.cfg:2: expected key = value, got 'n 20'"):
+        load_experiment_spec(no_equals)
 
 
 def test_non_integer_n_is_rejected(tmp_path):

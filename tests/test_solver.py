@@ -10,6 +10,7 @@ from cswlp import (
     Measurements,
     RankDeficientError,
     RestrictedTransform,
+    SolverDivergenceError,
     SignalVector,
     SolverConfig,
     SolverTrace,
@@ -631,6 +632,21 @@ def test_noise_bound_is_refused():
     A, _, y = _sparse_instance(N=16, n=8, k=2, seed=29)
     with pytest.raises(ValueError, match="epsilon=0.5"):
         solve(DenseMatrix(A), Measurements(y=y, epsilon=0.5), np.ones(16), SolverConfig(p=0.5))
+
+
+def test_non_finite_objective_raises_naming_its_iteration(monkeypatch):
+    A, _, y = _sparse_instance(N=16, n=8, k=2, seed=29)
+    objective = _kernels.smoothed_objective_raw
+    calls = []
+
+    def blows_up_at_iteration_3(x, wp, p, sigma):
+        calls.append(None)
+        f0, g = objective(x, wp, p, sigma)
+        return (math.inf if len(calls) == 3 else f0), g
+
+    monkeypatch.setattr(_kernels, "smoothed_objective_raw", blows_up_at_iteration_3)
+    with pytest.raises(SolverDivergenceError, match="^objective became non-finite at iteration 3$"):
+        solve(DenseMatrix(A), y, np.ones(16), SolverConfig(p=0.5))
 
 
 def test_measurements_object_accepted():

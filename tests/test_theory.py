@@ -13,7 +13,17 @@ from cswlp import (
     proposition2_check,
     sufficient_condition_holds,
 )
-from cswlp.theory import _wl1_constants
+
+
+def _wl1_constants(a: float, omega: float, alpha: float, rho: float, d1: float, d2: float) -> tuple[float, float]:
+    """Independent p = 1 closed form used to anchor the general formula."""
+    g = omega + (1.0 - omega) * math.sqrt(1.0 + rho - 2.0 * alpha * rho)
+    D = math.sqrt(1.0 - d2) - g * math.sqrt((1.0 + d1) / a)
+    if D <= 0.0:
+        raise ConditionViolatedError(f"condition denominator must be positive, got {D:.6g}")
+    c1 = 2.0 * (1.0 + g / math.sqrt(a)) / D
+    c2 = (2.0 / math.sqrt(a)) * (math.sqrt(1.0 + d1) + math.sqrt(1.0 - d2)) / D
+    return c1, c2
 
 
 def test_lp_bound_spot_value():
@@ -125,6 +135,11 @@ def test_error_constants_positive_when_condition_holds():
     params = TheoryParams(p=0.5, omega=0.5, alpha=0.7, rho=1.0, a=3.0, delta_ak=0.1, delta_a1k=0.1)
     c1, c2 = error_constants(params)
     assert c1 > 0 and c2 > 0
+    # both deltas are needed; without them there is no condition to test
+    for deltas in (dict(), dict(delta_ak=0.1)):
+        unset = TheoryParams(p=0.5, omega=0.5, alpha=0.7, rho=1.0, a=3.0, **deltas)
+        with pytest.raises(ValueError, match="need delta_ak and delta_a1k"):
+            error_constants(unset)
 
 
 def test_error_constants_raise_when_denominator_vanishes():
