@@ -4,14 +4,15 @@ All kernels take plain float64 arrays.  ``wp`` is the elementwise
 weight raised to the p-th power, precomputed by the caller.  The solver
 calls them as ``_kernels.<name>`` so that a profiler can rebind them.
 ``smoothed_objective_raw`` gives the smoothed objective's value and
-gradient from one power; ``smoothed_value_raw`` gives the value alone,
-for the first trial step of ``backtrack_raw``.  ``backtrack_raw`` is the
-line search: the first of the steps 1, shrink, shrink^2, ... along the
-direction it is given whose objective falls below a reference value.
-It evaluates the first step alone, which most searches accept, and the
-later ones in blocks of 2, 4, 8, ... steps, one array pass per block,
-by the same elementwise operations and the same dot product per step,
-so its result is that of trying the steps one by one.
+gradient from one power.  ``backtrack_raw`` is the line search: the
+first of the steps 1, shrink, shrink^2, ... along the direction it is
+given whose objective falls below a reference value.  It evaluates the
+first step alone, which most searches accept, and the later ones in
+blocks of 2, 4, 8, ... steps, one array pass per block.  Every trial
+value is formed by the elementwise operations and the dot product of
+``smoothed_objective_raw``'s value, in the same order, so it equals
+that value bit for bit and the result is that of trying the steps one
+by one.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 __all__ = [
     "get_backend",
     "smoothed_objective_raw",
-    "smoothed_value_raw",
     "smoothed_gradient_raw",
     "backtrack_raw",
     "indicator_max_raw",
@@ -43,13 +43,6 @@ def smoothed_objective_raw(x, wp, p, sigma) -> tuple[float, np.ndarray]:
     u = x * x + sigma * sigma
     r = u ** (0.5 * p)
     return float(wp.dot(r)), p * wp * (r / u) * x
-
-
-def smoothed_value_raw(x, wp, p, sigma) -> float:
-    """The value of smoothed_objective_raw alone, by the same operations,
-    so the two agree bit for bit."""
-    u = x * x + sigma * sigma
-    return float(wp.dot(u ** (0.5 * p)))
 
 
 def smoothed_gradient_raw(x, wp, p, sigma) -> np.ndarray:
@@ -74,7 +67,7 @@ def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[floa
     x + shrink**j pd is finite and below f0, with that objective;
     (0.0, f0) when none is.
 
-    Step 1 is evaluated alone by smoothed_value_raw.  The later steps go
+    Step 1 is evaluated alone, in place on x + pd.  The later steps go
     in blocks of 2, 4, 8, ... rows (2, 4, 8 and 15 of 30), each block
     one in-place pass x + s pd, its square, + sigma^2 and the power;
     then each row's value is wp.dot of that row, taken in order, so the
@@ -88,12 +81,16 @@ def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[floa
     """
     if max_backtracks < 1:
         return 0.0, f0
+    exponent, sigma_sq = 0.5 * p, sigma * sigma
     # x + 1.0 pd is x + pd, bit for bit
-    f = smoothed_value_raw(x + pd, wp, p, sigma)
+    u = x + pd
+    u *= u
+    u += sigma_sq
+    u **= exponent
+    f = float(wp.dot(u))
     if math.isfinite(f) and f < f0:
         return 1.0, f
     steps = _step_table(shrink, max_backtracks)
-    exponent, sigma_sq = 0.5 * p, sigma * sigma
     lo, size = 1, 2
     while lo < max_backtracks:
         hi = min(lo + size, max_backtracks)

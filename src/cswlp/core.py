@@ -119,8 +119,9 @@ def check_domain(**values) -> dict[str, list]:
     list of its values, each finite and in its domain; a count must be
     an integer >= 1 and k_max one >= 0, though either may be given as a
     float.  When all are, every (alpha, rho) pair of the alpha and rho
-    lists must satisfy 1 + rho - 2 alpha rho >= 0, the estimate's
-    symmetric difference with the true support relative to k.
+    lists must satisfy alpha rho <= 1: an estimate of rho k indices, a
+    fraction alpha of them correct, holds at most the support's k correct
+    ones (so 1 + rho - 2 alpha rho >= 0, as alpha <= 1).
     """
     values = {name: [float(v) for v in vs] for name, vs in values.items()}
     errors = [f"{name} needs at least one value" for name, vs in values.items() if not vs]
@@ -129,10 +130,10 @@ def check_domain(**values) -> dict[str, list]:
         for name, vs in values.items() for v in vs if not (math.isfinite(v) and _DOMAIN[name][0](v))
     ]
     bad = [f"({alpha}, {rho})" for alpha in values.get("alpha", ()) for rho in values.get("rho", ())
-           if 1.0 + rho - 2.0 * alpha * rho < 0.0]
+           if alpha * rho > 1.0]
     if bad and not errors:
         errors.append(
-            f"1 + rho - 2 alpha rho < 0 at (alpha, rho) = {', '.join(bad)}: such an estimate "
+            f"alpha rho > 1 at (alpha, rho) = {', '.join(bad)}: such an estimate "
             "would hold more correct entries (alpha rho k) than the support's k"
         )
     if errors:

@@ -12,6 +12,7 @@ field.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .core import (
     best_k_term,
     check_domain,
     snr_db,
+    weighted_lp_norm,
 )
 from .solver import SolverConfig, solve
 # kept only until the benchmark tracer stops binding it
@@ -95,10 +97,12 @@ def gen_noise_on_sphere(n: int, level: float, x, rng: np.random.Generator) -> np
 def _estimate_counts(k: int, alpha: float, rho: float, N: int) -> tuple[int, int]:
     """How many indices an estimate of size round(rho*k) and accuracy
     alpha draws from a true support of size k in 1..N, and how many from
-    the N - k others; raises ValueError when either exceeds what is there."""
+    the N - k others; raises ValueError when the others are too few.
+    The caller has checked alpha rho <= 1 (``check_domain``), so the
+    true support always holds enough."""
     inside = int(round(alpha * rho * k))
     outside = int(round(rho * k)) - inside
-    if inside > k or outside > N - k:
+    if outside > N - k:
         raise ValueError(
             f"an estimate at (alpha, rho) = ({alpha}, {rho}) needs {inside} of the {k} true indices "
             f"and {outside} of the {N - k} others in 1..{N}"
@@ -161,6 +165,13 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One solve of a sweep.  ``norm_ratio`` is ||x_hat||_{p,w} / ||x||_{p,w}
+    on the solve's result: the true x is feasible when there is no noise,
+    so a ratio above 1 by more than rounding certifies that the solver
+    missed a better point.
+    It is NaN when ``noise_frac > 0`` or the solve failed, inf when only
+    x_hat has weight, and 1.0 when neither has."""
+
     n: int
     p: float
     omega: float
@@ -169,6 +180,7 @@ class SweepRow:
     rho: float
     trial: int
     snr_db: float
+    norm_ratio: float
     iters: int
     stop_reason: str
     wall_ms: float
@@ -219,6 +231,10 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
                 snr = snr_db(x, x_hat)
                 iters, stop_reason, status = len(trace), trace.stop_reason, "ok"
             wall_ms = (time.perf_counter() - start) * 1e3
+            ratio = math.nan
+            if status == "ok" and spec.noise_frac == 0.0:
+                ours, truth = weighted_lp_norm(x_hat, w, p), weighted_lp_norm(x, w, p)
+                ratio = ours / truth if truth else (math.inf if ours else 1.0)
             rows.append(
                 SweepRow(
                     n=n,
@@ -229,6 +245,7 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
                     rho=rho_real,
                     trial=trial,
                     snr_db=snr,
+                    norm_ratio=ratio,
                     iters=iters,
                     stop_reason=stop_reason,
                     wall_ms=wall_ms,

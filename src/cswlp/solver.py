@@ -206,7 +206,7 @@ def smoothed_objective(x, w, p: float, sigma: float) -> float:
     [p], [sigma] = check_domain(p=[p], sigma=[sigma]).values()
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
-    return _kernels.smoothed_value_raw(xa, wa**p, p, sigma)
+    return _kernels.smoothed_objective_raw(xa, wa**p, p, sigma)[0]
 
 
 def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:

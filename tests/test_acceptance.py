@@ -32,6 +32,9 @@ from cswlp.theory import ConditionViolatedError
 from test_solver import record_iterates, worst_residual
 from test_theory import _wl1_constants
 
+# norm_ratio above 1 by more than this is a certified solver miss
+_MISS_REL = 1e-9
+
 
 def _report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -133,6 +136,7 @@ def test_criterion_3_solver_matches_oracle():
 
 def test_criterion_4_reduction_identities_and_propositions():
     rng = np.random.default_rng(404)
+    refused = []
 
     def draws(count):
         made = 0
@@ -142,7 +146,9 @@ def test_criterion_4_reduction_identities_and_propositions():
             omega = float(rng.uniform(0.0, 1.0))
             alpha = float(rng.uniform(0.0, 1.0))
             rho = float(rng.uniform(0.1, 2.0))
-            if 1.0 + rho - 2.0 * alpha * rho <= 0.0:
+            if alpha * rho > 1.0:
+                # more correct entries than the support holds
+                refused.append((a, p, omega, alpha, rho))
                 continue
             made += 1
             yield a, p, omega, alpha, rho
@@ -194,11 +200,27 @@ def test_criterion_4_reduction_identities_and_propositions():
         for alpha in (0.3, 0.4, 0.5, 0.6, 0.7, 0.9)
     )
 
+    # every entry point of the closed forms refuses each pair the draws skipped
+    def raises(call, *args, **kwargs):
+        try:
+            call(*args, **kwargs)
+        except ValueError:
+            return True
+        return False
+
+    refusals_ok = all(
+        raises(delta_hat_wl1, a, omega, alpha, rho)
+        and raises(delta_hat_wlp, a, p, omega, alpha, rho)
+        and raises(TheoryParams, p=p, omega=omega, alpha=alpha, rho=rho, a=a)
+        for a, p, omega, alpha, rho in refused
+    )
+
     ok = (worst_lp <= 1e-12 and worst_wl1 <= 1e-12 and worst_prop1 <= 1e-12
-          and worst_eq <= 1e-12 and iff_ok)
+          and worst_eq <= 1e-12 and iff_ok and refused and refusals_ok)
     _report(4, ok, f"reduction gaps lp {worst_lp:.1e}, wl1 {worst_wl1:.1e}; "
                    f"p=1 constants gap {worst_prop1:.1e} over {compared} draws; "
-                   f"alpha=0.5 equality gap {worst_eq:.1e}; strict iff alpha>0.5: {iff_ok}")
+                   f"alpha=0.5 equality gap {worst_eq:.1e}; strict iff alpha>0.5: {iff_ok}; "
+                   f"{len(refused)} draws with alpha rho > 1 refused by every entry point: {refusals_ok}")
     assert ok
 
 
@@ -237,8 +259,19 @@ def test_criterion_6_sparse_sweep_trends():
     m_half = float(snrs(n=100, p=0.5, omega=0.5).mean())
     m_one = float(snrs(n=100, p=1.0, omega=0.5).mean())
     ok = ordering_ok and mean_ez >= 80.0 and m_half >= m_one
+    # certified misses, with no bound: x is feasible, so a result whose
+    # weighted lp norm exceeds x's beyond rounding (an exact recovery
+    # reads 1 within a few 1e-15) proves the solver missed a better point
+    misses = "; ".join(
+        f"n={n} p={p:g}: " + "/".join(
+            str(sum(r.norm_ratio > 1.0 + _MISS_REL for r in res.rows if (r.n, r.p, r.omega) == (n, p, omega)))
+            for omega in spec.omega_list
+        )
+        for n in spec.n_list for p in spec.p_list
+    )
     _report(6, ok, f"(a) {'; '.join(gaps)}; (b) n=200 omega=0 mean {mean_ez:.1f} dB (bound 80); "
-                   f"(c) p=0.5 {m_half:.1f} vs p=1 {m_one:.1f} dB")
+                   f"(c) p=0.5 {m_half:.1f} vs p=1 {m_one:.1f} dB; "
+                   f"misses of {spec.trials} by omega 0/0.5/1: {misses}")
     assert ok
 
 

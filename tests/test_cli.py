@@ -220,10 +220,14 @@ def test_theory_names_every_grid_pair_outside_the_domain(tmp_path, capsys):
     # alpha = 1, rho = 2 asks for 2k correct entries in a support of k
     assert "(alpha, rho) = (1.0, 2.0):" in err
     assert not out.exists()
-    # 1 + 1.5 - 2 * 0.8 * 1.5 = 0.1 is inside the domain
-    code = main(["--out-dir", str(out), "theory", "--alpha", "0.8,1", "--rho", "1.5,2"])
+    # 0.8 * 1.5 = 1.2 correct entries per true one, though
+    # 1 + 1.5 - 2 * 0.8 * 1.5 = 0.1 is not negative
+    assert main(["--out-dir", str(out), "theory", "--alpha", "0.8", "--rho", "1.5"]) == 1
+    assert "(alpha, rho) = (0.8, 1.5):" in capsys.readouterr().err
+    # alpha rho = 1, as at (0.5, 2), is inside
+    code = main(["--out-dir", str(out), "theory", "--alpha", "0.5,0.8,1", "--rho", "1.5,2"])
     assert code == 1
-    assert "(alpha, rho) = (0.8, 2.0), (1.0, 1.5), (1.0, 2.0):" in capsys.readouterr().err
+    assert "(alpha, rho) = (0.8, 1.5), (0.8, 2.0), (1.0, 1.5), (1.0, 2.0):" in capsys.readouterr().err
     assert not out.exists()
 
 

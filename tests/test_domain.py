@@ -29,8 +29,9 @@ _GOOD = dict(
     lowfreq_cutoff_hz=4000.0, decay=1.1, noise_frac=0.0, count=5,
 )
 
-_PAIR = "1 + rho - 2 alpha rho < 0 at (alpha, rho) = (1.0, 2.0): such an estimate " \
-        "would hold more correct entries (alpha rho k) than the support's k"
+def _pair(alpha, rho):
+    return (f"alpha rho > 1 at (alpha, rho) = ({alpha}, {rho}): such an estimate "
+            "would hold more correct entries (alpha rho k) than the support's k")
 
 # (overrides, the message every entry point taking them gives)
 _BAD = {
@@ -38,7 +39,9 @@ _BAD = {
     "omega=1.5": (dict(omega=1.5), "omega must lie in [0, 1], got 1.5"),
     "alpha=-0.1": (dict(alpha=-0.1), "alpha must lie in [0, 1], got -0.1"),
     "rho=inf": (dict(rho=float("inf")), "rho must be finite, got inf"),
-    "alpha,rho=1,2": (dict(alpha=1.0, rho=2.0), _PAIR),
+    "alpha,rho=1,2": (dict(alpha=1.0, rho=2.0), _pair(1.0, 2.0)),
+    # 1 + rho - 2 alpha rho = 0.1 >= 0, yet 1.2 k correct entries
+    "alpha,rho=0.8,1.5": (dict(alpha=0.8, rho=1.5), _pair(0.8, 1.5)),
 }
 
 # each other setting: a finite value outside its domain, and how the

@@ -1,9 +1,10 @@
+import math
 from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
-from cswlp import experiments
+from cswlp import experiments, solver
 from cswlp.audio import AudioPipelineConfig, recover_clip
 from cswlp.cli import main
 from cswlp.core import ConfigError, DenseMatrix, SolverDivergenceError
@@ -121,9 +122,10 @@ def test_support_estimate_infeasible_sizes_raise():
 
 
 def test_spec_refuses_an_estimate_no_instance_can_draw():
-    # alpha = 0.7 at rho = 2 needs 14 true indices of k = 10; the
-    # alpha = 0.5 cells must not be solved first
-    with pytest.raises(ValueError, match=r"\(0.7, 2.0\) needs 14 of the 10 true indices and 6 of the 30 others"):
+    # alpha = 0.7 at rho = 2 needs 14 true indices of k = 10, which the
+    # domain's alpha rho <= 1 refuses; the alpha = 0.5 cells must not be
+    # solved first
+    with pytest.raises(ValueError, match=r"alpha rho > 1 at \(alpha, rho\) = \(0.7, 2.0\)"):
         _tiny_spec(N=40, k=10, alpha_list=(0.5, 0.7), rho=2.0)
     # round(rho k) - round(alpha rho k) = 4 outside indices, but N - k = 3
     with pytest.raises(ValueError, match=r"\(0.0, 1.0\) needs 0 of the 4 true indices and 4 of the 3 others in 1..7"):
@@ -254,8 +256,32 @@ def test_failed_sweep_row_names_its_cause(monkeypatch, cause):
     rows = run_sweep(_tiny_spec()).rows
     assert rows and all(
         (r.status, r.snr_db, r.iters, r.stop_reason) == ("failed", float("-inf"), 0, cause)
+        and math.isnan(r.norm_ratio)
         for r in rows
     )
+
+
+def test_norm_ratio_certifies_a_solver_miss(monkeypatch):
+    # without noise the true x is feasible: a recovered row's weighted lp
+    # norm equals x's up to rounding
+    spec = _tiny_spec(p_list=(0.5, 1.0), omega_list=(0.0, 1.0))
+    rows = run_sweep(spec).rows
+    recovered = [r for r in rows if r.snr_db >= 60.0]
+    assert recovered and all(abs(r.norm_ratio - 1.0) < 1e-12 for r in recovered)
+    assert all(r.norm_ratio <= 1.0 + 1e-12 for r in rows)
+    # an estimate equal to the support at omega = 0 gives x no weight:
+    # an exact recovery has none either
+    exact = _tiny_spec(alpha_list=(1.0,), omega_list=(0.0,))
+    assert [r.norm_ratio for r in run_sweep(exact).rows] == [1.0, 1.0]
+    # a floor just below the first smoothing level ends each solve after
+    # two levels, near the least-norm point, whose norm exceeds x's
+    monkeypatch.setattr(solver, "_SIGMA_FLOOR", 0.5 * solver._SIGMA_INIT)
+    cut = run_sweep(spec).rows
+    assert all(r.stop_reason == "sigma_floor" and r.norm_ratio > 1.1 for r in cut)
+    assert [r.norm_ratio for r in run_sweep(exact).rows] == [math.inf, math.inf]
+    monkeypatch.undo()
+    # with noise x is not feasible, and the ratio certifies nothing
+    assert all(math.isnan(r.norm_ratio) for r in run_sweep(_tiny_spec(noise_frac=0.05)).rows)
 
 
 @pytest.mark.parametrize("omega", ["0, 0.5, 1", "0:1:3"])

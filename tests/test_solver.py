@@ -66,14 +66,16 @@ def test_gradient_matches_finite_differences():
         assert abs(fd - g[i]) <= 1e-7 * max(1.0, abs(g[i]))
     # the kernel takes value and gradient from one power r = u^(p/2) of
     # u = x^2 + sigma^2; its gradient p w^p (r / u) x is the closed form,
-    # and its value is the line search's, bit for bit
+    # and its value is the public one and the line search's, bit for bit
+    # (from 0, the search's unit step lands on x itself)
     for sigma in (10.0, 1e-3, 1e-9):
         for p in (0.3, 0.5, 1.0):
             wp = w**p
             f, g = _kernels.smoothed_objective_raw(x, wp, p, sigma)
             expected = p * wp * (x * x + sigma * sigma) ** (0.5 * p - 1.0) * x
             assert np.allclose(g, expected, rtol=1e-13, atol=0.0), (sigma, p)
-            assert f == _kernels.smoothed_value_raw(x, wp, p, sigma)
+            assert f == smoothed_objective(x, w, p, sigma)
+            assert _kernels.backtrack_raw(np.zeros_like(x), x, wp, p, sigma, math.inf, 0.5, 1) == (1.0, f)
             assert np.array_equal(_kernels.smoothed_gradient_raw(x, wp, p, sigma), g)
 
 

@@ -49,8 +49,8 @@ def test_wlp_reduces_to_lp_at_unit_weight():
         p = rng.uniform(0.05, 1.0)
         alpha = rng.uniform(0.0, 1.0)
         rho = rng.uniform(0.0, 2.0)
-        if 1.0 + rho - 2.0 * alpha * rho < 0.0:
-            continue  # estimate worse than size allows, bound undefined
+        if alpha * rho > 1.0:
+            continue  # more correct entries than the support holds
         checked += 1
         assert abs(delta_hat_wlp(a, p, 1.0, alpha, rho) - delta_hat_lp(a, p)) < 1e-12
     assert checked > 100
@@ -64,7 +64,7 @@ def test_wlp_reduces_to_wl1_at_p_one():
         omega = rng.uniform(0.0, 1.0)
         alpha = rng.uniform(0.0, 1.0)
         rho = rng.uniform(0.0, 2.0)
-        if 1.0 + rho - 2.0 * alpha * rho < 0.0:
+        if alpha * rho > 1.0:
             continue
         checked += 1
         assert abs(delta_hat_wlp(a, 1.0, omega, alpha, rho) - delta_hat_wl1(a, omega, alpha, rho)) < 1e-12
@@ -118,7 +118,7 @@ def test_condition_holds_exactly_when_the_constants_are_defined():
     for _ in range(1500):
         a, p, omega, alpha, rho, d1 = (rng.uniform(1.01, 8.0), rng.uniform(0.05, 1.0), rng.uniform(),
                                        rng.uniform(), rng.uniform(0.0, 2.0), rng.uniform(0.0, 0.5))
-        if 1.0 + rho - 2.0 * alpha * rho < 0.0:
+        if alpha * rho > 1.0:
             continue
         gamma = omega**p + (1.0 - omega**p) * (1.0 + rho - 2.0 * alpha * rho) ** (1.0 - p / 2.0)
         edge = 1.0 - gamma ** (2.0 / p) * (1.0 + d1) / a ** (2.0 / p - 1.0)
@@ -169,7 +169,7 @@ def test_constants_match_independent_l1_form_at_p_one():
         alpha = rng.uniform(0.0, 1.0)
         rho = rng.uniform(0.1, 1.5)
         d = rng.uniform(0.0, 0.2)
-        if 1.0 + rho - 2.0 * alpha * rho < 0.0:
+        if alpha * rho > 1.0:
             continue
         try:
             got = error_constants(TheoryParams(p=1.0, omega=omega, alpha=alpha, rho=rho, a=a, delta_ak=d, delta_a1k=d))
