@@ -178,11 +178,11 @@ class SolverTrace:
     other row; it is never interpolated or filled in.  ``stop_reason``
     says why that run ended: ``"sigma_floor"`` when sigma fell to
     _SIGMA_FLOOR, ``"stationary"`` when the gradient vanished, or
-    ``"max_iters"`` when its iterations ran out first.  Restarts record
-    no rows; ``restart_iters`` holds the iterations each one ran, in
-    order.  Restarts are taken only when p < 1, the null space of A is
-    smaller than n, and the first result is not certified sparse (see
-    the module docstring), so on most instances it is empty.
+    ``"max_iters"`` when its iterations ran out first.  The trace keeps
+    no restart's rows; ``restart_iters`` holds the iterations each one
+    ran, in order.  Restarts are taken only when p < 1, the null space
+    of A is smaller than n, and the first result is not certified sparse
+    (see the module docstring), so on most instances it is empty.
     ``len(trace)`` is the number of iterations the whole solve ran.
     """
 
@@ -254,11 +254,14 @@ def solve(
     objective; the trace records the first run (see SolverTrace).
     Every iterate satisfies A x = b up to cfg.feasibility_tol relative
     to max(1, ||b||).  A non-finite objective raises
-    SolverDivergenceError; a rank-deficient A raises RankDeficientError;
+    SolverDivergenceError; a rank-deficient A raises RankDeficientError.
+    A ValueError naming ``solve`` refuses an A that is neither operator;
     ``core._exact_fit``, as in the oracles, refuses epsilon > 0, a
     non-finite b or a b of the wrong length, and ``core._weights_array``
-    non-finite weights, each with a ValueError naming ``solve``.
+    non-finite weights, each the same way.
     """
+    if not isinstance(A, SensingOperator):
+        raise ValueError(f"solve: A must be a DenseMatrix or RestrictedTransform, got {type(A).__name__}")
     n, N = A.shape
     y, feas_limit = _exact_fit(A, b, "solve")
     w_arr = _weights_array(w, N, "solve: weights")
@@ -272,12 +275,12 @@ def solve(
     # restarts can reach a lower objective, and the n/2-largest refit
     # runs without its residual screen
     explore = n < N < 2 * n
-    rows: list[tuple[int, float, float, float, float]] = []
 
-    def descend(x, sigma, budget, record):
+    def descend(x, sigma, budget):
         """Run at most ``budget`` iterations from x at smoothing level
-        sigma; returns the last x, the iterations run and why it
-        stopped (see SolverTrace.stop_reason)."""
+        sigma; returns the last x, one trace row per iteration run and
+        why it stopped (see SolverTrace)."""
+        rows: list[tuple[int, float, float, float, float]] = []
         at_level = 0
         recent = deque(maxlen=_NONMONOTONE)
         x_prev = pd_prev = None
@@ -293,9 +296,8 @@ def solve(
             if not np.count_nonzero(g):
                 # stationary at every smoothing level: only zero entries carry
                 # nonzero weight, so the iterate never moves again
-                if record:
-                    rows.append((t, sigma, f0, 0.0, _norm(A.apply(x) - y)))
-                return x, t, "stationary"
+                rows.append((t, sigma, f0, 0.0, _norm(A.apply(x) - y)))
+                return x, rows, "stationary"
 
             pd = project(-g)
             lam = 1.0
@@ -306,17 +308,11 @@ def solve(
                     lam = min(1.0, float(s.dot(s)) / sy)
             x_prev, pd_prev = x, pd
             recent.append(f0)
-            # 1.0 v is v, bit for bit, so a unit lambda or step skips the multiply
-            d = pd if lam == 1.0 else lam * pd
+            d = lam * pd
             step, f_new = _kernels.backtrack_raw(
                 x, d, wp, p, sigma, max(recent), _STEP_SHRINK, _MAX_BACKTRACKS
             )
-            if step == 1.0:
-                x_new = x + d
-            elif step > 0.0:
-                x_new = x + step * d
-            else:
-                x_new = x
+            x_new = x + step * d
 
             # t_L = 2 ||pd||^2 / L, with sigma^(2-p) in the numerator so
             # that a small sigma cannot overflow it; with no curvature at
@@ -343,8 +339,7 @@ def solve(
                 wait = min(_RESIDUAL_WAIT, room / rate) if rate > 0.0 else _RESIDUAL_WAIT
                 check_at = t + max(1, int(wait))
 
-            if record:
-                rows.append((t, sigma, f_new if step > 0.0 else f0, lam * step, res))
+            rows.append((t, sigma, f_new if step > 0.0 else f0, lam * step, res))
 
             x = x_new
             if settled:
@@ -352,8 +347,8 @@ def solve(
                 at_level = 0
                 recent.clear()
                 if at_floor:
-                    return x, t, "sigma_floor"
-        return x, budget, "max_iters"
+                    return x, rows, "sigma_floor"
+        return x, rows, "max_iters"
 
     def support(x) -> np.ndarray:
         mags = np.abs(x)
@@ -389,7 +384,8 @@ def solve(
                 return z, z_value
         return x, value
 
-    x, used, stop_reason = descend(x0, _SIGMA_INIT, cfg.max_iters, True)
+    x, rows, stop_reason = descend(x0, _SIGMA_INIT, cfg.max_iters)
+    used = len(rows)
     best, best_value = finish(x)
     restart_iters: list[int] = []
     # at p = 1 the problem is convex and a restart can only end where the
@@ -400,9 +396,9 @@ def solve(
         while len(restart_iters) < _RESTARTS and used < cfg.max_iters and 2 * support(best).size > n:
             z = project(rng.standard_normal(N))
             start = x0 + (scale / float(np.linalg.norm(z))) * z
-            x, spent, _ = descend(start, _RESTART_SIGMA, cfg.max_iters - used, False)
-            used += spent
-            restart_iters.append(spent)
+            x, restart_rows, _ = descend(start, _RESTART_SIGMA, cfg.max_iters - used)
+            used += len(restart_rows)
+            restart_iters.append(len(restart_rows))
             x, value = finish(x)
             if value < best_value:
                 best, best_value = x, value

@@ -99,17 +99,22 @@ def sufficient_condition_holds(params: TheoryParams) -> bool:
     return True
 
 
-def _constants_from_parts(p: float, a: float, gamma: float, d1: float, d2: float) -> tuple[float, float]:
-    """Error constants for given gamma; d1 = delta_ak, d2 = delta_(a+1)k.
+def error_constants(params: TheoryParams) -> tuple[float, float]:
+    """Constants (C1, C2) in the recovery bound
+    ||x_hat - x||^p <= C1 epsilon^p + C2 k^(p/2-1) ||x - x_k||_{p,w}^p.
 
-    The noise coefficient is
+    With d1 = delta_ak and d2 = delta_(a+1)k, the noise coefficient is
         C1 = 2^p (1 + gamma a^(p/2-1) / (2/p-1)^(p/2)) / D
     and the tail coefficient is
         C2 = 2 a^(p/2-1) ((1+d1)^(p/2) + (1-d2)^(p/2) (2/p-1)^(-p/2)) / D
     with D = (1-d2)^(p/2) - (1+d1)^(p/2) a^(p/2-1) gamma.  D > 0 is
     exactly the sufficient condition; otherwise the bound is vacuous and
-    ConditionViolatedError is raised.
+    ConditionViolatedError is raised.  Requires delta_ak and delta_a1k.
     """
+    if params.delta_ak is None or params.delta_a1k is None:
+        raise ValueError("the sufficient condition and the error constants need delta_ak and delta_a1k")
+    p, a, d1, d2 = params.p, params.a, params.delta_ak, params.delta_a1k
+    gamma = _gamma(p, params.omega, params.alpha, params.rho)
     half = 0.5 * p
     a_pow = a ** (half - 1.0)
     tail_pow = (2.0 / p - 1.0) ** half
@@ -121,21 +126,6 @@ def _constants_from_parts(p: float, a: float, gamma: float, d1: float, d2: float
     c1 = 2.0**p * (1.0 + gamma * a_pow / tail_pow) / D
     c2 = 2.0 * a_pow * ((1.0 + d1) ** half + (1.0 - d2) ** half / tail_pow) / D
     return c1, c2
-
-
-def error_constants(params: TheoryParams) -> tuple[float, float]:
-    """Constants (C1, C2) in the recovery bound
-    ||x_hat - x||^p <= C1 epsilon^p + C2 k^(p/2-1) ||x - x_k||_{p,w}^p.
-
-    Requires delta_ak and delta_a1k; raises ConditionViolatedError when
-    the sufficient condition fails (non-positive denominator).
-    """
-    if params.delta_ak is None or params.delta_a1k is None:
-        raise ValueError("the sufficient condition and the error constants need delta_ak and delta_a1k")
-    gamma = _gamma(params.p, params.omega, params.alpha, params.rho)
-    return _constants_from_parts(
-        params.p, params.a, gamma, params.delta_ak, params.delta_a1k
-    )
 
 
 def proposition2_check(
@@ -159,11 +149,11 @@ def proposition2_check(
     compared = 0
     for entry in delta_grid:
         d1, d2 = (entry, entry) if np.isscalar(entry) else (entry[0], entry[1])
+        base = dict(p=p, alpha=alpha, rho=rho, a=a, delta_ak=d1, delta_a1k=d2)
         try:
-            cw = error_constants(
-                TheoryParams(p=p, omega=omega, alpha=alpha, rho=rho, a=a, delta_ak=d1, delta_a1k=d2)
-            )
-            cu = _constants_from_parts(p, a, 1.0, d1, d2)
+            cw = error_constants(TheoryParams(omega=omega, **base))
+            # at omega = 1, gamma is exactly 1.0: the unweighted constants
+            cu = error_constants(TheoryParams(omega=1.0, **base))
         except ConditionViolatedError:
             continue
         compared += 1

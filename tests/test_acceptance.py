@@ -6,6 +6,8 @@ produced it.  These are the slowest tests in the suite; the sweep and
 audio reproductions each take minutes of single-core time.
 """
 
+from functools import cache
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,13 @@ from cswlp import (
     solve,
 )
 from cswlp.audio import AudioPipelineConfig, recover_clip, synthesize_speech_like, write_wav_mono
-from cswlp.experiments import ExperimentSpec, run_sweep
+from cswlp.experiments import (
+    ExperimentSpec,
+    gen_gaussian_matrix,
+    gen_sparse_signal,
+    gen_support_estimate,
+    run_sweep,
+)
 from cswlp.theory import ConditionViolatedError
 from test_solver import record_iterates, worst_residual
 from test_theory import _wl1_constants
@@ -365,4 +373,82 @@ def test_criterion_9_replay_is_bit_identical(tmp_path):
     ok = not mismatches
     _report(9, ok, "all replayed outputs bit-identical (wall_ms column excluded)"
             if ok else f"mismatched files: {mismatches}")
+    assert ok
+
+
+# instances per k of criteria 10 and 11: each costs about 0.2 s of
+# oracle fits, and both criteria must stay under 20 s together
+_DECODER_TRIALS = 40
+
+
+@cache
+def _decoder_recoveries(
+    k: int, alphas: tuple[float, ...], p_list: tuple[float, ...], omegas: tuple[float, ...],
+    trials: int = _DECODER_TRIALS, seed: int = 1,
+) -> dict[tuple[float, float, float], np.ndarray]:
+    """Exact-decoder recoveries on 8 x 16 instances of k nonzeros, rho = 1:
+    entry (p, alpha, omega) flags the instances whose minimizer of the
+    weighted lp decoder, ``oracle_weighted_lp`` at k_max = n, equals x
+    within 1e-6.  Each instance draws one estimate per alpha and scores
+    it at every p and omega, so the cells are paired by instance and
+    weighting, and its fits are built once for all of them; equal
+    weightings (omega = 1 under any estimate) are scored once."""
+    n, N = 8, 16
+    hits = {(p, a, om): np.zeros(trials, dtype=bool) for p in p_list for a in alphas for om in omegas}
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, k, trial]))
+        x = gen_sparse_signal(N, k, rng)
+        A = gen_gaussian_matrix(n, N, rng)
+        y = A.matrix @ x.entries
+        true = np.flatnonzero(x.entries) + 1
+        scored = {}
+        for alpha in alphas:
+            estimate = gen_support_estimate(true, alpha, 1.0, N, rng)
+            for omega in omegas:
+                w = WeightVector(omega, estimate, N).weights
+                for p in p_list:
+                    key = (p, w.tobytes())
+                    if key not in scored:
+                        z = oracle_weighted_lp(A, y, w, p, n).minimizer.entries
+                        scored[key] = np.max(np.abs(z - x.entries)) <= 1e-6
+                    hits[p, alpha, omega][trial] = scored[key]
+    return hits
+
+
+def test_criterion_10_lp_recovers_where_l1_does_not():
+    # the paper's first claim at the decoder level: paired by instance and
+    # weighting, p = 0.5 recovers x at least as often as p = 1 in every cell
+    hits = _decoder_recoveries(4, (0.25, 0.75), (0.5, 1.0), (0.0, 0.5, 1.0))
+    cells, ok, totals = [], True, [0, 0]
+    for alpha in (0.25, 0.75):
+        for omega in (0.0, 0.5, 1.0):
+            lo, hi = (int(hits[p, alpha, omega].sum()) for p in (0.5, 1.0))
+            ok = ok and lo >= hi
+            totals[0] += lo
+            totals[1] += hi
+            cells.append(f"alpha={alpha} omega={omega}: {lo}/{hi}")
+    ok = ok and totals[0] > totals[1]
+    _report(10, ok, f"8x16 k=4 rho=1, exact-decoder recoveries of {_DECODER_TRIALS}, p=0.5/p=1: {'; '.join(cells)}; "
+                    f"total {totals[0]}/{totals[1]} (bound: >= in each cell, > in total)")
+    assert ok
+
+
+def test_criterion_11_estimate_weighting_follows_its_accuracy():
+    # the direction of the paper's second claim: weight 0 on the estimate
+    # beats no weighting when the estimate is mostly right and loses when
+    # it is mostly wrong; the crossover is a recovery rate, not the 50%
+    # where the sufficient conditions cross, so only its direction is asserted
+    runs = (
+        (1.0, 4, (0.25, 0.75), _decoder_recoveries(4, (0.25, 0.75), (0.5, 1.0), (0.0, 0.5, 1.0))),
+        (0.5, 5, (0.2, 0.8), _decoder_recoveries(5, (0.2, 0.8), (0.5,), (0.0, 1.0))),
+    )
+    cells, ok = [], True
+    for p, k, (low, high), hits in runs:
+        for alpha in (low, high):
+            zero, one = (int(hits[p, alpha, omega].sum()) for omega in (0.0, 1.0))
+            ok = ok and (zero > one if alpha == high else zero < one)
+            thresholds = "/".join(f"{delta_hat_wlp(3.0, p, omega, alpha, 1.0):.4f}" for omega in (0.0, 1.0))
+            cells.append(f"p={p:g} k={k} alpha={alpha}: {zero}/{one} (delta_hat_wlp a=3 {thresholds})")
+    _report(11, ok, f"8x16 rho=1, exact-decoder recoveries of {_DECODER_TRIALS}, omega=0/omega=1: {'; '.join(cells)} "
+                    f"(bound: omega=0 more at high alpha, fewer at low alpha)")
     assert ok

@@ -707,9 +707,11 @@ def test_replay_drops_legacy_threads_key(tmp_path, capsys):
             _full_manifest(config={"solver": {**_NINE_KEY_SOLVER, "sigma_decay": 0.98}}),
             "solver setting 'sigma_decay' = 0.98",
         ),
+        (_full_manifest(subcommand="replay"), "manifest subcommand 'replay' is not replayable"),
     ],
     ids=["missing-fields", "not-an-object", "config-missing-key", "config-not-an-object",
-         "outputs-not-a-list", "input-entry-malformed", "spec-not-an-object", "fixed-setting-changed"],
+         "outputs-not-a-list", "input-entry-malformed", "spec-not-an-object", "fixed-setting-changed",
+         "subcommand-without-runner"],
 )
 def test_replay_rejects_malformed_manifest(tmp_path, capsys, content, message):
     path = tmp_path / "manifest.json"

@@ -132,6 +132,13 @@ def test_spec_refuses_an_estimate_no_instance_can_draw():
         _tiny_spec(N=7, n_list=(5,), k=4, alpha_list=(0.0,), rho=1.0)
 
 
+def test_spec_refuses_a_support_larger_than_the_signal():
+    # every n fits, so only the support size is out of range; the
+    # estimate's own counts would refuse it later with another message
+    with pytest.raises(ValueError, match=r"^k must lie in 1\.\.N$"):
+        _tiny_spec(N=40, n_list=(20,), k=41)
+
+
 def test_spec_validation():
     _tiny_spec()
     with pytest.raises(ValueError):

@@ -366,6 +366,14 @@ def test_oracles_refuse_a_plain_array_that_is_not_a_matrix():
             assert _refusal(decoder, A, np.ones(3)).startswith(f"{decoder}: matrix must be two-dimensional")
 
 
+def test_solve_refuses_an_operator_it_cannot_apply():
+    # the oracles take a plain matrix; the solver needs an operator's projections
+    for A, name in ((np.ones((4, 8)), "ndarray"), ("A.bin", "str")):
+        assert _refusal("solve", A, np.ones(4)) == (
+            f"solve: A must be a DenseMatrix or RestrictedTransform, got {name}"
+        )
+
+
 def _bits(res):
     return res.support, res.objective_value, res.minimizer.entries.tobytes()
 

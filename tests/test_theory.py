@@ -12,6 +12,7 @@ from cswlp import (
     error_constants,
     proposition2_check,
     sufficient_condition_holds,
+    theory,
 )
 
 
@@ -218,3 +219,15 @@ def test_proposition_check_rejects_unit_weight_and_empty_grid():
         proposition2_check(0.5, 1.0, 0.7, 1.0, 3.0, [0.1])
     # delta so large neither bound applies: nothing to compare, check fails
     assert not proposition2_check(0.5, 0.3, 0.7, 1.0, 3.0, [0.99])
+
+
+def test_proposition_check_fails_a_point_that_breaks_the_alpha_pattern(monkeypatch):
+    true_gamma = theory._gamma
+    # at a = 9 both bounds apply with gamma 2.0, and a weighted gamma of 2.0
+    # makes the weighted constants larger than the unweighted ones (gamma
+    # 1.0 at omega = 1) while alpha > 1/2 asks for smaller ones
+    monkeypatch.setattr(theory, "_gamma", lambda p, omega, alpha, rho: 2.0 if omega < 1.0 else true_gamma(p, omega, alpha, rho))
+    assert not proposition2_check(1.0, 0.3, 0.7, 1.0, 9.0, [0.0])
+    # the same point compared honestly matches the pattern
+    monkeypatch.setattr(theory, "_gamma", true_gamma)
+    assert proposition2_check(1.0, 0.3, 0.7, 1.0, 9.0, [0.0])
