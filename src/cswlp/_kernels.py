@@ -65,7 +65,7 @@ def _step_table(shrink: float, max_backtracks: int) -> np.ndarray:
 def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[float, float]:
     """First step shrink**j, j < max_backtracks, whose objective at
     x + shrink**j pd is finite and below f0, with that objective;
-    (0.0, f0) when none is.
+    (0.0, f0) when none is.  max_backtracks must be >= 1.
 
     Step 1 is evaluated alone, in place on x + pd.  The later steps go
     in blocks of 2, 4, 8, ... rows (2, 4, 8 and 15 of 30), each block
@@ -79,8 +79,6 @@ def backtrack_raw(x, pd, wp, p, sigma, f0, shrink, max_backtracks) -> tuple[floa
     The discarded rows lie between x and the accepted point, so they
     overflow only where evaluating x itself would.
     """
-    if max_backtracks < 1:
-        return 0.0, f0
     exponent, sigma_sq = 0.5 * p, sigma * sigma
     # x + 1.0 pd is x + pd, bit for bit
     u = x + pd

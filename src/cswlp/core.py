@@ -10,8 +10,12 @@ Conventions used throughout the package:
 * every input is read by the reader of its kind, the only home of its
   rule; only rules that relate two values, such as n <= N, are written
   where they apply:
-  - arrays: ``_as_vector`` and ``_as_matrix`` refuse non-finite
-    entries, naming the input (and the decoder that reads it);
+  - arrays: ``_as_vector`` refuses non-finite entries, naming the
+    input (and the decoder that reads it), and ``DenseMatrix`` a matrix
+    that is not two-dimensional or holds non-finite entries;
+  - sensing operators: ``_exact_fit``, the reader of every decoder's
+    (A, b), refuses an A that is not a ``DenseMatrix`` or
+    ``RestrictedTransform``;
   - index sets: ``_as_indices`` refuses a non-integer, a repeat, or an
     index outside 1..N;
   - scalar settings (p, omega, alpha, rho, the counts n, k, max_iters,
@@ -165,15 +169,6 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} entries must be finite")
-    return arr
-
-
 def _as_indices(values, name: str, N: int | None = None) -> tuple[int, ...]:
     """``values`` as 1-based indices, in their order; raises ValueError
     naming ``name`` when one is not an integer (an integral float is),
@@ -213,7 +208,11 @@ class DenseMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = _as_matrix(self.matrix, "matrix")
+        arr = np.asarray(self.matrix, dtype=np.float64)
+        if arr.ndim != 2:
+            raise ValueError(f"matrix must be two-dimensional, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("matrix entries must be finite")
         n, N = arr.shape
         if n > N:
             raise ValueError(f"matrix must have n <= N, got {n} x {N}")
@@ -462,9 +461,12 @@ def _signal_array(x, name: str = "x") -> np.ndarray:
 
 def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
     """y from b, and the limit _FEASIBILITY_TOL max(1, ||y||) under which
-    ||A x - y|| counts as an exact fit; a b with epsilon > 0, a plain
-    array b that ``_as_vector`` refuses, or a b whose length is not A's
-    row count, raises ValueError naming ``decoder``."""
+    ||A x - y|| counts as an exact fit; an A that is not a sensing
+    operator, a b with epsilon > 0, a plain array b that ``_as_vector``
+    refuses, or a b whose length is not A's row count, raises ValueError
+    naming ``decoder``."""
+    if not isinstance(A, SensingOperator):
+        raise ValueError(f"{decoder}: A must be a DenseMatrix or RestrictedTransform, got {type(A).__name__}")
     if isinstance(b, Measurements) and b.epsilon > 0.0:
         raise ValueError(f"{decoder} fits A x = b exactly; it cannot honour noise bound epsilon={b.epsilon!r}")
     y = b.y if isinstance(b, Measurements) else _as_vector(b, f"{decoder}: measurements")

@@ -10,12 +10,14 @@ earlier, so they win ties.
 
 Supports run in ascending size, lexicographic within a size, and each
 size is fitted on its own: one stacked Householder QR of every
-support's columns with b appended gives each support's pivots, Q^T b
-and b's residual off its span, with no SVD.  A support is dropped
-unfitted when a pivot is at most _PIVOT_TOL of its column's norm, or
-when that residual rules out a fit; the rest are fitted from their
-triangular factor and judged by ``core._exact_fit``, the rule ``solve``
-reads b by, so Measurements with epsilon > 0 raise ValueError.
+support's columns with b appended gives each support's pivots and
+Q^T b, with no SVD.  A support is dropped unfitted when a pivot is at
+most _PIVOT_TOL of its column's norm; every other is fitted once from
+its triangular factor and judged once, by the limit of
+``core._exact_fit``.  That is the reader of (A, b) that ``solve`` uses
+too, so A must be a DenseMatrix or RestrictedTransform, which the
+oracles read as ``A.as_dense()``, and Measurements with epsilon > 0
+raise ValueError.
 
 The fits depend neither on the weights nor on the decoder, so both
 oracles read one cache of them, keyed by the bytes of A and b and by
@@ -42,9 +44,7 @@ import numpy as np
 
 from .core import (
     OracleInfeasibleError,
-    SensingOperator,
     SignalVector,
-    _as_matrix,
     _exact_fit,
     _weighted_lp_sum,
     _weights_array,
@@ -78,8 +78,8 @@ def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
     """N, k_max as read, and the fits of (A, b) size by size up to
     k_max, each fitted as it is read; raises ValueError naming
     ``decoder`` on an input it refuses."""
-    A_dense = A.as_dense() if isinstance(A, SensingOperator) else _as_matrix(A, f"{decoder}: matrix")
-    y, limit = _exact_fit(A_dense, b, decoder)
+    y, limit = _exact_fit(A, b, decoder)
+    A_dense = A.as_dense()
     n, N = A_dense.shape
     if N > _MAX_N:
         raise ValueError(f"enumeration is capped at N <= {_MAX_N}, got N = {N}")
@@ -97,12 +97,10 @@ def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, limit: float, 
     table order, that the drop rule keeps and whose fit z = R^-1 Q^T y
     leaves ||A_T z - y|| <= ``limit``, and those fits embedded in R^N.
     One stacked QR of each support's columns with y appended gives its
-    pivots |R_jj|, Q^T y in the last column and, below it, y's residual
-    off the columns' span (none at size n, where it is 0).  A residual
-    above 2 limit is the rule's screen: no fit on such a support can
-    reach the limit.  A and y come as C-order float64 bytes, so the
-    cache is keyed by value and a changed entry is refitted."""
-    n, N = shape
+    pivots |R_jj| and, in the last column, Q^T y.  A and y come as
+    C-order float64 bytes, so the cache is keyed by value and a changed
+    entry is refitted."""
+    N = shape[1]
     A_dense, y = np.frombuffer(matrix).reshape(shape), np.frombuffer(y)
     # every size-element subset of range(N), in lexicographic order
     count = comb(N, size)
@@ -113,8 +111,6 @@ def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, limit: float, 
     R = np.linalg.qr(columns[with_y].transpose(0, 2, 1), mode="r")
     pivots = np.abs(np.diagonal(R[:, :size, :size], axis1=1, axis2=2))
     keep = np.all(pivots > _PIVOT_TOL * np.linalg.norm(columns, axis=1)[supports], axis=1)
-    if size < n:
-        keep &= np.abs(R[:, size, size]) <= 2.0 * limit
     z = np.linalg.solve(R[keep, :size, :size], R[keep, :size, size:])[:, :, 0]
     tried = supports[keep]
     fitted = np.linalg.norm((z[:, None, :] @ columns[tried])[:, 0] - y, axis=1) <= limit

@@ -255,15 +255,14 @@ def solve(
     Every iterate satisfies A x = b up to cfg.feasibility_tol relative
     to max(1, ||b||).  A non-finite objective raises
     SolverDivergenceError; a rank-deficient A raises RankDeficientError.
-    A ValueError naming ``solve`` refuses an A that is neither operator;
-    ``core._exact_fit``, as in the oracles, refuses epsilon > 0, a
-    non-finite b or a b of the wrong length, and ``core._weights_array``
-    non-finite weights, each the same way.
+    ``core._exact_fit``, the reader of (A, b) in the oracles too,
+    refuses an A that is neither operator, epsilon > 0, a non-finite b
+    or a b of the wrong length, and ``core._weights_array`` non-finite
+    weights, each by a ValueError naming ``solve``.
     """
-    if not isinstance(A, SensingOperator):
-        raise ValueError(f"solve: A must be a DenseMatrix or RestrictedTransform, got {type(A).__name__}")
-    n, N = A.shape
     y, feas_limit = _exact_fit(A, b, "solve")
+    y_norm = _norm(y)
+    n, N = A.shape
     w_arr = _weights_array(w, N, "solve: weights")
     p = cfg.p
     wp = w_arr**p
@@ -370,7 +369,7 @@ def solve(
             # null space is at least n, only when they alone come within
             # _HEAD_REL of b
             cols, head = _largest(x, n // 2)
-            if not explore and _norm(A.apply(head) - y) > _HEAD_REL * float(np.linalg.norm(y)):
+            if not explore and _norm(A.apply(head) - y) > _HEAD_REL * y_norm:
                 return x, value
         if 0 < cols.size <= n:
             z = fit(cols)
@@ -392,10 +391,10 @@ def solve(
     # first run did
     if p < 1.0 and explore:
         rng = np.random.default_rng(_RESTART_SEED)
-        scale = _RESTART_SCALE * float(np.linalg.norm(x0))
+        scale = _RESTART_SCALE * _norm(x0)
         while len(restart_iters) < _RESTARTS and used < cfg.max_iters and 2 * support(best).size > n:
             z = project(rng.standard_normal(N))
-            start = x0 + (scale / float(np.linalg.norm(z))) * z
+            start = x0 + (scale / _norm(z)) * z
             x, restart_rows, _ = descend(start, _RESTART_SIGMA, cfg.max_iters - used)
             used += len(restart_rows)
             restart_iters.append(len(restart_rows))

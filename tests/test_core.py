@@ -31,6 +31,17 @@ def test_dense_matrix_must_be_underdetermined_or_square():
         DenseMatrix(np.zeros((4, 3)))
 
 
+def test_dense_matrix_refuses_a_non_matrix_and_non_finite_entries():
+    for shape in ((3,), (3, 4, 2)):
+        with pytest.raises(ValueError, match=rf"^matrix must be two-dimensional, got shape \({shape[0]},"):
+            DenseMatrix(np.ones(shape))
+    for bad in (np.nan, np.inf):
+        M = np.ones((3, 4))
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            DenseMatrix(M)
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 8, 127, 128])
 def test_restricted_transform_dct_matches_dense(N):
     rng = np.random.default_rng(N)

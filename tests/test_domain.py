@@ -9,7 +9,7 @@ import pytest
 
 from cswlp.audio import AudioPipelineConfig, dct_matrix
 from cswlp.cli import main
-from cswlp.core import Measurements, RestrictedTransform, SupportEstimate, WeightVector, weighted_lp_norm
+from cswlp.core import DenseMatrix, Measurements, RestrictedTransform, SupportEstimate, WeightVector, weighted_lp_norm
 from cswlp.experiments import (
     ExperimentSpec,
     _parse_grid,
@@ -77,7 +77,7 @@ _ENTRY_POINTS = {
     "smoothed_gradient": ("p", lambda v, *_: smoothed_gradient(np.ones(2), np.ones(2), v["p"], 1.0)),
     "WeightVector": ("omega size", lambda v, *_: WeightVector(estimate=SupportEstimate((1,)), **v)),
     "weighted_lp_norm": ("p", lambda v, *_: weighted_lp_norm(np.ones(2), np.ones(2), v["p"])),
-    "oracle_weighted_lp": ("p", lambda v, *_: oracle_weighted_lp(np.eye(2), np.ones(2), np.ones(2), v["p"], 2)),
+    "oracle_weighted_lp": ("p", lambda v, *_: oracle_weighted_lp(DenseMatrix(np.eye(2)), np.ones(2), np.ones(2), v["p"], 2)),
     "gen_support_estimate": (
         "alpha rho N",
         lambda v, *_: gen_support_estimate((1, 2, 3, 4), v["alpha"], v["rho"], v["N"], np.random.default_rng(0)),

@@ -350,28 +350,35 @@ def test_decoders_refuse_non_finite_inputs(decoder):
         b = y.copy()
         b[1] = bad
         assert _refusal(decoder, DenseMatrix(A), b) == f"{decoder}: measurements must be finite"
-        if decoder != "solve":  # solve takes an operator, never a plain array
-            M = A.copy()
-            M[4, 7] = bad
-            assert _refusal(decoder, M, y) == f"{decoder}: matrix entries must be finite"
+        # a non-finite matrix reaches no decoder: DenseMatrix refuses it,
+        # and every decoder refuses it as a plain array, by type
+        M = A.copy()
+        M[4, 7] = bad
+        assert _refusal(decoder, M, y) == _operator_rule(decoder, "ndarray")
         if decoder != "oracle_l0":  # the l0 oracle takes no weights
             w = np.ones(10)
             w[3] = bad
             assert _refusal(decoder, DenseMatrix(A), y, w) == f"{decoder}: weights must be finite"
 
 
+def _operator_rule(decoder, name):
+    return f"{decoder}: A must be a DenseMatrix or RestrictedTransform, got {name}"
+
+
 def test_oracles_refuse_a_plain_array_that_is_not_a_matrix():
+    # the oracles read A only as an operator, so a plain array is refused
+    # by its type before its shape is read
     for A in (np.ones(3), np.ones((3, 4, 2))):
         for decoder in ("oracle_weighted_lp", "oracle_l0"):
-            assert _refusal(decoder, A, np.ones(3)).startswith(f"{decoder}: matrix must be two-dimensional")
+            assert _refusal(decoder, A, np.ones(3)) == _operator_rule(decoder, "ndarray")
 
 
 def test_solve_refuses_an_operator_it_cannot_apply():
-    # the oracles take a plain matrix; the solver needs an operator's projections
-    for A, name in ((np.ones((4, 8)), "ndarray"), ("A.bin", "str")):
-        assert _refusal("solve", A, np.ones(4)) == (
-            f"solve: A must be a DenseMatrix or RestrictedTransform, got {name}"
-        )
+    # every decoder reads (A, b) by core._exact_fit, whose one rule takes
+    # A only as an operator
+    for decoder in _DECODERS:
+        for A, name in ((np.ones((4, 8)), "ndarray"), ("A.bin", "str")):
+            assert _refusal(decoder, A, np.ones(4)) == _operator_rule(decoder, name)
 
 
 def _bits(res):
