@@ -22,15 +22,6 @@ from functools import cache
 
 import numpy as np
 
-__all__ = [
-    "get_backend",
-    "smoothed_objective_raw",
-    "smoothed_gradient_raw",
-    "backtrack_raw",
-    "indicator_max_raw",
-]
-
-
 def get_backend() -> str:
     """Name of the kernel implementation, recorded by benchmark runs."""
     return "numpy"

@@ -192,7 +192,7 @@ def _write_csv(path: Path, header, rows) -> None:
 def _run_solve(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     A = DenseMatrix(read_array(inputs["matrix"]))
     y = _read_vector(inputs["measurements"])
-    n, N = A.shape
+    N = A.shape[1]
     indices: tuple[float, ...] = ()
     if "support" in inputs:
         indices = _read_support(inputs["support"])

@@ -77,7 +77,9 @@ class OracleResult:
 def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
     """N, k_max as read, and the fits of (A, b) size by size up to
     k_max, each fitted as it is read; raises ValueError naming
-    ``decoder`` on an input it refuses."""
+    ``decoder`` on an input it refuses.  k_max is refused above n, and
+    both operators have n <= N, so the sizes read stay within the N + 1
+    that the cache holds."""
     y, limit = _exact_fit(A, b, decoder)
     A_dense = A.as_dense()
     n, N = A_dense.shape
@@ -87,8 +89,7 @@ def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
     if k_max > n:
         raise ValueError(f"k_max must lie in 0..{n}, got {k_max}: no vertex has more than n = {n} nonzeros")
     key = (A_dense.shape, A_dense.tobytes(), y.tobytes(), limit)
-    # no support has more than N columns, and the cache holds sizes 0..N
-    return N, k_max, (_shared_fits(*key, size) for size in range(min(k_max, N) + 1))
+    return N, k_max, (_shared_fits(*key, size) for size in range(k_max + 1))
 
 
 @lru_cache(maxsize=_MAX_N + 1)

@@ -68,6 +68,38 @@ def test_sparse_signal_has_exact_support_size():
         gen_sparse_signal(5, 6, rng)
 
 
+class _ScriptedNormals:
+    """A generator whose first ``standard_normal`` draw is ``first``;
+    every later draw, and every other method, is a seeded generator's."""
+
+    def __init__(self, first, seed):
+        self._first, self._rng = np.array(first, dtype=np.float64), np.random.default_rng(seed)
+
+    def standard_normal(self, size):
+        if self._first is None:
+            return self._rng.standard_normal(size)
+        first, self._first = self._first, None
+        assert first.shape == (size,)
+        return first
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def test_sparse_signal_redraws_a_zero_value():
+    # an exact 0.0 among the k normal draws would leave k - 1 nonzeros
+    rng = _ScriptedNormals([1.5, 0.0, -2.0, 0.0, 0.7, 3.0], seed=1)
+    x = gen_sparse_signal(50, 6, rng)
+    assert np.count_nonzero(x.entries) == 6
+
+
+def test_noise_redraws_an_all_zero_direction():
+    # an all-zero draw has no direction to scale onto the sphere
+    x = gen_sparse_signal(30, 3, np.random.default_rng(4))
+    e = gen_noise_on_sphere(12, 0.05, x, _ScriptedNormals(np.zeros(12), seed=5))
+    assert abs(float(np.linalg.norm(e)) - 0.05 * float(np.linalg.norm(x.entries))) < 1e-12
+
+
 def test_sparse_signal_deterministic_per_stream():
     a = gen_sparse_signal(30, 5, np.random.default_rng(42))
     b = gen_sparse_signal(30, 5, np.random.default_rng(42))

@@ -151,6 +151,11 @@ def test_indicator_max_empty_candidate_set_is_sentinel():
     assert _kernels.indicator_max_raw(x, w, 1e-6, coef) == -1.0
 
 
+def test_backend_is_numpy():
+    # the name each benchmark result records as its kernel backend
+    assert _kernels.get_backend() == "numpy"
+
+
 def test_import_ignores_backend_environment_variable():
     # a backend variable left in the environment, naming a package that
     # is not installed, must not stop the import

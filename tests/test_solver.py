@@ -433,6 +433,29 @@ def test_first_iteration_tries_the_unit_step(monkeypatch):
     assert trace.step[0] == calls[0]["step"] > 0.0
 
 
+def test_rejected_row_records_the_iterates_objective(monkeypatch):
+    # a search that rejects every step returns its reference max(recent),
+    # not the objective at x; reject one whose reference lies above it
+    A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
+    search = _kernels.backtrack_raw
+    calls, rejected = [], []
+
+    def reject_once(x, d, wp, p, sigma, f_ref, *rest):
+        calls.append(f_ref)
+        f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)[0]
+        if not rejected and f_ref > f0:
+            rejected.append((len(calls), f0))
+            return 0.0, f_ref
+        return search(x, d, wp, p, sigma, f_ref, *rest)
+
+    monkeypatch.setattr(_kernels, "backtrack_raw", reject_once)
+    # N = 2n: no restart follows the first run, so call t is row t
+    _, trace = solve(DenseMatrix(A), y, np.ones(40), SolverConfig(p=0.5))
+    [(t, f0)] = rejected
+    assert trace.t[t - 1] == t and trace.step[t - 1] == 0.0
+    assert trace.objective[t - 1] == f0
+
+
 @pytest.mark.parametrize("sigma_init, case", [(1e-2, "short"), (1.0, "clipped"), (10.0, "s.y < 0")])
 def test_second_iteration_takes_the_barzilai_borwein_step(monkeypatch, sigma_init, case):
     A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
