@@ -13,9 +13,9 @@ size is fitted on its own: one stacked Householder QR of every
 support's columns with b appended gives each support's pivots and
 Q^T b, with no SVD.  A support is dropped unfitted when a pivot is at
 most _PIVOT_TOL of its column's norm; every other is fitted once from
-its triangular factor and judged once, by the limit of
-``core._exact_fit``.  That is the reader of (A, b) that ``solve`` uses
-too, so A must be a DenseMatrix or RestrictedTransform, which the
+its triangular factor and judged once, by ``core._fits``, as ``solve``
+judges its result.  (A, b) are read by ``core._exact_fit``, as ``solve``
+reads them, so A must be a DenseMatrix or RestrictedTransform, which the
 oracles read as ``A.as_dense()``, and Measurements with epsilon > 0
 raise ValueError.
 
@@ -46,6 +46,7 @@ from .core import (
     OracleInfeasibleError,
     SignalVector,
     _exact_fit,
+    _fits,
     _weighted_lp_sum,
     _weights_array,
     check_domain,
@@ -80,7 +81,7 @@ def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
     ``decoder`` on an input it refuses.  k_max is refused above n, and
     both operators have n <= N, so the sizes read stay within the N + 1
     that the cache holds."""
-    y, limit = _exact_fit(A, b, decoder)
+    y, a_norm, y_norm = _exact_fit(A, b, decoder)
     A_dense = A.as_dense()
     n, N = A_dense.shape
     if N > _MAX_N:
@@ -88,15 +89,16 @@ def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
     (k_max,) = check_domain(k_max=[k_max])["k_max"]
     if k_max > n:
         raise ValueError(f"k_max must lie in 0..{n}, got {k_max}: no vertex has more than n = {n} nonzeros")
-    key = (A_dense.shape, A_dense.tobytes(), y.tobytes(), limit)
+    key = (A_dense.shape, A_dense.tobytes(), y.tobytes(), a_norm, y_norm)
     return N, k_max, (_shared_fits(*key, size) for size in range(k_max + 1))
 
 
 @lru_cache(maxsize=_MAX_N + 1)
-def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, limit: float, size: int):
+def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, a_norm: float, y_norm: float, size: int):
     """The read-only (supports, fits) of one size: the supports, in
     table order, that the drop rule keeps and whose fit z = R^-1 Q^T y
-    leaves ||A_T z - y|| <= ``limit``, and those fits embedded in R^N.
+    meets ``core._fits`` (given ||A||_2 and ||y||), and those fits
+    embedded in R^N.
     One stacked QR of each support's columns with y appended gives its
     pivots |R_jj| and, in the last column, Q^T y.  A and y come as
     C-order float64 bytes, so the cache is keyed by value and a changed
@@ -114,7 +116,7 @@ def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, limit: float, 
     keep = np.all(pivots > _PIVOT_TOL * np.linalg.norm(columns, axis=1)[supports], axis=1)
     z = np.linalg.solve(R[keep, :size, :size], R[keep, :size, size:])[:, :, 0]
     tried = supports[keep]
-    fitted = np.linalg.norm((z[:, None, :] @ columns[tried])[:, 0] - y, axis=1) <= limit
+    fitted = _fits((z[:, None, :] @ columns[tried])[:, 0] - y, z, a_norm, y_norm)
     found = tried[fitted]
     fits = np.zeros((len(found), N))
     np.put_along_axis(fits, found, z[fitted], axis=1)

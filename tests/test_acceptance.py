@@ -27,7 +27,9 @@ from cswlp import (
     smoothed_gradient,
     smoothed_objective,
     solve,
+    weighted_lp_norm,
 )
+from cswlp import solver
 from cswlp.audio import AudioPipelineConfig, recover_clip, synthesize_speech_like, write_wav_mono
 from cswlp.experiments import (
     ExperimentSpec,
@@ -452,3 +454,58 @@ def test_criterion_11_estimate_weighting_follows_its_accuracy():
     _report(11, ok, f"8x16 rho=1, exact-decoder recoveries of {_DECODER_TRIALS}, omega=0/omega=1: {'; '.join(cells)} "
                     f"(bound: omega=0 more at high alpha, fewer at low alpha)")
     assert ok
+
+
+# criterion 12's instance sets: (n, N, k, instance seed); an 8 x 16 exact-
+# decoder table costs about 0.2 s, so the k = 3 cells use 6 x 10 only
+_DISTANCE_SETS = ((6, 10, 3, 11), (6, 10, 4, 11), (8, 16, 4, 12))
+_DISTANCE_TRIALS = 30
+
+
+def _distance_cell(solves, exact, truth) -> str:
+    """One criterion-12 report: results above the exact decoder's
+    objective by more than 1e-6 relative and the worst such gap, x
+    recovered by the solve and by the exact decoder, and certified
+    misses (a weighted lp norm above x's)."""
+    gaps = [s_val / e_val - 1.0 for (_, s_val, _), (_, e_val) in zip(solves, exact)]
+    above = [g for g in gaps if g > 1e-6]
+    hit = sum(np.max(np.abs(x_hat - x)) <= 1e-6 for (x_hat, _, _), x in zip(solves, truth))
+    exact_hit = sum(np.max(np.abs(z - x)) <= 1e-6 for (z, _), x in zip(exact, truth))
+    misses = sum(ratio > 1.0 + _MISS_REL for _, _, ratio in solves)
+    return (f"above exact {len(above)}/{len(solves)} (worst {max(above, default=0.0):.1e}), "
+            f"recovered solve/exact {hit}/{exact_hit}, certified misses {misses}")
+
+
+def test_criterion_12_solver_distance_to_the_exact_decoder(monkeypatch):
+    # the solver's distance to the decoder it approximates, printed and not
+    # bounded: weight 0.5 on a random 30% of the entries, and
+    # oracle_weighted_lp at k_max = n as the exact decoder; each instance's
+    # fit table serves both p.  The only assertion is the oracle's
+    # exactness: no feasible solve result lies below its minimum.
+    for n, N, k, seed in _DISTANCE_SETS:
+        runs = {p: ([], [], [], []) for p in (0.5, 1.0)}
+        for trial in range(_DISTANCE_TRIALS):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, k, trial]))
+            A = gen_gaussian_matrix(n, N, rng)
+            x = gen_sparse_signal(N, k, rng).entries
+            w = np.ones(N)
+            w[rng.choice(N, size=round(0.3 * N), replace=False)] = 0.5
+            y = A.matrix @ x
+            for p, (solves, unrestarted, exact, truth) in runs.items():
+                res = oracle_weighted_lp(A, y, w, p, n)
+                exact.append((res.minimizer.entries, res.objective_value))
+                truth.append(x)
+                x_hat, trace = solve(A, y, w, SolverConfig(p=p))
+                if trace.restart_iters:
+                    with monkeypatch.context() as m:
+                        m.setattr(solver, "_RESTARTS", 0)
+                        x_plain = solve(A, y, w, SolverConfig(p=p))[0]
+                else:  # the same solve
+                    x_plain = x_hat
+                for out, got in ((solves, x_hat), (unrestarted, x_plain)):
+                    value = float(np.sum(w**p * np.abs(got.entries) ** p))
+                    out.append((got.entries, value, weighted_lp_norm(got, w, p) / weighted_lp_norm(x, w, p)))
+                    assert value >= res.objective_value * (1.0 - 1e-9)
+        for p, (solves, unrestarted, exact, truth) in runs.items():
+            print(f"criterion 12: {n}x{N} k={k} p={p:g}: {_distance_cell(solves, exact, truth)}; "
+                  f"with no restarts: {_distance_cell(unrestarted, exact, truth)}")

@@ -12,6 +12,7 @@ from cswlp import (
     snr_db,
     weighted_lp_norm,
 )
+from cswlp import core
 from cswlp.audio import dct_matrix
 from cswlp.core import _idct
 
@@ -218,3 +219,32 @@ def test_apply_matches_dense():
     assert np.array_equal(DenseMatrix(A).apply(x), A @ x)
     rt = RestrictedTransform(rows=(1, 4), size=5)
     assert np.max(np.abs(rt.apply(x) - dct_matrix(5).T[[0, 3]] @ x)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["dense", "dct"])
+@pytest.mark.parametrize("share", [0.9, 1.1])
+def test_exact_fit_judgement_is_scale_free(kind, share):
+    # a point whose normwise backward error is share times the tolerance,
+    # off A x = b along the row space; scaling x and b together by a power
+    # of two scales every rounded step exactly, so the rule must judge
+    # (c x, c b) as it judges (x, b).  An absolute limit below ||b|| = 1
+    # would pass 2^-20 (x, b) and fail (x, b) at either share.
+    rng = np.random.default_rng(83)
+    if kind == "dense":
+        A = DenseMatrix(rng.standard_normal((6, 10)) / np.sqrt(6))
+    else:
+        A = RestrictedTransform(rows=(2, 5, 6, 9, 13, 14), size=16)
+    dense = A.as_dense()
+    assert np.isclose(A._norm2, np.linalg.norm(dense, 2), rtol=1e-12, atol=0.0)
+    x0 = np.zeros(A.shape[1])
+    x0[[1, 4, 7]] = (2.0, -1.5, 1.0)
+    b = A.apply(x0)
+    u = rng.standard_normal(A.shape[0])
+    u /= np.linalg.norm(u)
+    gap = share * core._FEASIBILITY_TOL * (np.linalg.norm(dense, 2) * np.linalg.norm(x0) + np.linalg.norm(b))
+    x = x0 + gap * A.pull_back(u)
+    judged = []
+    for c in (1.0, 2.0**-20, 2.0**20):
+        y, a_norm, y_norm = core._exact_fit(A, c * b, "test")
+        judged.append(bool(core._fits(A.apply(c * x) - y, c * x, a_norm, y_norm)))
+    assert judged == [share < 1.0] * 3

@@ -17,6 +17,7 @@ from cswlp import (
 )
 from cswlp.core import _weighted_lp_sum
 from irls import irls_weighted_l1
+from test_solver import backward_error
 
 
 def test_l0_prefers_the_sparsest_fit():
@@ -160,16 +161,18 @@ def test_support_estimate_weights_rescue_hard_instances():
     assert steered_hits >= int(0.85 * trials)
 
 
-def _reference_fits(A, y, k_max, residual_tol=1e-8):
-    # one lstsq per support, sizes ascending, lexicographic within a size
+def _reference_fits(A, y, k_max, tol=1e-8):
+    # one lstsq per support, sizes ascending, lexicographic within a size,
+    # kept when the fit's backward error is at most tol
     n, N = A.shape
-    tol = residual_tol * max(1.0, float(np.linalg.norm(y)))
     for size in range(k_max + 1):
-        for support in combinations(range(N), size):
-            cols = A[:, support]
-            z, *_ = np.linalg.lstsq(cols, y, rcond=None)
-            if float(np.linalg.norm(cols @ z - y)) <= tol:
-                yield support, z
+        supports = [list(support) for support in combinations(range(N), size)]
+        fits = np.zeros((len(supports), N))
+        for fit, support in zip(fits, supports):
+            fit[support] = np.linalg.lstsq(A[:, support], y, rcond=None)[0]
+        for support, fit, eta in zip(supports, fits, backward_error(A, fits, y)):
+            if eta <= tol:
+                yield tuple(support), fit[support]
 
 
 def _reference_l0(A, y, k_max):
@@ -328,9 +331,12 @@ def test_fits_are_judged_at_the_limit_not_the_screen(share):
     u = rng.standard_normal(6)
     u -= cols @ np.linalg.lstsq(cols, u, rcond=None)[0]
     u /= np.linalg.norm(u)
-    # ||e|| = share * 1e-8 * ||y0 + e||, the limit of core._exact_fit
-    c = share * 1e-8
-    y = y0 + c * np.linalg.norm(y0) / np.sqrt(1.0 - c * c) * u
+    # ||e|| = share * 1e-8 * (||A||_2 ||z|| + ||y||), the backward error
+    # rule's limit at the fit z; ||y|| = ||y0|| within 1e-16 relative
+    z = np.zeros(10)
+    z[[3, 8]] = (1.5, -0.7)
+    y = y0 + share * 1e-8 * (np.linalg.norm(A, 2) * np.linalg.norm(z) + np.linalg.norm(y0)) * u
+    assert abs(backward_error(A, z, y) / 1e-8 - share) < 1e-6
     if share < 1.0:
         assert oracle_l0(DenseMatrix(A), y, 2).support == (4, 9)
         assert oracle_weighted_lp(DenseMatrix(A), y, np.ones(10), 0.5, 2).support == (4, 9)
