@@ -58,7 +58,9 @@ __all__ = [
 def dct_matrix(N: int) -> np.ndarray:
     """Orthonormal DCT-II analysis matrix D: coefficients = D @ samples.
 
-    D @ D.T = I, so D.T maps coefficients back to samples.
+    D @ D.T = I, so D.T maps coefficients back to samples.  D is the
+    transpose view of the inverse DCT table, so building it peaks at one
+    N x N array.
     """
     check_domain(N=[N])
     return _idct_entries(N, np.arange(N), np.arange(N)).T

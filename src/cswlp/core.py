@@ -333,10 +333,14 @@ def _idct(c: np.ndarray) -> np.ndarray:
 def _idct_entries(N: int, idx: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Rows ``idx`` and columns ``cols`` (0-based) of the orthonormal
     inverse DCT-II matrix, entry [j, i] = s_k cos(pi k (2 idx_j + 1) / 2N)
-    with k = cols_i."""
+    with k = cols_i.  Built in place in one output buffer, so the peak is
+    one output-sized array."""
     k = np.asarray(cols, dtype=np.float64)[None, :]
     m = np.asarray(idx, dtype=np.float64)[:, None]
-    out = np.cos(np.pi * k * (2.0 * m + 1.0) / (2.0 * N)) * np.sqrt(2.0 / N)
+    out = np.multiply(np.pi * k, 2.0 * m + 1.0)
+    out /= 2.0 * N
+    np.cos(out, out=out)
+    out *= np.sqrt(2.0 / N)
     out[:, k[0] == 0.0] = np.sqrt(1.0 / N)
     return out
 

@@ -9,15 +9,15 @@ are fits on independent subsets of them: no larger, so enumerated, and
 earlier, so they win ties.
 
 Supports run in ascending size, lexicographic within a size, and each
-size is fitted on its own: one stacked Householder QR of every
-support's columns with b appended gives each support's pivots and
-Q^T b, with no SVD.  A support is dropped unfitted when a pivot is at
-most _PIVOT_TOL of its column's norm; every other is fitted once from
-its triangular factor and judged once, by ``core._fits``, as ``solve``
-judges its result.  (A, b) are read by ``core._exact_fit``, as ``solve``
-reads them, so A must be a DenseMatrix or RestrictedTransform, which the
-oracles read as ``A.as_dense()``, and Measurements with epsilon > 0
-raise ValueError.
+size is fitted on its own, in blocks of _CHUNK supports: one stacked
+Householder QR of each block's columns with b appended gives each
+support's pivots and Q^T b, with no SVD.  A support is dropped unfitted
+when a pivot is at most _PIVOT_TOL of its column's norm; every other is
+fitted once from its triangular factor and judged once, by
+``core._fits``, as ``solve`` judges its result.  (A, b) are read by
+``core._exact_fit``, as ``solve`` reads them, so A must be a DenseMatrix
+or RestrictedTransform, which the oracles read as ``A.as_dense()``, and
+Measurements with epsilon > 0 raise ValueError.
 
 The fits depend neither on the weights nor on the decoder, so both
 oracles read one cache of them, keyed by the bytes of A and b and by
@@ -28,8 +28,8 @@ Each size's index table of supports is built with its fits and freed
 with them.  N is capped at 20.  k_max may reach n, where
 ``oracle_weighted_lp`` is the exact decoder (no vertex has more than n
 nonzeros, so a larger k_max is refused); one p = 1 call there takes
-about 0.2 s with a 60 MB peak RSS at n x N = 8 x 16, and 4-6 s with
-under 600 MB at 10 x 20, on a 2-core x86 VM.
+about 0.2 s with a 50 MB peak RSS at n x N = 8 x 16, and 2.3-4.6 s
+with a 150-180 MB peak at 10 x 20, on a 2-core x86 VM.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ _MAX_N = 20
 # dependent: exactly dependent columns leave about 1e-16, and independent
 # ones at an angle above this are kept
 _PIVOT_TOL = 1e-12
+# supports fitted per stacked QR: a block's temporaries stay a few MB,
+# where stacking all 184,756 supports of size 10 at N = 20 at once would
+# take 160 MB per temporary
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -99,10 +103,10 @@ def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, a_norm: float,
     table order, that the drop rule keeps and whose fit z = R^-1 Q^T y
     meets ``core._fits`` (given ||A||_2 and ||y||), and those fits
     embedded in R^N.
-    One stacked QR of each support's columns with y appended gives its
-    pivots |R_jj| and, in the last column, Q^T y.  A and y come as
-    C-order float64 bytes, so the cache is keyed by value and a changed
-    entry is refitted."""
+    One stacked QR per block of _CHUNK supports, of each support's
+    columns with y appended, gives its pivots |R_jj| and, in the last
+    column, Q^T y.  A and y come as C-order float64 bytes, so the cache
+    is keyed by value and a changed entry is refitted."""
     N = shape[1]
     A_dense, y = np.frombuffer(matrix).reshape(shape), np.frombuffer(y)
     # every size-element subset of range(N), in lexicographic order
@@ -110,16 +114,23 @@ def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, a_norm: float,
     subsets = chain.from_iterable(combinations(range(N), size))
     supports = np.fromiter(subsets, dtype=np.intp, count=count * size).reshape(count, size)
     columns = np.column_stack((A_dense, y)).T  # (N + 1, n): row N is y
-    with_y = np.column_stack((supports, np.full(len(supports), N)))
-    R = np.linalg.qr(columns[with_y].transpose(0, 2, 1), mode="r")
-    pivots = np.abs(np.diagonal(R[:, :size, :size], axis1=1, axis2=2))
-    keep = np.all(pivots > _PIVOT_TOL * np.linalg.norm(columns, axis=1)[supports], axis=1)
-    z = np.linalg.solve(R[keep, :size, :size], R[keep, :size, size:])[:, :, 0]
-    tried = supports[keep]
-    fitted = _fits((z[:, None, :] @ columns[tried])[:, 0] - y, z, a_norm, y_norm)
-    found = tried[fitted]
+    norms = np.linalg.norm(columns, axis=1)
+    found, z_found = [], []
+    # each support is factored, solved and judged on its own, so the
+    # blocks give the bits one stack of every support would
+    for block in np.split(supports, range(_CHUNK, count, _CHUNK)):
+        with_y = np.column_stack((block, np.full(len(block), N)))
+        R = np.linalg.qr(columns[with_y].transpose(0, 2, 1), mode="r")
+        pivots = np.abs(np.diagonal(R[:, :size, :size], axis1=1, axis2=2))
+        keep = np.all(pivots > _PIVOT_TOL * norms[block], axis=1)
+        z = np.linalg.solve(R[keep, :size, :size], R[keep, :size, size:])[:, :, 0]
+        tried = block[keep]
+        fitted = _fits((z[:, None, :] @ columns[tried])[:, 0] - y, z, a_norm, y_norm)
+        found.append(tried[fitted])
+        z_found.append(z[fitted])
+    found = np.concatenate(found)
     fits = np.zeros((len(found), N))
-    np.put_along_axis(fits, found, z[fitted], axis=1)
+    np.put_along_axis(fits, found, np.concatenate(z_found), axis=1)
     found.flags.writeable = fits.flags.writeable = False
     return found, fits
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,39 @@ def test_operator_columns_match_dense_columns(cols):
     idx = np.asarray(cols, dtype=np.intp)
     for op in (dense, dct):
         assert np.array_equal(op.columns(idx), op.as_dense()[:, idx])
+
+
+def _broadcast_idct_entries(N, idx, cols):
+    # the table as one broadcast expression, each step a full-size array
+    k = np.asarray(cols, dtype=np.float64)[None, :]
+    m = np.asarray(idx, dtype=np.float64)[:, None]
+    out = np.cos(np.pi * k * (2.0 * m + 1.0) / (2.0 * N)) * np.sqrt(2.0 / N)
+    out[:, k[0] == 0.0] = np.sqrt(1.0 / N)
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 8, 64])
+def test_dct_tables_equal_the_broadcast_expression_bit_for_bit(N):
+    every = np.arange(N)
+    assert np.array_equal(dct_matrix(N), _broadcast_idct_entries(N, every, every).T)
+    rows = tuple(range(1, N + 1, 3))
+    rt = RestrictedTransform(rows=rows, size=N)
+    idx = np.asarray(rows) - 1
+    assert np.array_equal(rt.as_dense(), _broadcast_idct_entries(N, idx, every))
+    cols = every[::-2]
+    assert np.array_equal(rt.columns(cols), _broadcast_idct_entries(N, idx, cols))
+
+
+def test_dct_matrix_peaks_at_one_table():
+    dct_matrix.cache_clear()
+    tracemalloc.start()
+    try:
+        table = dct_matrix(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        dct_matrix.cache_clear()
+    assert peak <= 1.25 * table.nbytes, peak / table.nbytes
 
 
 def test_restricted_transform_rejects_bad_rows():

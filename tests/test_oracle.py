@@ -492,6 +492,46 @@ def test_index_tables_are_freed_with_their_fits():
     assert grown < 64 * 1024, grown
 
 
+def _exact_8x16():
+    rng = np.random.default_rng(113)
+    A = rng.standard_normal((8, 16)) / np.sqrt(8)
+    x = np.zeros(16)
+    x[rng.choice(16, size=3, replace=False)] = rng.standard_normal(3)
+    return DenseMatrix(A), A @ x, np.where(rng.random(16) < 0.3, 0.5, 1.0)
+
+
+def test_fit_tables_do_not_depend_on_the_block_size(monkeypatch):
+    A, y, w = _exact_8x16()
+    tables = {}
+    for chunk in (1, 7, oracle._CHUNK):
+        monkeypatch.setattr(oracle, "_CHUNK", chunk)
+        oracle._shared_fits.cache_clear()
+        tables[chunk] = list(oracle._prepare(A, y, 8, "oracle_weighted_lp")[2])
+        oracle._shared_fits.cache_clear()
+    # the default splits sizes 5 to 8 (4368 to 12,870 supports) into two
+    # to four blocks; 1 and 7 split every size above 0
+    for chunk in (1, 7):
+        for (supports, fits), (expected_supports, expected_fits) in zip(tables[chunk], tables[oracle._CHUNK]):
+            assert supports.dtype == expected_supports.dtype and supports.shape == expected_supports.shape
+            assert supports.tobytes() == expected_supports.tobytes()
+            assert fits.tobytes() == expected_fits.tobytes()
+
+
+def test_an_exact_decoder_call_peaks_below_its_blocks():
+    # an 8 x 16 call at k_max = n fits 39,203 supports; stacked at once
+    # they peaked near 24 MB
+    A, y, w = _exact_8x16()
+    oracle._shared_fits.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle_weighted_lp(A, y, w, 1.0, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        oracle._shared_fits.cache_clear()
+    assert peak < 16 * 2**20, peak / 2**20
+
+
 def test_l0_fits_no_size_above_its_answer(monkeypatch):
     # a 1-sparse b on 10 x 20 at k_max = n: the answer has size 1, and the
     # 616,645 supports of sizes 2..10 are never fitted
