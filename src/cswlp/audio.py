@@ -227,12 +227,12 @@ def write_wav_mono(path, samples: np.ndarray, sample_rate: float) -> None:
         handle.writeframes(pcm.tobytes())
 
 
-def synthesize_speech_like(
-    num_samples: int, sample_rate: float = 44100.0, seed: int = 0
-) -> np.ndarray:
-    """Deterministic voice-like test clip: a slowly sweeping fundamental
-    with decaying harmonics, a quiet high-frequency sweep, and slow
-    amplitude modulation.  Peak-normalized to 0.8."""
+def synthesize_speech_like(num_samples: int, seed: int = 0) -> np.ndarray:
+    """Deterministic voice-like test clip at 44.1 kHz: a slowly sweeping
+    fundamental with decaying harmonics, a quiet high-frequency sweep,
+    and slow amplitude modulation.  Peak-normalized to 0.8."""
+    num_samples = check_domain(num_samples=[num_samples])["num_samples"][0]
+    sample_rate = 44100.0
     rng = _stream(seed, 0xA0D10)
     t = np.arange(num_samples, dtype=np.float64) / sample_rate
     dur = num_samples / sample_rate

@@ -19,7 +19,8 @@ Conventions used throughout the package:
   - index sets: ``_as_indices`` refuses a non-integer, a repeat, or an
     index outside 1..N;
   - scalar settings (p, omega, alpha, rho, the counts n, k, max_iters,
-    ..., an oracle's k_max, the audio fractions and rates):
+    ..., an oracle's k_max and best_k_term's k, the audio fractions
+    and rates):
     ``check_domain`` checks them against one domain table and returns
     them as the table keeps them, a count or k_max as int and any other
     setting as float, which is what the config types store
@@ -92,8 +93,8 @@ _SNR_CAP_DB = 300.0
 
 # the settings that count iterations, trials, lengths, sizes and grid
 # points: integers >= 1, kept as int, as is an oracle's largest support
-# size k_max, an integer >= 0
-_COUNTS = ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "size", "count")
+# size k_max, an integer >= 0, by whose rule best_k_term reads its k
+_COUNTS = ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "num_samples", "size", "count")
 _INTEGERS = (*_COUNTS, "k_max")
 
 # each parameter's domain: its test and how the error words it
@@ -204,9 +205,11 @@ class SignalVector:
 class DenseMatrix:
     """Sensing operator given by an explicit n x N matrix, n <= N.
 
-    Its projections take one Householder QR of A^T = Q R on first use and
-    keep it, so every later solve on the same operator reuses it; the
-    matrix must not be changed after that.
+    Its first use takes one Householder QR of A^T = Q R and R's singular
+    values, the largest being ||A||_2, and keeps them; its first
+    projection checks the rank and keeps R^-1.  On a rank-deficient A
+    every projection raises RankDeficientError; no error is kept.  Later
+    solves reuse them; the matrix must not be changed after that.
     """
 
     matrix: np.ndarray
@@ -248,30 +251,28 @@ class DenseMatrix:
         q, r_inv = self._factors
         return q @ (r_inv.T @ r)
 
-    @property
+    @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Q and R^-1 of A^T = Q R; raises RankDeficientError if the
-        smallest singular value of R, which are those of A, is below
-        _RANK_TOL times the largest."""
-        q, r_inv, _ = self._qr
-        if isinstance(r_inv, RankDeficientError):
-            raise r_inv.with_traceback(None)
-        return q, r_inv
+        """Q and R^-1 of A^T = Q R; raises RankDeficientError, on every
+        read, if the smallest singular value of R, which are those of A,
+        is below _RANK_TOL times the largest."""
+        q, r, s = self._qr
+        if not (s[0] > 0.0 and s[-1] > _RANK_TOL * s[0]):
+            ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
+            message = f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
+            raise RankDeficientError(message)
+        return q, np.linalg.inv(r)
 
     @property
     def _norm2(self) -> float:
         """||A||_2, R's largest singular value, with no rank check."""
-        return self._qr[2]
+        return float(self._qr[2][0])
 
     @cached_property
-    def _qr(self) -> tuple[np.ndarray, np.ndarray | RankDeficientError, float]:
+    def _qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Q and R of A^T = Q R, and R's singular values, largest first."""
         q, r = np.linalg.qr(self.matrix.T)
-        s = np.linalg.svd(r, compute_uv=False)
-        if s[0] > 0.0 and s[-1] > _RANK_TOL * s[0]:
-            return q, np.linalg.inv(r), float(s[0])
-        ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
-        message = f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
-        return q, RankDeficientError(message), float(s[0])
+        return q, r, np.linalg.svd(r, compute_uv=False)
 
 
 @lru_cache(maxsize=8)
@@ -539,11 +540,13 @@ def best_k_term(x, k: int) -> tuple[SignalVector, tuple[int, ...]]:
     """Keep the k largest-magnitude entries of x, zero the rest.
 
     Ties break toward the lower index.  Returns the truncated signal and
-    the sorted 1-based index set of the kept positions.
+    the sorted 1-based index set of the kept positions.  k, at most N, is
+    read by k_max's rule (an integer >= 0; 2.0 is 2), whose error names k_max.
     """
     xa = _signal_array(x)
     N = xa.shape[0]
-    if not (0 <= k <= N):
+    k = check_domain(k_max=[k])["k_max"][0]
+    if k > N:
         raise ValueError(f"k must lie in 0..{N}, got {k}")
     kept, head = _largest(xa, k)
     return SignalVector(head), tuple(int(i) + 1 for i in kept)

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ConditionViolatedError, _check_fields, check_domain
 
 __all__ = [
@@ -136,7 +134,8 @@ def proposition2_check(
     a: float,
     delta_grid,
 ) -> bool:
-    """Compare weighted against unweighted constants over a delta grid.
+    """Compare weighted against unweighted constants over a grid of
+    delta values, each taken as both delta_ak and delta_(a+1)k.
 
     For omega < 1 the weighted constants are smaller than the
     unweighted ones exactly when alpha > 1/2, equal at alpha = 1/2, and
@@ -147,9 +146,8 @@ def proposition2_check(
     if not (0.0 <= omega < 1.0):
         raise ValueError(f"omega must lie in [0, 1) for this comparison, got {omega}")
     compared = 0
-    for entry in delta_grid:
-        d1, d2 = (entry, entry) if np.isscalar(entry) else (entry[0], entry[1])
-        base = dict(p=p, alpha=alpha, rho=rho, a=a, delta_ak=d1, delta_a1k=d2)
+    for delta in delta_grid:
+        base = dict(p=p, alpha=alpha, rho=rho, a=a, delta_ak=delta, delta_a1k=delta)
         try:
             cw = error_constants(TheoryParams(omega=omega, **base))
             # at omega = 1, gamma is exactly 1.0: the unweighted constants

@@ -90,6 +90,8 @@ def test_synthesized_clip_is_deterministic():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert abs(float(np.max(np.abs(a))) - 0.8) < 1e-12
+    # an integral float is its integer
+    assert np.array_equal(synthesize_speech_like(4096.0, seed=5), a)
 
 
 def test_wav_round_trip(tmp_path):

@@ -229,6 +229,18 @@ def test_best_k_term_edge_sizes():
         best_k_term(x, 3)
 
 
+def test_best_k_term_reads_k_as_a_count():
+    # an integral float is its integer; a fraction, a negative or a nan
+    # k is refused by check_domain's k_max rule
+    x = SignalVector(np.array([3.0, -1.0, 2.0]))
+    approx, support = best_k_term(x, 2.0)
+    want, want_support = best_k_term(x, 2)
+    assert np.array_equal(approx.entries, want.entries) and support == want_support == (1, 3)
+    for k in (2.5, -1, float("nan")):
+        with pytest.raises(ValueError, match="k_max must"):
+            best_k_term(x, k)
+
+
 def test_snr_db_values():
     x = SignalVector(np.array([3.0, 4.0]))
     assert snr_db(x, x) == 300.0

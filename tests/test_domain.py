@@ -7,9 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from cswlp.audio import AudioPipelineConfig, dct_matrix
+from cswlp.audio import AudioPipelineConfig, dct_matrix, synthesize_speech_like
 from cswlp.cli import main
-from cswlp.core import DenseMatrix, Measurements, RestrictedTransform, SupportEstimate, WeightVector, weighted_lp_norm
+from cswlp.core import (
+    DenseMatrix,
+    Measurements,
+    RestrictedTransform,
+    SupportEstimate,
+    WeightVector,
+    best_k_term,
+    weighted_lp_norm,
+)
 from cswlp.experiments import (
     ExperimentSpec,
     _parse_grid,
@@ -26,7 +34,7 @@ from cswlp.theory import TheoryParams, delta_hat_lp, delta_hat_wl1, delta_hat_wl
 _GOOD = dict(
     p=0.5, omega=0.5, alpha=0.5, rho=1.0, max_iters=500, trials=1, N=40, n=20, k=4, block_len=64,
     num_blocks=1, size=2, keep_frac=0.25, prev_block_keep=0.0625, sample_rate_hz=44100.0,
-    lowfreq_cutoff_hz=4000.0, decay=1.1, noise_frac=0.0, count=5,
+    lowfreq_cutoff_hz=4000.0, decay=1.1, noise_frac=0.0, count=5, num_samples=64, k_max=1,
 )
 
 def _pair(alpha, rho):
@@ -48,7 +56,8 @@ _BAD = {
 # table words that domain
 _SETTINGS = {
     **{count: (0, "be an integer >= 1")
-       for count in ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "size", "count")},
+       for count in ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "num_samples", "size", "count")},
+    "k_max": (-1, "be an integer >= 0"),
     "keep_frac": (0.0, "lie in (0, 1]"),
     "prev_block_keep": (1.5, "lie in [0, 1]"),
     "sample_rate_hz": (0.0, "be positive"),
@@ -106,6 +115,8 @@ _ENTRY_POINTS = {
         ),
     ),
     "dct_matrix": ("N", lambda v, *_: dct_matrix(v["N"])),
+    "synthesize_speech_like": ("num_samples", lambda v, *_: synthesize_speech_like(v["num_samples"])),
+    "best_k_term": ("k_max", lambda v, *_: best_k_term(np.ones(2), v["k_max"])),
     "TheoryParams": ("p omega alpha rho", lambda v, *_: TheoryParams(a=3.0, **v)),
     "delta_hat_lp": ("p", lambda v, *_: delta_hat_lp(3.0, v["p"])),
     "delta_hat_wl1": ("omega alpha rho", lambda v, *_: delta_hat_wl1(3.0, v["omega"], v["alpha"], v["rho"])),

@@ -8,6 +8,7 @@ from cswlp import (
     DenseMatrix,
     Measurements,
     OracleInfeasibleError,
+    RankDeficientError,
     SignalVector,
     SolverConfig,
     oracle,
@@ -301,6 +302,44 @@ def test_oracles_never_take_the_pseudo_inverse(monkeypatch):
         x[list(x_support)] = rng.standard_normal(len(x_support))
         for p in (0.5, 1.0):
             _check_against_reference(A, A @ x, rng.uniform(0.05, 1.0, 10), p, 4)
+
+
+def test_oracles_never_invert_the_operator(monkeypatch):
+    # the oracles read a DenseMatrix only for ||A||_2, the largest singular
+    # value of its QR's R; R^-1 is taken on the first projection only
+    calls = []
+
+    def counted(*args, inv=np.linalg.inv, **kwargs):
+        calls.append(1)
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    A, y, w = _criterion_3_instance(83)
+    oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)
+    assert calls == []
+
+
+def test_a_rank_deficient_operator_serves_the_oracles_and_refuses_every_projection():
+    # one row repeated: rank 3 of 4 rows; the oracles need only ||A||_2,
+    # while each projection, and so each solve, raises on every call
+    rng = np.random.default_rng(89)
+    A = rng.standard_normal((4, 10))
+    A[3] = A[1]
+    x = np.zeros(10)
+    x[[2, 6]] = (1.5, -0.7)
+    op, y = DenseMatrix(A), A @ x
+    assert oracle_weighted_lp(op, y, np.ones(10), 0.5, 3).support == (3, 7)
+    assert oracle_l0(op, y, 3).support == (3, 7)
+    message = r"^sensing matrix is rank deficient: smallest/largest singular value ratio \d\.\d{3}e[-+]\d\d$"
+    calls = (
+        lambda: solve(op, y, np.ones(10), SolverConfig(p=0.5)),
+        lambda: op.project_null(np.ones(10)),
+        lambda: op.pull_back(np.ones(4)),
+    )
+    for _ in range(2):
+        for call in calls:
+            with pytest.raises(RankDeficientError, match=message):
+                call()
 
 
 @pytest.mark.parametrize("delta", [1e-3, 1e-5, 1e-7])
