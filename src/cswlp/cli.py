@@ -5,8 +5,8 @@ fact once: the subcommand, package version, resolved configuration
 (which holds any seed), output names, and in ``inputs`` the SHA-256
 and manifest-relative path of each file the run read.  ``replay``
 re-executes a manifest on those hash-checked files into a fresh
-directory and reproduces the data outputs byte for byte (the manifest's
-own timestamp and measured wall times naturally differ).  This module
+directory and reproduces every output byte for byte (only the
+manifest's own timestamp differs).  This module
 writes every output file: the library modules return rows and arrays,
 and one CSV writer formats every table.
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import re
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,6 +151,8 @@ class ExperimentSpec:
         decay = ("decay",) if self.signal_kind == "compressible" else ()
         if decay and self.decay is None:
             raise ValueError("compressible signals need a decay exponent")
+        if not decay and self.decay is not None:
+            raise ValueError(f"sparse signals take no decay exponent, got {self.decay!r}")
         _check_fields(self, "N", "n_list", "k", "trials", "p_list", "omega_list", "alpha_list", "rho",
                       "noise_frac", *decay)
         if max(self.n_list) > self.N:
@@ -183,7 +184,6 @@ class SweepRow:
     norm_ratio: float
     iters: int
     stop_reason: str
-    wall_ms: float
     status: str
 
 
@@ -219,7 +219,6 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
         cfg = SolverConfig(p=p)
         for omega in spec.omega_list:
             w = WeightVector(omega=omega, estimate=estimate, size=spec.N)
-            start = time.perf_counter()
             snr, iters, status = float("-inf"), 0, "failed"
             try:
                 x_hat, trace = solve(A, y, w, cfg)
@@ -230,7 +229,6 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
             else:
                 snr = snr_db(x, x_hat)
                 iters, stop_reason, status = len(trace), trace.stop_reason, "ok"
-            wall_ms = (time.perf_counter() - start) * 1e3
             ratio = math.nan
             if status == "ok" and spec.noise_frac == 0.0:
                 ours, truth = weighted_lp_norm(x_hat, w, p), weighted_lp_norm(x, w, p)
@@ -248,7 +246,6 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
                     norm_ratio=ratio,
                     iters=iters,
                     stop_reason=stop_reason,
-                    wall_ms=wall_ms,
                     status=status,
                 )
             )

@@ -25,11 +25,12 @@ the size: a repeat call on one instance, by either oracle, with other
 weights or a smaller k_max, fits nothing again, and a size is fitted
 only when a call reads it, so ``oracle_l0`` stops at its answer's size.
 Each size's index table of supports is built with its fits and freed
-with them.  N is capped at 20.  k_max may reach n, where
-``oracle_weighted_lp`` is the exact decoder (no vertex has more than n
-nonzeros, so a larger k_max is refused); one p = 1 call there takes
-about 0.2 s with a 50 MB peak RSS at n x N = 8 x 16, and 2.3-4.6 s
-with a 150-180 MB peak at 10 x 20, on a 2-core x86 VM.
+with them.  N is capped at 20, read from A's shape before A is built.
+k_max may reach n, where ``oracle_weighted_lp`` is the exact decoder
+(no vertex has more than n nonzeros, so a larger k_max is refused); one
+p = 1 call there takes about 0.2 s with a 50 MB peak RSS at n x N =
+8 x 16, and 2.5-3.3 s with a 146-150 MB peak at 10 x 20, on a 2-core
+x86 VM.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
     both operators have n <= N, so the sizes read stay within the N + 1
     that the cache holds."""
     y, a_norm, y_norm = _exact_fit(A, b, decoder)
-    A_dense = A.as_dense()
-    n, N = A_dense.shape
+    n, N = A.shape
     if N > _MAX_N:
         raise ValueError(f"enumeration is capped at N <= {_MAX_N}, got N = {N}")
+    A_dense = A.as_dense()
     (k_max,) = check_domain(k_max=[k_max])["k_max"]
     if k_max > n:
         raise ValueError(f"k_max must lie in 0..{n}, got {k_max}: no vertex has more than n = {n} nonzeros")
@@ -152,7 +153,8 @@ def oracle_l0(A, b, k_max: int) -> OracleResult:
 def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     """Exact fit minimizing sum_i w_i^p |z_i|^p over supports of size <= k_max.
 
-    Ties (within 1e-12) keep the earlier support in enumeration order.
+    Ties (values within 1e-12 of the best so far, relative, so the
+    margin scales with b) keep the earlier support in enumeration order.
     Raises OracleInfeasibleError when no support fits.
     """
     check_domain(p=[p])
@@ -164,7 +166,7 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
         # of the minimizer it returns, to the bit
         values = _weighted_lp_sum(wp, fits, p)
         for i, value in enumerate(values.tolist()):
-            if best is None or value < best[0] - 1e-12:
+            if best is None or value < best[0] - 1e-12 * best[0]:
                 best = (value, supports[i], fits[i])
     if best is None:
         raise OracleInfeasibleError(f"no support of size <= {k_max} fits the measurements")

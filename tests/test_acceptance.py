@@ -318,18 +318,6 @@ def test_criterion_8_audio_interior_omega():
     assert ok
 
 
-def _masked_sweep_bytes(path) -> bytes:
-    # wall_ms is measured time, the one column determinism cannot cover
-    lines = path.read_text().strip().split("\n")
-    idx = lines[0].split(",").index("wall_ms")
-    out = [lines[0]]
-    for line in lines[1:]:
-        fields = line.split(",")
-        fields[idx] = "X"
-        out.append(",".join(fields))
-    return "\n".join(out).encode()
-
-
 def test_criterion_9_replay_is_bit_identical(tmp_path):
     from cswlp.cli import RunManifest, main, write_matrix_binary, write_vector_binary
 
@@ -365,15 +353,10 @@ def test_criterion_9_replay_is_bit_identical(tmp_path):
         assert main(["--out-dir", str(redo), "replay",
                      "--manifest", str(orig / "manifest.json")]) == 0
         for out_name in RunManifest.load(orig / "manifest.json").outputs:
-            a, b = orig / out_name, redo / out_name
-            if out_name == "sweep.csv":
-                same = _masked_sweep_bytes(a) == _masked_sweep_bytes(b)
-            else:
-                same = a.read_bytes() == b.read_bytes()
-            if not same:
+            if (orig / out_name).read_bytes() != (redo / out_name).read_bytes():
                 mismatches.append(f"{name}/{out_name}")
     ok = not mismatches
-    _report(9, ok, "all replayed outputs bit-identical (wall_ms column excluded)"
+    _report(9, ok, "all replayed outputs bit-identical"
             if ok else f"mismatched files: {mismatches}")
     assert ok
 

@@ -311,10 +311,8 @@ def test_replay_reproduces_sweep_with_stop_reasons(tmp_path):
     out, redo = tmp_path / "orig", tmp_path / "redo"
     assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 0
     assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
-    orig, again = ([line.split(",") for line in (d / "sweep.csv").read_text().strip().split("\n")]
-                   for d in (out, redo))
-    col = orig[0].index("wall_ms")
-    assert [r[:col] + r[col + 1:] for r in again] == [r[:col] + r[col + 1:] for r in orig]
+    assert (redo / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
+    orig = [line.split(",") for line in (out / "sweep.csv").read_text().strip().split("\n")]
     reasons = [r[orig[0].index("stop_reason")] for r in orig[1:]]
     assert reasons and set(reasons) <= {"sigma_floor", "max_iters", "stationary"}
 
@@ -680,14 +678,24 @@ def test_replay_drops_legacy_threads_key(tmp_path, capsys):
     redo = tmp_path / "redo"
     assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
     assert capsys.readouterr().err == ""
-
-    def without_wall_ms(path):
-        lines = [line.split(",") for line in path.read_text().strip().split("\n")]
-        col = lines[0].index("wall_ms")
-        return [line[:col] + line[col + 1:] for line in lines]
-
-    assert without_wall_ms(redo / "sweep.csv") == without_wall_ms(out / "sweep.csv")
+    assert (redo / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
     assert "threads" not in json.loads((redo / "manifest.json").read_text())["config"]
+
+
+def test_replay_refuses_a_decay_on_a_sparse_spec(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    _write_sweep_config(cfg)
+    out = tmp_path / "orig"
+    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["spec"]["decay"] is None
+    manifest["config"]["spec"]["decay"] = -5.0
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["--out-dir", str(tmp_path / "redo"), "replay", "--manifest", str(out / "manifest.json")])
+    assert code == 1
+    assert "sparse signals take no decay exponent, got -5.0" in capsys.readouterr().err
+    assert not (tmp_path / "redo").exists()
 
 
 @pytest.mark.parametrize(

@@ -177,6 +177,10 @@ def test_spec_validation():
         _tiny_spec(signal_kind="dense")
     with pytest.raises(ValueError):
         _tiny_spec(signal_kind="compressible", decay=None)
+    # a sparse signal reads no decay, so one recorded in a manifest would
+    # be ignored on every replay
+    with pytest.raises(ValueError, match=r"^sparse signals take no decay exponent, got -5\.0$"):
+        _tiny_spec(signal_kind="sparse", decay=-5.0)
     with pytest.raises(ValueError):
         _tiny_spec(signal_kind="compressible", decay=float("nan"))
     with pytest.raises(ValueError):
@@ -191,11 +195,7 @@ def test_sweep_rows_are_deterministic_and_ordered():
     spec = _tiny_spec(n_list=(16, 20), p_list=(0.5, 1.0), omega_list=(0.0, 1.0))
     first = run_sweep(spec)
     second = run_sweep(spec)
-    # wall_ms is measured time, the one column determinism cannot cover
-    col = _COLUMNS.index("wall_ms")
-    a = [astuple(r)[:col] + astuple(r)[col + 1:] for r in first.rows]
-    b = [astuple(r)[:col] + astuple(r)[col + 1:] for r in second.rows]
-    assert a == b
+    assert [astuple(r) for r in first.rows] == [astuple(r) for r in second.rows]
     assert len(first.rows) == 2 * 2 * 2 * 2
     keys = [(r.n, r.trial, r.p, r.omega) for r in first.rows]
     assert keys == sorted(keys, key=lambda t: (t[0], t[1], t[2], t[3]))
@@ -244,12 +244,10 @@ def test_csv_round_trip(tmp_path):
     rows = run_sweep(spec).rows
     assert len(lines) == 1 + len(rows)
     assert lines[1][0] == "20"
-    # every field but the measured wall_ms reads back as the row's value
-    col = _COLUMNS.index("wall_ms")
+    # every field reads back as the row's value
     for line, row in zip(lines[1:], rows):
         values = astuple(row)
-        parsed = tuple(type(v)(f) for v, f in zip(values, line))
-        assert parsed[:col] + parsed[col + 1:] == values[:col] + values[col + 1:]
+        assert tuple(type(v)(f) for v, f in zip(values, line)) == values
 
 
 def test_failed_row_formatting(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from cswlp import (
     Measurements,
     OracleInfeasibleError,
     RankDeficientError,
+    RestrictedTransform,
     SignalVector,
     SolverConfig,
     oracle,
@@ -104,6 +105,43 @@ def test_size_caps_are_enforced():
         oracle_l0(DenseMatrix(B), np.ones(3), 5)
     with pytest.raises(ValueError):
         oracle_weighted_lp(DenseMatrix(B), np.ones(3), np.ones(6), 1.5, 2)
+
+
+@pytest.mark.parametrize("decoder", ["oracle_weighted_lp", "oracle_l0"])
+def test_an_operator_above_the_cap_is_refused_unbuilt(monkeypatch, decoder):
+    # N is read from the operator's shape: as a dense matrix, 1000 rows of
+    # the length-8000 transform would take 64 MB only to be refused
+    def built(self):
+        raise AssertionError("as_dense called on a refused operator")
+
+    for cls in (DenseMatrix, RestrictedTransform):
+        monkeypatch.setattr(cls, "as_dense", built)
+    for A in (RestrictedTransform(rows=tuple(range(1, 1001)), size=8000), DenseMatrix(np.eye(3, 21))):
+        expected = f"enumeration is capped at N <= 20, got N = {A.shape[1]}"
+        assert _refusal(decoder, A, np.ones(A.shape[0])) == expected
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0])
+def test_the_weighted_oracle_is_scale_free(p):
+    # scaling b by a power of two c scales every fit by c and every value
+    # by c^p exactly, so the oracle's decision must scale with them, bit
+    # for bit; under an absolute tie margin, supersets whose extra entries
+    # are rounding noise would win at large c, and everything would tie
+    # at small c
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        A = DenseMatrix(rng.standard_normal((6, 10)) / np.sqrt(6))
+        x = np.zeros(10)
+        x[rng.choice(10, size=3, replace=False)] = rng.standard_normal(3)
+        w = np.ones(10)
+        w[rng.choice(10, size=3, replace=False)] = 0.5
+        y = A.apply(x)
+        ref = oracle_weighted_lp(A, y, w, p, 6)
+        for c in (2.0**20, 2.0**-20, 2.0**40, 2.0**-40):
+            res = oracle_weighted_lp(A, c * y, w, p, 6)
+            assert res.support == ref.support, (seed, c)
+            assert res.objective_value == c**p * ref.objective_value, (seed, c)
+            assert np.array_equal(res.minimizer.entries, c * ref.minimizer.entries), (seed, c)
 
 
 def test_supersets_never_displace_the_true_support():
