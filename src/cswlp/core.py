@@ -26,8 +26,8 @@ Conventions used throughout the package:
     setting as float, which is what the config types store
     (``_check_fields``)
 * an exact fit has one rule, ``_fits``, which every decoder judges a
-  fit by: a normwise backward error at most _FEASIBILITY_TOL, with
-  ||A||_2 and ||y|| from ``_exact_fit``
+  fit by: a normwise backward error at most _FEASIBILITY_TOL, with ||y||
+  from ``_exact_fit`` and ||A||_2 from the operator's ``_norm2``
 """
 
 from __future__ import annotations
@@ -207,9 +207,11 @@ class DenseMatrix:
 
     Its first use takes one Householder QR of A^T = Q R and R's singular
     values, the largest being ||A||_2, and keeps them; its first
-    projection checks the rank and keeps R^-1.  On a rank-deficient A
-    every projection raises RankDeficientError; no error is kept.  Later
-    solves reuse them; the matrix must not be changed after that.
+    projection checks the rank, keeps R^-1 and drops R, so it holds Q,
+    R^-1 and the singular values, and an operator the oracles read first
+    is still factored once.  On a rank-deficient A every projection
+    raises RankDeficientError; no error is kept.  Later solves reuse
+    them; the matrix must not be changed after that.
     """
 
     matrix: np.ndarray
@@ -255,24 +257,31 @@ class DenseMatrix:
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
         """Q and R^-1 of A^T = Q R; raises RankDeficientError, on every
         read, if the smallest singular value of R, which are those of A,
-        is below _RANK_TOL times the largest."""
-        q, r, s = self._qr
+        is below _RANK_TOL times the largest.  R is dropped once
+        inverted: no caller reads it again."""
+        q, r = self._qr
+        s = self._singular_values
         if not (s[0] > 0.0 and s[-1] > _RANK_TOL * s[0]):
             ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
             message = f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
             raise RankDeficientError(message)
+        del self.__dict__["_qr"]
         return q, np.linalg.inv(r)
 
     @property
     def _norm2(self) -> float:
         """||A||_2, R's largest singular value, with no rank check."""
-        return float(self._qr[2][0])
+        return float(self._singular_values[0])
 
     @cached_property
-    def _qr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Q and R of A^T = Q R, and R's singular values, largest first."""
-        q, r = np.linalg.qr(self.matrix.T)
-        return q, r, np.linalg.svd(r, compute_uv=False)
+    def _singular_values(self) -> np.ndarray:
+        """R's singular values, which are A's, largest first."""
+        return np.linalg.svd(self._qr[1], compute_uv=False)
+
+    @cached_property
+    def _qr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q and R of A^T = Q R, held until ``_factors`` inverts R."""
+        return np.linalg.qr(self.matrix.T)
 
 
 @lru_cache(maxsize=8)
@@ -474,11 +483,13 @@ def _signal_array(x, name: str = "x") -> np.ndarray:
     return _as_vector(x, name)
 
 
-def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float, float]:
-    """y from b, ||A||_2 and ||y||, by which ``_fits`` judges a point; an
-    A that is not a sensing operator, a b with epsilon > 0, a plain array
-    b that ``_as_vector`` refuses, or a b whose length is not A's row
-    count, raises ValueError naming ``decoder``."""
+def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
+    """y from b and ||y||, by which, with ||A||_2, ``_fits`` judges a
+    point; an A that is not a sensing operator, a b with epsilon > 0, a
+    plain array b that ``_as_vector`` refuses, or a b whose length is not
+    A's row count, raises ValueError naming ``decoder``.  ||A||_2 is
+    ``A._norm2``, a QR of A^T for a DenseMatrix, which a decoder reads
+    after its last refusal."""
     if not isinstance(A, SensingOperator):
         raise ValueError(f"{decoder}: A must be a DenseMatrix or RestrictedTransform, got {type(A).__name__}")
     if isinstance(b, Measurements) and b.epsilon > 0.0:
@@ -486,7 +497,7 @@ def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float, float]:
     y = b.y if isinstance(b, Measurements) else _as_vector(b, f"{decoder}: measurements")
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"{decoder}: measurement length {y.shape[0]} does not match operator rows {A.shape[0]}")
-    return y, A._norm2, float(np.linalg.norm(y))
+    return y, float(np.linalg.norm(y))
 
 
 def _fits(r: np.ndarray, x: np.ndarray, a_norm: float, y_norm: float):
@@ -514,8 +525,18 @@ def _weighted_lp_sum(wp: np.ndarray, x: np.ndarray, p: float):
     return np.sum(terms, axis=-1)
 
 
+def _root(total: float, p: float) -> float:
+    """total^(1/p), or inf where that leaves the float range, as it can
+    for a total above 1 at small p."""
+    try:
+        return total ** (1.0 / p)
+    except OverflowError:
+        return math.inf
+
+
 def weighted_lp_norm(x, w, p: float) -> float:
-    """Weighted lp quasi-norm (sum_i w_i^p |x_i|^p)^(1/p) for p in (0, 1].
+    """Weighted lp quasi-norm (sum_i w_i^p |x_i|^p)^(1/p) for p in (0, 1];
+    inf where it exceeds the float range.
 
     Parameters
     ----------
@@ -526,7 +547,7 @@ def weighted_lp_norm(x, w, p: float) -> float:
     check_domain(p=[p])
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
-    return float(_weighted_lp_sum(wa**p, xa, p)) ** (1.0 / p)
+    return _root(float(_weighted_lp_sum(wa**p, xa, p)), p)
 
 
 def _largest(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,24 +20,28 @@ or RestrictedTransform, which the oracles read as ``A.as_dense()``, and
 Measurements with epsilon > 0 raise ValueError.
 
 The fits depend neither on the weights nor on the decoder, so both
-oracles read one cache of them, keyed by the bytes of A and b and by
-the size: a repeat call on one instance, by either oracle, with other
-weights or a smaller k_max, fits nothing again, and a size is fitted
-only when a call reads it, so ``oracle_l0`` stops at its answer's size.
-Each size's index table of supports is built with its fits and freed
-with them.  N is capped at 20, read from A's shape before A is built.
-k_max may reach n, where ``oracle_weighted_lp`` is the exact decoder
-(no vertex has more than n nonzeros, so a larger k_max is refused); one
-p = 1 call there takes about 0.2 s with a 50 MB peak RSS at n x N =
-8 x 16, and 2.5-3.3 s with a 146-150 MB peak at 10 x 20, on a 2-core
-x86 VM.
+oracles read one cache of them, keyed by the bytes of A and b: a repeat
+call on one instance, by either oracle, with other weights or a smaller
+k_max, fits nothing again, and a size is fitted only when a call reads
+it, so ``oracle_l0`` stops at its answer's size.  The cache holds the
+tables of one instance, the one being read: every caller reads one
+instance's sizes, maybe several times, and never returns to an earlier
+one, so reading another instance drops them.  Each size's index table
+of supports is built with its fits and freed with them.  N is capped at
+20, read from A's shape before A is built, and ||A||_2 is read after
+every refusal.  k_max may reach n, where ``oracle_weighted_lp`` is the
+exact decoder (no vertex has more than n nonzeros, so a larger k_max is
+refused); one p = 1 call there takes about 0.2 s with a 50 MB peak RSS
+at n x N = 8 x 16, and 2.5-4.4 s with a 146-150 MB peak at 10 x 20, on a
+2-core x86 VM, and a second 10 x 20 call, on another instance in the
+same process, peaks at 150-152 MB.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from math import comb
 
@@ -80,36 +84,42 @@ class OracleResult:
     objective_value: float
 
 
-def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Iterator]:
-    """N, k_max as read, and the fits of (A, b) size by size up to
-    k_max, each fitted as it is read; raises ValueError naming
-    ``decoder`` on an input it refuses.  k_max is refused above n, and
-    both operators have n <= N, so the sizes read stay within the N + 1
-    that the cache holds."""
-    y, a_norm, y_norm = _exact_fit(A, b, decoder)
+def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Callable[[int], tuple]]:
+    """N, k_max as read, and the fit tables of (A, b), which map a size
+    to its (supports, fits) and fit each size when first read; raises
+    ValueError naming ``decoder`` on an input it refuses.  ||A||_2, a
+    QR of A^T for a DenseMatrix, is read after the last refusal."""
+    y, y_norm = _exact_fit(A, b, decoder)
     n, N = A.shape
     if N > _MAX_N:
         raise ValueError(f"enumeration is capped at N <= {_MAX_N}, got N = {N}")
-    A_dense = A.as_dense()
     (k_max,) = check_domain(k_max=[k_max])["k_max"]
     if k_max > n:
         raise ValueError(f"k_max must lie in 0..{n}, got {k_max}: no vertex has more than n = {n} nonzeros")
-    key = (A_dense.shape, A_dense.tobytes(), y.tobytes(), a_norm, y_norm)
-    return N, k_max, (_shared_fits(*key, size) for size in range(k_max + 1))
+    A_dense = A.as_dense()
+    return N, k_max, _shared_fits(A_dense.shape, A_dense.tobytes(), y.tobytes(), A._norm2, y_norm)
 
 
-@lru_cache(maxsize=_MAX_N + 1)
-def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, a_norm: float, y_norm: float, size: int):
+@lru_cache(maxsize=1)
+def _shared_fits(shape: tuple[int, int], matrix: bytes, y: bytes, a_norm: float, y_norm: float):
+    """The fit tables of one instance: a cache of ``_fit_size`` by size,
+    each size fitted when first read.  A and y come as C-order float64
+    bytes, so the cache is keyed by value and a changed entry is
+    refitted; it holds one instance, the one being read, and reading
+    another drops it."""
+    A_dense, y = np.frombuffer(matrix).reshape(shape), np.frombuffer(y)
+    return lru_cache(maxsize=None)(partial(_fit_size, A_dense, y, a_norm, y_norm))
+
+
+def _fit_size(A_dense: np.ndarray, y: np.ndarray, a_norm: float, y_norm: float, size: int):
     """The read-only (supports, fits) of one size: the supports, in
     table order, that the drop rule keeps and whose fit z = R^-1 Q^T y
     meets ``core._fits`` (given ||A||_2 and ||y||), and those fits
     embedded in R^N.
     One stacked QR per block of _CHUNK supports, of each support's
     columns with y appended, gives its pivots |R_jj| and, in the last
-    column, Q^T y.  A and y come as C-order float64 bytes, so the cache
-    is keyed by value and a changed entry is refitted."""
-    N = shape[1]
-    A_dense, y = np.frombuffer(matrix).reshape(shape), np.frombuffer(y)
+    column, Q^T y."""
+    N = A_dense.shape[1]
     # every size-element subset of range(N), in lexicographic order
     count = comb(N, size)
     subsets = chain.from_iterable(combinations(range(N), size))
@@ -142,8 +152,8 @@ def oracle_l0(A, b, k_max: int) -> OracleResult:
 
     Raises OracleInfeasibleError when no support of size <= k_max fits.
     """
-    _, k_max, table = _prepare(A, b, k_max, "oracle_l0")
-    for supports, fits in table:
+    _, k_max, tables = _prepare(A, b, k_max, "oracle_l0")
+    for supports, fits in map(tables, range(k_max + 1)):
         if len(supports):
             support = tuple(int(i) + 1 for i in supports[0])
             return OracleResult(SignalVector(fits[0].copy()), support, float(len(support)))
@@ -158,10 +168,10 @@ def oracle_weighted_lp(A, b, w, p: float, k_max: int) -> OracleResult:
     Raises OracleInfeasibleError when no support fits.
     """
     check_domain(p=[p])
-    N, k_max, table = _prepare(A, b, k_max, "oracle_weighted_lp")
+    N, k_max, tables = _prepare(A, b, k_max, "oracle_weighted_lp")
     wp = _weights_array(w, N, "oracle_weighted_lp: weights") ** p
     best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for supports, fits in table:
+    for supports, fits in map(tables, range(k_max + 1)):
         # scored as the embedded fits, so each value is the core objective
         # of the minimizer it returns, to the bit
         values = _weighted_lp_sum(wp, fits, p)

@@ -256,9 +256,10 @@ def solve(
     or a b of the wrong length, and ``core._weights_array`` non-finite
     weights, each by a ValueError naming ``solve``.
     """
-    y, a_norm, y_norm = _exact_fit(A, b, "solve")
+    y, y_norm = _exact_fit(A, b, "solve")
     n, N = A.shape
     w_arr = _weights_array(w, N, "solve: weights")
+    a_norm = A._norm2
     p = cfg.p
     wp = w_arr**p
 

@@ -58,12 +58,23 @@ def _gamma(p: float, omega: float, alpha: float, rho: float) -> float:
     return wp + (1.0 - wp) * (1.0 + rho - 2.0 * alpha * rho) ** (1.0 - 0.5 * p)
 
 
+def _contrast(a: float, e: float, gamma: float, f: float) -> float:
+    """(a^e - gamma^f) / (a^e + gamma^f) for a > 1, gamma >= 0 and e, f
+    > 0.  Where a power leaves the float range, as at small p, it is the
+    same value from the logs, tanh((e ln a - f ln gamma) / 2), in [-1, 1]
+    (``math.pow`` raises on overflow for numpy scalars too)."""
+    try:
+        t, g = math.pow(a, e), math.pow(gamma, f)
+    except OverflowError:
+        return math.tanh(0.5 * (e * math.log(a) - (f * math.log(gamma) if gamma else -math.inf)))
+    return (t - g) / (t + g)
+
+
 def delta_hat_lp(a: float, p: float) -> float:
     """Largest delta_(a+1)k for which plain lp recovery is guaranteed,
     assuming delta_ak matches it: (a^(2/p-1) - 1) / (a^(2/p-1) + 1)."""
     check_domain(a=[a], p=[p])
-    t = a ** (2.0 / p - 1.0)
-    return (t - 1.0) / (t + 1.0)
+    return _contrast(a, 2.0 / p - 1.0, 1.0, 1.0)
 
 
 def delta_hat_wl1(a: float, omega: float, alpha: float, rho: float) -> float:
@@ -78,9 +89,7 @@ def delta_hat_wlp(a: float, p: float, omega: float, alpha: float, rho: float) ->
     """Weighted lp threshold (a^(2/p-1) - gamma^(2/p)) / (a^(2/p-1) + gamma^(2/p))
     with gamma = omega^p + (1 - omega^p) (1 + rho - 2 alpha rho)^(1 - p/2)."""
     check_domain(a=[a], p=[p], omega=[omega], alpha=[alpha], rho=[rho])
-    t = a ** (2.0 / p - 1.0)
-    g = _gamma(p, omega, alpha, rho) ** (2.0 / p)
-    return (t - g) / (t + g)
+    return _contrast(a, 2.0 / p - 1.0, _gamma(p, omega, alpha, rho), 2.0 / p)
 
 
 def sufficient_condition_holds(params: TheoryParams) -> bool:

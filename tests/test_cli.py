@@ -202,6 +202,16 @@ def test_theory_csv_with_and_without_constants(tmp_path):
     assert lines[1].split(",")[-1] in ("true", "false")
 
 
+def test_theory_tabulates_small_p(tmp_path):
+    # at p = 0.001, a^(2/p - 1) leaves the float range at the default
+    # a = 3: each threshold is its finite limit, and each constant finite
+    out = tmp_path / "small"
+    assert main(["--out-dir", str(out), "theory", "--p", "0.001", "--delta-ak", "0.05", "--delta-a1k", "0.05"]) == 0
+    lines = (out / "theory.csv").read_text().strip().split("\n")
+    cells = [line.split(",")[:-1] for line in lines[1:]]
+    assert cells and all(np.isfinite(float(c)) for row in cells for c in row)
+
+
 def test_theory_writes_infinite_constants_where_the_condition_fails(tmp_path):
     out = tmp_path / "run"
     assert main(["--out-dir", str(out), "theory", "--a", "3", "--p", "0.5", "--omega", "1", "--alpha", "0.5",

@@ -292,6 +292,32 @@ def test_exact_fit_judgement_is_scale_free(kind, share):
     x = x0 + gap * A.pull_back(u)
     judged = []
     for c in (1.0, 2.0**-20, 2.0**20):
-        y, a_norm, y_norm = core._exact_fit(A, c * b, "test")
-        judged.append(bool(core._fits(A.apply(c * x) - y, c * x, a_norm, y_norm)))
+        y, y_norm = core._exact_fit(A, c * b, "test")
+        judged.append(bool(core._fits(A.apply(c * x) - y, c * x, A._norm2, y_norm)))
     assert judged == [share < 1.0] * 3
+
+
+def test_a_dense_operator_drops_r_once_inverted():
+    # after its first projection a DenseMatrix holds its matrix, Q, R^-1
+    # and R's singular values: R itself, n x n like R^-1, is read no more
+    rng = np.random.default_rng(97)
+    A = rng.standard_normal((5, 12))
+    op = DenseMatrix(A)
+    r = np.linalg.qr(A.T)[1]
+    op.project_null(np.ones(12))
+    held = [v for value in vars(op).values() for v in (value if isinstance(value, tuple) else (value,))]
+    assert sorted(v.shape for v in held) == [(5,), (5, 5), (5, 12), (12, 5)]
+    (r_inv,) = (v for v in held if v.shape == (5, 5))
+    assert np.allclose(r_inv @ r, np.eye(5), rtol=0.0, atol=1e-12)
+    assert np.array_equal(op._singular_values, np.linalg.svd(r, compute_uv=False))
+
+
+def test_weighted_lp_norm_is_inf_past_the_float_range():
+    # 500 terms near 1 at p = 0.005: the sum is about 490 and its 200th
+    # power leaves the float range; a value inside it is the formula's
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(500)
+    assert weighted_lp_norm(x, np.ones(500), 0.005) == np.inf
+    w = np.full(500, 0.5)
+    for p in (0.05, 0.5, 1.0):
+        assert weighted_lp_norm(x, w, p) == float(np.sum(np.abs(x) ** p * w**p)) ** (1.0 / p)

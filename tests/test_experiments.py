@@ -321,6 +321,18 @@ def test_norm_ratio_certifies_a_solver_miss(monkeypatch):
     assert all(math.isnan(r.norm_ratio) for r in run_sweep(_tiny_spec(noise_frac=0.05)).rows)
 
 
+def test_norm_ratio_at_small_p():
+    # at p = 0.005 a 40-sparse x has sum |x_i|^p near 40, whose 200th
+    # power leaves the float range: the ratio is then the root of the
+    # sums' ratio, never a quotient of two overflowing norms
+    spec = _tiny_spec(N=200, n_list=(100,), k=40, p_list=(0.005,), trials=1, seed=3)
+    (row,) = run_sweep(spec).rows
+    assert row.status == "ok" and math.isfinite(row.norm_ratio)
+    assert experiments._norm_ratio(490.0, 245.0, 0.005) == 2.0**200
+    assert experiments._norm_ratio(1000.0, 1.0, 0.005) == math.inf
+    assert experiments._norm_ratio(490.0, 0.0, 0.005) == math.inf
+
+
 @pytest.mark.parametrize("omega", ["0, 0.5, 1", "0:1:3"])
 def test_config_file_round_trip(tmp_path, omega):
     # lists take the CLI's grid syntax, start:stop:count tokens included

@@ -121,6 +121,19 @@ def test_an_operator_above_the_cap_is_refused_unbuilt(monkeypatch, decoder):
         assert _refusal(decoder, A, np.ones(A.shape[0])) == expected
 
 
+@pytest.mark.parametrize("decoder", ["oracle_weighted_lp", "oracle_l0"])
+def test_an_operator_above_the_cap_is_refused_unfactored(monkeypatch, decoder):
+    # ||A||_2 is read after the last refusal: for a DenseMatrix it takes a
+    # QR of A^T and an SVD of R, which a refused operator never needs
+    def factored(*args, **kwargs):
+        raise AssertionError("a refused operator was factored")
+
+    monkeypatch.setattr(np.linalg, "qr", factored)
+    monkeypatch.setattr(np.linalg, "svd", factored)
+    A = DenseMatrix(np.random.default_rng(5).standard_normal((30, 40)))
+    assert _refusal(decoder, A, np.ones(30)) == "enumeration is capped at N <= 20, got N = 40"
+
+
 @pytest.mark.parametrize("p", [0.5, 1.0])
 def test_the_weighted_oracle_is_scale_free(p):
     # scaling b by a power of two c scales every fit by c and every value
@@ -357,6 +370,27 @@ def test_oracles_never_invert_the_operator(monkeypatch):
     assert calls == []
 
 
+def test_an_operator_read_by_the_oracles_is_factored_once(monkeypatch):
+    # the oracles read ||A||_2 from a QR of A^T, whose Q and R the first
+    # projection reuses; only then is R inverted and dropped
+    factored = []
+
+    def counted(a, *args, qr=np.linalg.qr, **kwargs):
+        # the oracles' stacked QRs of support columns are 3-D
+        if np.ndim(a) == 2:
+            factored.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    A, y, w = _criterion_3_instance(109)
+    op = DenseMatrix(A)
+    oracle_weighted_lp(op, y, w, 0.5, 4)
+    solve(op, y, w, SolverConfig(p=0.5))
+    op.project_null(np.ones(10))
+    assert factored == [(10, 6)]
+    assert "_qr" not in vars(op)
+
+
 def test_a_rank_deficient_operator_serves_the_oracles_and_refuses_every_projection():
     # one row repeated: rank 3 of 4 rows; the oracles need only ||A||_2,
     # while each projection, and so each solve, raises on every call
@@ -479,18 +513,25 @@ def _criterion_3_instance(seed):
     return A, A @ x, w
 
 
-def _misses():
-    return oracle._shared_fits.cache_info().misses
+def _tables(A, y):
+    """The held fit tables of the instance (A, y), read without fitting
+    any size: a cache of the instance's sizes, which counts its fits as
+    misses."""
+    return oracle._prepare(DenseMatrix(A), y, 0, "oracle_l0")[2]
+
+
+def _misses(A, y):
+    return _tables(A, y).cache_info().misses
 
 
 def test_weightings_of_one_instance_share_its_fits():
     A, y, w = _criterion_3_instance(79)
     oracle._shared_fits.cache_clear()
     first = _bits(oracle_weighted_lp(DenseMatrix(A), y, np.ones(10), 0.5, 4))
-    misses = _misses()
+    misses = _misses(A, y)
     second = _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4))
     # the first weighting fits sizes 0..4, the second misses none of them
-    assert (misses, _misses()) == (5, 5)
+    assert (misses, _misses(A, y)) == (5, 5)
     for weights, bits in zip((np.ones(10), w), (first, second)):
         oracle._shared_fits.cache_clear()
         assert _bits(oracle_weighted_lp(DenseMatrix(A), y, weights, 0.5, 4)) == bits
@@ -509,9 +550,9 @@ def test_a_changed_instance_is_fitted_afresh():
         # only the original instance's sizes are cached; the changed one
         # must miss every size and be fitted again
         oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)
-        misses = _misses()
+        assert _misses(A, y) == 5
         assert _bits(oracle_weighted_lp(DenseMatrix(A_c), y_c, w, 0.5, 4)) == fresh
-        assert _misses() == misses + 5
+        assert _misses(A_c, y_c) == 5
     # k_max is not part of the key: a larger k_max fits only the sizes it adds
     fresh = {}
     for k_max in (4, 6):
@@ -519,9 +560,9 @@ def test_a_changed_instance_is_fitted_afresh():
         fresh[k_max] = _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, k_max))
     oracle._shared_fits.cache_clear()
     assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)) == fresh[4]
-    misses = _misses()
+    misses = _misses(A, y)
     assert _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 6)) == fresh[6]
-    assert _misses() == misses + 2
+    assert _misses(A, y) == misses + 2
 
 
 def test_a_returned_minimizer_does_not_alias_the_shared_fits():
@@ -538,7 +579,7 @@ def test_both_decoders_read_one_table():
     shared = (_bits(oracle_l0(DenseMatrix(A), y, 4)), _bits(oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)))
     # oracle_l0 stops at size 2; the weighted oracle reads those sizes and
     # fits 3 and 4, so each size is fitted once
-    info = oracle._shared_fits.cache_info()
+    info = _tables(A, y).cache_info()
     assert (info.hits, info.misses) == (3, 5)
     oracle._shared_fits.cache_clear()
     assert _bits(oracle_l0(DenseMatrix(A), y, 4)) == shared[0]
@@ -569,12 +610,31 @@ def test_index_tables_are_freed_with_their_fits():
     assert grown < 64 * 1024, grown
 
 
-def _exact_8x16():
-    rng = np.random.default_rng(113)
+def _exact_8x16(seed=113):
+    rng = np.random.default_rng(seed)
     A = rng.standard_normal((8, 16)) / np.sqrt(8)
     x = np.zeros(16)
     x[rng.choice(16, size=3, replace=False)] = rng.standard_normal(3)
     return DenseMatrix(A), A @ x, np.where(rng.random(16) < 0.3, 0.5, 1.0)
+
+
+def test_the_fit_tables_of_one_instance_are_held():
+    # every caller reads one instance's sizes and moves on: reading a
+    # second 8 x 16 instance at k_max = n drops the first one's tables
+    # (about 3 MB), so only one instance's are held
+    oracle._shared_fits.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        oracle_weighted_lp(*_exact_8x16(113), 1.0, 8)
+        one = tracemalloc.get_traced_memory()[0] - base
+        oracle_weighted_lp(*_exact_8x16(114), 1.0, 8)
+        two = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        oracle._shared_fits.cache_clear()
+    assert one > 2**20, one
+    assert two < 1.25 * one, (one / 2**20, two / 2**20)
 
 
 def test_fit_tables_do_not_depend_on_the_block_size(monkeypatch):
@@ -583,7 +643,7 @@ def test_fit_tables_do_not_depend_on_the_block_size(monkeypatch):
     for chunk in (1, 7, oracle._CHUNK):
         monkeypatch.setattr(oracle, "_CHUNK", chunk)
         oracle._shared_fits.cache_clear()
-        tables[chunk] = list(oracle._prepare(A, y, 8, "oracle_weighted_lp")[2])
+        tables[chunk] = list(map(oracle._prepare(A, y, 8, "oracle_weighted_lp")[2], range(9)))
         oracle._shared_fits.cache_clear()
     # the default splits sizes 5 to 8 (4368 to 12,870 supports) into two
     # to four blocks; 1 and 7 split every size above 0
@@ -620,7 +680,7 @@ def test_l0_fits_no_size_above_its_answer(monkeypatch):
     res = oracle_l0(DenseMatrix(A), 1.7 * A[:, 4], 10)
     assert res.support == (5,)
     assert requested == [0, 1]
-    assert _misses() == 2
+    assert _misses(A, 1.7 * A[:, 4]) == 2
 
 
 @pytest.mark.parametrize("decoder", ["oracle_weighted_lp", "oracle_l0"])

@@ -32,6 +32,36 @@ def test_lp_bound_spot_value():
     assert abs(delta_hat_lp(3.0, 0.4) - 80.0 / 82.0) < 1e-12
 
 
+@pytest.mark.parametrize("p", [1e-3, 1e-6])
+def test_thresholds_at_small_p(p):
+    # a^(2/p - 1) and gamma^(2/p) leave the float range here; each
+    # threshold is (t - g) / (t + g) = tanh((ln t - ln g) / 2), in [-1, 1]
+    e = 2.0 / p - 1.0
+    assert delta_hat_lp(3.0, p) == 1.0
+    # gamma = 0: omega = 0 on an estimate that is the whole support
+    assert delta_hat_wlp(3.0, p, 0.0, 1.0, 1.0) == 1.0
+    # gamma > 1, an estimate that misses: at rho = 2, gamma = b^(1 - p/2)
+    # with b = 3 - 4 alpha, so t / g = (3 / b)^e, and the threshold is
+    # tanh(e ln(3 / b) / 2): 0 at alpha = 0, and tanh(1) near alpha = 3p/4;
+    # the logs of t and g, about e ln 3 each, round to 1e-16 of that
+    for alpha in (0.0, 0.75 * p, 0.25):
+        b = 1.0 + 2.0 - 2.0 * alpha * 2.0
+        assert b ** (1.0 - 0.5 * p) > 1.0
+        got = delta_hat_wlp(3.0, p, 0.0, alpha, 2.0)
+        assert -1.0 <= got <= 1.0
+        assert abs(got - math.tanh(0.5 * e * math.log(3.0 / b))) <= 1e-15 * e * math.log(3.0), (alpha, got)
+
+
+def test_thresholds_are_the_formula_where_its_powers_are_floats():
+    # down to p = 0.0032, just above where 3^(2/p - 1) overflows, the
+    # thresholds are the written formula, bit for bit
+    for p in (0.0032, 0.01, 0.3, 1.0):
+        t = 3.0 ** (2.0 / p - 1.0)
+        assert delta_hat_lp(3.0, p) == (t - 1.0) / (t + 1.0)
+        g = (0.3**p + (1.0 - 0.3**p) * (1.0 + 2.0 - 2.0 * 0.2 * 2.0) ** (1.0 - 0.5 * p)) ** (2.0 / p)
+        assert delta_hat_wlp(3.0, p, 0.3, 0.2, 2.0) == (t - g) / (t + g)
+
+
 def test_wl1_bound_spot_value():
     # a = 3, omega = 0, alpha = 0.8, rho = 1
     assert abs(delta_hat_wl1(3.0, 0.0, 0.8, 1.0) - 2.6 / 3.4) < 1e-12
