@@ -39,6 +39,8 @@ from .core import (
     SolverDivergenceError,
     SupportEstimate,
     WeightVector,
+    _FEASIBILITY_TOL,
+    _SNR_CAP_DB,
     check_domain,
 )
 from .experiments import ExperimentSpec, SweepRow, _parse_grid, load_experiment_spec, run_sweep
@@ -53,7 +55,7 @@ _MAGIC = b"CSWLPB01"
 # fields, at the values the solver now fixes.
 _FIXED_SOLVER_SETTINGS = dict(
     sigma_init=_SIGMA_INIT, sigma_decay=_SIGMA_DECAY, sigma_floor=_SIGMA_FLOOR, step_shrink=_STEP_SHRINK,
-    max_backtracks=_MAX_BACKTRACKS, feasibility_tol=SolverConfig.feasibility_tol, snr_cap_db=SolverConfig.snr_cap_db,
+    max_backtracks=_MAX_BACKTRACKS, feasibility_tol=_FEASIBILITY_TOL, snr_cap_db=_SNR_CAP_DB,
 )
 
 

@@ -66,7 +66,8 @@ feasible on a compressible result.  When the fit's own support is
 smaller, it is fit again on that support, so a result does not keep
 rounding-level entries on columns the first fit left near zero.  The
 solve returns the result with the lowest weighted lp objective
-sum_i w_i^p |x_i|^p.
+sum_i w_i^p |x_i|^p.  The names that only the benchmark reads are listed
+above SolverConfig.
 """
 
 from __future__ import annotations
@@ -138,6 +139,11 @@ _SUPPORT_REL = 1e-4
 # fraction of ||b||.
 _HEAD_REL = 1e-2
 
+# Kept only for perfbench/ until ROADMAP direction 4 deletes them: its
+# tracer rebinds _projector_parts (here, in experiments and in audio),
+# which nothing calls, and its workloads read SolverConfig's two ClassVars.
+_projector_parts = None
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -145,7 +151,7 @@ class SolverConfig:
     of one solve, restarts included.  The sigma schedule and the line
     search are module constants (_SIGMA_INIT, _SIGMA_DECAY, _SIGMA_FLOOR,
     _STEP_SHRINK, _MAX_BACKTRACKS).  ``feasibility_tol`` and ``snr_cap_db``
-    are core's _FEASIBILITY_TOL and _SNR_CAP_DB, kept for callers that read them."""
+    are core's _FEASIBILITY_TOL and _SNR_CAP_DB, read only by the benchmark."""
 
     p: float
     max_iters: int = 500
@@ -209,21 +215,13 @@ def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
     [p], [sigma] = check_domain(p=[p], sigma=[sigma]).values()
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
-    return _kernels.smoothed_gradient_raw(xa, wa**p, p, sigma)
+    return _kernels.smoothed_objective_raw(xa, wa**p, p, sigma)[1]
 
 
 def _norm(v: np.ndarray) -> float:
     """Euclidean norm of a 1-D float array, computed as np.linalg.norm
     computes it, without that function's call overhead."""
     return math.sqrt(v.dot(v))
-
-
-def _projector_parts(A: SensingOperator):
-    """Null-space projection d -> d - pinv(A) A d and pull-back r -> pinv(A) r,
-    as the operator computes them (``project_null``, ``pull_back``): a
-    DenseMatrix through the factors of its QR, A^T = Q R, as d - Q Q^T d
-    and Q R^-T r; a RestrictedTransform by FFT."""
-    return A.project_null, A.pull_back
 
 
 def solve(
@@ -263,7 +261,7 @@ def solve(
     p = cfg.p
     wp = w_arr**p
 
-    project, pull_back = _projector_parts(A)
+    project, pull_back = A.project_null, A.pull_back
     x0 = pull_back(y)
 
     # a null space that is not empty but smaller than n: there random

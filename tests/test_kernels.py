@@ -11,16 +11,6 @@ import cswlp
 from cswlp import _kernels
 
 
-def _draws(count=25, N=24, seed=5):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        x = rng.standard_normal(N) * rng.uniform(0.1, 5.0)
-        w = np.where(rng.random(N) < 0.4, rng.uniform(0.0, 1.0), 1.0)
-        p = rng.uniform(0.1, 1.0)
-        sigma = rng.uniform(1e-3, 10.0)
-        yield x, w, p, sigma
-
-
 def _value(x, wp, p, sigma):
     """The smoothed objective's value, as smoothed_objective_raw gives it.
     Where x^2 overflows, its gradient's r / u is inf / inf, which the line
@@ -46,7 +36,7 @@ def _projected_descent(x, wp, p, sigma, Q):
     """Negative gradient projected onto the null space of a matrix whose
     row space has the orthonormal basis Q, as the solver forms its
     direction."""
-    g = _kernels.smoothed_gradient_raw(x, wp, p, sigma)
+    g = _kernels.smoothed_objective_raw(x, wp, p, sigma)[1]
     return -(g - Q @ (Q.T @ g))
 
 
@@ -64,7 +54,7 @@ def test_backtrack_returns_first_decreasing_step():
             sigma = float(10.0 ** rng.uniform(-9.0, 1.0))
             wp = w**p
             f0 = _kernels.smoothed_objective_raw(x, wp, p, sigma)[0]
-            g = _kernels.smoothed_gradient_raw(x, wp, p, sigma)
+            g = _kernels.smoothed_objective_raw(x, wp, p, sigma)[1]
             pd = _projected_descent(x, wp, p, sigma, Q)
             # projected descent, uphill, too long for a unit step, noisy,
             # and no direction at all
@@ -133,22 +123,6 @@ def test_backtrack_blocks_match_the_sequential_search_at_every_boundary(N):
                 assert not got_warnings
             elif row >= 8:
                 assert {str(message) for _, message in got_warnings} == {"overflow encountered in multiply"}
-
-
-def test_indicator_max_matches_brute_force():
-    for x, w, p, sigma in _draws(count=15, seed=11):
-        coef = float(np.sqrt(1.0 - p) / (1.0 - np.sqrt(p)))
-        below = [coef * abs(xi) for xi, wi in zip(x, w) if coef * abs(xi) < wi * sigma]
-        expected = max(below) if below else -1.0
-        assert _kernels.indicator_max_raw(x, w, sigma, coef) == expected
-
-
-def test_indicator_max_empty_candidate_set_is_sentinel():
-    # indicators all above w*sigma: no candidate qualifies
-    x = np.array([10.0, 20.0])
-    w = np.ones(2)
-    coef = float(np.sqrt(0.5) / (1.0 - np.sqrt(0.5)))
-    assert _kernels.indicator_max_raw(x, w, 1e-6, coef) == -1.0
 
 
 def test_backend_is_numpy():

@@ -22,6 +22,7 @@ from cswlp import (
     solve,
 )
 from cswlp import _kernels, experiments, solver
+from cswlp.core import _FEASIBILITY_TOL
 from cswlp.oracle import oracle_weighted_lp
 from test_kernels import reference_backtrack
 
@@ -76,7 +77,7 @@ def test_gradient_matches_finite_differences():
             assert np.allclose(g, expected, rtol=1e-13, atol=0.0), (sigma, p)
             assert f == smoothed_objective(x, w, p, sigma)
             assert _kernels.backtrack_raw(np.zeros_like(x), x, wp, p, sigma, math.inf, 0.5, 1) == (1.0, f)
-            assert np.array_equal(_kernels.smoothed_gradient_raw(x, wp, p, sigma), g)
+            assert np.array_equal(smoothed_gradient(x, w, p, sigma), g)
 
 
 def test_solver_config_validation():
@@ -115,7 +116,7 @@ def test_iterates_start_at_min_norm_point_and_stay_feasible(monkeypatch):
     x, trace = solve(DenseMatrix(A), y, np.ones(40), cfg)
     x0 = np.linalg.pinv(A) @ y
     assert np.allclose(iterates[0], x0, atol=1e-10)
-    limit = cfg.feasibility_tol * max(1.0, float(np.linalg.norm(y)))
+    limit = _FEASIBILITY_TOL * max(1.0, float(np.linalg.norm(y)))
     assert worst_residual(DenseMatrix(A), y, iterates, trace) <= limit
     # one search per row: every iterate but the last starts one
     assert len(iterates) == trace.t.shape[0]
@@ -162,7 +163,7 @@ def test_iterates_stay_feasible_on_an_ill_conditioned_matrix(monkeypatch, kappa,
         iterates.clear()
         x, _ = solve(DenseMatrix(A), y, np.ones(60), SolverConfig(p=p))
         worst = max(worst, *backward_error(A, np.array([*iterates, x.entries]), y))
-    assert worst <= SolverConfig.feasibility_tol, worst
+    assert worst <= _FEASIBILITY_TOL, worst
     assert len(pulls) == 10
 
 
@@ -187,7 +188,7 @@ def test_final_pull_back_returns_a_result_within_the_limit(monkeypatch, seed):
     x, trace = solve(DenseMatrix(A), y, np.ones(40), SolverConfig(p=0.5))
     assert trace.restart_iters == ()
     # the start's pull-back, and the final one from ten times the limit or more
-    tol = SolverConfig.feasibility_tol
+    tol = _FEASIBILITY_TOL
     assert len(pulls) == 2
     assert pulls[-1] > 10 * tol * (np.linalg.norm(A, 2) * np.linalg.norm(x.entries) + np.linalg.norm(y))
     assert backward_error(A, x.entries, y) <= tol
@@ -216,7 +217,7 @@ def test_residual_is_measured_on_the_first_and_last_rows_only(monkeypatch, kappa
         iterates.clear()
         x, trace = solve(DenseMatrix(A), y, np.ones(60), SolverConfig(p=0.5))
         worst = float(np.max(backward_error(A, np.array([*iterates, x.entries]), y)))
-        assert worst <= SolverConfig.feasibility_tol, (seed, worst)
+        assert worst <= _FEASIBILITY_TOL, (seed, worst)
         on = ~np.isnan(trace.residual)
         assert on[0] and on[-1] and not on[1:-1].any()
 
@@ -234,7 +235,7 @@ def test_residual_measured_every_iteration_gives_the_same_solve(monkeypatch, p):
     got, trace = solve(A, y, w, SolverConfig(p=p))
     assert len(pulls) == 1
     every = np.array([*iterates, got.entries])
-    assert float(np.max(backward_error(A.matrix, every, y))) <= SolverConfig.feasibility_tol
+    assert float(np.max(backward_error(A.matrix, every, y))) <= _FEASIBILITY_TOL
     assert trace.residual[0] == np.linalg.norm(A.apply(iterates[1]) - y)
 
 
@@ -425,7 +426,7 @@ def worst_residual(op, y, iterates, trace) -> float:
 
 
 def _projected_gradient(op, x, w, p, sigma):
-    return op.project_null(-_kernels.smoothed_gradient_raw(x, w**p, p, sigma))
+    return op.project_null(-_kernels.smoothed_objective_raw(x, w**p, p, sigma)[1])
 
 
 def test_first_iteration_tries_the_unit_step(monkeypatch):
