@@ -22,7 +22,6 @@ from .core import (
 from .oracle import OracleResult, oracle_l0, oracle_weighted_lp
 from .solver import SolverConfig, SolverTrace, smoothed_gradient, smoothed_objective, solve
 from .theory import (
-    TheoryParams,
     delta_hat_lp,
     delta_hat_wl1,
     delta_hat_wlp,
@@ -48,7 +47,6 @@ __all__ = [
     "SolverDivergenceError",
     "SolverTrace",
     "SupportEstimate",
-    "TheoryParams",
     "WeightVector",
     "best_k_term",
     "delta_hat_lp",

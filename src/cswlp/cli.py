@@ -22,6 +22,7 @@ import json
 import os
 import struct
 import sys
+import warnings
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from datetime import datetime, timezone
 from itertools import product
@@ -45,7 +46,7 @@ from .core import (
 )
 from .experiments import ExperimentSpec, SweepRow, _parse_grid, load_experiment_spec, run_sweep
 from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK, SolverConfig, solve
-from .theory import TheoryParams, delta_hat_lp, delta_hat_wl1, delta_hat_wlp, error_constants
+from .theory import delta_hat_lp, delta_hat_wl1, delta_hat_wlp, error_constants
 
 __all__ = ["RunManifest", "main", "read_array", "write_matrix_binary", "write_vector_binary"]
 
@@ -89,7 +90,10 @@ def read_array(path) -> np.ndarray:
             if len(payload) != rows * cols * 8:
                 raise ValueError(f"{path}: truncated binary payload")
             return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
-    return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+    with warnings.catch_warnings():
+        # a file without data reads as an empty array, which its reader refuses
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
 
 
 def _read_vector(path) -> np.ndarray:
@@ -226,9 +230,8 @@ def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
             delta_hat_lp(a, p), delta_hat_wl1(a, omega, alpha, rho), delta_hat_wlp(a, p, omega, alpha, rho),
         ]
         if with_constants:
-            params = TheoryParams(p=p, omega=omega, alpha=alpha, rho=rho, a=a, delta_ak=d1, delta_a1k=d2)
             try:
-                row += [*error_constants(params), "true"]
+                row += [*error_constants(a, p, omega, alpha, rho, d1, d2), "true"]
             except ConditionViolatedError:
                 row += [float("inf"), float("inf"), "false"]
         rows.append(row)

@@ -220,6 +220,8 @@ class DenseMatrix:
         arr = np.asarray(self.matrix, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"matrix must be two-dimensional, got shape {arr.shape}")
+        if arr.size == 0:
+            raise ValueError("matrix must not be empty")
         if not np.isfinite(arr).all():
             raise ValueError("matrix entries must be finite")
         n, N = arr.shape

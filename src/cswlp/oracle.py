@@ -31,10 +31,8 @@ of supports is built with its fits and freed with them.  N is capped at
 20, read from A's shape before A is built, and ||A||_2 is read after
 every refusal.  k_max may reach n, where ``oracle_weighted_lp`` is the
 exact decoder (no vertex has more than n nonzeros, so a larger k_max is
-refused); one p = 1 call there takes about 0.2 s with a 50 MB peak RSS
-at n x N = 8 x 16, and 2.5-4.4 s with a 146-150 MB peak at 10 x 20, on a
-2-core x86 VM, and a second 10 x 20 call, on another instance in the
-same process, peaks at 150-152 MB.
+refused).  Its run times and peak RSS there, at 8 x 16 and 10 x 20, are
+recorded in ``BENCH_memory.json``.
 """
 
 from __future__ import annotations

@@ -4,20 +4,20 @@ Bounds are expressed through the restricted-isometry constants of the
 sensing matrix: delta_ak for columns drawn ak at a time and
 delta_(a+1)k for (a+1)k at a time.  The weighted decoders depend on the
 weight omega applied on an estimated support of size rho*k whose
-overlap with the true support is alpha.  Each entry point checks its
-parameters, the (alpha, rho) pair included, with ``core.check_domain``.
+overlap with the true support is alpha.  Every function takes these
+scalars in one order, a, p, omega, alpha, rho (the column order of
+``cswlp theory``'s table), leaving out what it does not read, and checks
+them, the (alpha, rho) pair included, with ``core.check_domain``.
 Everything here is scalar arithmetic; grids are handled by the callers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import ConditionViolatedError, _check_fields, check_domain
+from .core import ConditionViolatedError, check_domain
 
 __all__ = [
-    "TheoryParams",
     "delta_hat_lp",
     "delta_hat_wl1",
     "delta_hat_wlp",
@@ -28,28 +28,6 @@ __all__ = [
 
 # proposition2_check's relative tolerance on "weighted equals unweighted"
 _COMPARE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Parameter bundle for the recovery conditions.
-
-    a is the RIP oversampling factor (a > 1, with a*k an integer in the
-    underlying argument), rho = size of the support estimate relative to
-    k, alpha = fraction of the estimate that is correct.
-    """
-
-    p: float
-    omega: float
-    alpha: float
-    rho: float
-    a: float
-    delta_ak: float | None = None
-    delta_a1k: float | None = None
-
-    def __post_init__(self):
-        # every field is a parameter of the domain table; unset deltas are None
-        _check_fields(self, *vars(self))
 
 
 def _gamma(p: float, omega: float, alpha: float, rho: float) -> float:
@@ -92,21 +70,25 @@ def delta_hat_wlp(a: float, p: float, omega: float, alpha: float, rho: float) ->
     return _contrast(a, 2.0 / p - 1.0, _gamma(p, omega, alpha, rho), 2.0 / p)
 
 
-def sufficient_condition_holds(params: TheoryParams) -> bool:
+def sufficient_condition_holds(
+    a: float, p: float, omega: float, alpha: float, rho: float, delta_ak: float, delta_a1k: float
+) -> bool:
     """Whether delta_ak + ratio * delta_(a+1)k < ratio - 1 with
-    ratio = a^(2/p-1) / gamma^(2/p); requires both delta fields.
+    ratio = a^(2/p-1) / gamma^(2/p).
 
     It is exactly D > 0 for the denominator D of ``error_constants``, so
     it is read from that one computation: it holds exactly when those
     constants are defined."""
     try:
-        error_constants(params)
+        error_constants(a, p, omega, alpha, rho, delta_ak, delta_a1k)
     except ConditionViolatedError:
         return False
     return True
 
 
-def error_constants(params: TheoryParams) -> tuple[float, float]:
+def error_constants(
+    a: float, p: float, omega: float, alpha: float, rho: float, delta_ak: float, delta_a1k: float
+) -> tuple[float, float]:
     """Constants (C1, C2) in the recovery bound
     ||x_hat - x||^p <= C1 epsilon^p + C2 k^(p/2-1) ||x - x_k||_{p,w}^p.
 
@@ -116,12 +98,13 @@ def error_constants(params: TheoryParams) -> tuple[float, float]:
         C2 = 2 a^(p/2-1) ((1+d1)^(p/2) + (1-d2)^(p/2) (2/p-1)^(-p/2)) / D
     with D = (1-d2)^(p/2) - (1+d1)^(p/2) a^(p/2-1) gamma.  D > 0 is
     exactly the sufficient condition; otherwise the bound is vacuous and
-    ConditionViolatedError is raised.  Requires delta_ak and delta_a1k.
+    ConditionViolatedError is raised.
     """
-    if params.delta_ak is None or params.delta_a1k is None:
-        raise ValueError("the sufficient condition and the error constants need delta_ak and delta_a1k")
-    p, a, d1, d2 = params.p, params.a, params.delta_ak, params.delta_a1k
-    gamma = _gamma(p, params.omega, params.alpha, params.rho)
+    # computed on the floats check_domain returns, whatever type was given
+    a, p, omega, alpha, rho, d1, d2 = (v for (v,) in check_domain(
+        a=[a], p=[p], omega=[omega], alpha=[alpha], rho=[rho], delta_ak=[delta_ak], delta_a1k=[delta_a1k]
+    ).values())
+    gamma = _gamma(p, omega, alpha, rho)
     half = 0.5 * p
     a_pow = a ** (half - 1.0)
     tail_pow = (2.0 / p - 1.0) ** half
@@ -135,14 +118,7 @@ def error_constants(params: TheoryParams) -> tuple[float, float]:
     return c1, c2
 
 
-def proposition2_check(
-    p: float,
-    omega: float,
-    alpha: float,
-    rho: float,
-    a: float,
-    delta_grid,
-) -> bool:
+def proposition2_check(a: float, p: float, omega: float, alpha: float, rho: float, delta_grid) -> bool:
     """Compare weighted against unweighted constants over a grid of
     delta values, each taken as both delta_ak and delta_(a+1)k.
 
@@ -152,15 +128,15 @@ def proposition2_check(
     both bounds apply matches that pattern (requires at least one such
     point).
     """
+    check_domain(a=[a], p=[p], omega=[omega], alpha=[alpha], rho=[rho])
     if not (0.0 <= omega < 1.0):
         raise ValueError(f"omega must lie in [0, 1) for this comparison, got {omega}")
     compared = 0
     for delta in delta_grid:
-        base = dict(p=p, alpha=alpha, rho=rho, a=a, delta_ak=delta, delta_a1k=delta)
         try:
-            cw = error_constants(TheoryParams(omega=omega, **base))
+            cw = error_constants(a, p, omega, alpha, rho, delta, delta)
             # at omega = 1, gamma is exactly 1.0: the unweighted constants
-            cu = error_constants(TheoryParams(omega=1.0, **base))
+            cu = error_constants(a, p, 1.0, alpha, rho, delta, delta)
         except ConditionViolatedError:
             continue
         compared += 1

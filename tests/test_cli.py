@@ -1,5 +1,6 @@
 import json
 import shutil
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -644,6 +645,19 @@ def test_replay_drops_solver_settings_now_fixed(tmp_path, capsys):
         assert (redo / name).read_bytes() == (out / name).read_bytes()
     assert json.loads((redo / "manifest.json").read_text())["config"]["solver"] == {"p": 0.5, "max_iters": 500}
 
+
+def test_an_empty_matrix_or_measurements_file_exits_1_with_one_error_line(tmp_path, capsys):
+    np.savetxt(tmp_path / "A.csv", np.eye(2, 3), delimiter=",")
+    np.savetxt(tmp_path / "y.csv", np.ones(2))
+    (tmp_path / "empty.csv").write_text("")
+    for matrix, measurements, empty in (("empty.csv", "y.csv", "matrix"), ("A.csv", "empty.csv", "measurements")):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's no-data warning would fail the run
+            code = main(["--out-dir", str(tmp_path / "run"), "solve", "--matrix", str(tmp_path / matrix),
+                         "--measurements", str(tmp_path / measurements)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {empty} must not be empty\n"
+        assert not (tmp_path / "run").exists()
 
 def test_solve_divergence_exits_2(tmp_path, capsys, monkeypatch):
     rng = np.random.default_rng(15)

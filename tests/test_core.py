@@ -45,6 +45,13 @@ def test_dense_matrix_refuses_a_non_matrix_and_non_finite_entries():
             DenseMatrix(M)
 
 
+
+def test_dense_matrix_refuses_a_matrix_without_entries():
+    # no decoder can use one, so it is refused as an empty vector is
+    for shape in ((0, 3), (0, 0), (3, 0)):
+        with pytest.raises(ValueError, match="^matrix must not be empty$"):
+            DenseMatrix(np.zeros(shape))
+
 @pytest.mark.parametrize("N", [1, 2, 3, 8, 127, 128])
 def test_restricted_transform_dct_matches_dense(N):
     rng = np.random.default_rng(N)

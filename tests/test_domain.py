@@ -29,7 +29,14 @@ from cswlp.experiments import (
 )
 from cswlp.oracle import oracle_weighted_lp
 from cswlp.solver import SolverConfig, smoothed_gradient, smoothed_objective
-from cswlp.theory import TheoryParams, delta_hat_lp, delta_hat_wl1, delta_hat_wlp
+from cswlp.theory import (
+    delta_hat_lp,
+    delta_hat_wl1,
+    delta_hat_wlp,
+    error_constants,
+    proposition2_check,
+    sufficient_condition_holds,
+)
 
 _GOOD = dict(
     p=0.5, omega=0.5, alpha=0.5, rho=1.0, max_iters=500, trials=1, N=40, n=20, k=4, block_len=64,
@@ -117,7 +124,11 @@ _ENTRY_POINTS = {
     "dct_matrix": ("N", lambda v, *_: dct_matrix(v["N"])),
     "synthesize_speech_like": ("num_samples", lambda v, *_: synthesize_speech_like(v["num_samples"])),
     "best_k_term": ("k_max", lambda v, *_: best_k_term(np.ones(2), v["k_max"])),
-    "TheoryParams": ("p omega alpha rho", lambda v, *_: TheoryParams(a=3.0, **v)),
+    "error_constants": ("p omega alpha rho", lambda v, *_: error_constants(3.0, **v, delta_ak=0.1, delta_a1k=0.1)),
+    "sufficient_condition_holds": (
+        "p omega alpha rho", lambda v, *_: sufficient_condition_holds(3.0, **v, delta_ak=0.1, delta_a1k=0.1),
+    ),
+    "proposition2_check": ("p omega alpha rho", lambda v, *_: proposition2_check(3.0, **v, delta_grid=[0.1])),
     "delta_hat_lp": ("p", lambda v, *_: delta_hat_lp(3.0, v["p"])),
     "delta_hat_wl1": ("omega alpha rho", lambda v, *_: delta_hat_wl1(3.0, v["omega"], v["alpha"], v["rho"])),
     "delta_hat_wlp": ("p omega alpha rho", lambda v, *_: delta_hat_wlp(3.0, **v)),
@@ -163,10 +174,6 @@ def test_config_types_store_counts_as_int_and_settings_as_float():
                            alpha_list=(1,), rho=1, omega_list=(0,), p_list=(1,), trials=2.0, seed=0),
             dict(N=40, n_list=(20,), k=4, decay=1.0, noise_frac=0.0, alpha_list=(1.0,), rho=1.0,
                  omega_list=(0.0,), p_list=(1.0,), trials=2),
-        ),
-        (
-            TheoryParams(p=1, omega=0, alpha=1, rho=1, a=3, delta_ak=0),
-            dict(p=1.0, omega=0.0, alpha=1.0, rho=1.0, a=3.0, delta_ak=0.0, delta_a1k=None),
         ),
     ]
     for config, fields in stored:

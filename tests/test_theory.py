@@ -5,7 +5,6 @@ import pytest
 
 from cswlp import (
     ConditionViolatedError,
-    TheoryParams,
     delta_hat_lp,
     delta_hat_wl1,
     delta_hat_wlp,
@@ -112,27 +111,50 @@ def test_bounds_lie_in_unit_interval_and_grow_with_a():
 
 
 def test_param_validation():
-    TheoryParams(p=0.5, omega=0.5, alpha=0.5, rho=1.0, a=2.0)
-    with pytest.raises(ValueError):
-        TheoryParams(p=0.0, omega=0.5, alpha=0.5, rho=1.0, a=2.0)
-    with pytest.raises(ValueError):
-        TheoryParams(p=0.5, omega=1.5, alpha=0.5, rho=1.0, a=2.0)
-    with pytest.raises(ValueError):
-        TheoryParams(p=0.5, omega=0.5, alpha=0.5, rho=1.0, a=1.0)
-    with pytest.raises(ValueError):
-        TheoryParams(p=0.5, omega=0.5, alpha=0.5, rho=1.0, a=2.0, delta_ak=1.0, delta_a1k=0.1)
+    # each refusal of a bad parameter comes from the function given it
+    error_constants(2.0, 0.5, 0.5, 0.5, 1.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="p must lie in"):
+        error_constants(2.0, 0.0, 0.5, 0.5, 1.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="omega must lie in"):
+        error_constants(2.0, 0.5, 1.5, 0.5, 1.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match="a must exceed 1"):
+        error_constants(1.0, 0.5, 0.5, 0.5, 1.0, 0.1, 0.1)
+    with pytest.raises(ValueError, match=r"delta_ak must lie in \[0, 1\), got 1.0$"):
+        sufficient_condition_holds(2.0, 0.5, 0.5, 0.5, 1.0, 1.0, 0.1)
+    with pytest.raises(ValueError, match=r"delta_a1k must lie in \[0, 1\), got -0.1$"):
+        error_constants(2.0, 0.5, 0.5, 0.5, 1.0, 0.1, -0.1)
 
 
 def test_sufficient_condition_threshold():
-    good = TheoryParams(p=0.5, omega=0.5, alpha=0.7, rho=1.0, a=3.0, delta_ak=0.05, delta_a1k=0.05)
-    assert sufficient_condition_holds(good)
-    bad = TheoryParams(p=0.5, omega=0.5, alpha=0.7, rho=1.0, a=3.0, delta_ak=0.99, delta_a1k=0.99)
-    assert not sufficient_condition_holds(bad)
+    assert sufficient_condition_holds(3.0, 0.5, 0.5, 0.7, 1.0, 0.05, 0.05)
+    assert not sufficient_condition_holds(3.0, 0.5, 0.5, 0.7, 1.0, 0.99, 0.99)
 
 
-def _constants_defined(params):
+def test_theory_functions_take_one_positional_order():
+    # (a, p, omega, alpha, rho), the column order of theory.csv, leads every call
+    t = (3.0, 0.5, 0.3, 0.7, 1.0)
+    threshold = delta_hat_wlp(*t)
+    # an estimate more than half right (alpha > 1/2) raises the threshold
+    assert delta_hat_lp(*t[:2]) < threshold < 1.0
+    # with delta_ak = delta_(a+1)k = d the condition reads d < delta_hat_wlp
+    for d in (0.5 * threshold, 0.5 * (1.0 + threshold)):
+        assert sufficient_condition_holds(*t, d, d) == (d < threshold)
+    assert all(c > 0.0 for c in error_constants(*t, 0.5 * threshold, 0.5 * threshold))
+    assert proposition2_check(*t, [0.0, 0.5 * threshold])
+
+    def unread():
+        raise AssertionError("the grid was read")
+        yield
+
+    # the order proposition2_check took before, (p, omega, alpha, rho, a),
+    # is refused before any grid point is computed
+    with pytest.raises(ValueError, match=r"^a must exceed 1, got 0.5$"):
+        proposition2_check(0.5, 0.3, 0.7, 1.0, 3.0, unread())
+
+
+def _constants_defined(args):
     try:
-        error_constants(params)
+        error_constants(*args)
     except ConditionViolatedError:
         return False
     return True
@@ -141,10 +163,10 @@ def _constants_defined(params):
 def test_condition_holds_exactly_when_the_constants_are_defined():
     # random draws, and draws with delta_(a+1)k at the condition's
     # threshold and at its float neighbours, where two forms of the same
-    # inequality can round apart; the first draw is one such case
-    draws = [TheoryParams(a=3.027488317197521, p=0.7710397305057322, omega=0.4210929223498161,
-                          alpha=0.05739995679562526, rho=1.5646929371692606,
-                          delta_ak=0.12840546323385527, delta_a1k=0.5846928301105241)]
+    # inequality can round apart; the first draw is one such case; each
+    # draw is (a, p, omega, alpha, rho, delta_ak, delta_a1k)
+    draws = [(3.027488317197521, 0.7710397305057322, 0.4210929223498161, 0.05739995679562526,
+              1.5646929371692606, 0.12840546323385527, 0.5846928301105241)]
     rng = np.random.default_rng(23)
     for _ in range(1500):
         a, p, omega, alpha, rho, d1 = (rng.uniform(1.01, 8.0), rng.uniform(0.05, 1.0), rng.uniform(),
@@ -155,37 +177,28 @@ def test_condition_holds_exactly_when_the_constants_are_defined():
         edge = 1.0 - gamma ** (2.0 / p) * (1.0 + d1) / a ** (2.0 / p - 1.0)
         for d2 in (rng.uniform(), edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0)):
             if 0.0 <= d2 < 1.0:
-                draws.append(TheoryParams(p=p, omega=omega, alpha=alpha, rho=rho, a=a,
-                                          delta_ak=d1, delta_a1k=float(d2)))
+                draws.append((a, p, omega, alpha, rho, d1, float(d2)))
     assert len(draws) > 3000
-    for params in draws:
-        assert sufficient_condition_holds(params) == _constants_defined(params), params
+    for args in draws:
+        assert sufficient_condition_holds(*args) == _constants_defined(args), args
 
 
 def test_error_constants_positive_when_condition_holds():
-    params = TheoryParams(p=0.5, omega=0.5, alpha=0.7, rho=1.0, a=3.0, delta_ak=0.1, delta_a1k=0.1)
-    c1, c2 = error_constants(params)
+    c1, c2 = error_constants(3.0, 0.5, 0.5, 0.7, 1.0, 0.1, 0.1)
     assert c1 > 0 and c2 > 0
-    # both deltas are needed; without them there is no condition to test
-    for deltas in (dict(), dict(delta_ak=0.1)):
-        unset = TheoryParams(p=0.5, omega=0.5, alpha=0.7, rho=1.0, a=3.0, **deltas)
-        with pytest.raises(ValueError, match="need delta_ak and delta_a1k"):
-            error_constants(unset)
 
 
 def test_error_constants_raise_when_denominator_vanishes():
-    params = TheoryParams(p=0.5, omega=1.0, alpha=0.7, rho=1.0, a=3.0, delta_ak=0.99, delta_a1k=0.99)
     with pytest.raises(ConditionViolatedError):
-        error_constants(params)
+        error_constants(3.0, 0.5, 1.0, 0.7, 1.0, 0.99, 0.99)
 
 
 def test_zero_weight_exact_estimate_degenerate_corner():
     # omega=0 with a perfect same-size estimate drives gamma to zero;
     # the condition and constants must still evaluate
-    params = TheoryParams(p=0.5, omega=0.0, alpha=1.0, rho=1.0, a=3.0,
-                          delta_ak=0.05, delta_a1k=0.05)
-    assert sufficient_condition_holds(params)
-    c1, c2 = error_constants(params)
+    args = (3.0, 0.5, 0.0, 1.0, 1.0, 0.05, 0.05)
+    assert sufficient_condition_holds(*args)
+    c1, c2 = error_constants(*args)
     assert np.isfinite(c1) and c1 > 0.0
     assert np.isfinite(c2) and c2 > 0.0
     assert delta_hat_wlp(3.0, 0.5, 0.0, 1.0, 1.0) == 1.0
@@ -203,7 +216,7 @@ def test_constants_match_independent_l1_form_at_p_one():
         if alpha * rho > 1.0:
             continue
         try:
-            got = error_constants(TheoryParams(p=1.0, omega=omega, alpha=alpha, rho=rho, a=a, delta_ak=d, delta_a1k=d))
+            got = error_constants(a, 1.0, omega, alpha, rho, d, d)
             want = _wl1_constants(a, omega, alpha, rho, d, d)
         except ConditionViolatedError:
             continue
@@ -227,7 +240,7 @@ def _plain_lp_constants(p, a, d1, d2):
 
 @pytest.mark.parametrize("p, a, d1, d2", [(0.5, 3.0, 0.1, 0.1), (0.3, 2.0, 0.2, 0.05), (0.9, 5.0, 0.0, 0.3)])
 def test_unit_weight_constants_match_plain_lp_form(p, a, d1, d2):
-    got = error_constants(TheoryParams(p=p, omega=1.0, alpha=0.3, rho=0.5, a=a, delta_ak=d1, delta_a1k=d2))
+    got = error_constants(a, p, 1.0, 0.3, 0.5, d1, d2)
     want = _plain_lp_constants(p, a, d1, d2)
     assert all(math.isfinite(v) and v > 0.0 for v in want)
     assert abs(got[0] - want[0]) < 1e-12 * abs(want[0])
@@ -237,18 +250,18 @@ def test_unit_weight_constants_match_plain_lp_form(p, a, d1, d2):
 def test_weighting_haves_and_have_nots():
     grid = np.linspace(0.0, 0.3, 31)
     # accurate estimate: weighted constants strictly better
-    assert proposition2_check(0.5, 0.3, 0.7, 1.0, 3.0, grid)
+    assert proposition2_check(3.0, 0.5, 0.3, 0.7, 1.0, grid)
     # half-accurate estimate: identical constants
-    assert proposition2_check(0.5, 0.3, 0.5, 1.0, 3.0, grid)
+    assert proposition2_check(3.0, 0.5, 0.3, 0.5, 1.0, grid)
     # misleading estimate: weighted constants strictly worse
-    assert proposition2_check(0.5, 0.3, 0.3, 1.0, 3.0, grid)
+    assert proposition2_check(3.0, 0.5, 0.3, 0.3, 1.0, grid)
 
 
 def test_proposition_check_rejects_unit_weight_and_empty_grid():
     with pytest.raises(ValueError):
-        proposition2_check(0.5, 1.0, 0.7, 1.0, 3.0, [0.1])
+        proposition2_check(3.0, 0.5, 1.0, 0.7, 1.0, [0.1])
     # delta so large neither bound applies: nothing to compare, check fails
-    assert not proposition2_check(0.5, 0.3, 0.7, 1.0, 3.0, [0.99])
+    assert not proposition2_check(3.0, 0.5, 0.3, 0.7, 1.0, [0.99])
 
 
 def test_proposition_check_fails_a_point_that_breaks_the_alpha_pattern(monkeypatch):
@@ -257,7 +270,7 @@ def test_proposition_check_fails_a_point_that_breaks_the_alpha_pattern(monkeypat
     # makes the weighted constants larger than the unweighted ones (gamma
     # 1.0 at omega = 1) while alpha > 1/2 asks for smaller ones
     monkeypatch.setattr(theory, "_gamma", lambda p, omega, alpha, rho: 2.0 if omega < 1.0 else true_gamma(p, omega, alpha, rho))
-    assert not proposition2_check(1.0, 0.3, 0.7, 1.0, 9.0, [0.0])
+    assert not proposition2_check(9.0, 1.0, 0.3, 0.7, 1.0, [0.0])
     # the same point compared honestly matches the pattern
     monkeypatch.setattr(theory, "_gamma", true_gamma)
-    assert proposition2_check(1.0, 0.3, 0.7, 1.0, 9.0, [0.0])
+    assert proposition2_check(9.0, 1.0, 0.3, 0.7, 1.0, [0.0])
