@@ -1,10 +1,10 @@
 """Hot numeric kernels of the solver, in plain numpy.
 
 All kernels take plain float64 arrays.  ``wp`` is the elementwise
-weight raised to the p-th power, precomputed by the caller.  The solver
-calls them as ``_kernels.<name>`` so that a profiler can rebind them.
-``smoothed_objective_raw`` gives the smoothed objective's value and
-gradient from one power.  ``backtrack_raw`` is the line search: the
+coefficient w^p, or w^p / p in the solver, precomputed by the caller.
+The solver calls them as ``_kernels.<name>`` so that a profiler can
+rebind them.  ``smoothed_objective_raw`` gives the objective's value
+and gradient from one power.  ``backtrack_raw`` is the line search: the
 first of the steps 1, shrink, shrink^2, ... along the direction it is
 given whose objective falls below a reference value.  It evaluates the
 first step alone, which most searches accept, and the later ones in

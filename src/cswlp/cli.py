@@ -45,7 +45,8 @@ from .core import (
     check_domain,
 )
 from .experiments import ExperimentSpec, SweepRow, _parse_grid, load_experiment_spec, run_sweep
-from .solver import _MAX_BACKTRACKS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK, SolverConfig, solve
+from .solver import (_MAX_BACKTRACKS, _MAX_ITERS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK,
+                     SolverConfig, solve)
 from .theory import delta_hat_lp, delta_hat_wl1, delta_hat_wlp, error_constants
 
 __all__ = ["RunManifest", "main", "read_array", "write_matrix_binary", "write_vector_binary"]
@@ -55,8 +56,8 @@ _MAGIC = b"CSWLPB01"
 # Settings that solve manifests recorded while SolverConfig had them as
 # fields, at the values the solver now fixes.
 _FIXED_SOLVER_SETTINGS = dict(
-    sigma_init=_SIGMA_INIT, sigma_decay=_SIGMA_DECAY, sigma_floor=_SIGMA_FLOOR, step_shrink=_STEP_SHRINK,
-    max_backtracks=_MAX_BACKTRACKS, feasibility_tol=_FEASIBILITY_TOL, snr_cap_db=_SNR_CAP_DB,
+    max_iters=_MAX_ITERS, sigma_init=_SIGMA_INIT, sigma_decay=_SIGMA_DECAY, sigma_floor=_SIGMA_FLOOR,
+    step_shrink=_STEP_SHRINK, max_backtracks=_MAX_BACKTRACKS, feasibility_tol=_FEASIBILITY_TOL, snr_cap_db=_SNR_CAP_DB,
 )
 
 
@@ -295,8 +296,7 @@ def _execute(subcommand: str, config: dict, inputs: dict, out_dir: Path) -> int:
 
 
 def _cmd_solve(args) -> int:
-    solver = {f.name: getattr(args, f.name) for f in fields(SolverConfig)}
-    config = {"omega": args.omega, "epsilon": args.epsilon, "solver": solver}
+    config = {"omega": args.omega, "epsilon": args.epsilon, "solver": {"p": args.p}}
     inputs = {"matrix": args.matrix, "measurements": args.measurements}
     if args.support:
         inputs["support"] = args.support
@@ -362,11 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--support", type=Path, default=None, help="file of 1-based support indices")
     ps.add_argument("--omega", type=float, default=1.0, help="weight on the support estimate")
     ps.add_argument("--epsilon", type=float, default=0.0, help="noise bound on b; the solver supports only 0")
-    # one flag per SolverConfig field, with that field's default; p has
-    # none, so --p defaults to 0.5
-    for f in fields(SolverConfig):
-        default = 0.5 if f.name == "p" else f.default
-        ps.add_argument("--" + f.name.replace("_", "-"), type=type(default), default=default)
+    ps.add_argument("--p", type=float, default=0.5, help="exponent of the weighted lp decoder, in (0, 1]")
     ps.set_defaults(func=_cmd_solve)
 
     pt = sub.add_parser("theory", help="tabulate recovery thresholds over parameter grids")

@@ -18,7 +18,7 @@ Conventions used throughout the package:
     ``RestrictedTransform``;
   - index sets: ``_as_indices`` refuses a non-integer, a repeat, or an
     index outside 1..N;
-  - scalar settings (p, omega, alpha, rho, the counts n, k, max_iters,
+  - scalar settings (p, omega, alpha, rho, the counts n, k, trials,
     ..., an oracle's k_max and best_k_term's k, the audio fractions
     and rates):
     ``check_domain`` checks them against one domain table and returns
@@ -85,16 +85,16 @@ class ConditionViolatedError(CswlpError):
 # Singular values below this fraction of the largest count as zero rank.
 _RANK_TOL = 1e-10
 
-# The largest normwise backward error of an exact fit (see _fits): over
-# 1.7 M exact-decoder supports, fits read <= 4.7e-16 and non-fits >= 1.9e-8.
+# The largest normwise backward error of an exact fit (see _fits): above the
+# rounding a fit leaves, of order machine epsilon, below a non-fit's error.
 # And the SNR at which snr_db caps, which an exact reconstruction reports.
 _FEASIBILITY_TOL = 1e-8
 _SNR_CAP_DB = 300.0
 
-# the settings that count iterations, trials, lengths, sizes and grid
+# the settings that count trials, lengths, sizes and grid
 # points: integers >= 1, kept as int, as is an oracle's largest support
 # size k_max, an integer >= 0, by whose rule best_k_term reads its k
-_COUNTS = ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "num_samples", "size", "count")
+_COUNTS = ("trials", "N", "n", "k", "block_len", "num_blocks", "num_samples", "size", "count")
 _INTEGERS = (*_COUNTS, "k_max")
 
 # each parameter's domain: its test and how the error words it

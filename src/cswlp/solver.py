@@ -1,9 +1,12 @@
 """Projected-gradient solver for smoothed weighted lp minimization.
 
-Minimizes sum_i w_i^p (x_i^2 + sigma^2)^(p/2) over the affine set
+Minimizes sum_i w_i^p (x_i^2 + sigma^2)^(p/2) / p over the affine set
 {x : A x = b} while the smoothing level sigma is lowered toward zero.
-Each iteration takes the objective and its gradient g from one power
-of x_i^2 + sigma^2, projects -g onto the null space of A,
+Dividing by p moves no minimizer and takes p out of the gradient, so
+steps keep their scale as p -> 0, where the objective tends, up to a
+constant, to the log-sum penalty of Candes, Wakin & Boyd (J. Fourier
+Anal. Appl. 2008).  Each iteration takes the objective and its gradient
+g from one power of x_i^2 + sigma^2, projects -g onto the null space of A,
 pd = -(g - pinv(A) A g), as the operator computes it (``project_null``;
 -(g - Q Q^T g) for a dense A, with Q the orthonormal basis of its row
 space from the QR A^T = Q R), and searches along pd by spectral
@@ -26,19 +29,18 @@ algorithms for compressive sensing" (ICASSP 2008).  The level has
 settled when every trial step is rejected, after _LEVEL_ITERS
 iterations, or when min(1, t_L) ||pd|| / ||x|| falls below
 sqrt(sigma) / 100.  Here t_L = 2 ||pd||^2 / L, with
-L = p sigma^(p-2) sum_i w_i^p pd_i^2 the curvature bound of the
-smoothed objective along pd, is a step that the descent lemma
+L = sigma^(p-2) sum_i w_i^p pd_i^2 the curvature bound of the
+objective along pd, is a step that the descent lemma
 guarantees to lower the objective; the test reads it rather than the
 step taken, which a short spectral step would make fire early.  A run
 ends when sigma falls to _SIGMA_FLOOR, at a stationary point, or when
-its iterations run out.
+the _MAX_ITERS iterations of the solve run out.
 
 Each step lies in the null space of A, so an iterate leaves the affine
 set only by rounding, about eps ||A||_2 ||x||.  A point fits A x = b when
 its normwise backward error ||A x - b|| / (||A||_2 ||x|| + ||b||) is at
 most feasibility_tol (``core._fits``); rounding keeps that at any
-condition number (1e-14 at most over every iterate of 20 x 60 matrices
-up to kappa = 1e9).  The residual ||A x - b|| is measured on each run's
+condition number.  The residual ||A x - b|| is measured on each run's
 first and last iterations only, and a returned point that fails the
 rule is pulled back onto the set by x - pinv(A) (A x - b).
 
@@ -53,7 +55,7 @@ audio block (1536 against n = 512) or a sweep instance (300-400 against
 100-200), no restart was seen to, and restarts only spent the
 iterations the first run left.  They draw from a generator seeded with
 the fixed _RESTART_SEED, never from global state, and spend only the
-iterations left of cfg.max_iters.  A run result with at most n entries
+iterations left of _MAX_ITERS.  A run result with at most n entries
 above 1e-4 of the largest is replaced by the least-squares fit of b on
 those entries when that fit is feasible and has no larger objective;
 this removes the residue a finite sigma leaves off the support.  A
@@ -104,7 +106,8 @@ __all__ = [
     "solve",
 ]
 
-# The sigma schedule and line search of the module docstring.
+# The iteration bound, sigma schedule and line search of the module docstring.
+_MAX_ITERS = 500
 _SIGMA_INIT = 10.0
 _SIGMA_DECAY = 0.7
 _SIGMA_FLOOR = 1e-9
@@ -141,25 +144,24 @@ _HEAD_REL = 1e-2
 
 # Kept only for perfbench/ until ROADMAP direction 4 deletes them: its
 # tracer rebinds _projector_parts (here, in experiments and in audio),
-# which nothing calls, and its workloads read SolverConfig's two ClassVars.
+# which nothing calls, and it reads all three ClassVars of SolverConfig.
 _projector_parts = None
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """The exponent ``p`` and ``max_iters``, the bound on the iterations
-    of one solve, restarts included.  The sigma schedule and the line
-    search are module constants (_SIGMA_INIT, _SIGMA_DECAY, _SIGMA_FLOOR,
-    _STEP_SHRINK, _MAX_BACKTRACKS).  ``feasibility_tol`` and ``snr_cap_db``
-    are core's _FEASIBILITY_TOL and _SNR_CAP_DB, read only by the benchmark."""
+    """The exponent ``p``; the iteration bound, sigma schedule and line
+    search are module constants.  ``max_iters``, ``feasibility_tol`` and
+    ``snr_cap_db`` are _MAX_ITERS and core's _FEASIBILITY_TOL and
+    _SNR_CAP_DB, read only by the benchmark."""
 
     p: float
-    max_iters: int = 500
+    max_iters: ClassVar[int] = _MAX_ITERS
     feasibility_tol: ClassVar[float] = _FEASIBILITY_TOL
     snr_cap_db: ClassVar[float] = _SNR_CAP_DB
 
     def __post_init__(self):
-        _check_fields(self, "p", "max_iters")
+        _check_fields(self, "p")
 
 
 @dataclass
@@ -170,20 +172,21 @@ class SolverTrace:
     The columns hold one row per iteration of the run that starts at
     pinv(A) b, so sigma never increases along them.  ``step`` is the
     accepted step lambda * shrink**j along the projected gradient, in
-    (0, 1], and ``objective`` the smoothed objective there; under the
-    nonmonotone acceptance it can rise from one row to the next at the
-    same sigma.  ``step == 0`` marks an iteration where every trial step
-    was rejected and the iterate stayed put (sigma then moved to its
-    next level).  ``residual`` is ||A x - b|| at the row's iterate on
-    the run's first and last rows, where it is measured, and NaN on
-    every other row; it is never interpolated or filled in.  ``stop_reason``
-    says why that run ended: ``"sigma_floor"`` when sigma fell to
-    _SIGMA_FLOOR, ``"stationary"`` when the gradient vanished, or
-    ``"max_iters"`` when its iterations ran out first.  The trace keeps
-    no restart's rows; ``restart_iters`` holds the iterations each one
-    ran, in order.  Restarts are taken only when p < 1, the null space
-    of A is smaller than n, and the first result is not certified sparse
-    (see the module docstring), so on most instances it is empty.
+    (0, 1], and ``objective`` the smoothed objective over p there, the
+    value the solver minimizes; under the nonmonotone acceptance it can
+    rise from one row to the next at the same sigma.  ``step == 0``
+    marks an iteration where every trial step was rejected and the
+    iterate stayed put (sigma then moved to its next level).
+    ``residual`` is ||A x - b|| at the row's iterate on the run's first
+    and last rows, where it is measured, and NaN on every other row; it
+    is never interpolated or filled in.  ``stop_reason`` says why that
+    run ended: ``"sigma_floor"`` when sigma fell to _SIGMA_FLOOR,
+    ``"stationary"`` when the gradient vanished, or ``"max_iters"`` when
+    its iterations ran out first.  The trace keeps no restart's rows;
+    ``restart_iters`` holds the iterations each one ran, in order.
+    Restarts are taken only when p < 1, the null space of A is smaller
+    than n, and the first result is not certified sparse (see the module
+    docstring), so on most instances it is empty.
     ``len(trace)`` is the number of iterations the whole solve ran.
     """
 
@@ -203,7 +206,7 @@ class SolverTrace:
 
 
 def smoothed_objective(x, w, p: float, sigma: float) -> float:
-    """Value of sum_i w_i^p (x_i^2 + sigma^2)^(p/2)."""
+    """Value of sum_i w_i^p (x_i^2 + sigma^2)^(p/2), which ``solve`` divides by p."""
     [p], [sigma] = check_domain(p=[p], sigma=[sigma]).values()
     xa = _signal_array(x)
     wa = _weights_array(w, xa.shape[0])
@@ -259,7 +262,7 @@ def solve(
     w_arr = _weights_array(w, N, "solve: weights")
     a_norm = A._norm2
     p = cfg.p
-    wp = w_arr**p
+    wp = w_arr**p / p
 
     project, pull_back = A.project_null, A.pull_back
     x0 = pull_back(y)
@@ -360,7 +363,7 @@ def solve(
                 return z, z_value
         return x, value
 
-    x, rows, stop_reason = descend(x0, _SIGMA_INIT, cfg.max_iters)
+    x, rows, stop_reason = descend(x0, _SIGMA_INIT, _MAX_ITERS)
     used = len(rows)
     best, best_value = finish(x)
     restart_iters: list[int] = []
@@ -369,10 +372,10 @@ def solve(
     if p < 1.0 and explore:
         rng = np.random.default_rng(_RESTART_SEED)
         scale = _RESTART_SCALE * _norm(x0)
-        while len(restart_iters) < _RESTARTS and used < cfg.max_iters and 2 * support(best).size > n:
+        while len(restart_iters) < _RESTARTS and used < _MAX_ITERS and 2 * support(best).size > n:
             z = project(rng.standard_normal(N))
             start = x0 + (scale / _norm(z)) * z
-            x, restart_rows, _ = descend(start, _RESTART_SIGMA, cfg.max_iters - used)
+            x, restart_rows, _ = descend(start, _RESTART_SIGMA, _MAX_ITERS - used)
             used += len(restart_rows)
             restart_iters.append(len(restart_rows))
             x, value = finish(x)

@@ -15,7 +15,8 @@ workload classes, so it reads what Tier-1 and the benchmark read:
   ``test_known_solver_defects_are_reported``, which that test compares
   with this record;
 * ``workloads``: the benchmark's quality metrics on sweep units 0-1,
-  audio units 0-1 and validate units 0-29 at seed 7;
+  audio units 0-1 and validate units 0-29 at seed 7, and the solver
+  iterations those units ran (``len(trace)`` summed);
 * ``solve_hashes``: sha256 of every solve's x and trace on those units;
 * ``oracle_hashes``: sha256 of both oracles' decisions on criterion 3's
   eight-seed instances and of the exact decoder on
@@ -100,6 +101,7 @@ class _Hash:
 
     def __init__(self):
         self._h = hashlib.sha256()
+        self.iterations = 0
 
     def add(self, *items) -> None:
         for item in items:
@@ -113,11 +115,13 @@ class _Hash:
         self.add(res.support, res.objective_value, res.minimizer.entries)
 
     def solves(self, solve):
-        """``solve``, hashing each result and its trace."""
+        """``solve``, hashing each result and its trace and counting its
+        iterations, restarts included."""
         def hashed(*args, **kwargs):
             x_hat, trace = solve(*args, **kwargs)
             self.add(x_hat.entries, *(getattr(trace, c) for c in trace.COLUMNS), trace.stop_reason,
                      trace.restart_iters)
+            self.iterations += len(trace)
             return x_hat, trace
         return hashed
 
@@ -159,8 +163,8 @@ def _exact_decoder_hash() -> str:
 
 
 def _workloads() -> tuple[dict, dict]:
-    """Each workload's quality metrics as the benchmark computes them, and
-    a hash of every solve it ran."""
+    """Each workload's quality metrics as the benchmark computes them, with
+    the iterations of its solves, and a hash of every solve it ran."""
     quality, hashes = {}, {}
     for name, workload, units in (("sweep", Sweep(7), 2), ("audio", Audio(7), 2), ("validate", Validate(7), 30)):
         h = _Hash()
@@ -173,7 +177,8 @@ def _workloads() -> tuple[dict, dict]:
                 out = workload.run_unit(index)
                 attempted, failed, hits = attempted + out.attempted, failed + out.failed, hits + out.hits
                 snrs += out.snrs
-        quality[name] = {"attempted": attempted, "failed": failed, "mean_snr_db": statistics.fmean(snrs)}
+        quality[name] = {"attempted": attempted, "failed": failed, "mean_snr_db": statistics.fmean(snrs),
+                         "iterations": h.iterations}
         if workload.hit_metric is not None:
             quality[name][workload.hit_metric] = hits / attempted
         hashes[name] = h.hexdigest()

@@ -45,7 +45,7 @@ from cswlp.experiments import (
     run_sweep,
 )
 from cswlp.theory import ConditionViolatedError
-from test_solver import _criterion_6_instance, record_iterates, worst_residual
+from test_solver import _criterion_3_instance, _criterion_6_instance, record_iterates, worst_residual
 from test_theory import _wl1_constants
 
 # norm_ratio above 1 by more than this is a certified solver miss
@@ -87,6 +87,7 @@ def test_criterion_2_iterates_stay_feasible(monkeypatch):
     N, n = 128, 64
     worst = 0.0
     iterates = record_iterates(monkeypatch)
+    monkeypatch.setattr(solver, "_MAX_ITERS", 60)
     for _ in range(50):
         A = rng.standard_normal((n, N)) / np.sqrt(n)
         x = np.zeros(N)
@@ -96,7 +97,7 @@ def test_criterion_2_iterates_stay_feasible(monkeypatch):
         w = WeightVector(omega=float(rng.uniform(0.1, 1.0)),
                          estimate=SupportEstimate(tuple(range(1, 11))), size=N)
         iterates.clear()
-        _, trace = solve(DenseMatrix(A), Measurements(b), w, SolverConfig(p=0.5, max_iters=60))
+        _, trace = solve(DenseMatrix(A), Measurements(b), w, SolverConfig(p=0.5))
         worst = max(worst, worst_residual(DenseMatrix(A), b, iterates, trace) / b_norm)
     ok = worst <= 1e-8
     _report(2, ok, f"max residual {worst:.2e} x ||b|| across all iterates of 50 solves (bound 1e-08)")
@@ -111,15 +112,7 @@ def _oracle_match_rates(k: int, trials: int = 200, seed: int = 12345) -> tuple[i
     cfg = SolverConfig(p=0.5)
     hits = [0, 0]
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, k, trial]))
-        A = rng.standard_normal((6, 10)) / np.sqrt(6)
-        x = np.zeros(10)
-        sup = np.sort(rng.choice(10, size=k, replace=False))
-        vals = rng.standard_normal(k)
-        while (vals == 0).any():
-            vals = rng.standard_normal(k)
-        x[sup] = vals
-        y = A @ x
+        A, y, sup = _criterion_3_instance(k, trial, seed)
         A_op = DenseMatrix(A)
         for j, omega_on_support in enumerate((1.0, 0.3)):
             w = np.ones(10)
@@ -625,10 +618,11 @@ def _scale_table() -> dict[str, int]:
 
 
 def test_known_solver_defects_are_reported():
-    # the two solver defects no criterion bounds, as two printed tables.
-    # Recovery fails as p -> 0 (R1's 40 x 20 sweep); the solver is not
-    # scale-equivariant (solve(A, c b) / c on criterion-6 instances).
-    # Only what holds today is asserted, so a fix shows as a larger count.
+    # two solver properties as two printed tables.  Recovery holds as
+    # p -> 0 (R1's 40 x 20 sweep), since the solver divides its objective
+    # by p; the solver is not scale-equivariant (solve(A, c b) / c on
+    # criterion-6 instances), a defect no criterion bounds, so only the
+    # scales that hold today are asserted and a fix shows as a larger count.
     # On the numpy, BLAS and OpenBLAS core that QUALITY.json was made on,
     # both tables must equal the record's, so a change that moves them
     # regenerates it (python tests/quality_record.py); on any other, where
@@ -648,5 +642,5 @@ def test_known_solver_defects_are_reported():
         assert (small_p, scale) == recorded
     elif (small_p, scale) != recorded:
         print(f"on {machine()}, not the record's {record['machine']}: the record reads {recorded}")
-    assert all(row[0] == row[1] and row[2] == 0 for p, row in small_p.items() if float(p) >= 1e-3)
+    assert all(row[0] == row[1] == 20 and row[2] == 0 for row in small_p.values())
     assert all(hits == 12 for c, hits in scale.items() if float(c) <= 1.0)

@@ -157,6 +157,40 @@ def test_solve_end_to_end(tmp_path):
     assert set(manifest.inputs) == {"matrix", "measurements"}
 
 
+def test_solve_takes_no_iteration_bound(tmp_path, capsys):
+    # the bound is the solver's constant _MAX_ITERS, so --p is the one solver flag
+    rng = np.random.default_rng(7)
+    A, x, y = _plant_problem(rng)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", y)
+    argv = ["solve", "--matrix", str(tmp_path / "A.bin"), "--measurements", str(tmp_path / "y.bin")]
+    assert main(["--out-dir", str(tmp_path / "o"), *argv, "--max-iters", "50"]) == 1
+    assert "unrecognized arguments: --max-iters 50" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("p", ["1e-4", "1e-6"])
+def test_small_p_solve_recovers_and_replays_to_the_same_bytes(tmp_path, p):
+    # the 20 x 60 3-sparse instance of the CI solve-replay step; the solver
+    # divides its objective by p, so its steps keep their scale as p -> 0
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((20, 60))
+    x = np.zeros(60)
+    x[[3, 17, 41]] = (1.0, -2.0, 0.5)
+    write_matrix_binary(tmp_path / "A.bin", A)
+    write_vector_binary(tmp_path / "y.bin", A @ x)
+    out, redo = tmp_path / "orig", tmp_path / "redo"
+    assert main([
+        "--out-dir", str(out), "solve",
+        "--matrix", str(tmp_path / "A.bin"), "--measurements", str(tmp_path / "y.bin"), "--p", p,
+    ]) == 0
+    assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
+    for name in ("recovered.csv", "trace.csv"):
+        assert (redo / name).read_bytes() == (out / name).read_bytes()
+    recovered = np.loadtxt(out / "recovered.csv")
+    assert float(np.abs(recovered - x).max()) <= 1e-9
+
+
 def test_solve_with_support_file(tmp_path, capsys):
     rng = np.random.default_rng(8)
     A, x, y = _plant_problem(rng)
@@ -634,7 +668,7 @@ def test_replay_drops_solver_settings_now_fixed(tmp_path, capsys):
         "--measurements", str(tmp_path / "y.bin"),
     ]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["solver"] == {"p": 0.5, "max_iters": 500}
+    assert manifest["config"]["solver"] == {"p": 0.5}
     manifest["config"]["solver"] = dict(_NINE_KEY_SOLVER)
     (out / "manifest.json").write_text(json.dumps(manifest))
     capsys.readouterr()
@@ -643,7 +677,7 @@ def test_replay_drops_solver_settings_now_fixed(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     for name in ("recovered.csv", "trace.csv"):
         assert (redo / name).read_bytes() == (out / name).read_bytes()
-    assert json.loads((redo / "manifest.json").read_text())["config"]["solver"] == {"p": 0.5, "max_iters": 500}
+    assert json.loads((redo / "manifest.json").read_text())["config"]["solver"] == {"p": 0.5}
 
 
 def test_an_empty_matrix_or_measurements_file_exits_1_with_one_error_line(tmp_path, capsys):
@@ -739,11 +773,15 @@ def test_replay_refuses_a_decay_on_a_sparse_spec(tmp_path, capsys):
             _full_manifest(config={"solver": {**_NINE_KEY_SOLVER, "sigma_decay": 0.98}}),
             "solver setting 'sigma_decay' = 0.98",
         ),
+        (
+            _full_manifest(config={"solver": {**_NINE_KEY_SOLVER, "max_iters": 60}}),
+            "solver setting 'max_iters' = 60",
+        ),
         (_full_manifest(subcommand="replay"), "manifest subcommand 'replay' is not replayable"),
     ],
     ids=["missing-fields", "not-an-object", "config-missing-key", "config-not-an-object",
          "outputs-not-a-list", "input-entry-malformed", "spec-not-an-object", "fixed-setting-changed",
-         "subcommand-without-runner"],
+         "iteration-bound-changed", "subcommand-without-runner"],
 )
 def test_replay_rejects_malformed_manifest(tmp_path, capsys, content, message):
     path = tmp_path / "manifest.json"

@@ -39,7 +39,7 @@ from cswlp.theory import (
 )
 
 _GOOD = dict(
-    p=0.5, omega=0.5, alpha=0.5, rho=1.0, max_iters=500, trials=1, N=40, n=20, k=4, block_len=64,
+    p=0.5, omega=0.5, alpha=0.5, rho=1.0, trials=1, N=40, n=20, k=4, block_len=64,
     num_blocks=1, size=2, keep_frac=0.25, prev_block_keep=0.0625, sample_rate_hz=44100.0,
     lowfreq_cutoff_hz=4000.0, decay=1.1, noise_frac=0.0, count=5, num_samples=64, k_max=1,
 )
@@ -63,7 +63,7 @@ _BAD = {
 # table words that domain
 _SETTINGS = {
     **{count: (0, "be an integer >= 1")
-       for count in ("max_iters", "trials", "N", "n", "k", "block_len", "num_blocks", "num_samples", "size", "count")},
+       for count in ("trials", "N", "n", "k", "block_len", "num_blocks", "num_samples", "size", "count")},
     "k_max": (-1, "be an integer >= 0"),
     "keep_frac": (0.0, "lie in (0, 1]"),
     "prev_block_keep": (1.5, "lie in [0, 1]"),
@@ -88,7 +88,7 @@ def _theory_cli(v, tmp_path, capsys):
 
 # name -> (parameters it takes, call with the parameter values v)
 _ENTRY_POINTS = {
-    "SolverConfig": ("p max_iters", lambda v, *_: SolverConfig(**v)),
+    "SolverConfig": ("p", lambda v, *_: SolverConfig(**v)),
     "smoothed_objective": ("p", lambda v, *_: smoothed_objective(np.ones(2), np.ones(2), v["p"], 1.0)),
     "smoothed_gradient": ("p", lambda v, *_: smoothed_gradient(np.ones(2), np.ones(2), v["p"], 1.0)),
     "WeightVector": ("omega size", lambda v, *_: WeightVector(estimate=SupportEstimate((1,)), **v)),
@@ -159,7 +159,7 @@ def test_config_types_store_counts_as_int_and_settings_as_float():
     # each count given as a float and each real setting as an int; the
     # reprs tell 50 from 50.0 and a Python float from a numpy one
     stored = [
-        (SolverConfig(p=1, max_iters=50.0), dict(p=1.0, max_iters=50)),
+        (SolverConfig(p=1), dict(p=1.0)),
         (WeightVector(omega=np.int64(0), estimate=SupportEstimate(()), size=4.0), dict(omega=0.0, size=4)),
         (Measurements(np.ones(2), epsilon=0), dict(epsilon=0.0)),
         (RestrictedTransform(rows=(1,), size=np.float64(4.0)), dict(size=4)),

@@ -82,14 +82,15 @@ def test_gradient_matches_finite_differences():
 
 def test_solver_config_validation():
     SolverConfig(p=0.5)
-    for bad in (dict(p=0.0), dict(p=1.2), dict(p=0.5, max_iters=0)):
+    for bad in (dict(p=0.0), dict(p=1.2)):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
     # the other settings are constants, not fields
-    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["p", "max_iters"]
-    assert (SolverConfig.feasibility_tol, SolverConfig.snr_cap_db) == (1e-8, 300.0)
-    with pytest.raises(TypeError):
-        SolverConfig(p=0.5, sigma_decay=0.98)
+    assert [f.name for f in dataclasses.fields(SolverConfig)] == ["p"]
+    assert (SolverConfig.max_iters, SolverConfig.feasibility_tol, SolverConfig.snr_cap_db) == (500, 1e-8, 300.0)
+    for setting in (dict(sigma_decay=0.98), dict(max_iters=60)):
+        with pytest.raises(TypeError):
+            SolverConfig(p=0.5, **setting)
 
 
 def test_square_system_returns_exact_solution_immediately():
@@ -239,9 +240,10 @@ def test_residual_measured_every_iteration_gives_the_same_solve(monkeypatch, p):
     assert trace.residual[0] == np.linalg.norm(A.apply(iterates[1]) - y)
 
 
-def test_trace_rows_and_columns():
+def test_trace_rows_and_columns(monkeypatch):
     A, _, y = _sparse_instance(N=24, n=12, k=2, seed=13)
-    _, trace = solve(DenseMatrix(A), y, np.ones(24), SolverConfig(p=0.5, max_iters=40))
+    monkeypatch.setattr(solver, "_MAX_ITERS", 40)
+    _, trace = solve(DenseMatrix(A), y, np.ones(24), SolverConfig(p=0.5))
     assert SolverTrace.COLUMNS == ("t", "sigma", "objective", "step", "residual")
     assert all(getattr(trace, c).shape == trace.t.shape for c in SolverTrace.COLUMNS)
     assert trace.t[0] == 1
@@ -259,28 +261,30 @@ def _stop_instance(reason):
         A = DenseMatrix(np.array([[1.0, 0.0, 0.0]]))
         return A, np.array([1.0]), np.array([0.0, 1.0, 1.0]), SolverConfig(p=0.5)
     A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
-    max_iters = 5 if reason == "max_iters" else 500
-    return DenseMatrix(A), y, np.ones(40), SolverConfig(p=0.5, max_iters=max_iters)
+    return DenseMatrix(A), y, np.ones(40), SolverConfig(p=0.5)
 
 
 @pytest.mark.parametrize("reason", ["sigma_floor", "max_iters", "stationary"])
-def test_trace_names_why_the_first_run_stopped(reason):
+def test_trace_names_why_the_first_run_stopped(monkeypatch, reason):
     A, y, w, cfg = _stop_instance(reason)
+    if reason == "max_iters":
+        monkeypatch.setattr(solver, "_MAX_ITERS", 5)
     _, trace = solve(A, y, w, cfg)
     assert trace.stop_reason == reason
     last = trace.t.shape[0]
     if reason == "sigma_floor":
-        assert last < cfg.max_iters
+        assert last < solver._MAX_ITERS
         assert trace.sigma[-1] * solver._SIGMA_DECAY <= solver._SIGMA_FLOOR < trace.sigma[-1]
     elif reason == "max_iters":
-        assert last == cfg.max_iters
+        assert last == solver._MAX_ITERS
         assert trace.sigma[-1] * solver._SIGMA_DECAY > solver._SIGMA_FLOOR
     else:
         assert last == 1 and trace.step[0] == 0.0
 
 
 def _criterion_3_instance(k, trial, seed=12345):
-    # the n = 6, N = 10 instances of the acceptance suite's oracle check
+    # the n = 6, N = 10 instances of the acceptance suite's oracle check:
+    # A, b and the sorted 0-based support of the k-sparse x
     rng = np.random.default_rng(np.random.SeedSequence([seed, k, trial]))
     A = rng.standard_normal((6, 10)) / np.sqrt(6)
     x = np.zeros(10)
@@ -289,7 +293,7 @@ def _criterion_3_instance(k, trial, seed=12345):
     while (vals == 0).any():
         vals = rng.standard_normal(k)
     x[sup] = vals
-    return A, A @ x
+    return A, A @ x, sup
 
 
 @pytest.mark.parametrize("k, trial", [(1, 49), (2, 0), (1, 101)])
@@ -298,7 +302,7 @@ def test_solve_never_returns_more_than_n_entries(k, trial):
     # linearly independent, so it has at most n nonzero entries.  A sigma
     # schedule that outruns the iterate used to freeze these instances
     # with 9 entries above 1e-4 of the largest.
-    A, y = _criterion_3_instance(k, trial)
+    A, y, _ = _criterion_3_instance(k, trial)
     x, _ = solve(DenseMatrix(A), y, np.ones(10), SolverConfig(p=0.5))
     mags = np.abs(x.entries)
     assert np.count_nonzero(mags > 1e-4 * mags.max()) <= A.shape[0]
@@ -307,7 +311,7 @@ def test_solve_never_returns_more_than_n_entries(k, trial):
 def test_restarts_are_seeded_inside_solve():
     # an instance whose first run is not certified sparse takes restarts;
     # they draw from a fixed seed, not from numpy's global state
-    A, y = _criterion_3_instance(1, 49)
+    A, y, _ = _criterion_3_instance(1, 49)
     cfg = SolverConfig(p=0.5)
     np.random.seed(1)
     first, trace = solve(DenseMatrix(A), y, np.ones(10), cfg)
@@ -315,7 +319,7 @@ def test_restarts_are_seeded_inside_solve():
     np.random.standard_normal(7)
     again, _ = solve(DenseMatrix(A), y, np.ones(10), cfg)
     assert len(trace.restart_iters) >= 1
-    assert len(trace) == trace.t.shape[0] + sum(trace.restart_iters) <= cfg.max_iters
+    assert len(trace) == trace.t.shape[0] + sum(trace.restart_iters) <= solver._MAX_ITERS
     assert np.array_equal(first.entries, again.entries)
 
 
@@ -336,7 +340,7 @@ def test_dense_result_with_large_null_space_takes_no_restarts():
     mags = np.abs(x.entries)
     assert 2 * np.count_nonzero(mags > 1e-4 * mags.max()) > n
     assert trace.restart_iters == ()
-    assert len(trace) == trace.t.shape[0] < SolverConfig(p=0.5).max_iters
+    assert len(trace) == trace.t.shape[0] < solver._MAX_ITERS
 
 
 def test_criterion_3_seed_5_instance_lands_on_the_oracle_support():
@@ -344,7 +348,7 @@ def test_criterion_3_seed_5_instance_lands_on_the_oracle_support():
     # ends with 9 entries, whose 3 largest leave a residual of 0.45 ||b||,
     # far above _HEAD_REL ||b||, and only their unscreened refit finds the
     # oracle's 2-entry support
-    A, y = _criterion_3_instance(2, 34, seed=5)
+    A, y, _ = _criterion_3_instance(2, 34, seed=5)
     x, trace = solve(DenseMatrix(A), y, np.ones(10), SolverConfig(p=0.5))
     assert len(trace.restart_iters) >= 1
     mags = np.abs(x.entries)
@@ -356,7 +360,7 @@ def test_criterion_3_seed_5_instance_lands_on_the_oracle_support():
 def _identity_instance(name):
     if name == "restarts":
         # criterion-3 shaped at p = 0.5; its first run is not sparse
-        A, y = _criterion_3_instance(1, 49)
+        A, y, _ = _criterion_3_instance(1, 49)
         return DenseMatrix(A), y, np.ones(10), SolverConfig(p=0.5)
     if name == "dense-p1":
         A, _, y = _sparse_instance(N=60, n=25, k=5, seed=23)
@@ -426,7 +430,8 @@ def worst_residual(op, y, iterates, trace) -> float:
 
 
 def _projected_gradient(op, x, w, p, sigma):
-    return op.project_null(-_kernels.smoothed_objective_raw(x, w**p, p, sigma)[1])
+    # the gradient of the objective the solver minimizes, the smoothed one over p
+    return op.project_null(-_kernels.smoothed_objective_raw(x, w**p / p, p, sigma)[1])
 
 
 def test_first_iteration_tries_the_unit_step(monkeypatch):
@@ -437,6 +442,22 @@ def test_first_iteration_tries_the_unit_step(monkeypatch):
     pd = _projected_gradient(op, calls[0]["x"], w, cfg.p, solver._SIGMA_INIT)
     assert np.array_equal(calls[0]["d"], pd)
     assert trace.step[0] == calls[0]["step"] > 0.0
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, 1e-6])
+def test_trace_objective_is_the_smoothed_objective_over_p(monkeypatch, p):
+    # each row records the value the solver minimizes at the row's new
+    # iterate: the paper's smoothed objective divided by p
+    A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
+    w = np.linspace(0.5, 1.0, 40)
+    calls = _record_searches(monkeypatch)
+    # N = 2n: no restart follows the first run, so call t is row t
+    _, trace = solve(DenseMatrix(A), y, w, SolverConfig(p=p))
+    assert trace.restart_iters == () and len(calls) == trace.t.shape[0]
+    for row, call in enumerate(calls):
+        x = call["x"] + call["step"] * call["d"]
+        want = smoothed_objective(x, w, p, call["sigma"]) / p
+        assert math.isclose(trace.objective[row], want, rel_tol=1e-12)
 
 
 def test_rejected_row_records_the_iterates_objective(monkeypatch):
@@ -467,7 +488,8 @@ def test_second_iteration_takes_the_barzilai_borwein_step(monkeypatch, sigma_ini
     A, _, y = _sparse_instance(N=40, n=20, k=4, seed=8)
     op, w = DenseMatrix(A), np.ones(40)
     monkeypatch.setattr(solver, "_SIGMA_INIT", sigma_init)
-    cfg = SolverConfig(p=0.5, max_iters=2)
+    monkeypatch.setattr(solver, "_MAX_ITERS", 2)
+    cfg = SolverConfig(p=0.5)
     calls = _record_searches(monkeypatch)
     _, trace = solve(op, y, w, cfg)
     assert len(calls) == 2 and trace.step[0] > 0.0
