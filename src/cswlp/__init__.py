@@ -13,7 +13,6 @@ from .core import (
     RestrictedTransform,
     SignalVector,
     SolverDivergenceError,
-    SupportEstimate,
     WeightVector,
     best_k_term,
     snr_db,
@@ -46,7 +45,6 @@ __all__ = [
     "SolverConfig",
     "SolverDivergenceError",
     "SolverTrace",
-    "SupportEstimate",
     "WeightVector",
     "best_k_term",
     "delta_hat_lp",

@@ -26,7 +26,6 @@ from .core import (
     Measurements,
     RestrictedTransform,
     SignalVector,
-    SupportEstimate,
     WeightVector,
     _SNR_CAP_DB,
     _as_vector,
@@ -71,9 +70,10 @@ class AudioPipelineConfig:
     """Block recovery settings.
 
     ``keep_frac`` of each block's samples are measured; the support
-    estimate is every DCT bin below ``lowfreq_cutoff_hz`` plus the top
-    ``prev_block_keep`` fraction (of the per-block measurement count) of
-    the previous block's recovered coefficients.
+    estimate is the floor(``lowfreq_cutoff_hz`` / bin width) lowest DCT
+    bins (``lowfreq_support``) plus the top ``prev_block_keep`` fraction
+    (of the per-block measurement count) of the previous block's
+    recovered coefficients.
     """
 
     block_len: int = 2048
@@ -108,17 +108,18 @@ class AudioPipelineConfig:
         return tuple(product(self.p_list, self.omega_list))
 
 
-def lowfreq_support(cfg: AudioPipelineConfig) -> SupportEstimate:
-    """DCT bins at or below the cutoff: 1..floor(cutoff / bin width)
-    where bin width = (sample_rate/2) / block_len."""
+def lowfreq_support(cfg: AudioPipelineConfig) -> tuple[int, ...]:
+    """The floor(cutoff / bin width) lowest DCT bins, 1..that count, with
+    bin width = (sample_rate/2) / block_len; bin j lies at (j - 1) bin
+    widths, so the last bin below the cutoff may be left out."""
     count = int(np.floor(cfg.lowfreq_cutoff_hz * 2.0 * cfg.block_len / cfg.sample_rate_hz))
-    return SupportEstimate(tuple(range(1, count + 1)))
+    return tuple(range(1, count + 1))
 
 
 def build_block_problem(
     block: np.ndarray,
     keep_rows: tuple[int, ...],
-    prev_estimate: SupportEstimate | None,
+    prev_estimate: tuple[int, ...] | None,
     cfg: AudioPipelineConfig,
     omega: float,
 ) -> tuple[RestrictedTransform, Measurements, WeightVector]:
@@ -127,17 +128,18 @@ def build_block_problem(
 
     The operator keeps ``keep_rows`` (1-based time positions) of the
     inverse DCT, applied by FFT; the weight support is the low-frequency
-    band united with ``prev_estimate`` (pass None for the first block).
+    band united with ``prev_estimate``, 1-based bins (pass None for the
+    first block).
     """
     block = np.asarray(block, dtype=np.float64)
     if block.shape != (cfg.block_len,):
         raise ValueError(f"block must have length {cfg.block_len}")
     op = RestrictedTransform(rows=tuple(keep_rows), size=cfg.block_len)
     y = Measurements(block[op._idx])
-    joined = set(lowfreq_support(cfg).indices)
+    joined = set(lowfreq_support(cfg))
     if prev_estimate is not None:
-        joined |= set(prev_estimate.indices)
-    weights = WeightVector(omega=omega, estimate=SupportEstimate(tuple(joined)), size=cfg.block_len)
+        joined |= set(prev_estimate)
+    weights = WeightVector(omega=omega, estimate=tuple(joined), size=cfg.block_len)
     return op, y, weights
 
 
@@ -191,7 +193,7 @@ def recover_clip(
             prev = prev_coeffs[(p, omega)]
             prev_est = None
             if prev is not None and prev_count > 0:
-                prev_est = SupportEstimate(best_k_term(prev, prev_count)[1])
+                prev_est = best_k_term(prev, prev_count)[1]
             op, y, weights = build_block_problem(block, keep, prev_est, cfg, omega)
             coeffs, _ = solve(op, y, weights, SolverConfig(p=p))
             prev_coeffs[(p, omega)] = coeffs.entries

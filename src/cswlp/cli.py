@@ -38,7 +38,6 @@ from .core import (
     DenseMatrix,
     Measurements,
     SolverDivergenceError,
-    SupportEstimate,
     WeightVector,
     _FEASIBILITY_TOL,
     _SNR_CAP_DB,
@@ -107,7 +106,7 @@ def _read_vector(path) -> np.ndarray:
 
 
 def _read_support(path) -> tuple[float, ...]:
-    """The numbers of a support file, which ``SupportEstimate`` reads as indices."""
+    """The numbers of a support file, which ``WeightVector`` reads as indices."""
     tokens = Path(path).read_text().replace(",", " ").split()
     return tuple(float(tok) for tok in tokens)
 
@@ -200,10 +199,8 @@ def _run_solve(config: dict, inputs: dict, out_dir: Path) -> list[str]:
     A = DenseMatrix(read_array(inputs["matrix"]))
     y = _read_vector(inputs["measurements"])
     N = A.shape[1]
-    indices: tuple[float, ...] = ()
-    if "support" in inputs:
-        indices = _read_support(inputs["support"])
-    w = WeightVector(omega=config["omega"], estimate=SupportEstimate(indices), size=N)
+    estimate = _read_support(inputs["support"]) if "support" in inputs else ()
+    w = WeightVector(omega=config["omega"], estimate=estimate, size=N)
     cfg = SolverConfig(**config["solver"])
     b = Measurements(y, epsilon=config["epsilon"])
     x_hat, trace = solve(A, b, w, cfg)

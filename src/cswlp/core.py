@@ -17,7 +17,9 @@ Conventions used throughout the package:
     (A, b), refuses an A that is not a ``DenseMatrix`` or
     ``RestrictedTransform``;
   - index sets: ``_as_indices`` refuses a non-integer, a repeat, or an
-    index outside 1..N;
+    index outside 1..N, read against the length it indexes: a support
+    estimate by the ``WeightVector`` it weights, kept transform rows by
+    their ``RestrictedTransform``;
   - scalar settings (p, omega, alpha, rho, the counts n, k, trials,
     ..., an oracle's k_max and best_k_term's k, the audio fractions
     and rates):
@@ -49,7 +51,6 @@ __all__ = [
     "DenseMatrix",
     "RestrictedTransform",
     "Measurements",
-    "SupportEstimate",
     "WeightVector",
     "best_k_term",
     "check_domain",
@@ -174,10 +175,10 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def _as_indices(values, name: str, N: int | None = None) -> tuple[int, ...]:
+def _as_indices(values, name: str, N: int) -> tuple[int, ...]:
     """``values`` as 1-based indices, in their order; raises ValueError
     naming ``name`` when one is not an integer (an integral float is),
-    repeats, or lies outside 1..N (below 1 when N is None)."""
+    repeats, or lies outside 1..N."""
     floats = [float(v) for v in values]
     fraction = next((v for v in floats if not v.is_integer()), None)
     if fraction is not None:
@@ -185,9 +186,9 @@ def _as_indices(values, name: str, N: int | None = None) -> tuple[int, ...]:
     idx = tuple(int(v) for v in floats)
     if len(set(idx)) != len(idx):
         raise ValueError(f"{name} must be distinct")
-    outside = [i for i in idx if i < 1 or (N is not None and i > N)]
+    outside = [i for i in idx if not 1 <= i <= N]
     if outside:
-        raise ValueError(f"{name} must {'be >= 1' if N is None else f'lie in 1..{N}'}, got {outside[0]}")
+        raise ValueError(f"{name} must lie in 1..{N}, got {outside[0]}")
     return idx
 
 
@@ -434,35 +435,26 @@ class Measurements:
 
 
 @dataclass(frozen=True)
-class SupportEstimate:
-    """A set of 1-based indices believed to carry most of the signal."""
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(_as_indices(self.indices, "support indices"))))
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class WeightVector:
-    """Per-entry weights: omega on the estimated support, 1 elsewhere."""
+    """Per-entry weights: omega on the estimated support, 1 elsewhere.
+
+    ``estimate`` is the support estimate, any sequence of 1-based indices
+    in 1..size, which is stored as a sorted tuple of ints.
+    """
 
     omega: float
-    estimate: SupportEstimate
+    estimate: tuple[int, ...]
     size: int
 
     def __post_init__(self):
         _check_fields(self, "omega", "size")
-        _as_indices(self.estimate.indices, "estimate indices", self.size)
+        estimate = _as_indices(self.estimate, "estimate indices", self.size)
+        object.__setattr__(self, "estimate", tuple(sorted(estimate)))
 
     @cached_property
     def weights(self) -> np.ndarray:
         w = np.ones(self.size, dtype=np.float64)
-        if self.estimate.indices:
-            w[np.asarray(self.estimate.indices, dtype=np.intp) - 1] = self.omega
+        w[np.asarray(self.estimate, dtype=np.intp) - 1] = self.omega
         return w
 
 

@@ -26,7 +26,6 @@ from .core import (
     RankDeficientError,
     SignalVector,
     SolverDivergenceError,
-    SupportEstimate,
     WeightVector,
     _as_indices,
     _check_fields,
@@ -112,10 +111,10 @@ def _estimate_counts(k: int, alpha: float, rho: float, N: int) -> tuple[int, int
 
 def gen_support_estimate(
     T0, alpha: float, rho: float, N: int, rng: np.random.Generator
-) -> SupportEstimate:
-    """Support estimate of size round(rho*k) with round(alpha*size)
-    indices drawn from the true support T0 (1-based) and the rest from
-    its complement."""
+) -> tuple[int, ...]:
+    """Support estimate of size round(rho*k), as sorted 1-based indices:
+    round(alpha*rho*k) of them drawn from the true support T0 (1-based,
+    k indices) and the rest from its complement (``_estimate_counts``)."""
     [alpha], [rho], [N] = check_domain(alpha=[alpha], rho=[rho], N=[N]).values()
     true = sorted(_as_indices(T0, "true support indices", N))
     k = len(true)
@@ -125,7 +124,7 @@ def gen_support_estimate(
     pick_in = rng.choice(np.asarray(true, dtype=np.int64), size=inside, replace=False)
     complement = np.setdiff1d(np.arange(1, N + 1, dtype=np.int64), np.asarray(true, dtype=np.int64))
     pick_out = rng.choice(complement, size=outside, replace=False)
-    return SupportEstimate(tuple(np.concatenate([pick_in, pick_out])))
+    return tuple(sorted(int(i) for i in np.concatenate([pick_in, pick_out])))
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def _task_rows(spec: ExperimentSpec, n: int, alpha_idx: int, trial: int) -> list
     y = Measurements(A.apply(x.entries) + e)
 
     size = len(estimate)
-    overlap = len(set(estimate.indices) & set(T0))
+    overlap = len(set(estimate) & set(T0))
     alpha_real = overlap / size if size else 0.0
     rho_real = size / spec.k
 

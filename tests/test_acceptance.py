@@ -19,7 +19,6 @@ from cswlp import (
     DenseMatrix,
     Measurements,
     SolverConfig,
-    SupportEstimate,
     WeightVector,
     best_k_term,
     delta_hat_lp,
@@ -95,7 +94,7 @@ def test_criterion_2_iterates_stay_feasible(monkeypatch):
         b = A @ x
         b_norm = float(np.linalg.norm(b))
         w = WeightVector(omega=float(rng.uniform(0.1, 1.0)),
-                         estimate=SupportEstimate(tuple(range(1, 11))), size=N)
+                         estimate=tuple(range(1, 11)), size=N)
         iterates.clear()
         _, trace = solve(DenseMatrix(A), Measurements(b), w, SolverConfig(p=0.5))
         worst = max(worst, worst_residual(DenseMatrix(A), b, iterates, trace) / b_norm)
@@ -571,7 +570,7 @@ def test_criterion_13_robustness_bound_on_exact_rip_constants():
             for om in omegas:
                 if tails[p, om] is None:
                     continue
-                w = WeightVector(om, SupportEstimate((idx + 1,)), N).weights
+                w = WeightVector(om, (idx + 1,), N).weights
                 z = oracle_weighted_lp(A_op, A @ signal, w, p, n).minimizer.entries
                 if signal is x:
                     worst_err = max(worst_err, float(np.max(np.abs(z - x))))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cswlp import SolverConfig, SupportEstimate, solve
+from cswlp import SolverConfig, solve
 from cswlp.audio import (
     AudioPipelineConfig,
     build_block_problem,
@@ -44,18 +44,18 @@ def test_dct_matrix_degenerate_and_orthonormal():
 def test_lowfreq_support_default_width():
     cfg = AudioPipelineConfig()
     est = lowfreq_support(cfg)
-    # 4000 Hz cutoff of a 2048-bin block at 44.1 kHz
-    assert len(est.indices) == 371
-    assert est.indices[0] == 1
-    assert est.indices[-1] == 371
+    # 4000 Hz cutoff of a 2048-bin block at 44.1 kHz: bin 372 lies at
+    # 371 * 22050 / 2048 = 3994.4 Hz, below the cutoff, yet is left out,
+    # as floor(4000 / bin width) = 371 says
+    assert est == tuple(range(1, 372))
 
 
 def test_lowfreq_support_cannot_exceed_block():
     cfg = _tiny_cfg(lowfreq_cutoff_hz=22050.0)  # exactly Nyquist
-    assert len(lowfreq_support(cfg).indices) == 128
+    assert len(lowfreq_support(cfg)) == 128
     # the cutoff <= sample_rate/2 rule alone keeps the count within the block
     cfg = _tiny_cfg(block_len=256, lowfreq_cutoff_hz=22050.0, sample_rate_hz=44100.0)
-    assert lowfreq_support(cfg).indices == tuple(range(1, 257))
+    assert lowfreq_support(cfg) == tuple(range(1, 257))
     with pytest.raises(ValueError):
         _tiny_cfg(lowfreq_cutoff_hz=22050.1)
 
@@ -72,12 +72,10 @@ def test_block_problem_unions_previous_support():
     block = np.zeros(128)
     block[0] = 1.0
     keep = tuple(range(1, 65))
-    low = set(lowfreq_support(cfg).indices)
+    low = set(lowfreq_support(cfg))
     extra = max(low) + 3
-    from cswlp.core import SupportEstimate
-
-    _, measurements, weights = build_block_problem(block, keep, SupportEstimate((extra,)), cfg, omega=0.5)
-    assert set(weights.estimate.indices) == low | {extra}
+    _, measurements, weights = build_block_problem(block, keep, (extra,), cfg, omega=0.5)
+    assert weights.estimate == tuple(sorted(low | {extra}))
     assert measurements.y.shape == (64,)
     with pytest.raises(ValueError):
         build_block_problem(np.zeros(100), keep, None, cfg, omega=0.5)
@@ -189,7 +187,7 @@ def test_dct_block_iterates_stay_feasible(monkeypatch):
     block = synthesize_speech_like(cfg.block_len, seed=4)
     rng = np.random.default_rng(5)
     keep = tuple(int(i) + 1 for i in np.sort(rng.choice(cfg.block_len, size=cfg.samples_per_block, replace=False)))
-    op, measurements, weights = build_block_problem(block, keep, SupportEstimate((40, 41)), cfg, omega=0.5)
+    op, measurements, weights = build_block_problem(block, keep, (40, 41), cfg, omega=0.5)
     b = measurements.y
     iterates = record_iterates(monkeypatch)
     _, trace = solve(op, measurements, weights, SolverConfig(p=0.5))

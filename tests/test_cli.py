@@ -215,7 +215,7 @@ def test_solve_with_support_file(tmp_path, capsys):
     argv = ["--out-dir", str(tmp_path / "bad"), "solve", "--matrix", str(tmp_path / "A.csv"),
             "--measurements", str(tmp_path / "y.csv"), "--support", str(tmp_path / "T.txt")]
     assert main(argv) == 1
-    assert capsys.readouterr().err == "error: support indices must be integers, got 1.5\n"
+    assert capsys.readouterr().err == "error: estimate indices must be integers, got 1.5\n"
 
 
 def test_theory_csv_with_and_without_constants(tmp_path):
@@ -235,6 +235,17 @@ def test_theory_csv_with_and_without_constants(tmp_path):
     lines = (out2 / "theory.csv").read_text().strip().split("\n")
     assert lines[0].endswith("c1,c2,condition_holds")
     assert lines[1].split(",")[-1] in ("true", "false")
+
+
+def test_quality_record_theory_hashes_are_current():
+    # theory.csv is scalar math, the same bytes on any machine, so the
+    # committed record's hashes of the two theory runs are judged here,
+    # wherever the suite runs: a change that moves theory.csv must
+    # regenerate QUALITY.json
+    import quality_record
+
+    committed = json.loads(quality_record.RECORD.read_text())["sections"]["theory_hashes"]
+    assert quality_record._theory_hashes() == committed
 
 
 def test_theory_tabulates_small_p(tmp_path):

@@ -8,7 +8,6 @@ from cswlp import (
     Measurements,
     RestrictedTransform,
     SignalVector,
-    SupportEstimate,
     WeightVector,
     best_k_term,
     snr_db,
@@ -161,27 +160,24 @@ def test_measurements_epsilon_must_be_nonnegative():
         Measurements(y=np.ones(3), epsilon=-1e-9)
 
 
-def test_support_estimate_sorted_distinct_one_based():
-    est = SupportEstimate((3, 1, 2))
-    assert est.indices == (1, 2, 3)
-    with pytest.raises(ValueError):
-        SupportEstimate((0, 1))
-    with pytest.raises(ValueError):
-        SupportEstimate((2, 2))
-    with pytest.raises(ValueError, match="support indices must be integers, got 1.7"):
-        SupportEstimate((1.7, 3))
-
-
 def test_weight_vector_pattern():
-    wv = WeightVector(omega=0.25, estimate=SupportEstimate((2, 4)), size=5)
+    wv = WeightVector(omega=0.25, estimate=(2, 4), size=5)
     assert np.array_equal(wv.weights, np.array([1.0, 0.25, 1.0, 0.25, 1.0]))
     with pytest.raises(ValueError):
-        WeightVector(omega=1.5, estimate=SupportEstimate((2, 4)), size=5)
+        WeightVector(omega=1.5, estimate=(2, 4), size=5)
     with pytest.raises(ValueError):
-        WeightVector(omega=0.5, estimate=SupportEstimate((2, 4)), size=3)
-    WeightVector(omega=0.5, estimate=SupportEstimate((3, 1, 2)), size=3)
+        WeightVector(omega=0.5, estimate=(2, 4), size=3)
+    # the estimate is stored sorted, as ints, whatever sequence it came in
+    est = WeightVector(omega=0.5, estimate=[3, 1, 2.0], size=3).estimate
+    assert est == (1, 2, 3) and all(type(i) is int for i in est)
     with pytest.raises(ValueError, match=r"estimate indices must lie in 1..2, got 3"):
-        WeightVector(omega=0.5, estimate=SupportEstimate((3, 1, 2)), size=2)
+        WeightVector(omega=0.5, estimate=(3, 1, 2), size=2)
+    with pytest.raises(ValueError, match=r"estimate indices must lie in 1..3, got 0"):
+        WeightVector(omega=0.5, estimate=(0, 1), size=3)
+    with pytest.raises(ValueError, match="estimate indices must be distinct"):
+        WeightVector(omega=0.5, estimate=(2, 2), size=3)
+    with pytest.raises(ValueError, match="estimate indices must be integers, got 1.7"):
+        WeightVector(omega=0.5, estimate=(1.7, 3), size=3)
 
 
 def test_weighted_lp_norm_spot_value():
@@ -207,7 +203,7 @@ def test_weighted_lp_norm_rejects_bad_p():
 
 
 def test_weighted_lp_norm_rejects_weights_that_do_not_fit():
-    wv = WeightVector(omega=0.5, estimate=SupportEstimate((1,)), size=4)
+    wv = WeightVector(omega=0.5, estimate=(1,), size=4)
     with pytest.raises(ValueError, match="weight size 4 does not match signal length 3"):
         weighted_lp_norm(np.ones(3), wv, 1.0)
     with pytest.raises(ValueError, match="weights length 4 does not match signal length 3"):

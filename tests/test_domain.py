@@ -13,7 +13,6 @@ from cswlp.core import (
     DenseMatrix,
     Measurements,
     RestrictedTransform,
-    SupportEstimate,
     WeightVector,
     best_k_term,
     weighted_lp_norm,
@@ -91,7 +90,7 @@ _ENTRY_POINTS = {
     "SolverConfig": ("p", lambda v, *_: SolverConfig(**v)),
     "smoothed_objective": ("p", lambda v, *_: smoothed_objective(np.ones(2), np.ones(2), v["p"], 1.0)),
     "smoothed_gradient": ("p", lambda v, *_: smoothed_gradient(np.ones(2), np.ones(2), v["p"], 1.0)),
-    "WeightVector": ("omega size", lambda v, *_: WeightVector(estimate=SupportEstimate((1,)), **v)),
+    "WeightVector": ("omega size", lambda v, *_: WeightVector(estimate=(1,), **v)),
     "weighted_lp_norm": ("p", lambda v, *_: weighted_lp_norm(np.ones(2), np.ones(2), v["p"])),
     "oracle_weighted_lp": ("p", lambda v, *_: oracle_weighted_lp(DenseMatrix(np.eye(2)), np.ones(2), np.ones(2), v["p"], 2)),
     "gen_support_estimate": (
@@ -160,7 +159,7 @@ def test_config_types_store_counts_as_int_and_settings_as_float():
     # reprs tell 50 from 50.0 and a Python float from a numpy one
     stored = [
         (SolverConfig(p=1), dict(p=1.0)),
-        (WeightVector(omega=np.int64(0), estimate=SupportEstimate(()), size=4.0), dict(omega=0.0, size=4)),
+        (WeightVector(omega=np.int64(0), estimate=(), size=4.0), dict(omega=0.0, size=4)),
         (Measurements(np.ones(2), epsilon=0), dict(epsilon=0.0)),
         (RestrictedTransform(rows=(1,), size=np.float64(4.0)), dict(size=4)),
         (

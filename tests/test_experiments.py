@@ -134,11 +134,17 @@ def test_support_estimate_counts():
     rng = np.random.default_rng(5)
     true_support = tuple(range(1, 11))  # k = 10
     est = gen_support_estimate(true_support, N=60, alpha=0.7, rho=1.0, rng=rng)
-    inside = set(est.indices) & set(true_support)
-    outside = set(est.indices) - set(true_support)
-    assert len(est.indices) == 10
+    inside = set(est) & set(true_support)
+    outside = set(est) - set(true_support)
+    assert len(est) == 10
     assert len(inside) == 7
     assert len(outside) == 3
+    assert est == tuple(sorted(est)) and all(type(i) is int for i in est)
+    # round(alpha*rho*k) true indices, not round(alpha*size): at k = 3,
+    # rho = 0.5 and alpha = 0.75 that is 1 of the 2, where the other
+    # rule would take 2
+    est = gen_support_estimate((1, 2, 3), N=60, alpha=0.75, rho=0.5, rng=rng)
+    assert len(est) == 2 and len(set(est) & {1, 2, 3}) == 1
 
 
 def test_support_estimate_infeasible_sizes_raise():
