@@ -206,13 +206,12 @@ class SignalVector:
 class DenseMatrix:
     """Sensing operator given by an explicit n x N matrix, n <= N.
 
-    Its first use takes one Householder QR of A^T = Q R and R's singular
-    values, the largest being ||A||_2, and keeps them; its first
-    projection checks the rank, keeps R^-1 and drops R, so it holds Q,
-    R^-1 and the singular values, and an operator the oracles read first
-    is still factored once.  On a rank-deficient A every projection
-    raises RankDeficientError; no error is kept.  Later solves reuse
-    them; the matrix must not be changed after that.
+    Its first use takes one Householder QR of A^T = Q R, R's singular
+    values, the largest being ||A||_2, and R^-1, and from then on it
+    holds Q, R^-1 and the singular values, never R.  A rank-deficient A
+    holds no R^-1, and each of its projections raises
+    RankDeficientError.  Later solves reuse them; the matrix must not be
+    changed after that.
     """
 
     matrix: np.ndarray
@@ -248,43 +247,37 @@ class DenseMatrix:
         """d - Q (Q^T d), where the orthonormal columns of Q span the row
         space of A: two matvecs through the one stored N x n array Q, and
         no N x N array."""
-        q = self._factors[0]
+        q = self._inverse()[0]
         return d - q @ (q.T @ d)
 
     def pull_back(self, r: np.ndarray) -> np.ndarray:
         """pinv(A) r = Q R^-T r, the minimum-norm x with A x = r."""
-        q, r_inv = self._factors
+        q, r_inv = self._inverse()
         return q @ (r_inv.T @ r)
 
-    @cached_property
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Q and R^-1 of A^T = Q R; raises RankDeficientError, on every
-        read, if the smallest singular value of R, which are those of A,
-        is below _RANK_TOL times the largest.  R is dropped once
-        inverted: no caller reads it again."""
-        q, r = self._qr
-        s = self._singular_values
-        if not (s[0] > 0.0 and s[-1] > _RANK_TOL * s[0]):
+    def _inverse(self) -> tuple[np.ndarray, np.ndarray]:
+        """Q and R^-1; raises RankDeficientError, on every call, if the
+        smallest singular value is below _RANK_TOL times the largest."""
+        q, r_inv, s = self._factors
+        if r_inv is None:
             ratio = 0.0 if s[0] == 0.0 else float(s[-1] / s[0])
             message = f"sensing matrix is rank deficient: smallest/largest singular value ratio {ratio:.3e}"
             raise RankDeficientError(message)
-        del self.__dict__["_qr"]
-        return q, np.linalg.inv(r)
+        return q, r_inv
 
     @property
     def _norm2(self) -> float:
-        """||A||_2, R's largest singular value, with no rank check."""
-        return float(self._singular_values[0])
+        """||A||_2, the largest singular value, with no rank check."""
+        return float(self._factors[2][0])
 
     @cached_property
-    def _singular_values(self) -> np.ndarray:
-        """R's singular values, which are A's, largest first."""
-        return np.linalg.svd(self._qr[1], compute_uv=False)
-
-    @cached_property
-    def _qr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Q and R of A^T = Q R, held until ``_factors`` inverts R."""
-        return np.linalg.qr(self.matrix.T)
+    def _factors(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Q, R^-1 and R's singular values, which are A's, largest first,
+        of A^T = Q R; R^-1 is None if A is rank deficient.  R is not kept."""
+        q, r = np.linalg.qr(self.matrix.T)
+        s = np.linalg.svd(r, compute_uv=False)
+        r_inv = np.linalg.inv(r) if s[0] > 0.0 and s[-1] > _RANK_TOL * s[0] else None
+        return q, r_inv, s
 
 
 @lru_cache(maxsize=8)
@@ -482,8 +475,9 @@ def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
     point; an A that is not a sensing operator, a b with epsilon > 0, a
     plain array b that ``_as_vector`` refuses, or a b whose length is not
     A's row count, raises ValueError naming ``decoder``.  ||A||_2 is
-    ``A._norm2``, a QR of A^T for a DenseMatrix, which a decoder reads
-    after its last refusal."""
+    ``A._norm2``, for a DenseMatrix from its one factorization record
+    (Q, R^-1 and the singular values), which a decoder reads after its
+    last refusal."""
     if not isinstance(A, SensingOperator):
         raise ValueError(f"{decoder}: A must be a DenseMatrix or RestrictedTransform, got {type(A).__name__}")
     if isinstance(b, Measurements) and b.epsilon > 0.0:

@@ -85,8 +85,8 @@ class OracleResult:
 def _prepare(A, b, k_max, decoder: str) -> tuple[int, int, Callable[[int], tuple]]:
     """N, k_max as read, and the fit tables of (A, b), which map a size
     to its (supports, fits) and fit each size when first read; raises
-    ValueError naming ``decoder`` on an input it refuses.  ||A||_2, a
-    QR of A^T for a DenseMatrix, is read after the last refusal."""
+    ValueError naming ``decoder`` on an input it refuses.  ||A||_2, from
+    a DenseMatrix's factorization record, is read after the last refusal."""
     y, y_norm = _exact_fit(A, b, decoder)
     n, N = A.shape
     if N > _MAX_N:

@@ -53,23 +53,23 @@ the best result is certified sparse.  In a null space that small a
 random start often reaches a lower objective; in a larger one, as in an
 audio block (1536 against n = 512) or a sweep instance (300-400 against
 100-200), no restart was seen to, and restarts only spent the
-iterations the first run left.  They draw from a generator seeded with
-the fixed _RESTART_SEED, never from global state, and spend only the
-iterations left of _MAX_ITERS.  A run result with at most n entries
-above 1e-4 of the largest is replaced by the least-squares fit of b on
-those entries when that fit is feasible and has no larger objective;
-this removes the residue a finite sigma leaves off the support.  A
-result with more than n such entries is fit on its n/2 largest instead:
-a run that ends before the residue off a sparse support has fallen
-below 1e-4 of the largest entry still yields that support.  Where
-N >= 2 n, that refit is tried only when the n/2 largest alone leave a
-residual below _HEAD_REL ||b||, which skips a fit that cannot be
-feasible on a compressible result.  When the fit's own support is
-smaller, it is fit again on that support, so a result does not keep
+iterations the first run left.  They draw from a generator built at the
+first restart and seeded with the fixed _RESTART_SEED, never from global
+state, and spend only the iterations left of _MAX_ITERS.  A run result
+with at most n entries above 1e-4 of the largest is replaced by the
+least-squares fit of b on those entries when that fit is feasible and
+has no larger objective; this removes the residue a finite sigma leaves
+off the support.  A result with more than n such entries is fit on its
+n/2 largest instead: a run that ends before the residue off a sparse
+support has fallen below 1e-4 of the largest entry still yields that
+support.  Where N >= 2 n, that refit is tried only when the n/2 largest
+alone leave a residual below _HEAD_REL ||b||, which skips a fit that
+cannot be feasible on a compressible result.  When the fit's own support
+is smaller, it is fit again on that support, so a result does not keep
 rounding-level entries on columns the first fit left near zero.  The
 solve returns the result with the lowest weighted lp objective
-sum_i w_i^p |x_i|^p.  The names that only the benchmark reads are listed
-above SolverConfig.
+sum_i w_i^p |x_i|^p.  The names that only the benchmark reads are
+listed above SolverConfig.
 """
 
 from __future__ import annotations
@@ -370,9 +370,10 @@ def solve(
     # at p = 1 the problem is convex and a restart can only end where the
     # first run did
     if p < 1.0 and explore:
-        rng = np.random.default_rng(_RESTART_SEED)
-        scale = _RESTART_SCALE * _norm(x0)
         while len(restart_iters) < _RESTARTS and used < _MAX_ITERS and 2 * support(best).size > n:
+            if not restart_iters:
+                rng = np.random.default_rng(_RESTART_SEED)
+                scale = _RESTART_SCALE * _norm(x0)
             z = project(rng.standard_normal(N))
             start = x0 + (scale / _norm(z)) * z
             x, restart_rows, _ = descend(start, _RESTART_SIGMA, _MAX_ITERS - used)

@@ -301,18 +301,33 @@ def test_exact_fit_judgement_is_scale_free(kind, share):
 
 
 def test_a_dense_operator_drops_r_once_inverted():
-    # after its first projection a DenseMatrix holds its matrix, Q, R^-1
-    # and R's singular values: R itself, n x n like R^-1, is read no more
+    # from its first read a DenseMatrix holds its matrix and one record,
+    # Q, R^-1 and R's singular values: R itself, n x n like R^-1, is read
+    # no more
     rng = np.random.default_rng(97)
     A = rng.standard_normal((5, 12))
-    op = DenseMatrix(A)
     r = np.linalg.qr(A.T)[1]
-    op.project_null(np.ones(12))
-    held = [v for value in vars(op).values() for v in (value if isinstance(value, tuple) else (value,))]
-    assert sorted(v.shape for v in held) == [(5,), (5, 5), (5, 12), (12, 5)]
-    (r_inv,) = (v for v in held if v.shape == (5, 5))
-    assert np.allclose(r_inv @ r, np.eye(5), rtol=0.0, atol=1e-12)
-    assert np.array_equal(op._singular_values, np.linalg.svd(r, compute_uv=False))
+    for read in (lambda op: op.project_null(np.ones(12)), lambda op: op._norm2):
+        op = DenseMatrix(A)
+        read(op)
+        assert sorted(vars(op)) == ["_factors", "matrix"]
+        q, r_inv, s = op._factors
+        assert [q.shape, r_inv.shape, s.shape] == [(12, 5), (5, 5), (5,)]
+        assert np.allclose(r_inv @ r, np.eye(5), rtol=0.0, atol=1e-12)
+        assert np.array_equal(s, np.linalg.svd(r, compute_uv=False))
+    # one row repeated: the record holds no R^-1, and each projection
+    # raises the same error
+    A[4] = A[1]
+    op = DenseMatrix(A)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(core.RankDeficientError) as raised:
+            op.project_null(np.ones(12))
+        messages.append(str(raised.value))
+    assert sorted(vars(op)) == ["_factors", "matrix"]
+    q, r_inv, s = op._factors
+    assert q.shape == (12, 5) and r_inv is None and s.shape == (5,)
+    assert messages[0] == messages[1]
 
 
 def test_weighted_lp_norm_is_inf_past_the_float_range():

@@ -124,7 +124,7 @@ def test_an_operator_above_the_cap_is_refused_unbuilt(monkeypatch, decoder):
 @pytest.mark.parametrize("decoder", ["oracle_weighted_lp", "oracle_l0"])
 def test_an_operator_above_the_cap_is_refused_unfactored(monkeypatch, decoder):
     # ||A||_2 is read after the last refusal: for a DenseMatrix it takes a
-    # QR of A^T and an SVD of R, which a refused operator never needs
+    # QR of A^T, an SVD of R and R^-1, which a refused operator never needs
     def factored(*args, **kwargs):
         raise AssertionError("a refused operator was factored")
 
@@ -355,9 +355,11 @@ def test_oracles_never_take_the_pseudo_inverse(monkeypatch):
             _check_against_reference(A, A @ x, rng.uniform(0.05, 1.0, 10), p, 4)
 
 
-def test_oracles_never_invert_the_operator(monkeypatch):
-    # the oracles read a DenseMatrix only for ||A||_2, the largest singular
-    # value of its QR's R; R^-1 is taken on the first projection only
+def test_a_solve_is_the_same_whichever_read_factors_the_operator(monkeypatch):
+    # a DenseMatrix's first read, by the oracles, ||A||_2, a projection or
+    # the solve itself, takes its one factorization record: Q, R^-1 and
+    # the singular values.  The solve then gives the same bytes, and the
+    # oracles then a solve invert R once.
     calls = []
 
     def counted(*args, inv=np.linalg.inv, **kwargs):
@@ -366,13 +368,30 @@ def test_oracles_never_invert_the_operator(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counted)
     A, y, w = _criterion_3_instance(83)
-    oracle_weighted_lp(DenseMatrix(A), y, w, 0.5, 4)
-    assert calls == []
+    reads = (
+        None,
+        lambda op: oracle_weighted_lp(op, y, w, 0.5, 4),
+        lambda op: op._norm2,
+        lambda op: op.project_null(np.ones(10)),
+    )
+    results = set()
+    for read in reads:
+        calls.clear()
+        op = DenseMatrix(A)
+        if read is not None:
+            read(op)
+            assert sorted(vars(op)) == ["_factors", "matrix"]
+        x, trace = solve(op, y, w, SolverConfig(p=0.5))
+        assert sorted(vars(op)) == ["_factors", "matrix"]
+        assert calls == [1]
+        columns = tuple(getattr(trace, c).tobytes() for c in trace.COLUMNS)
+        results.add((x.entries.tobytes(), columns, trace.stop_reason, trace.restart_iters))
+    assert len(results) == 1
 
 
 def test_an_operator_read_by_the_oracles_is_factored_once(monkeypatch):
-    # the oracles read ||A||_2 from a QR of A^T, whose Q and R the first
-    # projection reuses; only then is R inverted and dropped
+    # the oracles read ||A||_2 from the factorization record of A^T = Q R,
+    # whose Q and R^-1 every later projection reuses
     factored = []
 
     def counted(a, *args, qr=np.linalg.qr, **kwargs):
@@ -388,7 +407,6 @@ def test_an_operator_read_by_the_oracles_is_factored_once(monkeypatch):
     solve(op, y, w, SolverConfig(p=0.5))
     op.project_null(np.ones(10))
     assert factored == [(10, 6)]
-    assert "_qr" not in vars(op)
 
 
 def test_a_rank_deficient_operator_serves_the_oracles_and_refuses_every_projection():

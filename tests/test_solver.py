@@ -308,19 +308,33 @@ def test_solve_never_returns_more_than_n_entries(k, trial):
     assert np.count_nonzero(mags > 1e-4 * mags.max()) <= A.shape[0]
 
 
-def test_restarts_are_seeded_inside_solve():
+def test_restarts_are_seeded_inside_solve(monkeypatch):
     # an instance whose first run is not certified sparse takes restarts;
-    # they draw from a fixed seed, not from numpy's global state
+    # they draw from a fixed seed, not from numpy's global state, and the
+    # generator is built once, at the first restart, so an instance whose
+    # first run is certified sparse builds none
     A, y, _ = _criterion_3_instance(1, 49)
+    A_sparse, y_sparse, _ = _criterion_3_instance(2, 0)
+    built = []
+
+    def counted(*args, make=np.random.default_rng, **kwargs):
+        built.append(args)
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
     cfg = SolverConfig(p=0.5)
     np.random.seed(1)
     first, trace = solve(DenseMatrix(A), y, np.ones(10), cfg)
+    assert built == [(solver._RESTART_SEED,)]
     np.random.seed(2)
     np.random.standard_normal(7)
     again, _ = solve(DenseMatrix(A), y, np.ones(10), cfg)
     assert len(trace.restart_iters) >= 1
     assert len(trace) == trace.t.shape[0] + sum(trace.restart_iters) <= solver._MAX_ITERS
     assert np.array_equal(first.entries, again.entries)
+    built.clear()
+    _, trace = solve(DenseMatrix(A_sparse), y_sparse, np.ones(10), cfg)
+    assert trace.restart_iters == () and built == []
 
 
 def test_audio_shaped_block_takes_no_restarts():
