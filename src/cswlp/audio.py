@@ -28,7 +28,7 @@ from .core import (
     SignalVector,
     WeightVector,
     _SNR_CAP_DB,
-    _as_vector,
+    _as_array,
     _check_fields,
     _idct,
     _idct_entries,
@@ -172,7 +172,7 @@ def recover_clip(
     # kept only until the benchmark stops passing threads=1
     if threads != 1:
         raise ValueError(f"recover_clip is serial; threads must be 1, got {threads}")
-    samples = _as_vector(samples, "samples")
+    samples = _as_array(samples, "samples")
     total = cfg.num_blocks * cfg.block_len
     if samples.shape[0] < total:
         raise ValueError(f"need at least {total} samples, got {samples.shape}")

@@ -10,9 +10,9 @@ Conventions used throughout the package:
 * every input is read by the reader of its kind, the only home of its
   rule; only rules that relate two values, such as n <= N, are written
   where they apply:
-  - arrays: ``_as_vector`` refuses non-finite entries, naming the
-    input (and the decoder that reads it), and ``DenseMatrix`` a matrix
-    that is not two-dimensional or holds non-finite entries;
+  - arrays: ``_as_array`` reads every real vector and matrix, a
+    ``DenseMatrix``'s too, and refuses a wrong rank, no entry or a
+    non-finite entry, naming the input (and the decoder that reads it);
   - sensing operators: ``_exact_fit``, the reader of every decoder's
     (A, b), refuses an A that is not a ``DenseMatrix`` or
     ``RestrictedTransform``;
@@ -164,10 +164,11 @@ def _check_fields(obj, *names: str) -> None:
         object.__setattr__(obj, name, tuple(values) if name.endswith("_list") else values[0])
 
 
-def _as_vector(values, name: str) -> np.ndarray:
+def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:
+    """``values`` as a non-empty, finite float64 array of ``ndim`` (1 or 2) dimensions."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {('one', 'two')[ndim - 1]}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
     if not np.isfinite(arr).all():
@@ -199,7 +200,7 @@ class SignalVector:
     entries: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", _as_vector(self.entries, "signal entries"))
+        object.__setattr__(self, "entries", _as_array(self.entries, "signal entries"))
 
 
 @dataclass(frozen=True)
@@ -217,13 +218,7 @@ class DenseMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.matrix, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"matrix must be two-dimensional, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("matrix must not be empty")
-        if not np.isfinite(arr).all():
-            raise ValueError("matrix entries must be finite")
+        arr = _as_array(self.matrix, "matrix", ndim=2)
         n, N = arr.shape
         if n > N:
             raise ValueError(f"matrix must have n <= N, got {n} x {N}")
@@ -423,7 +418,7 @@ class Measurements:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "y", _as_vector(self.y, "measurements"))
+        object.__setattr__(self, "y", _as_array(self.y, "measurements"))
         _check_fields(self, "epsilon")
 
 
@@ -456,7 +451,7 @@ def _weights_array(w, N: int, name: str = "weights") -> np.ndarray:
         if w.size != N:
             raise ValueError(f"weight size {w.size} does not match signal length {N}")
         return w.weights
-    arr = _as_vector(w, name)
+    arr = _as_array(w, name)
     if arr.shape[0] != N:
         raise ValueError(f"{name} length {arr.shape[0]} does not match signal length {N}")
     if np.any(arr < 0) or np.any(arr > 1):
@@ -467,13 +462,13 @@ def _weights_array(w, N: int, name: str = "weights") -> np.ndarray:
 def _signal_array(x, name: str = "x") -> np.ndarray:
     if isinstance(x, SignalVector):
         return x.entries
-    return _as_vector(x, name)
+    return _as_array(x, name)
 
 
 def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
     """y from b and ||y||, by which, with ||A||_2, ``_fits`` judges a
     point; an A that is not a sensing operator, a b with epsilon > 0, a
-    plain array b that ``_as_vector`` refuses, or a b whose length is not
+    plain array b that ``_as_array`` refuses, or a b whose length is not
     A's row count, raises ValueError naming ``decoder``.  ||A||_2 is
     ``A._norm2``, for a DenseMatrix from its one factorization record
     (Q, R^-1 and the singular values), which a decoder reads after its
@@ -482,7 +477,7 @@ def _exact_fit(A, b, decoder: str) -> tuple[np.ndarray, float]:
         raise ValueError(f"{decoder}: A must be a DenseMatrix or RestrictedTransform, got {type(A).__name__}")
     if isinstance(b, Measurements) and b.epsilon > 0.0:
         raise ValueError(f"{decoder} fits A x = b exactly; it cannot honour noise bound epsilon={b.epsilon!r}")
-    y = b.y if isinstance(b, Measurements) else _as_vector(b, f"{decoder}: measurements")
+    y = b.y if isinstance(b, Measurements) else _as_array(b, f"{decoder}: measurements")
     if y.shape[0] != A.shape[0]:
         raise ValueError(f"{decoder}: measurement length {y.shape[0]} does not match operator rows {A.shape[0]}")
     return y, float(np.linalg.norm(y))

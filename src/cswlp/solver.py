@@ -205,20 +205,21 @@ class SolverTrace:
         return int(self.t.shape[0]) + sum(self.restart_iters)
 
 
-def smoothed_objective(x, w, p: float, sigma: float) -> float:
-    """Value of sum_i w_i^p (x_i^2 + sigma^2)^(p/2), which ``solve`` divides by p."""
+def _smoothed(x, w, p: float, sigma: float) -> tuple[float, np.ndarray]:
+    """The kernel's (value, gradient), with x, w, p and sigma each read by its reader."""
     [p], [sigma] = check_domain(p=[p], sigma=[sigma]).values()
     xa = _signal_array(x)
-    wa = _weights_array(w, xa.shape[0])
-    return _kernels.smoothed_objective_raw(xa, wa**p, p, sigma)[0]
+    return _kernels.smoothed_objective_raw(xa, _weights_array(w, xa.shape[0]) ** p, p, sigma)
+
+
+def smoothed_objective(x, w, p: float, sigma: float) -> float:
+    """Value of sum_i w_i^p (x_i^2 + sigma^2)^(p/2), which ``solve`` divides by p."""
+    return _smoothed(x, w, p, sigma)[0]
 
 
 def smoothed_gradient(x, w, p: float, sigma: float) -> np.ndarray:
     """Gradient p w_i^p (x_i^2 + sigma^2)^(p/2 - 1) x_i of the smoothed objective."""
-    [p], [sigma] = check_domain(p=[p], sigma=[sigma]).values()
-    xa = _signal_array(x)
-    wa = _weights_array(w, xa.shape[0])
-    return _kernels.smoothed_objective_raw(xa, wa**p, p, sigma)[1]
+    return _smoothed(x, w, p, sigma)[1]
 
 
 def _norm(v: np.ndarray) -> float:

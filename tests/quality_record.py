@@ -34,6 +34,14 @@ Python scalar arithmetic, the same on any machine); and, on the record's
 own machine block only, when a section of KERNEL_INDEPENDENT differs.
 On any other block those sections are printed, not judged: they were
 measured under no other numpy, BLAS build or core.
+
+The OpenBLAS thread count moves last bits too, so ``--check`` prints it
+beside the machine block, which does not hold it: keying the block on
+it would judge KERNEL_INDEPENDENT on fewer machines.  On the record's
+2-core machine, whose default is 2 threads, ``OPENBLAS_NUM_THREADS=1``
+reads sweep ``mean_snr_db`` 45.45053852697745 (recorded
+45.45053852697666) and another sweep solve hash, while criterion 3 and
+every KERNEL_INDEPENDENT section read the same.
 """
 
 from __future__ import annotations
@@ -81,19 +89,25 @@ CONFIGS = ("p=0.5 omega=1", "p=0.5 omega=0.3 alpha=1")
 KERNEL_INDEPENDENT = ("criterion_6_misses", "criterion_12", "small_p_table", "scale_table")
 
 
+def _openblas(symbol: str, restype):
+    """What ``symbol`` of the OpenBLAS that numpy loads returns, or None."""
+    value = None
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        getter = getattr(ctypes.CDLL(str(lib)), symbol, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = (), restype
+            value = getter()
+    return value
+
+
 def machine() -> dict:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.26 has no mode: another machine block
         blas = {}
-    core = None
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        getter = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
-        if getter is not None:
-            getter.argtypes, getter.restype = (), ctypes.c_char_p
-            core = getter().decode()
+    core = _openblas("scipy_openblas_get_corename64_", ctypes.c_char_p)
     return {"numpy": np.__version__, "blas": blas.get("name"), "blas_version": blas.get("version"),
-            "openblas_core": core}
+            "openblas_core": None if core is None else core.decode()}
 
 
 class _Hash:
@@ -239,6 +253,8 @@ def _low_rates(criterion_3: dict) -> list[str]:
 def check(record: dict, committed: dict) -> bool:
     """Print each difference from ``committed``; True when none is fatal."""
     fatal_sections = {"theory_hashes"}
+    threads = _openblas("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    print(f"machine {record['machine']}, OpenBLAS threads {threads}")
     if record["machine"] == committed["machine"]:
         fatal_sections.update(KERNEL_INDEPENDENT)
     else:

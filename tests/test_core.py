@@ -19,9 +19,10 @@ from cswlp.core import _idct
 
 
 def test_signal_vector_rejects_non_finite():
-    with pytest.raises(ValueError):
+    # the words of the array reader that DenseMatrix reads its matrix by too
+    with pytest.raises(ValueError, match="^signal entries must be finite$"):
         SignalVector(np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^signal entries must be one-dimensional, got shape \(1, 2\)$"):
         SignalVector(np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError, match="signal entries must not be empty"):
         SignalVector(np.array([]))
@@ -40,7 +41,7 @@ def test_dense_matrix_refuses_a_non_matrix_and_non_finite_entries():
     for bad in (np.nan, np.inf):
         M = np.ones((3, 4))
         M[1, 2] = bad
-        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
             DenseMatrix(M)
 
 
