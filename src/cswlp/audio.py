@@ -2,10 +2,11 @@
 
 A clip is cut into fixed-length blocks; within each block a random
 subset of time samples is kept and the block's orthonormal DCT-II
-coefficients are recovered by the weighted lp solver.  The support
-estimate for a block is the fixed low-frequency band below a cutoff
-plus the largest coefficients recovered from the previous block, so the
-estimate tracks the signal as it moves.
+coefficients are recovered by the weighted lp solver.  A block is
+posed once, one operator and one measurement vector for every (p, omega)
+column; each column carries its own support estimate, the fixed
+low-frequency band below a cutoff plus the largest coefficients it
+recovered from the previous block, so the estimate tracks the signal.
 
 ``recover_clip`` returns SNR rows and reconstructed waveforms and
 writes no file; ``cswlp audio`` (in ``cswlp.cli``) reads the input
@@ -119,28 +120,20 @@ def lowfreq_support(cfg: AudioPipelineConfig) -> tuple[int, ...]:
 def build_block_problem(
     block: np.ndarray,
     keep_rows: tuple[int, ...],
-    prev_estimate: tuple[int, ...] | None,
     cfg: AudioPipelineConfig,
-    omega: float,
-) -> tuple[RestrictedTransform, Measurements, WeightVector]:
-    """Assemble one block's recovery problem: (operator, measurements,
-    weights).
+) -> tuple[RestrictedTransform, Measurements]:
+    """Pose one block, once for all (p, omega) columns: (operator,
+    measurements).
 
     The operator keeps ``keep_rows`` (1-based time positions) of the
-    inverse DCT, applied by FFT; the weight support is the low-frequency
-    band united with ``prev_estimate``, 1-based bins (pass None for the
-    first block).
+    inverse DCT, applied by FFT; the measurements are the block's samples
+    at those positions.  Each column brings its own weights.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.shape != (cfg.block_len,):
         raise ValueError(f"block must have length {cfg.block_len}")
     op = RestrictedTransform(rows=tuple(keep_rows), size=cfg.block_len)
-    y = Measurements(block[op._idx])
-    joined = set(lowfreq_support(cfg))
-    if prev_estimate is not None:
-        joined |= set(prev_estimate)
-    weights = WeightVector(omega=omega, estimate=tuple(joined), size=cfg.block_len)
-    return op, y, weights
+    return op, Measurements(block[op._idx])
 
 
 @dataclass(frozen=True)
@@ -181,22 +174,19 @@ def recover_clip(
     N = cfg.block_len
     n_keep = cfg.samples_per_block
     prev_count = int(round(cfg.prev_block_keep * n_keep))
+    low = lowfreq_support(cfg)
     combos = cfg.combos
-    prev_coeffs: dict[tuple[float, float], np.ndarray | None] = {c: None for c in combos}
+    estimates = dict.fromkeys(combos, low)
     recons = {c: np.zeros(total, dtype=np.float64) for c in combos}
 
     for j in range(cfg.num_blocks):
-        block = samples[j * N : (j + 1) * N]
         rng = _stream(cfg.seed, j)
         keep = tuple(int(i) + 1 for i in np.sort(rng.choice(N, size=n_keep, replace=False)))
+        op, y = build_block_problem(samples[j * N : (j + 1) * N], keep, cfg)
         for p, omega in combos:
-            prev = prev_coeffs[(p, omega)]
-            prev_est = None
-            if prev is not None and prev_count > 0:
-                prev_est = best_k_term(prev, prev_count)[1]
-            op, y, weights = build_block_problem(block, keep, prev_est, cfg, omega)
+            weights = WeightVector(omega=omega, estimate=estimates[(p, omega)], size=N)
             coeffs, _ = solve(op, y, weights, SolverConfig(p=p))
-            prev_coeffs[(p, omega)] = coeffs.entries
+            estimates[(p, omega)] = tuple(set(low).union(best_k_term(coeffs, prev_count)[1]))
             recons[(p, omega)][j * N : (j + 1) * N] = _idct(coeffs.entries)
 
     rows = [AudioRow(omega=w, p=p, snr_db=_clip_snr(samples, recons[(p, w)])) for p, w in combos]

@@ -54,7 +54,7 @@ random start often reaches a lower objective; in a larger one, as in an
 audio block (1536 against n = 512) or a sweep instance (300-400 against
 100-200), no restart was seen to, and restarts only spent the
 iterations the first run left.  They draw from a generator built at the
-first restart and seeded with the fixed _RESTART_SEED, never from global
+first restart by the one seed rule, _stream(_RESTART_SEED), never from global
 state, and spend only the iterations left of _MAX_ITERS.  A run result
 with at most n entries above 1e-4 of the largest is replaced by the
 least-squares fit of b on those entries when that fit is feasible and
@@ -93,6 +93,7 @@ from .core import (
     _fits,
     _largest,
     _signal_array,
+    _stream,
     _weighted_lp_sum,
     _weights_array,
     check_domain,
@@ -373,7 +374,7 @@ def solve(
     if p < 1.0 and explore:
         while len(restart_iters) < _RESTARTS and used < _MAX_ITERS and 2 * support(best).size > n:
             if not restart_iters:
-                rng = np.random.default_rng(_RESTART_SEED)
+                rng = _stream(_RESTART_SEED)
                 scale = _RESTART_SCALE * _norm(x0)
             z = project(rng.standard_normal(N))
             start = x0 + (scale / _norm(z)) * z

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cswlp import SolverConfig, solve
+from cswlp import SolverConfig, WeightVector, audio, solve
 from cswlp.audio import (
     AudioPipelineConfig,
     build_block_problem,
@@ -67,18 +67,68 @@ def test_config_refuses_a_block_that_keeps_no_sample():
     assert AudioPipelineConfig(block_len=256, num_blocks=1, keep_frac=0.002).samples_per_block == 1
 
 
-def test_block_problem_unions_previous_support():
-    cfg = _tiny_cfg()
-    block = np.zeros(128)
-    block[0] = 1.0
-    keep = tuple(range(1, 65))
+@pytest.mark.parametrize("prev_block_keep", [0.25, 0.0])
+def test_each_column_carries_its_own_support_estimate(monkeypatch, prev_block_keep):
+    # block 0 is weighted on the low band; block j on the low band united
+    # with the prev_block_keep largest bins of that column's block j - 1
+    # result, so with prev_block_keep = 0 every block is weighted on the
+    # low band alone
+    cfg = _tiny_cfg(num_blocks=3, lowfreq_cutoff_hz=1000.0, prev_block_keep=prev_block_keep, p_list=(0.5, 1.0))
+    solves = []  # every solve, in order: (p, weights, result)
+
+    def recorded(A, b, w, cfg):
+        x_hat, trace = solve(A, b, w, cfg)
+        solves.append((cfg.p, w, x_hat.entries))
+        return x_hat, trace
+
+    monkeypatch.setattr(audio, "solve", recorded)
+    recover_clip(synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=2), cfg)
     low = set(lowfreq_support(cfg))
-    extra = max(low) + 3
-    _, measurements, weights = build_block_problem(block, keep, (extra,), cfg, omega=0.5)
-    assert weights.estimate == tuple(sorted(low | {extra}))
-    assert measurements.y.shape == (64,)
-    with pytest.raises(ValueError):
-        build_block_problem(np.zeros(100), keep, None, cfg, omega=0.5)
+    count = int(round(prev_block_keep * cfg.samples_per_block))
+    width = len(cfg.combos)
+    assert len(solves) == cfg.num_blocks * width
+    grown = 0
+    for i, (p, weights, _) in enumerate(solves):
+        column = cfg.combos[i % width]
+        assert (p, weights.omega) == column
+        expected = set(low)
+        if i >= width:
+            previous = solves[i - width][2]
+            expected |= {int(b) + 1 for b in np.argsort(-np.abs(previous), kind="stable")[:count]}
+        assert weights.estimate == tuple(sorted(expected))
+        grown += expected != low
+    # with any bins carried, every later block's estimate reaches past
+    # the low band, so the union above is not the low band alone
+    assert grown == (0 if count == 0 else (cfg.num_blocks - 1) * width)
+    block = synthesize_speech_like(cfg.block_len, seed=4)
+    _, measurements = build_block_problem(block, tuple(range(1, 129, 2)), cfg)
+    assert np.array_equal(measurements.y, block[::2])
+    with pytest.raises(ValueError, match="^block must have length 128$"):
+        build_block_problem(np.zeros(100), tuple(range(1, 65)), cfg)
+
+
+def test_each_block_is_posed_once_for_every_column(monkeypatch):
+    cfg = _tiny_cfg(p_list=(0.5, 1.0), omega_list=(0.0, 1.0))
+    posed = []
+
+    def counted(*args):
+        posed.append(args)
+        return build_block_problem(*args)
+
+    monkeypatch.setattr(audio, "build_block_problem", counted)
+    recover_clip(synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=2), cfg)
+    assert len(posed) == cfg.num_blocks == 2
+
+
+def test_a_column_recovers_the_same_alone_or_beside_others():
+    cfg = _tiny_cfg(p_list=(0.5, 1.0), omega_list=(0.0, 1.0))
+    samples = synthesize_speech_like(cfg.block_len * cfg.num_blocks, seed=2)
+    rows, recons = recover_clip(samples, cfg)
+    for row in rows:
+        alone = _tiny_cfg(p_list=(row.p,), omega_list=(row.omega,))
+        (alone_row,), alone_recons = recover_clip(samples, alone)
+        assert alone_row == row
+        assert alone_recons[(row.p, row.omega)].tobytes() == recons[(row.p, row.omega)].tobytes()
 
 
 def test_synthesized_clip_is_deterministic():
@@ -187,7 +237,8 @@ def test_dct_block_iterates_stay_feasible(monkeypatch):
     block = synthesize_speech_like(cfg.block_len, seed=4)
     rng = np.random.default_rng(5)
     keep = tuple(int(i) + 1 for i in np.sort(rng.choice(cfg.block_len, size=cfg.samples_per_block, replace=False)))
-    op, measurements, weights = build_block_problem(block, keep, (40, 41), cfg, omega=0.5)
+    op, measurements = build_block_problem(block, keep, cfg)
+    weights = WeightVector(omega=0.5, estimate=tuple(set(lowfreq_support(cfg)) | {40, 41}), size=cfg.block_len)
     b = measurements.y
     iterates = record_iterates(monkeypatch)
     _, trace = solve(op, measurements, weights, SolverConfig(p=0.5))
