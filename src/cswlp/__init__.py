@@ -4,7 +4,6 @@ calculators, experiment sweeps, and a blockwise audio pipeline."""
 
 from .core import (
     ConditionViolatedError,
-    ConfigError,
     CswlpError,
     DenseMatrix,
     Measurements,
@@ -33,7 +32,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConditionViolatedError",
-    "ConfigError",
     "CswlpError",
     "DenseMatrix",
     "Measurements",

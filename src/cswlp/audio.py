@@ -31,6 +31,7 @@ from .core import (
     _SNR_CAP_DB,
     _as_array,
     _check_fields,
+    _check_seed,
     _idct,
     _idct_entries,
     _stream,
@@ -90,6 +91,7 @@ class AudioPipelineConfig:
     def __post_init__(self):
         _check_fields(self, "block_len", "num_blocks", "keep_frac", "lowfreq_cutoff_hz", "sample_rate_hz",
                       "prev_block_keep", "p_list", "omega_list")
+        _check_seed(self)
         if self.lowfreq_cutoff_hz > self.sample_rate_hz / 2.0:
             raise ValueError("cutoff must lie in [0, sample_rate/2]")
         if self.samples_per_block < 1:

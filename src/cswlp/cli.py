@@ -23,7 +23,7 @@ import os
 import struct
 import sys
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 from itertools import product
 from pathlib import Path
@@ -43,7 +43,7 @@ from .core import (
     _SNR_CAP_DB,
     check_domain,
 )
-from .experiments import ExperimentSpec, SweepRow, _parse_grid, load_experiment_spec, run_sweep
+from .experiments import ExperimentSpec, SweepRow, run_sweep
 from .solver import (_MAX_BACKTRACKS, _MAX_ITERS, _SIGMA_DECAY, _SIGMA_FLOOR, _SIGMA_INIT, _STEP_SHRINK,
                      SolverConfig, solve)
 from .theory import delta_hat_lp, delta_hat_wl1, delta_hat_wlp, error_constants
@@ -85,10 +85,15 @@ def read_array(path) -> np.ndarray:
     with open(path, "rb") as handle:
         head = handle.read(8)
         if head == _MAGIC:
-            rows, cols = struct.unpack("<II", handle.read(8))
-            payload = handle.read(rows * cols * 8)
-            if len(payload) != rows * cols * 8:
+            header = handle.read(8)
+            if len(header) < 8:
+                raise ValueError(f"{path}: truncated binary header")
+            rows, cols = struct.unpack("<II", header)
+            payload, size = handle.read(), rows * cols * 8
+            if len(payload) < size:
                 raise ValueError(f"{path}: truncated binary payload")
+            if len(payload) > size:
+                raise ValueError(f"{path}: {len(payload) - size} extra bytes after the binary payload")
             return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).astype(np.float64)
     with warnings.catch_warnings():
         # a file without data reads as an empty array, which its reader refuses
@@ -167,6 +172,27 @@ class RunManifest:
             if isinstance(solver, dict) and name in solver and (value := solver.pop(name)) != fixed:
                 raise ValueError(f"{path}: cannot reproduce solver setting {name!r} = {value!r}, fixed at {fixed!r}")
         return cls(**data)
+
+
+def _parse_grid(text: str) -> tuple[float, ...]:
+    """A grid, as every grid flag gives it: comma-separated values,
+    where a token start:stop:count expands to a linspace, so "0:1:5"
+    means 0, 0.25, 0.5, 0.75, 1.  An empty token raises ValueError."""
+    values: list[float] = []
+    for token in text.split(","):
+        token = token.strip()
+        if not token:
+            raise ValueError(f"empty grid token in {text!r}")
+        if ":" in token:
+            parts = token.split(":")
+            if len(parts) != 3:
+                raise ValueError(f"grid token {token!r} must be start:stop:count")
+            start, stop, count = (float(part) for part in parts)
+            [count] = check_domain(count=[count])["count"]
+            values.extend(float(v) for v in np.linspace(start, stop, count))
+        else:
+            values.append(float(token))
+    return tuple(values)
 
 
 def _grid_arg(text: str) -> tuple[float, ...]:
@@ -307,10 +333,8 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_experiment_spec(args.config)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    # the resolved spec is embedded, so replay never re-reads the file
+    # a refused spec exits before any file is written
+    spec = ExperimentSpec(**{f.name: getattr(args, f.name) for f in fields(ExperimentSpec)})
     return _execute("sweep", {"spec": asdict(spec)}, {}, args.out_dir)
 
 
@@ -372,9 +396,21 @@ def _build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--delta-a1k", type=float, default=None, help="RIP constant for (a+1)k columns")
     pt.set_defaults(func=_cmd_theory)
 
-    pw = sub.add_parser("sweep", help="run the experiment grid described by --config")
-    pw.add_argument("--config", type=Path, required=True, help="experiment config file")
-    pw.add_argument("--seed", type=int, default=None, help="replaces the config file's seed")
+    pw = sub.add_parser("sweep", help="Monte Carlo recovery over (n, alpha, p, omega) grids")
+    # each flag sets the ExperimentSpec field of its dest; all are
+    # required but --decay, which only a compressible signal takes
+    pw.add_argument("--N", dest="N", type=int, required=True, help="signal length")
+    pw.add_argument("--n", dest="n_list", type=_grid_arg, required=True, help="grid over the measurement count")
+    pw.add_argument("--k", dest="k", type=int, required=True, help="size of the true (best k-term) support")
+    pw.add_argument("--signal-kind", dest="signal_kind", required=True, help="sparse or compressible")
+    pw.add_argument("--decay", dest="decay", type=float, default=None, help="a compressible signal's decay")
+    pw.add_argument("--noise-frac", dest="noise_frac", type=float, required=True, help="||e|| / ||x||")
+    pw.add_argument("--alpha", dest="alpha_list", type=_grid_arg, required=True, help="grid over alpha")
+    pw.add_argument("--rho", dest="rho", type=float, required=True, help="estimate size / k")
+    pw.add_argument("--omega", dest="omega_list", type=_grid_arg, required=True, help="grid over omega")
+    pw.add_argument("--p", dest="p_list", type=_grid_arg, required=True, help="grid over p")
+    pw.add_argument("--trials", dest="trials", type=int, required=True, help="instances per (n, alpha)")
+    pw.add_argument("--seed", dest="seed", type=int, required=True, help="seed of every instance's draws")
     pw.set_defaults(func=_cmd_sweep)
 
     pa = sub.add_parser("audio", help="blockwise recovery of a subsampled WAV clip")

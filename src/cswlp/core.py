@@ -26,7 +26,9 @@ Conventions used throughout the package:
     ``check_domain`` checks them against one domain table and returns
     them as the table keeps them, a count or k_max as int and any other
     setting as float, which is what the config types store
-    (``_check_fields``)
+    (``_check_fields``);
+  - seeds: ``_check_seed`` takes any integer exactly, never through
+    float, and refuses anything else
 * an exact fit has one rule, ``_fits``, which every decoder judges a
   fit by: a normwise backward error at most _FEASIBILITY_TOL, with ||y||
   from ``_exact_fit`` and ||A||_2 from the operator's ``_norm2``
@@ -35,6 +37,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -42,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "CswlpError",
-    "ConfigError",
     "ConditionViolatedError",
     "OracleInfeasibleError",
     "RankDeficientError",
@@ -61,10 +63,6 @@ __all__ = [
 
 class CswlpError(Exception):
     """Base class for errors raised by this package."""
-
-
-class ConfigError(CswlpError):
-    """A config file or parameter set is malformed."""
 
 
 class RankDeficientError(CswlpError):
@@ -162,6 +160,17 @@ def _check_fields(obj, *names: str) -> None:
     })
     for name, values in zip(given, checked.values()):
         object.__setattr__(obj, name, tuple(values) if name.endswith("_list") else values[0])
+
+
+def _check_seed(obj) -> None:
+    """Store the ``seed`` field of the frozen dataclass ``obj`` as an
+    int, read exactly and never through float, which would round
+    2**70 + 1, so ``_stream`` draws from the seed given; raise
+    ValueError naming the seed when it is not an integer."""
+    try:
+        object.__setattr__(obj, "seed", operator.index(obj.seed))
+    except TypeError:
+        raise ValueError(f"seed must be an integer, got {obj.seed!r}") from None
 
 
 def _as_array(values, name: str, ndim: int = 1) -> np.ndarray:

@@ -13,14 +13,11 @@ field.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .core import (
-    ConfigError,
     DenseMatrix,
     Measurements,
     RankDeficientError,
@@ -29,6 +26,7 @@ from .core import (
     WeightVector,
     _as_indices,
     _check_fields,
+    _check_seed,
     _root,
     _signal_array,
     _stream,
@@ -50,7 +48,6 @@ __all__ = [
     "gen_noise_on_sphere",
     "gen_sparse_signal",
     "gen_support_estimate",
-    "load_experiment_spec",
     "run_sweep",
 ]
 
@@ -155,6 +152,7 @@ class ExperimentSpec:
             raise ValueError(f"sparse signals take no decay exponent, got {self.decay!r}")
         _check_fields(self, "N", "n_list", "k", "trials", "p_list", "omega_list", "alpha_list", "rho",
                       "noise_frac", *decay)
+        _check_seed(self)
         if max(self.n_list) > self.N:
             raise ValueError("every n must lie in 1..N")
         if self.k > self.N:
@@ -283,94 +281,3 @@ def run_sweep(spec: ExperimentSpec, *, threads: int = 1) -> ExperimentResult:
         for row in _task_rows(spec, n, alpha_idx, trial)
     ]
     return ExperimentResult(rows=rows)
-
-
-_COMPRESSIBLE_RE = re.compile(r"^compressible\(([-0-9.eE+]+)\)$")
-
-
-def _parse_grid(text: str) -> tuple[float, ...]:
-    """A grid, as config-file lists and CLI flags both give it:
-    comma-separated values, where a token start:stop:count expands to a
-    linspace, so "0:1:5" means 0, 0.25, 0.5, 0.75, 1.  An empty token
-    raises ValueError."""
-    values: list[float] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            raise ValueError(f"empty grid token in {text!r}")
-        if ":" in token:
-            parts = token.split(":")
-            if len(parts) != 3:
-                raise ValueError(f"grid token {token!r} must be start:stop:count")
-            start, stop, count = (float(part) for part in parts)
-            [count] = check_domain(count=[count])["count"]
-            values.extend(float(v) for v in np.linspace(start, stop, count))
-        else:
-            values.append(float(token))
-    return tuple(values)
-
-
-def _signal_kind(text: str) -> tuple[str, float | None]:
-    """``sparse``, or ``compressible(d)`` with its decay exponent d."""
-    if text == "sparse":
-        return "sparse", None
-    m = _COMPRESSIBLE_RE.match(text)
-    if not m:
-        raise ValueError(text)
-    return "compressible", float(m.group(1))
-
-
-# each config key: the ExperimentSpec field it sets and how its text
-# converts; signal_kind sets both signal_kind and decay
-_CONFIG_KEYS = {
-    "signal_kind": ("signal_kind", _signal_kind),
-    "N": ("N", int),
-    "n": ("n_list", _parse_grid),
-    "k": ("k", int),
-    "noise_frac": ("noise_frac", float),
-    "alpha": ("alpha_list", _parse_grid),
-    "rho": ("rho", float),
-    "omega": ("omega_list", _parse_grid),
-    "p": ("p_list", _parse_grid),
-    "trials": ("trials", int),
-    "seed": ("seed", int),
-}
-
-
-def load_experiment_spec(path) -> ExperimentSpec:
-    """Parse a flat key=value config file into an ExperimentSpec.
-
-    Lists take the grid syntax of ``_parse_grid`` (``n = 100, 140, 200``,
-    ``omega = 0:1:3``); ``signal_kind`` is either
-    ``sparse`` or ``compressible(d)``.  Unknown or missing keys raise
-    ConfigError naming the key.
-    """
-    text = Path(path).read_text()
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in values:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = val
-    missing = sorted(set(_CONFIG_KEYS) - set(values))
-    if missing:
-        raise ConfigError(f"{path}: missing keys: {', '.join(missing)}")
-
-    settings = {}
-    for key, (name, convert) in _CONFIG_KEYS.items():
-        try:
-            settings[name] = convert(values[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad value for {key!r}: {values[key]!r}") from exc
-    settings["signal_kind"], settings["decay"] = settings["signal_kind"]
-    try:
-        return ExperimentSpec(**settings)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc

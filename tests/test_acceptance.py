@@ -332,18 +332,15 @@ def test_criterion_9_replay_is_bit_identical(tmp_path):
     write_vector_binary(tmp_path / "y.bin", A @ x)
     wav = tmp_path / "clip.wav"
     write_wav_mono(wav, synthesize_speech_like(512, seed=5), 44100.0)
-    sweep_cfg = tmp_path / "exp.cfg"
-    sweep_cfg.write_text(
-        "N = 30\nn = 15\nk = 3\nsignal_kind = sparse\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0, 1\np = 0.5\ntrials = 2\nseed = 6\n"
-    )
     runs = {
         "solve": ["solve", "--matrix", str(tmp_path / "A.bin"),
                   "--measurements", str(tmp_path / "y.bin")],
         "theory": ["theory", "--a", "3", "--p", "0.5", "--omega", "0:1:5",
                    "--alpha", "0:1:5", "--rho", "1",
                    "--delta-ak", "0.05", "--delta-a1k", "0.05"],
-        "sweep": ["sweep", "--config", str(sweep_cfg)],
+        "sweep": ["sweep", "--N", "30", "--n", "15", "--k", "3", "--signal-kind", "sparse",
+                  "--noise-frac", "0", "--alpha", "0.7", "--rho", "1", "--omega", "0, 1",
+                  "--p", "0.5", "--trials", "2", "--seed", "6"],
         "audio": ["audio", "--input", str(wav), "--block-len", "256",
                   "--num-blocks", "2", "--keep-frac", "0.5",
                   "--p", "0.5", "--omega", "0,0.5"],

@@ -1,7 +1,7 @@
 import json
 import shutil
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from cswlp import cli
 from cswlp.cli import (
     RunManifest,
+    _parse_grid,
     main,
     read_array,
     write_matrix_binary,
@@ -16,7 +17,7 @@ from cswlp.cli import (
 )
 from cswlp.audio import AudioPipelineConfig, synthesize_speech_like, write_wav_mono
 from cswlp.core import SolverDivergenceError
-from cswlp.experiments import _parse_grid
+from cswlp.experiments import ExperimentSpec, SweepRow, run_sweep
 
 
 def _plant_problem(rng, n=6, N=12, k=2):
@@ -41,12 +42,10 @@ def _full_manifest(**fields):
     return {**base, **fields}
 
 
-def _write_sweep_config(path, seed=3):
-    path.write_text(
-        "N = 30\nn = 15\nk = 3\nsignal_kind = sparse\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0, 1\np = 0.5\ntrials = 2\n"
-        f"seed = {seed}\n"
-    )
+def _sweep_args(seed=3):
+    """`cswlp sweep` on a 30-wide sparse spec: 2 trials x 2 omega values."""
+    return ["sweep", "--N", "30", "--n", "15", "--k", "3", "--signal-kind", "sparse", "--noise-frac", "0",
+            "--alpha", "0.7", "--rho", "1", "--omega", "0, 1", "--p", "0.5", "--trials", "2", "--seed", str(seed)]
 
 
 def test_binary_matrix_round_trip(tmp_path):
@@ -90,8 +89,20 @@ def test_truncated_binary_raises(tmp_path):
     path = tmp_path / "mat.bin"
     write_matrix_binary(path, np.ones((4, 4)))
     path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="truncated"):
+    with pytest.raises(ValueError, match="truncated binary payload"):
         read_array(path)
+    path.write_bytes(path.read_bytes()[:11])
+    with pytest.raises(ValueError, match="truncated binary header"):
+        read_array(path)
+
+
+def test_binary_with_bytes_after_its_payload_raises(tmp_path):
+    path = tmp_path / "mat.bin"
+    write_matrix_binary(path, np.ones((2, 3)))
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(ValueError) as exc:
+        read_array(path)
+    assert str(exc.value) == f"{path}: 8 extra bytes after the binary payload"
 
 
 def test_parse_grid_forms():
@@ -344,17 +355,15 @@ def test_replay_requires_both_deltas(tmp_path, capsys):
     assert not redo.exists()
 
 
-def test_sweep_from_config_and_seed_override(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    _write_sweep_config(cfg)
+def test_sweep_by_flags_and_its_seed(tmp_path):
     out1 = tmp_path / "a"
-    assert main(["--out-dir", str(out1), "sweep", "--config", str(cfg)]) == 0
+    assert main(["--out-dir", str(out1), *_sweep_args()]) == 0
     rows1 = (out1 / "sweep.csv").read_text().strip().split("\n")
     assert rows1[0].startswith("n,p,omega,")
     assert len(rows1) == 1 + 2 * 2  # trials x omega values
 
     out2 = tmp_path / "b"
-    assert main(["--out-dir", str(out2), "sweep", "--config", str(cfg), "--seed", "99"]) == 0
+    assert main(["--out-dir", str(out2), *_sweep_args(seed=99)]) == 0
     manifest = RunManifest.load(out2 / "manifest.json")
     assert manifest.config["spec"]["seed"] == 99
     rows2 = (out2 / "sweep.csv").read_text().strip().split("\n")
@@ -362,10 +371,8 @@ def test_sweep_from_config_and_seed_override(tmp_path):
 
 
 def test_replay_reproduces_sweep_with_stop_reasons(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    _write_sweep_config(cfg)
     out, redo = tmp_path / "orig", tmp_path / "redo"
-    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 0
+    assert main(["--out-dir", str(out), *_sweep_args()]) == 0
     assert main(["--out-dir", str(redo), "replay", "--manifest", str(out / "manifest.json")]) == 0
     assert (redo / "sweep.csv").read_bytes() == (out / "sweep.csv").read_bytes()
     orig = [line.split(",") for line in (out / "sweep.csv").read_text().strip().split("\n")]
@@ -373,24 +380,38 @@ def test_replay_reproduces_sweep_with_stop_reasons(tmp_path):
     assert reasons and set(reasons) <= {"sigma_floor", "max_iters", "stationary"}
 
 
-def test_sweep_bad_config_names_the_key(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("N = 30\nmystery = 4\n")
-    code = main(["--out-dir", str(tmp_path / "o"), "sweep", "--config", str(cfg)])
-    assert code == 1
-    assert "mystery" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (["--n", "15.7, 20"], "error: n must be an integer >= 1, got 15.7\n"),
+        (["--signal-kind", "dense"], "error: unknown signal kind 'dense'\n"),
+        (["--decay", "1.1"], "error: sparse signals take no decay exponent, got 1.1\n"),
+        (["--signal-kind", "compressible"], "error: compressible signals need a decay exponent\n"),
+        (["--mystery", "4"], "cswlp: error: unrecognized arguments: --mystery 4\n"),
+    ],
+    ids=["non-integer-n", "unknown-kind", "decay-on-sparse", "compressible-without-decay", "unknown-flag"],
+)
+def test_sweep_refuses_a_bad_spec_before_writing(tmp_path, capsys, change, message):
+    # a later flag replaces an earlier one's value
+    assert main(["--out-dir", str(tmp_path / "o"), *_sweep_args(), *change]) == 1
+    assert capsys.readouterr().err.endswith(message)
+    assert not (tmp_path / "o").exists()
 
 
-def test_sweep_without_config_fails(tmp_path, capsys):
-    code = main(["--out-dir", str(tmp_path), "sweep"])
-    assert code == 1
-    assert "config" in capsys.readouterr().err
+def test_sweep_names_each_missing_flag(tmp_path, capsys):
+    args = _sweep_args()
+    without_trials = args[:args.index("--trials")] + args[args.index("--trials") + 2:]
+    assert main(["--out-dir", str(tmp_path / "o"), *without_trials]) == 1
+    assert capsys.readouterr().err.endswith("error: the following arguments are required: --trials\n")
+    assert main(["--out-dir", str(tmp_path / "o"), "sweep"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "required: --N, --n, --k, --signal-kind, --noise-frac, --alpha, --rho, --omega, --p, --trials, --seed\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 def test_threads_flag_is_gone(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    _write_sweep_config(cfg)
-    code = main(["--threads", "2", "--out-dir", str(tmp_path / "o"), "sweep", "--config", str(cfg)])
+    code = main(["--threads", "2", "--out-dir", str(tmp_path / "o"), *_sweep_args()])
     assert code == 1
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -483,17 +504,36 @@ def test_audio_flags_default_to_the_pipeline_config(tmp_path):
     assert pipeline == json.loads(json.dumps(expected))
 
 
+def test_sweep_flags_set_the_experiment_spec(tmp_path):
+    [sweep] = [action.choices["sweep"] for action in cli._build_parser()._subparsers._group_actions]
+    flags = {action.dest: action.option_strings for action in sweep._actions if action.dest != "help"}
+    # one flag per field, each setting the field of its dest
+    assert sorted(flags) == sorted(f.name for f in fields(ExperimentSpec))
+    assert all(len(options) == 1 for options in flags.values())
+    spec = ExperimentSpec(N=30, n_list=(12, 15), k=3, signal_kind="compressible", decay=1.1, noise_frac=0.05,
+                          alpha_list=(0.5, 0.75), rho=1.0, omega_list=(0.0, 0.5, 1.0), p_list=(0.5, 1.0),
+                          trials=1, seed=-5)
+    argv = [f"{flags[f.name][0]}={','.join(map(str, v)) if isinstance(v, tuple) else v}"
+            for f in fields(spec) for v in [getattr(spec, f.name)]]
+    out = tmp_path / "run"
+    assert main(["--out-dir", str(out), "sweep", *argv]) == 0
+    assert json.loads((out / "manifest.json").read_text())["config"]["spec"] == json.loads(json.dumps(asdict(spec)))
+    cli._write_csv(tmp_path / "lib.csv", [f.name for f in fields(SweepRow)], map(astuple, run_sweep(spec).rows))
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "command, grid, message",
     [
         ("theory", "0:1", "grid token '0:1' must be start:stop:count"),
         ("audio", "0:1:0", "count must be an integer >= 1, got 0.0"),
         ("theory", "0,,1", "empty grid token in '0,,1'"),
+        ("sweep", "0:1:2:3", "grid token '0:1:2:3' must be start:stop:count"),
     ],
-    ids=["theory", "audio", "empty-token"],
+    ids=["theory", "audio", "empty-token", "sweep"],
 )
 def test_malformed_grid_exits_1_naming_its_flag(tmp_path, capsys, command, grid, message):
-    argv = ["--input", str(tmp_path / "in.wav")] if command == "audio" else []
+    argv = {"theory": [], "audio": ["--input", str(tmp_path / "in.wav")], "sweep": _sweep_args()[1:]}[command]
     out = tmp_path / "run"
     assert main(["--out-dir", str(out), command, *argv, "--omega", grid]) == 1
     assert f"argument --omega: {message}" in capsys.readouterr().err
@@ -735,10 +775,8 @@ def test_solve_refuses_a_noise_bound(tmp_path, capsys):
 
 
 def test_replay_drops_legacy_threads_key(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    _write_sweep_config(cfg)
     out = tmp_path / "orig"
-    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 0
+    assert main(["--out-dir", str(out), *_sweep_args()]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert "threads" not in manifest["config"]
     manifest["config"]["threads"] = 3
@@ -752,10 +790,8 @@ def test_replay_drops_legacy_threads_key(tmp_path, capsys):
 
 
 def test_replay_refuses_a_decay_on_a_sparse_spec(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    _write_sweep_config(cfg)
     out = tmp_path / "orig"
-    assert main(["--out-dir", str(out), "sweep", "--config", str(cfg)]) == 0
+    assert main(["--out-dir", str(out), *_sweep_args()]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["spec"]["decay"] is None
     manifest["config"]["spec"]["decay"] = -5.0

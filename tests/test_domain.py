@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cswlp.audio import AudioPipelineConfig, dct_matrix, synthesize_speech_like
-from cswlp.cli import main
+from cswlp.cli import _parse_grid, main
 from cswlp.core import (
     DenseMatrix,
     Measurements,
@@ -19,7 +19,6 @@ from cswlp.core import (
 )
 from cswlp.experiments import (
     ExperimentSpec,
-    _parse_grid,
     gen_compressible_signal,
     gen_gaussian_matrix,
     gen_noise_on_sphere,
@@ -170,11 +169,36 @@ def test_config_types_store_counts_as_int_and_settings_as_float():
         ),
         (
             ExperimentSpec(N=40.0, n_list=[20.0], k=4.0, signal_kind="compressible", decay=1, noise_frac=0,
-                           alpha_list=(1,), rho=1, omega_list=(0,), p_list=(1,), trials=2.0, seed=0),
+                           alpha_list=(1,), rho=1, omega_list=(0,), p_list=(1,), trials=2.0, seed=np.int64(3)),
             dict(N=40, n_list=(20,), k=4, decay=1.0, noise_frac=0.0, alpha_list=(1.0,), rho=1.0,
-                 omega_list=(0.0,), p_list=(1.0,), trials=2),
+                 omega_list=(0.0,), p_list=(1.0,), trials=2, seed=3),
         ),
     ]
     for config, fields in stored:
         for name, want in fields.items():
             assert repr(getattr(config, name)) == repr(want), (type(config).__name__, name)
+
+
+# each config type that takes a seed, built with a given one
+_SEEDED = {
+    "ExperimentSpec": lambda seed: ExperimentSpec(
+        N=40, n_list=(20,), k=4, signal_kind="sparse", decay=None, noise_frac=0.0, alpha_list=(0.5,), rho=1.0,
+        omega_list=(0.5,), p_list=(0.5,), trials=1, seed=seed,
+    ),
+    "AudioPipelineConfig": lambda seed: AudioPipelineConfig(seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", 7.0, None], ids=["fraction", "string", "float", "none"])
+@pytest.mark.parametrize("config", sorted(_SEEDED))
+def test_a_seed_must_be_an_integer(config, seed):
+    with pytest.raises(ValueError) as exc:
+        _SEEDED[config](seed)
+    assert str(exc.value) == f"seed must be an integer, got {seed!r}"
+
+
+@pytest.mark.parametrize("config", sorted(_SEEDED))
+def test_every_integer_seed_is_kept_exactly(config):
+    # never read through float, which would round 2**70 + 1 to 2**70
+    for seed in (2**70 + 1, -3, 0):
+        assert _SEEDED[config](seed).seed == seed

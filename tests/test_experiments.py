@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import astuple, fields
 
@@ -7,7 +8,7 @@ import pytest
 from cswlp import experiments, solver
 from cswlp.audio import AudioPipelineConfig, recover_clip
 from cswlp.cli import main
-from cswlp.core import ConfigError, DenseMatrix, SolverDivergenceError
+from cswlp.core import DenseMatrix, SolverDivergenceError
 from cswlp.experiments import (
     ExperimentSpec,
     SweepRow,
@@ -16,7 +17,6 @@ from cswlp.experiments import (
     gen_noise_on_sphere,
     gen_sparse_signal,
     gen_support_estimate,
-    load_experiment_spec,
     run_sweep,
 )
 
@@ -48,13 +48,12 @@ def _sweep_csv(tmp_path, spec):
     def join(values):
         return ", ".join(map(str, values))
 
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        f"N = {spec.N}\nn = {join(spec.n_list)}\nk = {spec.k}\nsignal_kind = {spec.signal_kind}\n"
-        f"noise_frac = {spec.noise_frac}\nalpha = {join(spec.alpha_list)}\nrho = {spec.rho}\n"
-        f"omega = {join(spec.omega_list)}\np = {join(spec.p_list)}\ntrials = {spec.trials}\nseed = {spec.seed}\n"
-    )
-    assert main(["--out-dir", str(tmp_path / "out"), "sweep", "--config", str(cfg)]) == 0
+    assert main([
+        "--out-dir", str(tmp_path / "out"), "sweep", "--N", str(spec.N), "--n", join(spec.n_list),
+        "--k", str(spec.k), "--signal-kind", spec.signal_kind, "--noise-frac", str(spec.noise_frac),
+        "--alpha", join(spec.alpha_list), "--rho", str(spec.rho), "--omega", join(spec.omega_list),
+        "--p", join(spec.p_list), "--trials", str(spec.trials), "--seed", str(spec.seed),
+    ]) == 0
     return (tmp_path / "out" / "sweep.csv").read_text()
 
 
@@ -339,91 +338,32 @@ def test_norm_ratio_at_small_p():
     assert experiments._norm_ratio(490.0, 0.0, 0.005) == math.inf
 
 
+def _spec_by_flags(tmp_path, *flags):
+    """The spec `cswlp sweep` records in its manifest when given ``flags``."""
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "sweep", "--N", "40", "--n", "16, 20", "--k", "4", "--noise-frac", "0",
+                 "--alpha", "0.7", "--rho", "1", "--p", "0.5", "--trials", "2", "--seed", "3", *flags]) == 0
+    return ExperimentSpec(**json.loads((out / "manifest.json").read_text())["config"]["spec"])
+
+
 @pytest.mark.parametrize("omega", ["0, 0.5, 1", "0:1:3"])
-def test_config_file_round_trip(tmp_path, omega):
-    # lists take the CLI's grid syntax, start:stop:count tokens included
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "# sweep description\n"
-        "N = 40\n"
-        "n = 16, 20\n"
-        "k = 4\n"
-        "signal_kind = sparse\n"
-        "noise_frac = 0\n"
-        "alpha = 0.7\n"
-        "rho = 1\n"
-        f"omega = {omega}\n"
-        "p = 0.5\n"
-        "trials = 2\n"
-        "seed = 3\n"
-    )
-    spec = load_experiment_spec(cfg)
+def test_sweep_flags_round_trip(tmp_path, omega):
+    # grid flags take start:stop:count tokens too
+    spec = _spec_by_flags(tmp_path, "--signal-kind", "sparse", "--omega", omega)
     assert spec == _tiny_spec(N=40, n_list=(16, 20), k=4, omega_list=(0.0, 0.5, 1.0), p_list=(0.5,),
                               alpha_list=(0.7,), rho=1.0, noise_frac=0.0, trials=2, seed=3)
-    assert spec.signal_kind == "sparse"
 
 
-def test_config_file_compressible_decay(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "N = 40\nn = 20\nk = 4\nsignal_kind = compressible(1.1)\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0.5\np = 0.5\ntrials = 1\nseed = 0\n"
-    )
-    spec = load_experiment_spec(cfg)
+def test_sweep_flags_set_a_compressible_decay(tmp_path):
+    spec = _spec_by_flags(tmp_path, "--signal-kind", "compressible", "--decay", "1.1", "--omega", "0.5")
     assert spec.signal_kind == "compressible"
     assert spec.decay == 1.1
 
 
-def test_config_file_errors_name_the_key(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text(
-        "N = 40\nn = 20\nk = 4\nsignal_kind = sparse\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0.5\np = 0.5\ntrials = 1\nseed = 0\nbogus = 1\n"
-    )
-    with pytest.raises(ConfigError, match="bogus"):
-        load_experiment_spec(bad)
-    missing = tmp_path / "missing.cfg"
-    missing.write_text("N = 40\nn = 20\nk = 4\n")
-    with pytest.raises(ConfigError, match="signal_kind|noise_frac|alpha"):
-        load_experiment_spec(missing)
-    dup = tmp_path / "dup.cfg"
-    dup.write_text(
-        "N = 40\nN = 50\nn = 20\nk = 4\nsignal_kind = sparse\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0.5\np = 0.5\ntrials = 1\nseed = 0\n"
-    )
-    with pytest.raises(ConfigError, match="N"):
-        load_experiment_spec(dup)
-    empty = tmp_path / "empty.cfg"
-    empty.write_text(
-        "N = 40\nn = 20\nk = 4\nsignal_kind = sparse\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0,,1\np = 0.5\ntrials = 1\nseed = 0\n"
-    )
-    with pytest.raises(ConfigError, match="bad value for 'omega'"):
-        load_experiment_spec(empty)
-    kind = tmp_path / "kind.cfg"
-    kind.write_text(
-        "N = 40\nn = 20\nk = 4\nsignal_kind = dense\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0.5\np = 0.5\ntrials = 1\nseed = 0\n"
-    )
-    with pytest.raises(ConfigError, match="bad value for 'signal_kind': 'dense'"):
-        load_experiment_spec(kind)
-    no_equals = tmp_path / "no_equals.cfg"
-    no_equals.write_text("N = 40\nn 20\n")
-    with pytest.raises(ConfigError, match="no_equals.cfg:2: expected key = value, got 'n 20'"):
-        load_experiment_spec(no_equals)
-
-
-def test_non_integer_n_is_rejected(tmp_path):
+def test_non_integer_n_is_rejected():
     assert _tiny_spec(n_list=(20.0,)).n_list == (20,)
     with pytest.raises(ValueError, match="integer"):
         _tiny_spec(n_list=(15.7, 20))
-    cfg = tmp_path / "frac.cfg"
-    cfg.write_text(
-        "N = 40\nn = 15.7, 20\nk = 4\nsignal_kind = sparse\nnoise_frac = 0\n"
-        "alpha = 0.7\nrho = 1\nomega = 0.5\np = 0.5\ntrials = 1\nseed = 0\n"
-    )
-    with pytest.raises(ConfigError, match="integer"):
-        load_experiment_spec(cfg)
 
 
 @pytest.mark.parametrize("key", ["noise_frac", "rho"])

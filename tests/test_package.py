@@ -2,11 +2,13 @@ import ast
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import cswlp
+from cswlp import cli
 
 _NAMES = ["cswlp"] + sorted(f"cswlp.{info.name}" for info in pkgutil.iter_modules(cswlp.__path__))
 
@@ -44,3 +46,17 @@ def test_readme_python_blocks_run():
     assert len(blocks) >= 2
     for i, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {i}", "exec"), {})
+
+
+def test_readme_cswlp_commands_parse():
+    # a documented flag cannot outlive its code
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("cswlp ")]
+    assert len(commands) >= 5
+    for command in commands:
+        try:
+            cli._build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")
