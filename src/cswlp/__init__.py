@@ -3,7 +3,6 @@ measurements, with support-estimate weighting, recovery-condition
 calculators, experiment sweeps, and a blockwise audio pipeline."""
 
 from .core import (
-    ConditionViolatedError,
     CswlpError,
     DenseMatrix,
     Measurements,
@@ -31,7 +30,6 @@ from .theory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConditionViolatedError",
     "CswlpError",
     "DenseMatrix",
     "Measurements",

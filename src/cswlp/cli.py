@@ -33,7 +33,6 @@ import numpy as np
 from . import __version__
 from .audio import AudioPipelineConfig, AudioRow, read_wav_mono, recover_clip, write_wav_mono
 from .core import (
-    ConditionViolatedError,
     CswlpError,
     DenseMatrix,
     Measurements,
@@ -150,7 +149,9 @@ class RunManifest:
         missing = fields - set(data)
         if missing:
             raise ValueError(f"{path}: missing manifest fields {sorted(missing)}")
-        for name, kind, word in (("config", dict, "object"), ("inputs", dict, "object"), ("outputs", list, "list")):
+        for name, kind, word in (("subcommand", str, "string"), ("version", str, "string"),
+                                 ("timestamp", str, "string"), ("config", dict, "object"),
+                                 ("inputs", dict, "object"), ("outputs", list, "list")):
             if not isinstance(data[name], kind):
                 raise ValueError(f"{path}: manifest field {name!r} is not a JSON {word}")
         for name, entry in data["inputs"].items():
@@ -254,10 +255,8 @@ def _run_theory(config: dict, inputs: dict, out_dir: Path) -> list[str]:
             delta_hat_lp(a, p), delta_hat_wl1(a, omega, alpha, rho), delta_hat_wlp(a, p, omega, alpha, rho),
         ]
         if with_constants:
-            try:
-                row += [*error_constants(a, p, omega, alpha, rho, d1, d2), "true"]
-            except ConditionViolatedError:
-                row += [float("inf"), float("inf"), "false"]
+            c1, c2 = error_constants(a, p, omega, alpha, rho, d1, d2)
+            row += [c1, c2, "true" if c1 < np.inf else "false"]
         rows.append(row)
     _write_csv(out_dir / "theory.csv", header, rows)
     return ["theory.csv"]
@@ -369,11 +368,26 @@ def _cmd_replay(args) -> int:
         raise ValueError(f"{args.manifest}: malformed {manifest.subcommand} config: {exc}") from exc
 
 
+class _StoreOnce(argparse.Action):
+    """argparse's store action, but a flag given twice is refused, not overwritten."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in vars(namespace).setdefault("_given", set()):
+            parser.error(f"{option_string} given more than once")
+        namespace._given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Flags store once here and in every subcommand parser it makes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _StoreOnce)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cswlp",
-        description="Weighted lp recovery of sparse signals from linear measurements.",
-    )
+    parser = _Parser(prog="cswlp", description="Weighted lp recovery of sparse signals from linear measurements.")
     parser.add_argument("--out-dir", type=Path, default=Path("."), help="directory for outputs")
     sub = parser.add_subparsers(dest="command", required=True)
 

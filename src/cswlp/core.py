@@ -45,7 +45,6 @@ import numpy as np
 
 __all__ = [
     "CswlpError",
-    "ConditionViolatedError",
     "OracleInfeasibleError",
     "RankDeficientError",
     "SolverDivergenceError",
@@ -75,10 +74,6 @@ class SolverDivergenceError(CswlpError):
 
 class OracleInfeasibleError(CswlpError):
     """No support of the allowed size fits the measurements."""
-
-
-class ConditionViolatedError(CswlpError):
-    """Recovery-condition denominator is not positive for these parameters."""
 
 
 # Singular values below this fraction of the largest count as zero rank.

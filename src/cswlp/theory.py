@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .core import ConditionViolatedError, check_domain
+from .core import check_domain
 
 __all__ = [
     "delta_hat_lp",
@@ -78,12 +78,8 @@ def sufficient_condition_holds(
 
     It is exactly D > 0 for the denominator D of ``error_constants``, so
     it is read from that one computation: it holds exactly when those
-    constants are defined."""
-    try:
-        error_constants(a, p, omega, alpha, rho, delta_ak, delta_a1k)
-    except ConditionViolatedError:
-        return False
-    return True
+    constants are finite."""
+    return error_constants(a, p, omega, alpha, rho, delta_ak, delta_a1k)[0] < math.inf
 
 
 def error_constants(
@@ -98,7 +94,7 @@ def error_constants(
         C2 = 2 a^(p/2-1) ((1+d1)^(p/2) + (1-d2)^(p/2) (2/p-1)^(-p/2)) / D
     with D = (1-d2)^(p/2) - (1+d1)^(p/2) a^(p/2-1) gamma.  D > 0 is
     exactly the sufficient condition; otherwise the bound is vacuous and
-    ConditionViolatedError is raised.
+    its best constants, (inf, inf), are returned.
     """
     # computed on the floats check_domain returns, whatever type was given
     a, p, omega, alpha, rho, d1, d2 = (v for (v,) in check_domain(
@@ -110,9 +106,7 @@ def error_constants(
     tail_pow = (2.0 / p - 1.0) ** half
     D = (1.0 - d2) ** half - (1.0 + d1) ** half * a_pow * gamma
     if D <= 0.0:
-        raise ConditionViolatedError(
-            f"condition denominator must be positive, got {D:.6g}"
-        )
+        return math.inf, math.inf
     c1 = 2.0**p * (1.0 + gamma * a_pow / tail_pow) / D
     c2 = 2.0 * a_pow * ((1.0 + d1) ** half + (1.0 - d2) ** half / tail_pow) / D
     return c1, c2
@@ -125,19 +119,18 @@ def proposition2_check(a: float, p: float, omega: float, alpha: float, rho: floa
     For omega < 1 the weighted constants are smaller than the
     unweighted ones exactly when alpha > 1/2, equal at alpha = 1/2, and
     larger when alpha < 1/2.  Returns True when every grid point where
-    both bounds apply matches that pattern (requires at least one such
-    point).
+    both bounds apply (both constants finite) matches that pattern
+    (requires at least one such point).
     """
     check_domain(a=[a], p=[p], omega=[omega], alpha=[alpha], rho=[rho])
     if not (0.0 <= omega < 1.0):
         raise ValueError(f"omega must lie in [0, 1) for this comparison, got {omega}")
     compared = 0
     for delta in delta_grid:
-        try:
-            cw = error_constants(a, p, omega, alpha, rho, delta, delta)
-            # at omega = 1, gamma is exactly 1.0: the unweighted constants
-            cu = error_constants(a, p, 1.0, alpha, rho, delta, delta)
-        except ConditionViolatedError:
+        cw = error_constants(a, p, omega, alpha, rho, delta, delta)
+        # at omega = 1, gamma is exactly 1.0: the unweighted constants
+        cu = error_constants(a, p, 1.0, alpha, rho, delta, delta)
+        if math.inf in (*cw, *cu):
             continue
         compared += 1
         for weighted, unweighted in zip(cw, cu):

@@ -392,10 +392,34 @@ def test_replay_reproduces_sweep_with_stop_reasons(tmp_path):
     ids=["non-integer-n", "unknown-kind", "decay-on-sparse", "compressible-without-decay", "unknown-flag"],
 )
 def test_sweep_refuses_a_bad_spec_before_writing(tmp_path, capsys, change, message):
-    # a later flag replaces an earlier one's value
-    assert main(["--out-dir", str(tmp_path / "o"), *_sweep_args(), *change]) == 1
+    # the bad flag takes the good one's place, or joins the flags
+    flag, value = change
+    args = _sweep_args()
+    if flag in args:
+        args[args.index(flag) + 1] = value
+    else:
+        args += change
+    assert main(["--out-dir", str(tmp_path / "o"), *args]) == 1
     assert capsys.readouterr().err.endswith(message)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([*_sweep_args(seed=1), "--seed", "2"], "cswlp sweep: error: --seed given more than once\n"),
+        ([*_sweep_args(), "--n=15", "--p", "1"], "cswlp sweep: error: --n given more than once\n"),
+        (["--out-dir", "p", *_sweep_args()], "cswlp: error: --out-dir given more than once\n"),
+        (["theory", "--p", "0.5", "--p", "1"], "cswlp theory: error: --p given more than once\n"),
+    ],
+    ids=["sweep-seed", "sweep-grid", "top-level", "theory-grid"],
+)
+def test_a_flag_given_twice_is_refused_before_writing(tmp_path, monkeypatch, capsys, argv, message):
+    # argparse alone would run the later value silently; here no file is written
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out-dir", "o", *argv]) == 1
+    assert capsys.readouterr().err.endswith(message)
+    assert not any(tmp_path.iterdir())
 
 
 def test_sweep_names_each_missing_flag(tmp_path, capsys):
@@ -813,6 +837,7 @@ def test_replay_refuses_a_decay_on_a_sparse_spec(tmp_path, capsys):
         (["solve", 0], "not a JSON object"),
         (_full_manifest(), "solve manifest has no 'matrix' config entry or input"),
         (_full_manifest(config=[]), "manifest field 'config' is not a JSON object"),
+        (_full_manifest(subcommand=["solve"]), "manifest field 'subcommand' is not a JSON string"),
         (_full_manifest(outputs={}), "manifest field 'outputs' is not a JSON list"),
         (_full_manifest(inputs={"matrix": "A.bin"}), "input 'matrix' needs string 'path' and 'sha256'"),
         (_full_manifest(subcommand="sweep", config={"spec": []}), "malformed sweep config"),
@@ -826,7 +851,7 @@ def test_replay_refuses_a_decay_on_a_sparse_spec(tmp_path, capsys):
         ),
         (_full_manifest(subcommand="replay"), "manifest subcommand 'replay' is not replayable"),
     ],
-    ids=["missing-fields", "not-an-object", "config-missing-key", "config-not-an-object",
+    ids=["missing-fields", "not-an-object", "config-missing-key", "config-not-an-object", "subcommand-not-a-string",
          "outputs-not-a-list", "input-entry-malformed", "spec-not-an-object", "fixed-setting-changed",
          "iteration-bound-changed", "subcommand-without-runner"],
 )
